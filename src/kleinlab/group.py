@@ -15,7 +15,8 @@ import numpy as np
 from . import mobius
 from .caps import SphericalCap, cap_to_euclidean_ball, caps_disjoint
 from .geom import BallPoint, ExtPoint, embed_ext
-from .mobius import MobiusMap, compose, inverse, poincare_extend
+from .mobius import (MobiusMap, compose, inverse, poincare_extend,
+                     sphere_action_rows)
 
 DEFAULT_MARGULIS_EPS = 0.1  # configured stand-in for the dimensional constant
 
@@ -117,18 +118,39 @@ def _alphabet(rank: int) -> list[int]:
 class _MapDeduper:
     """Near-duplicate detection for maps through probe-image fingerprints.
 
-    Images of three fixed probe points are embedded on S^{n+1}... no: on the
-    n-sphere, concatenated and bucketed at 1e-8 with a half-cell offset, so a
-    true duplicate always lands in a shared bucket of one of the two grids.
-    Bucket hits are confirmed with the exact identity tolerance.
+    The forward fingerprint of g holds the images g(p) of three fixed probes,
+    embedded on S^n and concatenated. It is keyed on two grids of cell 1e-8,
+    the second shifted by half a cell, and earlier words with the same key
+    in either grid are the candidates. In one coordinate, two values within
+    half a cell share a cell of at least one grid. A key spans all 3(n + 1)
+    coordinates, so two such fingerprints are sure to share a key only when
+    one grid keeps every coordinate together; a duplicate missed this way is
+    kept as a new word. Deep words contract the sphere into caps far below
+    1e-8, so their forward images share keys with many other words.
+
+    Each accepted word also keeps its inverse fingerprint, the images
+    g^-1(p) of the same probes. A candidate is confirmed with maps_close at
+    1e-8 only when the inverse fingerprints agree within 1e-6 in every
+    coordinate. That is a necessary condition: if maps_close(g, h) holds,
+    then k = g^-1 h is the affine map x -> b + r A x with |r - 1|, every
+    entry of A - I and every entry of b below 1e-8, and h^-1 = k^-1 g^-1.
+    A conformal affine map moves every point of R^n u {inf} chordally by at
+    most |r - 1| + ||A - I|| + 2|b| to first order, which is below
+    (1 + n + 2 sqrt(n)) 1e-8 for k^-1 as well, so h^-1(p) lies within that
+    distance of g^-1(p). The factor 100 between 1e-8 and 1e-6 leaves room
+    for n up to 80 and for rounding. Deep words, whose forward images
+    collapse, differ in their last letters and therefore in their inverse
+    images.
     """
 
     def __init__(self, n: int, tol: float = 1e-8):
         rng = np.random.default_rng(2718281828)
         self.probes = [ExtPoint.finite(rng.normal(0.0, 1.0, n)) for _ in range(3)]
+        self._probe_rows = np.array([embed_ext(p) for p in self.probes])
         self.tol = tol
         self._buckets: dict[tuple, list[int]] = {}
         self._maps: list[MobiusMap] = []
+        self._inverse_fps = np.empty((64, 3 * (n + 1)))
 
     def _fingerprint(self, g: MobiusMap) -> np.ndarray:
         return np.concatenate(
@@ -138,16 +160,24 @@ class _MapDeduper:
     def check_and_add(self, g: MobiusMap) -> bool:
         """True if g is new (and records it); False if a duplicate was found."""
         fp = self._fingerprint(g)
+        inv_fp = sphere_action_rows(inverse(g), self._probe_rows).ravel()
         keys = [tuple(np.floor(fp / self.tol).astype(np.int64)),
                 tuple(np.floor(fp / self.tol + 0.5).astype(np.int64))]
         candidates: set[int] = set()
         for key in keys:
             candidates.update(self._buckets.get(key, ()))
-        for idx in candidates:
-            if mobius.maps_close(self._maps[idx], g, tol=1e-8):
-                return False
+        if candidates:
+            idx = np.fromiter(candidates, dtype=np.int64, count=len(candidates))
+            gap = np.abs(self._inverse_fps[idx] - inv_fp).max(axis=1)
+            for i in idx[gap <= 1e-6]:
+                if mobius.maps_close(self._maps[i], g, tol=1e-8):
+                    return False
         idx = len(self._maps)
         self._maps.append(g)
+        if idx == len(self._inverse_fps):
+            self._inverse_fps = np.concatenate(
+                [self._inverse_fps, np.empty_like(self._inverse_fps)])
+        self._inverse_fps[idx] = inv_fp
         for key in keys:
             self._buckets.setdefault(key, []).append(idx)
         return True

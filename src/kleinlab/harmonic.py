@@ -38,56 +38,70 @@ class CloudTooCoarse(RuntimeError):
 class BoundaryIndicator:
     """Pointwise-decidable membership test on S^n.
 
-    membership maps unit rows to booleans; indeterminate (possibly None)
-    flags rows whose membership the indicator cannot certify, e.g. points
-    inside the resolution band of a sampled limit set.
+    classify maps unit rows to two boolean arrays, (member, indeterminate).
+    indeterminate flags rows whose membership the indicator cannot certify,
+    e.g. points inside the resolution band of a sampled limit set; those
+    rows are not members. Indicators decidable everywhere flag no row.
     """
 
     kind: str
-    membership: Callable[[np.ndarray], np.ndarray]
-    indeterminate: Callable[[np.ndarray], np.ndarray] | None = None
+    classify: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def _decidable(kind: str, member: Callable[[np.ndarray], np.ndarray]
+               ) -> BoundaryIndicator:
+    def classify(U):
+        m = member(np.atleast_2d(U))
+        return m, np.zeros_like(m)
+
+    return BoundaryIndicator(kind=kind, classify=classify)
 
 
 def full_sphere() -> BoundaryIndicator:
-    return BoundaryIndicator(
-        kind="full-sphere",
-        membership=lambda U: np.ones(np.atleast_2d(U).shape[0], dtype=bool),
-    )
+    return _decidable("full-sphere",
+                      lambda U: np.ones(U.shape[0], dtype=bool))
 
 
 def hemisphere(axis: np.ndarray) -> BoundaryIndicator:
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
-    return BoundaryIndicator(
-        kind="hemisphere",
-        membership=lambda U: np.atleast_2d(U) @ axis >= 0.0,
-    )
+    return _decidable("hemisphere", lambda U: U @ axis >= 0.0)
 
 
 def cap_union(caps: list[SphericalCap]) -> BoundaryIndicator:
     def member(U):
-        U = np.atleast_2d(U)
         out = np.zeros(U.shape[0], dtype=bool)
         for cap in caps:
             out |= cap.contains(U)
         return out
 
-    return BoundaryIndicator(kind="cap-union", membership=member)
+    return _decidable("cap-union", member)
 
 
 def cloud_complement(L: LimitSetCloud) -> BoundaryIndicator:
-    """Indicator of the domain of discontinuity, up to the resolution band."""
-    band = (L.resolution or 0.0)
+    """Indicator of the domain of discontinuity, up to the resolution band.
 
-    def member(U):
-        return L.nearest(np.atleast_2d(U)) > band
+    A row is indeterminate when its chordal distance to the nearest sample
+    is at most the band (the certified resolution, 0 without one) and a
+    member otherwise, as L.nearest(U) > band would decide. One kd-tree query
+    per batch answers both. The query is bounded just above the band, so
+    the search stops once no sample can lie within it, and rows with no
+    sample inside the bound read inf. The tree compares squared distances:
+    the bound is the next float above the band, which still squares above
+    any distance that rounds to the band, and at least 2^-511, whose square
+    is the smallest normal float, so that it does not square to zero when
+    the band is 0.
+    """
+    band = L.resolution or 0.0
+    bound = max(np.nextafter(band, np.inf), np.sqrt(np.finfo(float).tiny))
 
-    def indet(U):
-        return L.nearest(np.atleast_2d(U)) <= band
+    def classify(U):
+        U = np.atleast_2d(np.asarray(U, dtype=float))
+        d, _ = L.tree.query(U, distance_upper_bound=bound)
+        indet = d <= band
+        return ~indet, indet
 
-    return BoundaryIndicator(
-        kind="complement-of-cloud", membership=member, indeterminate=indet
-    )
+    return BoundaryIndicator(kind="complement-of-cloud", classify=classify)
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +161,9 @@ def harmonic_extension(chi: BoundaryIndicator, x: BallPoint, n_samples: int,
     n = x.vec.size - 1
     Z = uniform_sphere(rng, n, n_samples)
     Y = boundary_shift_rows(x, Z)
-    vals = chi.membership(Y).astype(float)
-    indet = 0.0
-    if chi.indeterminate is not None:
-        indet = float(chi.indeterminate(Y).mean())
+    member, indet_rows = chi.classify(Y)
+    vals = member.astype(float)
+    indet = float(indet_rows.mean())
     value = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
     return MCEstimate(value=value, stderr=stderr, samples=n_samples,
@@ -282,8 +295,9 @@ def harmonic_measure_identity(G: GroupPresentation, L: LimitSetCloud,
     u0 = harmonic_extension(chi, origin, n_samples, seed=seed)
     rng = np.random.default_rng(seed + 1)
     U = uniform_sphere(rng, L.n, n_samples)
-    inside = chi.membership(U).astype(float)
-    indet = float(chi.indeterminate(U).mean()) if chi.indeterminate else 0.0
+    member, indet_rows = chi.classify(U)
+    inside = member.astype(float)
+    indet = float(indet_rows.mean())
     area = MCEstimate(
         value=float(inside.mean()),
         stderr=float(inside.std(ddof=1) / np.sqrt(n_samples)),

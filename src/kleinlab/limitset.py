@@ -69,8 +69,12 @@ class LimitSetCloud:
         sub = self.points
         if self.size > 4000:
             sub = self.points[:: self.size // 4000 + 1]
-        d2 = np.max(
-            np.sum((sub[:, None, :] - sub[None, :, :]) ** 2, axis=-1)
+        # 256-row blocks bound the (rows, size, m) temporary; max is exact,
+        # so the blocks change no bit of the result
+        d2 = max(
+            np.max(np.sum((sub[i:i + 256, None, :] - sub[None, :, :]) ** 2,
+                          axis=-1))
+            for i in range(0, sub.shape[0], 256)
         )
         return float(np.sqrt(d2))
 
@@ -135,6 +139,23 @@ def sample_limit_set(G: GroupPresentation, depth: int,
 
 
 def _sample_schottky(G: GroupPresentation, depth: int) -> LimitSetCloud:
+    """One sample per reduced word of length depth: the image of its last
+    letter's target-cap center under the rest of the word.
+
+    The certified resolution is the largest nested-cap diameter, floored at
+    a bound on the float error of the unit sample rows. Each row is the
+    embedding (2y, |y|^2 - 1) / (1 + |y|^2) of a computed point y of R^n.
+    With unit round-off u = eps / 2 (eps = np.finfo(float).eps), |y|^2
+    carries a relative error of at most n u. As every coordinate is at most
+    1 in size, each of the first n, 2 y_i / (1 + |y|^2), is then off by at
+    most (n + 2) u and the last, (|y|^2 - 1) / (|y|^2 + 1), by at most
+    (n / 2 + 3) u. The row is thus within sqrt(n + 1) (n + 3) u of the
+    embedding of y, 9.6e-16 for n = 2. A nested cap smaller than that
+    cannot be resolved by the rows, so a resolution below it is not
+    claimed. The floor covers the last step only: on the reference group,
+    samples computed by composing the word and by applying its letters one
+    at a time differ by up to 4.4e-16 at depths 6 to 8.
+    """
     alphabet = _alphabet(G.rank)
     frontier: list[tuple[int, mobius.MobiusMap]] = [(0, mobius.identity(G.n))]
     for _ in range(depth - 1):
@@ -154,8 +175,10 @@ def _sample_schottky(G: GroupPresentation, depth: int) -> LimitSetCloud:
             nested = cap_image(prefix, target)
             pts.append(sphere_action_rows(prefix, target.center[None, :])[0])
             max_diam = max(max_diam, nested.chordal_diameter)
+    round_off = np.sqrt(G.n + 1) * (G.n + 3) * np.finfo(float).eps / 2
     return LimitSetCloud(
-        n=G.n, points=np.array(pts), depth=depth, resolution=max_diam
+        n=G.n, points=np.array(pts), depth=depth,
+        resolution=max(max_diam, float(round_off)),
     )
 
 

@@ -53,6 +53,21 @@ class TestEnumeration:
         words = enumerate_elements(G, 7)
         assert len(words) == 5
 
+    def test_deep_schottky_words_need_few_confirmations(self, monkeypatch):
+        # deep words share forward buckets: without the inverse-image
+        # prefilter, depth 7 confirms 81,174 bucket hits with maps_close
+        calls = []
+        close = mobius.maps_close
+
+        def counting(g, h, tol=mobius.IDENTITY_TOL):
+            calls.append(1)
+            return close(g, h, tol=tol)
+
+        monkeypatch.setattr(mobius, "maps_close", counting)
+        words = enumerate_elements(reference_schottky(), 7)
+        assert len(words) == 1 + 4 * (3**7 - 1) // 2
+        assert len(calls) <= 2000
+
     def test_free_group_counts_at_every_length(self):
         G = reference_schottky()
         words = enumerate_elements(G, 4)

@@ -22,7 +22,7 @@ from kleinlab.harmonic import (
     poisson_kernel,
     poisson_kernel_rows,
 )
-from kleinlab.limitset import sample_limit_set
+from kleinlab.limitset import LimitSetCloud, sample_limit_set
 
 from util import random_mobius, reference_schottky
 
@@ -116,6 +116,25 @@ class TestHarmonicExtension:
                 u_x.indeterminate_fraction + u_gx.indeterminate_fraction
             ) + 1e-6
             assert abs(u_x.value - u_gx.value) <= tol
+
+    def test_cloud_complement_matches_unbounded_nearest(self):
+        clouds = [sample_limit_set(reference_schottky(), 5)]
+        # a cyclic cloud has band 0: its own points are indeterminate
+        clouds.append(sample_limit_set(make_cyclic(mobius.affine(2, r=2.0)), 3))
+        rows = uniform_sphere(np.random.default_rng(31), 2, 5000)
+        # a band equal to the nearest distance of a few rows
+        d = clouds[0].nearest(rows)
+        for k in (0, 1, 2):
+            clouds.append(LimitSetCloud(n=2, points=clouds[0].points, depth=5,
+                                        resolution=float(d[k])))
+        for cloud in clouds:
+            band = cloud.resolution or 0.0
+            U = np.vstack([rows, cloud.points])
+            member, indet = cloud_complement(cloud).classify(U)
+            expect = cloud.nearest(U) > band
+            assert np.array_equal(member, expect)
+            assert np.array_equal(indet, ~expect)
+            assert indet[len(rows):].all()
 
     def test_conformal_covariance_of_cap_mass(self):
         # u_{chi}(x) = u_{chi o g^-1}(g x) for a ball isometry g
@@ -289,6 +308,6 @@ class TestMeasureIdentity:
         origin = BallPoint(np.zeros(3))
         u = harmonic_extension(chi, origin, 200_000, seed=23)
         rng = np.random.default_rng(24)
-        area = chi.membership(uniform_sphere(rng, 2, 200_000)).mean()
+        area = chi.classify(uniform_sphere(rng, 2, 200_000))[0].mean()
         assert abs(u.value - 0.5) < 3 * u.stderr
         assert abs(area - 0.5) < 0.005

@@ -48,6 +48,13 @@ class TestSampling:
                 assert cloud.resolution < prev_res
             prev_res = cloud.resolution
 
+    def test_resolution_floored_at_row_round_off(self):
+        # caps of chordal radius 0.006 nest below 1e-15 by depth 4
+        G = reference_schottky(theta=float(2.0 * np.arcsin(0.003)))
+        floor = np.sqrt(3) * 5 * np.finfo(float).eps / 2
+        assert sample_limit_set(G, 3).resolution > floor
+        assert sample_limit_set(G, 4).resolution == floor
+
     def test_schottky_points_inside_defining_caps(self):
         G = reference_schottky()
         cloud = sample_limit_set(G, 4)
@@ -81,6 +88,14 @@ class TestSampling:
         for g in G.generators:
             defect = limitset.cloud_invariance_defect(cloud, g)
             assert defect <= coarse.resolution + cloud.resolution
+
+
+class TestDiameter:
+    def test_blocked_rows_match_one_shot_formula(self):
+        pts = geom.uniform_sphere(np.random.default_rng(32), 2, 700)
+        cloud = LimitSetCloud(n=2, points=pts, depth=0, resolution=None)
+        d2 = np.max(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
+        assert cloud.diameter() == float(np.sqrt(d2))
 
 
 class TestDistance:
