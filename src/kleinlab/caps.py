@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mobius
-from .geom import angle_from_chord, chord_from_angle
+from .geom import chord_from_angle
 
 CAP_MAX_ANGLE = np.pi / 2.0
 
@@ -199,7 +199,7 @@ def cap_images_batch(g: mobius.MobiusMap, boundary: np.ndarray,
         b = np.concatenate([rhs, plane_rhs[:, None]], axis=1)
         AtA = np.einsum("ijk,ijl->ikl", A, A)
         Atb = np.einsum("ijk,ij->ik", A, b)
-        c_cent = np.linalg.solve(AtA, Atb[:, :, None])[:, :, 0]
+        c_cent = _solve_normal_rows(AtA, Atb, A, b)
         r_c = np.linalg.norm(sp - c_cent[:, None, :], axis=2).mean(axis=1)
         theta = np.arctan2(r_c, h)
         side_ok = np.einsum("ij,ij->i", c_img[big], nu) >= h - 1e-9
@@ -214,6 +214,27 @@ def cap_images_batch(g: mobius.MobiusMap, boundary: np.ndarray,
             valid[i] = 0.0 < th < CAP_MAX_ANGLE
     probes = np.concatenate([imgs, c_img[:, None, :]], axis=1)
     return out_centers, out_thetas, valid, probes
+
+
+def _solve_normal_rows(AtA: np.ndarray, Atb: np.ndarray, A: np.ndarray,
+                       b: np.ndarray) -> np.ndarray:
+    """Row-wise solutions of the normal equations AtA x = Atb, batched.
+
+    A matrix whose LU factorization meets an exact zero pivot (image spreads
+    near 1e-12) has determinant exactly 0; its row takes cap_image's
+    least-squares fit of A x = b instead. The batched solve treats each
+    matrix on its own, so the other rows keep the bits it gives them.
+    """
+    try:
+        return np.linalg.solve(AtA, Atb[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        singular = np.linalg.det(AtA) == 0.0
+    out = np.empty_like(Atb)
+    ok = ~singular
+    out[ok] = np.linalg.solve(AtA[ok], Atb[ok][:, :, None])[:, :, 0]
+    for i in np.flatnonzero(singular):
+        out[i] = np.linalg.lstsq(A[i], b[i], rcond=None)[0]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +265,3 @@ def cap_to_euclidean_ball(cap: SphericalCap) -> tuple[np.ndarray, float]:
     center = 0.5 * (lo + hi) * e
     radius = 0.5 * (lo - hi)
     return center, float(radius)
-
-
-def cap_from_chordal(center_unit: np.ndarray, chordal_radius: float) -> SphericalCap:
-    return SphericalCap(center=center_unit, theta=float(angle_from_chord(chordal_radius)))

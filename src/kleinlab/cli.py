@@ -32,10 +32,6 @@ EXIT_INVALID = 2
 EXIT_INCONCLUSIVE = 3
 
 
-class Inconclusive(RuntimeError):
-    """Budget too small for a defensible answer."""
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kleinlab",
@@ -123,10 +119,11 @@ def cmd_limitset(args, defn: GroupDefinition) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def cmd_dimension(args, defn: GroupDefinition) -> tuple[dict, int]:
+def cmd_dimension(args, defn: GroupDefinition, cloud=None) -> tuple[dict, int]:
     G = defn.presentation
     depth = args.depth if args.depth is not None else defn.depths[-1]
-    cloud = _cloud_for(defn, depth)
+    if cloud is None:
+        cloud = _cloud_for(defn, depth)
     report: dict = {"depth": depth, "cloud_size": cloud.size}
     try:
         if cloud.size < 2:
@@ -275,7 +272,8 @@ def cmd_diagnose(args, defn: GroupDefinition) -> tuple[dict, int]:
         report["verdict"] = "inconclusive"
         report["reason"] = "depth budget below 2 words"
         return report, EXIT_INCONCLUSIVE
-    dim_report, code = cmd_dimension(args, defn)
+    cloud = _cloud_for(defn, depth)
+    dim_report, code = cmd_dimension(args, defn, cloud)
     report["dimension_evidence"] = dim_report
     if code != EXIT_OK:
         report["verdict"] = "inconclusive"
@@ -285,7 +283,6 @@ def cmd_diagnose(args, defn: GroupDefinition) -> tuple[dict, int]:
     delta = dim_report["delta"]["estimate"]
     trend = None
     if defn.kind == "schottky":
-        cloud = _cloud_for(defn, depth)
         region = _region_for(defn)
         rng = np.random.default_rng(seed)
         mesh = lipgraph_mod.region_mesh(region, cloud, defn.epsilon0, rng)
@@ -344,7 +341,7 @@ def main(argv=None) -> int:
         body, code = handler(args, defn)
     except ValidationError as exc:
         body, code = {"valid": False, "error": str(exc)}, EXIT_INVALID
-    except (lipgraph_mod.ShrinkEpsilon, Inconclusive) as exc:
+    except lipgraph_mod.ShrinkEpsilon as exc:
         body, code = {"error": str(exc)}, EXIT_INCONCLUSIVE
     report = {
         "command": args.command,

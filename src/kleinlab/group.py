@@ -338,7 +338,8 @@ def critical_exponent(G: GroupPresentation, max_len: int) -> FitResult:
 
     Radii below the 10th orbit point and above the truncation horizon are
     discarded. Elementary cyclic groups return 0 by definition of the
-    exponent for linear orbit growth; the fit is still run for diagnostics.
+    exponent for linear orbit growth; the fit is still run for diagnostics
+    when the window holds 5 radii, and skipped (fit_slope None) when not.
     """
     if G.tag not in (TAG_CYCLIC, TAG_SCHOTTKY) and not detect_nonelementary(G):
         raise NotNonelementary(
@@ -353,11 +354,14 @@ def critical_exponent(G: GroupPresentation, max_len: int) -> FitResult:
     usable = (np.arange(len(d_sorted)) >= lo_idx) & (d_sorted <= horizon) & (
         d_sorted > 0
     )
-    if usable.sum() < 5:
+    if usable.sum() >= 5:
+        slope, se = _slope_fit(d_sorted[usable], np.log(counts[usable]))
+    elif G.tag == TAG_CYCLIC:
+        slope = se = None
+    else:
         raise InsufficientRange(
             f"only {int(usable.sum())} usable radii in the fit window"
         )
-    slope, se = _slope_fit(d_sorted[usable], np.log(counts[usable]))
     diagnostics = {
         "horizon": horizon,
         "usable_points": int(usable.sum()),
@@ -367,7 +371,7 @@ def critical_exponent(G: GroupPresentation, max_len: int) -> FitResult:
         "max_len": max_len,
     }
     if G.tag == TAG_CYCLIC:
-        return FitResult(estimate=0.0, stderr=se, diagnostics=diagnostics)
+        return FitResult(estimate=0.0, stderr=se or 0.0, diagnostics=diagnostics)
     return FitResult(estimate=slope, stderr=se, diagnostics=diagnostics)
 
 

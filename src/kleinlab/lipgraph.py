@@ -18,6 +18,7 @@ built). Small families are materialized outright.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -157,67 +158,48 @@ def _as_unit_rows(points) -> np.ndarray:
     return np.array(rows)
 
 
-class _OctaveBucket:
-    __slots__ = ("arr", "rad", "count", "tree", "tree_size", "rmax")
-
-    def __init__(self, dim: int):
-        self.arr = np.empty((256, dim))
-        self.rad = np.empty(256)
-        self.count = 0
-        self.tree = None
-        self.tree_size = 0
-        self.rmax = 0.0
-
-    def add(self, x: np.ndarray, r: float, rebuild_every: int):
-        if self.count == self.arr.shape[0]:
-            self.arr = np.resize(self.arr, (2 * self.count, self.arr.shape[1]))
-            self.rad = np.resize(self.rad, 2 * self.count)
-        self.arr[self.count] = x
-        self.rad[self.count] = r
-        self.count += 1
-        self.rmax = max(self.rmax, r)
-        if self.count - self.tree_size >= rebuild_every:
-            self.tree = cKDTree(self.arr[: self.count])
-            self.tree_size = self.count
-
-    def blocks(self, x: np.ndarray, r: float) -> bool:
-        if self.tree is not None:
-            idx = self.tree.query_ball_point(x, max(r, self.rmax))
-            if idx:
-                idx = np.asarray(idx)
-                d = np.linalg.norm(self.arr[idx] - x, axis=1)
-                if np.any(d < np.maximum(r, self.rad[idx])):
-                    return True
-        if self.count > self.tree_size:
-            tail = self.arr[self.tree_size:self.count]
-            d = np.linalg.norm(tail - x, axis=1)
-            if np.any(d < np.maximum(r, self.rad[self.tree_size:self.count])):
-                return True
-        return False
+# Relative slack on kd-tree radii, far above the few ulps by which a tree's
+# distance can differ from the norm that confirms each pair.
+_TREE_SLACK = 1.0 + 1e-9
 
 
-class _OctaveIndex:
-    """Incremental nearest-blocker index for Poisson disks of mixed radii.
+def _pairs(lists) -> tuple[np.ndarray, np.ndarray]:
+    """(query row, tree row) index arrays from query_ball_point lists."""
+    counts = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+    qi = np.repeat(np.arange(len(lists)), counts)
+    ti = np.fromiter(chain.from_iterable(lists), dtype=np.int64,
+                     count=int(counts.sum()))
+    return qi, ti
 
-    Accepted points are bucketed by radius octave; a candidate only needs one
-    small ball query per octave (radius max(candidate, bucket max)), which
-    keeps the greedy pass near-linear even when radii span decades.
+
+def _blocked_by_earlier(P: np.ndarray, R: np.ndarray, X: np.ndarray,
+                        r: np.ndarray) -> np.ndarray:
+    """Rows of X within max(r_i, R_j) of some earlier mesh point P_j.
+
+    The nearest earlier point of each row tests |x_i - p_j| < r_i, and a ball
+    query of every earlier disk into a tree of the rows tests |x_i - p_j| <
+    R_j; each pair is confirmed with the greedy pass's own norm and
+    comparison. A row whose nearest point lies within the slack of r_i but is
+    not confirmed is checked against every point in that slack, in case the
+    tree's rounding hid a tie.
     """
+    out = np.zeros(X.shape[0], dtype=bool)
+    tree = cKDTree(P)
 
-    def __init__(self, dim: int, rebuild_every: int = 256):
-        self.dim = dim
-        self.buckets: dict[int, _OctaveBucket] = {}
-        self.rebuild_every = rebuild_every
+    def confirm(xi, pj):
+        d = np.linalg.norm(P[pj] - X[xi], axis=1)
+        out[xi[d < np.maximum(r[xi], R[pj])]] = True
 
-    def blocked(self, x: np.ndarray, r: float) -> bool:
-        return any(b.blocks(x, r) for b in self.buckets.values())
-
-    def add(self, x: np.ndarray, r: float):
-        key = int(np.floor(np.log2(r)))
-        bucket = self.buckets.get(key)
-        if bucket is None:
-            bucket = self.buckets[key] = _OctaveBucket(self.dim)
-        bucket.add(x, r, self.rebuild_every)
+    dist, near = tree.query(X, distance_upper_bound=float(r.max()) * _TREE_SLACK)
+    rows = np.flatnonzero(near < P.shape[0])
+    confirm(rows, near[rows])
+    tie = np.flatnonzero(~out & (dist < r * _TREE_SLACK))
+    if tie.size:
+        xi, pj = _pairs(tree.query_ball_point(X[tie], r[tie] * _TREE_SLACK))
+        confirm(tie[xi], pj)
+    pj, xi = _pairs(cKDTree(X).query_ball_point(P, R * _TREE_SLACK))
+    confirm(xi, pj)
+    return out
 
 
 def region_mesh(region: FundamentalRegion, L: LimitSetCloud, eps0: float,
@@ -228,36 +210,59 @@ def region_mesh(region: FundamentalRegion, L: LimitSetCloud, eps0: float,
 
     Local disk radius is spacing * eps0 * dist(x, L) in the chordal metric, so
     coverage density tracks the base-cap scale and the graph band stays tight.
-    Deterministic for a fixed generator state.
+    Greedy in draw order over batches of uniform directions: a candidate is
+    kept when no kept point lies within max(its radius, the kept point's
+    radius), and sampling stops after stop_after_rejects refusals in a row
+    or at max_points.
+
+    Each batch is rejected in two stages: all at once against the points
+    kept in earlier batches (_blocked_by_earlier), then the survivors one by
+    one against the points kept earlier in the same batch. Both decide each
+    pair with the same norm and comparison and the counter runs in draw
+    order, so the mesh and the final generator state match a plain
+    sequential pass byte for byte. Returns the kept rows, shape (count, n+1).
     """
-    n = L.points.shape[1] - 1
-    accepted: list[np.ndarray] = []
-    radii: list[float] = []
-    index = _OctaveIndex(n + 1)
+    m = L.points.shape[1]
+    P = np.empty((0, m))  # kept in earlier batches
+    R = np.empty(0)
     rejects = 0
-    while len(accepted) < max_points and rejects < stop_after_rejects:
-        cand = uniform_sphere(rng, n, batch)
-        keep = region.contains(cand)
-        cand = cand[keep]
+    while P.shape[0] < max_points and rejects < stop_after_rejects:
+        cand = uniform_sphere(rng, m - 1, batch)
+        cand = cand[region.contains(cand)]
         if cand.shape[0] == 0:
             rejects += batch
             continue
         lower, _ = dist_rows(cand, L)
-        for row, lo in zip(cand, lower):
-            if lo <= 0:
-                rejects += 1
-                continue
-            r = spacing * eps0 * lo
-            if index.blocked(row, r):
+        r = spacing * eps0 * lower
+        free = lower > 0
+        if P.shape[0] and free.any():
+            free[free] = ~_blocked_by_earlier(P, R, cand[free], r[free])
+        survivors = np.flatnonzero(free)
+        new = np.empty((survivors.size, m))
+        new_r = np.empty(survivors.size)
+        k = 0
+        last = -1
+        for i in survivors.tolist():
+            rejects += i - last - 1
+            last = i
+            if rejects >= stop_after_rejects:
+                break
+            x, ri = cand[i], r[i]
+            if k and np.any(np.linalg.norm(new[:k] - x, axis=1)
+                            < np.maximum(ri, new_r[:k])):
                 rejects += 1
             else:
-                index.add(row, r)
-                accepted.append(row)
-                radii.append(r)
+                new[k] = x
+                new_r[k] = ri
+                k += 1
                 rejects = 0
-            if len(accepted) >= max_points or rejects >= stop_after_rejects:
+            if P.shape[0] + k >= max_points or rejects >= stop_after_rejects:
                 break
-    return np.array(accepted)
+        else:
+            rejects += cand.shape[0] - last - 1
+        P = np.concatenate([P, new[:k]])
+        R = np.concatenate([R, new_r[:k]])
+    return P
 
 
 # ---------------------------------------------------------------------------
@@ -276,17 +281,6 @@ def dome_entry_radius(cap: SphericalCap, x) -> float | None:
     if d < 1.0:
         return None
     return float(d - np.sqrt(d * d - 1.0))
-
-
-def entry_radius_rows(center: np.ndarray, theta: float, U: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """(t, hit) arrays of dome-entry radii for unit rows."""
-    d = (U @ center) / np.cos(theta)
-    hit = d >= 1.0
-    t = np.ones_like(d)
-    dh = d[hit]
-    t[hit] = dh - np.sqrt(dh * dh - 1.0)
-    return t, hit
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +332,7 @@ class DomeFamily:
         self.shape_ratios: list[float] = []
         self.shape_unresolved = 0
         self.shape_violations = 0
-        self._img_cache: dict[tuple[int, int], SphericalCap | None] = {}
+        self._img_cache: dict[tuple[int, int, int], SphericalCap] = {}
         self._seed_centers = np.array([c.center for c in self.seed_caps])
         self._seed_thetas = np.array([c.theta for c in self.seed_caps])
         self._seed_cos = np.cos(self._seed_thetas)
@@ -526,7 +520,7 @@ class DomeFamily:
         self._shape_check_batch(pts[None, :, :])
 
     def _image_cap(self, li: int, wi: int, si: int) -> SphericalCap:
-        key = (li * 10_000_000 + wi, si)
+        key = (li, wi, si)
         cached = self._img_cache.get(key)
         if cached is None:
             cached = self._image_cap_checked(
@@ -577,15 +571,9 @@ class DomeFamily:
     @staticmethod
     def _min_over_index(U, tree, centers, cosines, thetas, chord_max, f, theta,
                         global_idx):
-        from itertools import chain
-
-        lists = tree.query_ball_point(U, chord_max)
-        counts = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
-        if counts.sum() == 0:
+        pi, pj = _pairs(tree.query_ball_point(U, chord_max))
+        if pi.size == 0:
             return
-        pi = np.repeat(np.arange(U.shape[0]), counts)
-        pj = np.fromiter(chain.from_iterable(lists), dtype=np.int64,
-                         count=int(counts.sum()))
         d = np.einsum("ij,ij->i", U[pi], centers[pj]) / cosines[pj]
         hit = d >= 1.0
         pi, pj, d = pi[hit], pj[hit], d[hit]
@@ -650,18 +638,6 @@ def propagate(seed_caps: list[SphericalCap], G: GroupPresentation, max_len: int,
               cloud: LimitSetCloud, mode: str = "auto") -> DomeFamily:
     """Orbit of the seed caps under all elements up to max_len, shape-checked."""
     return DomeFamily(G, cloud, seed_caps, max_len, eps0=np.nan, mode=mode)
-
-
-def build_family(G: GroupPresentation, cloud: LimitSetCloud, region: FundamentalRegion,
-                 eps0: float, max_len: int, rng: np.random.Generator,
-                 spacing: float = 0.7, max_seeds: int = 30_000,
-                 mode: str = "auto") -> DomeFamily:
-    """Mesh the region adaptively, build base caps, and propagate them."""
-    mesh = region_mesh(region, cloud, eps0, rng, spacing=spacing,
-                       max_points=max_seeds)
-    caps = base_caps(mesh, eps0, cloud)
-    fam = DomeFamily(G, cloud, caps, max_len, eps0=eps0, mode=mode)
-    return fam
 
 
 def height(F: DomeFamily, x) -> float:

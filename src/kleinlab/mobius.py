@@ -271,18 +271,6 @@ def deriv_sphere(g: MobiusMap, x: ExtPoint) -> float:
     return (1.0 + nx) / (1.0 + ngx) * deriv_euclid(g, x)
 
 
-def deriv_sphere_rows(g: MobiusMap, X: np.ndarray) -> np.ndarray:
-    """Row-wise round-metric derivative for finite points off the pole."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y, at_pole = apply_rows(g, X)
-    nx = np.einsum("ij,ij->i", X, X)
-    ny = np.einsum("ij,ij->i", Y, Y)
-    out = (1.0 + nx) / (1.0 + ny) * deriv_euclid_rows(g, X)
-    if np.any(at_pole):
-        out[at_pole] = (1.0 + nx[at_pole]) / g.r
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Poincare extension to the hyperbolic ball
 # ---------------------------------------------------------------------------

@@ -128,3 +128,20 @@ class TestCapImage:
         mapped = mobius.sphere_action_rows(g, probes)
         ang = geom.angular_distance(mapped, img.center)
         assert np.allclose(ang, img.theta, atol=1e-10)
+
+
+class TestBatchedImages:
+    def test_singular_normal_equations_fall_back_to_lstsq(self):
+        rng = np.random.default_rng(4321)
+        A = rng.standard_normal((6, 5, 3))
+        A[2, :, 1] = 0.0  # a zero column: that row's A^T A is exactly singular
+        b = rng.standard_normal((6, 5))
+        AtA = np.einsum("ijk,ijl->ikl", A, A)
+        Atb = np.einsum("ijk,ij->ik", A, b)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(AtA, Atb[:, :, None])
+        x = caps._solve_normal_rows(AtA, Atb, A, b)
+        ok = np.arange(6) != 2
+        batched = np.linalg.solve(AtA[ok], Atb[ok][:, :, None])[:, :, 0]
+        assert np.array_equal(x[ok], batched)
+        assert np.array_equal(x[2], np.linalg.lstsq(A[2], b[2], rcond=None)[0])

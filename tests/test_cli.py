@@ -151,6 +151,13 @@ class TestCommands:
         assert abs(res["delta"]["estimate"]) < 0.05
         assert res["lambda0"] == 1.0  # flat branch at delta = 0, n = 2
 
+    def test_dimension_cyclic_at_shipped_depth(self, capsys):
+        for path in (LOXODROMIC, PARABOLIC):
+            assert cli.main(["dimension", "--file", path, "--json"]) == 0
+            res = json.loads(capsys.readouterr().out)["results"]
+            assert res["depth"] == 6
+            assert res["delta"]["estimate"] == 0.0
+
     def test_graph_cyclic_quick(self, tmp_path, capsys):
         out = tmp_path / "graph.csv"
         code = cli.main([

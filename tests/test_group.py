@@ -209,6 +209,15 @@ class TestCriticalExponent:
         deep = group.critical_exponent(G, 180).diagnostics["fit_slope"]
         assert 0 < deep < shallow < 0.1
 
+    def test_cyclic_returns_zero_without_a_fit_window(self):
+        # depth 6 leaves fewer than 5 radii past the 10th orbit point
+        for g in (mobius.affine(2, r=2.0), mobius.translation([1.0, 0.0])):
+            fit = group.critical_exponent(make_cyclic(g), 6)
+            assert fit.estimate == 0.0 and fit.stderr == 0.0
+            assert fit.diagnostics["usable_points"] < 5
+            assert fit.diagnostics["fit_slope"] is None
+            assert fit.diagnostics["horizon"] > 0
+
     def test_schottky_in_range(self):
         G = reference_schottky()
         fit = group.critical_exponent(G, 5)

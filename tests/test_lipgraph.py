@@ -1,10 +1,13 @@
 """Dome envelope: entry radii, families, heights, invariance, separation, volume."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
 from kleinlab import limitset, lipgraph, mobius
 from kleinlab.caps import SphericalCap
+from kleinlab.files import load_group_file
 from kleinlab.geom import embed_rows, uniform_sphere
 from kleinlab.group import make_cyclic
 from kleinlab.limitset import sample_limit_set
@@ -27,6 +30,7 @@ from kleinlab.lipgraph import (
 from util import reference_schottky
 
 RNG = np.random.default_rng(31415)
+GROUPS = pathlib.Path(__file__).resolve().parents[1] / "groups"
 
 _SCHOTTKY_CACHE: dict = {}
 _CYCLIC_CACHE: dict = {}
@@ -63,6 +67,76 @@ def cyclic_family(depth, eps0=0.12, seed=5):
     if depth not in by_depth:
         by_depth[depth] = DomeFamily(G, cloud, caps, max_len=depth, eps0=eps0)
     return G, cloud, region, by_depth[depth]
+
+
+def greedy_mesh_reference(region, L, eps0, rng, spacing=0.7,
+                          max_points=30_000, stop_after_rejects=6000,
+                          batch=8192):
+    """O(N^2) greedy Poisson-disk pass drawing what region_mesh draws.
+
+    Every candidate is tested against every kept point. Returns the mesh and
+    counts of how it ran: batches, refused batches, why it stopped and at
+    which row of its last batch, and the blocks by points of earlier batches,
+    split by which radius of max(r, r_p) was needed.
+    """
+    n = L.points.shape[1] - 1
+    kept, radii, born = [], [], []
+    stats = dict(batches=0, refused_batches=0, stop="exhausted", stop_row=-1,
+                 last_batch_rows=0, earlier_batch_blocks=0,
+                 earlier_only_by_own_radius=0, earlier_only_by_their_radius=0)
+    rejects = 0
+    while len(kept) < max_points and rejects < stop_after_rejects:
+        stats["batches"] += 1
+        cand = uniform_sphere(rng, n, batch)
+        cand = cand[region.contains(cand)]
+        if cand.shape[0] == 0:
+            stats["refused_batches"] += 1
+            rejects += batch
+            continue
+        stats["last_batch_rows"] = cand.shape[0]
+        lower, _ = limitset.dist_rows(cand, L)
+        for i, (x, lo) in enumerate(zip(cand, lower)):
+            r = spacing * eps0 * lo
+            blocks = np.zeros(0, dtype=bool)
+            if kept:
+                d = np.linalg.norm(np.array(kept) - x, axis=1)
+                blocks = d < np.maximum(r, radii)
+            if lo <= 0 or blocks.any():
+                rejects += 1
+                earlier = blocks & (np.array(born) < stats["batches"])
+                if earlier.any():
+                    stats["earlier_batch_blocks"] += 1
+                    own = earlier & (d < r)
+                    theirs = earlier & (d < np.array(radii))
+                    stats["earlier_only_by_own_radius"] += int(not theirs.any())
+                    stats["earlier_only_by_their_radius"] += int(not own.any())
+            else:
+                kept.append(x)
+                radii.append(r)
+                born.append(stats["batches"])
+                rejects = 0
+            if len(kept) >= max_points or rejects >= stop_after_rejects:
+                stats["stop"] = "max_points" if len(kept) >= max_points else "rejects"
+                stats["stop_row"] = i
+                break
+    stats["points"] = len(kept)
+    return np.array(kept).reshape(-1, n + 1), stats
+
+
+def _assert_mesh_matches(region, cloud, eps0, seed, **kw):
+    """region_mesh against the brute-force pass: same bytes, same final rng.
+
+    region may be a factory, for regions that keep state between batches.
+    """
+    make = region if callable(region) else (lambda: region)
+    rng = np.random.default_rng(seed)
+    mesh = region_mesh(make(), cloud, eps0, rng, **kw)
+    rng_ref = np.random.default_rng(seed)
+    ref, stats = greedy_mesh_reference(make(), cloud, eps0, rng_ref, **kw)
+    assert mesh.shape == ref.shape and mesh.dtype == ref.dtype
+    assert mesh.tobytes() == ref.tobytes()
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    return stats
 
 
 class TestDomeEntry:
@@ -188,6 +262,21 @@ class TestFamily:
         res = fam.heights(U)
         vals = res.f[res.covered]
         assert np.all((vals > 0) & (vals < 1))
+
+    def test_materialized_family_with_singular_image_fits(self):
+        # reference caps, eps0 0.25, mesh seed 7: depth-4 image caps spread
+        # down to 8.6e-13 and their batched normal equations go singular
+        G = load_group_file(GROUPS / "reference_schottky.json").presentation
+        cloud = sample_limit_set(G, 6)
+        mesh = region_mesh(schottky_region(G), cloud, 0.25,
+                           np.random.default_rng(7))
+        caps = base_caps(mesh, 0.25, cloud)
+        fam = DomeFamily(G, cloud, caps, max_len=4, eps0=0.25,
+                         mode="materialized")
+        assert len(caps) == 1102
+        assert fam._all_thetas.shape == (1102 * 161,)
+        assert np.all((fam._all_thetas > 0) & (fam._all_thetas < np.pi / 2))
+        assert np.allclose(np.linalg.norm(fam._all_centers, axis=1), 1.0)
 
     def test_propagate_wrapper(self):
         G = make_cyclic(mobius.affine(2, r=2.0))
@@ -422,6 +511,66 @@ class TestMeshAndRegion:
         np.fill_diagonal(d2, np.inf)
         pairmin = np.minimum(r[:, None], r[None, :])
         assert np.all(np.sqrt(d2) >= pairmin - 1e-12)
+
+    def test_mesh_matches_brute_force_greedy_on_each_region(self):
+        schottky = reference_schottky()
+        dilation = make_cyclic(mobius.affine(2, r=2.0))
+        shift = make_cyclic(mobius.translation([1.0, 0.0]))
+        cases = [
+            (schottky_region(schottky), sample_limit_set(schottky, 4), 0.5, 1024),
+            (annulus_region(2.0), sample_limit_set(dilation, 2), 0.3, 512),
+            (strip_region(np.array([1.0, 0.0]), q_floor=0.5),
+             sample_limit_set(shift, 2), 0.3, 512),
+        ]
+        for region, cloud, eps0, batch in cases:
+            stats = _assert_mesh_matches(region, cloud, eps0, 61,
+                                         stop_after_rejects=600, batch=batch)
+            assert stats["stop"] == "rejects" and stats["batches"] > 5
+            # blocks by points of earlier batches, through each side of
+            # |x - p| < max(r, r_p) alone
+            assert stats["earlier_only_by_own_radius"] > 0, region.kind
+            assert stats["earlier_only_by_their_radius"] > 0, region.kind
+
+    def test_mesh_stops_on_rejects_mid_batch(self):
+        G = reference_schottky()
+        stats = _assert_mesh_matches(schottky_region(G), sample_limit_set(G, 4),
+                                     0.5, 61, stop_after_rejects=100,
+                                     batch=1024)
+        assert stats["stop"] == "rejects"
+        assert stats["batches"] > 1 and stats["earlier_batch_blocks"] > 0
+        assert 0 < stats["stop_row"] < stats["last_batch_rows"] - 1
+
+    def test_mesh_stops_on_max_points_mid_batch(self):
+        G = reference_schottky()
+        stats = _assert_mesh_matches(schottky_region(G), sample_limit_set(G, 4),
+                                     0.5, 61, max_points=200, batch=256)
+        assert stats["stop"] == "max_points" and stats["points"] == 200
+        assert stats["batches"] > 1 and stats["earlier_batch_blocks"] > 0
+        assert 0 < stats["stop_row"] < stats["last_batch_rows"] - 1
+
+    def test_mesh_counts_a_refused_batch_as_rejects(self):
+        G = reference_schottky()
+        cloud = sample_limit_set(G, 4)
+        base = schottky_region(G)
+
+        def every_other_batch():
+            calls = [0]
+
+            def contains(U):
+                calls[0] += 1
+                return base.contains(U) & (calls[0] % 2 == 0)
+
+            return lipgraph.FundamentalRegion("every-other-batch", contains)
+
+        stats = _assert_mesh_matches(every_other_batch, cloud, 0.5, 61,
+                                     stop_after_rejects=600, batch=256)
+        assert stats["refused_batches"] > 1
+        # a region that refuses everything stops after 3 batches of 256
+        nowhere = lipgraph.FundamentalRegion(
+            "nowhere", lambda U: np.zeros(len(U), dtype=bool))
+        stats = _assert_mesh_matches(nowhere, cloud, 0.5, 61,
+                                     stop_after_rejects=600, batch=256)
+        assert stats["points"] == 0 and stats["refused_batches"] == 3
 
     def test_strip_region_membership(self):
         region = strip_region(np.array([1.0, 0.0]), q_floor=0.5)
