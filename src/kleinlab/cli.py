@@ -6,8 +6,8 @@ kleinlab <validate|limitset|dimension|graph|harmonic|diagnose>
 
 Every command reads a strict group-definition JSON file, prints a summary (or
 the full JSON report with --json), writes CSV artifacts to --out where that
-applies, and exits 0 on success, 2 on validation failure, 3 when the budget
-leaves the question inconclusive.
+applies, and exits 0 on success, 2 on validation failure (of the file or of
+a flag), 3 when the budget leaves the question inconclusive.
 """
 
 from __future__ import annotations
@@ -60,6 +60,19 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--json", action="store_true",
                          help="print the full JSON report")
     return parser
+
+
+def _check_flags(args):
+    """Reject an out-of-range flag before any work, as a validation failure."""
+    if args.depth is not None and args.depth < 1:
+        raise ValidationError("--depth", "must be >= 1")
+    if args.epsilon0 is not None and not 0.0 < args.epsilon0 <= 0.5:
+        raise ValidationError("--epsilon0", "must lie in (0, 1/2]")
+    # harmonic splits its budget four ways for the invariance residuals
+    if args.samples is not None and args.samples < 4:
+        raise ValidationError("--samples", "must be >= 4")
+    if args.seed is not None and args.seed < 0:
+        raise ValidationError("--seed", "must be >= 0")
 
 
 def _cloud_for(defn: GroupDefinition, depth: int):
@@ -150,13 +163,10 @@ def cmd_dimension(args, defn: GroupDefinition, cloud=None) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def _volume_trend(defn: GroupDefinition, region, caps, cloud, depths, samples, seed):
+def _volume_trend(G, region, caps, cloud, depths, samples, seed):
     vols = []
     for d in depths:
-        fam = lipgraph_mod.DomeFamily(
-            defn.presentation, cloud, caps, max_len=d, eps0=defn.epsilon0,
-            audit=200,
-        )
+        fam = lipgraph_mod.DomeFamily(G, cloud, caps, max_len=d, audit=200)
         est = lipgraph_mod.graph_volume(fam, region, samples, seed=seed)
         vols.append({"depth": d, "value": est.value, "stderr": est.stderr,
                      "covered_fraction": est.covered_fraction})
@@ -178,14 +188,17 @@ def cmd_graph(args, defn: GroupDefinition) -> tuple[dict, int]:
     mesh = lipgraph_mod.region_mesh(region, cloud, eps0, rng)
     caps = lipgraph_mod.base_caps(mesh, eps0, cloud)
     trend_depths = [d for d in defn.depths if d <= depth] or [depth]
-    vols, trend = _volume_trend(defn, region, caps, cloud, trend_depths,
+    vols, trend = _volume_trend(G, region, caps, cloud, trend_depths,
                                 samples, seed)
-    fam = lipgraph_mod.DomeFamily(G, cloud, caps, max_len=depth, eps0=eps0,
-                                  audit=500)
+    fam = lipgraph_mod.DomeFamily(G, cloud, caps, max_len=depth, audit=500)
     U = uniform_sphere(np.random.default_rng(seed + 1), G.n, samples)
     U = U[region.contains(U)]
     band = lipgraph_mod.graph_band(fam, U)
-    M_half = lipgraph_mod.lipschitz_estimate(fam, U[: len(U) // 2])
+    try:
+        M_half = lipgraph_mod.lipschitz_estimate(fam, U[: len(U) // 2])
+    except ValueError as exc:  # too few samples landed on covered directions
+        report = {"depth": depth, "reason": f"budget too small: {exc}"}
+        return report, EXIT_INCONCLUSIVE
     M_full = lipgraph_mod.lipschitz_estimate(fam, U)
     inv = {}
     for i, g in enumerate(G.generators):
@@ -264,6 +277,7 @@ def cmd_diagnose(args, defn: GroupDefinition) -> tuple[dict, int]:
     depth = args.depth if args.depth is not None else defn.depths[-1]
     seed = args.seed if args.seed is not None else defn.seed
     samples = args.samples if args.samples is not None else 10_000
+    eps0 = args.epsilon0 if args.epsilon0 is not None else defn.epsilon0
     n = G.n
     report: dict = {"depth": depth, "dimension": n, "kind": defn.kind}
     if defn.kind == "schottky":
@@ -285,10 +299,10 @@ def cmd_diagnose(args, defn: GroupDefinition) -> tuple[dict, int]:
     if defn.kind == "schottky":
         region = _region_for(defn)
         rng = np.random.default_rng(seed)
-        mesh = lipgraph_mod.region_mesh(region, cloud, defn.epsilon0, rng)
-        caps = lipgraph_mod.base_caps(mesh, defn.epsilon0, cloud)
+        mesh = lipgraph_mod.region_mesh(region, cloud, eps0, rng)
+        caps = lipgraph_mod.base_caps(mesh, eps0, cloud)
         trend_depths = [d for d in defn.depths if d <= depth][-3:] or [depth]
-        vols, trend = _volume_trend(defn, region, caps, cloud, trend_depths,
+        vols, trend = _volume_trend(G, region, caps, cloud, trend_depths,
                                     samples, seed)
         report["volume_evidence"] = {"by_depth": vols, "last_step_change": trend}
         trend_ok = trend is not None and trend <= 0.05
@@ -336,6 +350,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
+        _check_flags(args)
         defn = load_group_file(args.file)
         handler = _COMMANDS[args.command]
         body, code = handler(args, defn)

@@ -1,7 +1,10 @@
 """Finitely generated Kleinian groups as data.
 
-Reduced-word enumeration with numerical deduplication, orbits, orbit counting
-N(R), Poincare series partial sums, a least-squares estimator for the critical
+Every presentation carries one WordTree, the only walker of its reduced
+words: the levels of all reduced words of each length (maps composed once,
+in a fixed order), the nested caps of schottky words, and the deduplicated
+enumeration built on those levels. On top of it: orbit counting N(R),
+Poincare series partial sums, a least-squares estimator for the critical
 exponent, displacement and Margulis-region tests, and safe constructors for
 Schottky and elementary cyclic groups.
 """
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mobius
-from .caps import SphericalCap, cap_to_euclidean_ball, caps_disjoint
+from .caps import SphericalCap, cap_image, cap_to_euclidean_ball, caps_disjoint
 from .geom import BallPoint, ExtPoint, embed_ext
 from .mobius import (MobiusMap, compose, inverse, poincare_extend,
                      sphere_action_rows)
@@ -55,6 +58,7 @@ class GroupPresentation:
     tag: str = TAG_CUSTOM
     ball_caps: tuple[SphericalCap, ...] = ()
     inverses: tuple[MobiusMap, ...] = field(init=False)
+    word_tree: WordTree = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for g in self.generators:
@@ -76,6 +80,7 @@ class GroupPresentation:
                         raise BadSchottkyConfiguration(
                             f"defining caps {i} and {j} have intersecting closures"
                         )
+        object.__setattr__(self, "word_tree", WordTree(self))
 
     @property
     def rank(self) -> int:
@@ -106,13 +111,6 @@ class Word:
 
     def __len__(self):
         return len(self.letters)
-
-
-def _alphabet(rank: int) -> list[int]:
-    out = []
-    for i in range(1, rank + 1):
-        out.extend([i, -i])
-    return out
 
 
 class _MapDeduper:
@@ -183,57 +181,111 @@ class _MapDeduper:
         return True
 
 
-def enumerate_elements(G: GroupPresentation, max_len: int) -> list[Word]:
-    """All distinct elements of word length <= max_len.
+class WordTree:
+    """The freely reduced words of a presentation, built level by level.
 
-    Deterministic order: by length, then lexicographically in the alphabet
-    g1, g1^-1, g2, g2^-1, ... Duplicate evaluations are dropped, except for
-    schottky presentations where they indicate a broken configuration and
-    raise SchottkyCollision.
+    Level d holds every reduced word of length d: the children of the words
+    of level d - 1 in their order, each word's children in the alphabet
+    order g1, g1^-1, g2, g2^-1, ... without the letter that would cancel.
+    A child's map is compose(parent.map, G.letter(s)), composed once and
+    kept, so every caller reads the same bits. A level is built when first
+    asked for, together with the levels below it and none above.
+
+    elements() is the deduplicated enumeration behind enumerate_elements.
+    While the deduper has dropped no word, which holds for every schottky
+    and free presentation, its levels are the level() lists themselves.
+    After the first dropped word, each later length is composed from the
+    kept words of the one before, so children of dropped words are never
+    built; these pruned levels stay out of level(). The enumeration grows in
+    place: its elements up to length d are the enumeration at depth d.
     """
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
-    dedup = _MapDeduper(G.n)
-    ident = Word((), mobius.identity(G.n))
-    dedup.check_and_add(ident.map)
-    words = [ident]
-    frontier = [ident]
-    alphabet = _alphabet(G.rank)
-    for _ in range(max_len):
-        new_frontier = []
-        for w in frontier:
-            last = w.letters[-1] if w.letters else 0
-            for s in alphabet:
-                if s == -last:
-                    continue
-                m = compose(w.map, G.letter(s))
-                if not dedup.check_and_add(m):
-                    if G.tag == TAG_SCHOTTKY:
-                        raise SchottkyCollision(
-                            f"word {w.letters + (s,)} duplicates an earlier element"
-                        )
-                    continue
-                nw = Word(w.letters + (s,), m)
-                words.append(nw)
-                new_frontier.append(nw)
-        frontier = new_frontier
-    return words
+
+    def __init__(self, G: GroupPresentation):
+        self.G = G
+        self._letters = tuple(s for i in range(1, G.rank + 1) for s in (i, -i))
+        self._levels = [[Word((), mobius.identity(G.n))]]
+        self._caps: dict[int, list[SphericalCap]] = {}
+        self._dedup: _MapDeduper | None = None
+
+    def children(self, parents: list[Word]) -> list[tuple[Word, int]]:
+        """(parent, letter) of each reduced one-letter extension, in order."""
+        return [(w, s) for w in parents for s in self._letters
+                if not w.letters or s != -w.letters[-1]]
+
+    def _grow(self, parents: list[Word]) -> list[Word]:
+        G = self.G
+        return [Word(w.letters + (s,), compose(w.map, G.letter(s)))
+                for w, s in self.children(parents)]
+
+    def level(self, d: int) -> list[Word]:
+        """Every reduced word of length d, not deduplicated (a shared list)."""
+        if d < 0:
+            raise ValueError("level must be >= 0")
+        while len(self._levels) <= d:
+            self._levels.append(self._grow(self._levels[-1]))
+        return self._levels[d]
+
+    def nested_caps(self, d: int) -> list[SphericalCap]:
+        """Nested cap of each word of level d >= 1 (schottky presentations).
+
+        The cap of the word w s is cap_image(w.map, G.letter_target_cap(s)),
+        fitted once; only level d - 1 is composed for it.
+        """
+        if d not in self._caps:
+            G = self.G
+            self._caps[d] = [cap_image(w.map, G.letter_target_cap(s))
+                             for w, s in self.children(self.level(d - 1))]
+        return self._caps[d]
+
+    def elements(self, max_len: int) -> list[Word]:
+        """Distinct elements of word length <= max_len (see enumerate_elements)."""
+        if max_len < 0:
+            raise ValueError("max_len must be >= 0")
+        if self._dedup is None:
+            self._dedup = _MapDeduper(self.G.n)
+            self._dedup.check_and_add(self._levels[0][0].map)
+            # _ends[d] counts the elements of length <= d; _kept holds the
+            # last length's kept words once a word has been dropped
+            self._elements, self._ends, self._kept = list(self._levels[0]), [1], None
+        try:
+            while len(self._ends) <= max_len:
+                self._extend()
+        except SchottkyCollision:
+            self._dedup = None  # the next call starts over and raises again
+            raise
+        return self._elements[:self._ends[max_len]]
+
+    def _extend(self):
+        if self._kept is None:
+            candidates = self.level(len(self._ends))
+        else:
+            candidates = self._grow(self._kept)
+        kept = []
+        for w in candidates:
+            if self._dedup.check_and_add(w.map):
+                kept.append(w)
+            elif self.G.tag == TAG_SCHOTTKY:
+                raise SchottkyCollision(
+                    f"word {w.letters} duplicates an earlier element"
+                )
+        if self._kept is not None or len(kept) < len(candidates):
+            self._kept = kept
+        self._elements.extend(kept)
+        self._ends.append(len(self._elements))
 
 
-def orbit(G: GroupPresentation, base: ExtPoint, max_len: int,
-          dedup_tol: float = 1e-12) -> list[ExtPoint]:
-    """Orbit of base under all elements up to max_len, deduplicated chordally."""
-    words = enumerate_elements(G, max_len)
-    pts = [mobius.apply(w.map, base) for w in words]
-    emb = np.array([embed_ext(p) for p in pts])
-    kept: list[ExtPoint] = []
-    kept_emb: list[np.ndarray] = []
-    for p, e in zip(pts, emb):
-        if any(np.linalg.norm(e - ke) <= dedup_tol for ke in kept_emb):
-            continue
-        kept.append(p)
-        kept_emb.append(e)
-    return kept
+def enumerate_elements(G: GroupPresentation, max_len: int) -> list[Word]:
+    """All distinct elements of word length <= max_len, from G.word_tree.
+
+    Deterministic order: by length, then in the order of WordTree levels
+    (lexicographic in the alphabet g1, g1^-1, g2, g2^-1, ... over the kept
+    words). Duplicate evaluations are dropped, except for schottky
+    presentations where they indicate a broken configuration and raise
+    SchottkyCollision, on this call and on every later one. The list is
+    fresh; the words in it are shared with the tree. The enumeration at
+    depth d is the first part of any deeper one.
+    """
+    return G.word_tree.elements(max_len)
 
 
 displacement_rows = mobius.ball_displacement_rows
@@ -457,8 +509,8 @@ def make_schottky(ball_pairs: list[tuple[SphericalCap, SphericalCap]]
 
 def _check_ping_pong(G: GroupPresentation):
     """Sampled ping-pong: images of every other cap boundary land in the target."""
-    for s in _alphabet(G.rank):
-        g = G.letter(s)
+    for w in G.word_tree.level(1):
+        s, g = w.letters[0], w.map
         target = G.letter_target_cap(s)
         source = G.letter_source_cap(s)
         for cap in G.ball_caps:

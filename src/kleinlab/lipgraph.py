@@ -24,7 +24,6 @@ from typing import Callable
 import numpy as np
 from scipy.spatial import cKDTree
 
-from . import mobius
 from .caps import CapDegenerate, SphericalCap, cap_image, cap_images_batch
 from .geom import (
     SpherePoint,
@@ -33,9 +32,9 @@ from .geom import (
     sphere_area,
     uniform_sphere,
 )
-from .group import GroupPresentation, TAG_SCHOTTKY, Word, _alphabet, enumerate_elements
+from .group import GroupPresentation, TAG_SCHOTTKY, Word, enumerate_elements
 from .limitset import LimitSetCloud, dist_rows
-from .mobius import MobiusMap, compose, inverse, poincare_extend, sphere_action_rows
+from .mobius import MobiusMap, inverse, poincare_extend, sphere_action_rows
 
 SHAPE_RATIO_MAX = 0.5
 SUPPORT_INFLATION = 1.5
@@ -318,7 +317,7 @@ class DomeFamily:
     """
 
     def __init__(self, G: GroupPresentation, cloud: LimitSetCloud,
-                 seed_caps: list[SphericalCap], max_len: int, eps0: float,
+                 seed_caps: list[SphericalCap], max_len: int,
                  mode: str = "auto", audit: int = 1500, rng=None,
                  shape_policy: str = "record"):
         if shape_policy not in ("record", "strict"):
@@ -327,7 +326,6 @@ class DomeFamily:
         self.cloud = cloud
         self.seed_caps = list(seed_caps)
         self.max_len = max_len
-        self.eps0 = eps0
         self.shape_policy = shape_policy
         self.shape_ratios: list[float] = []
         self.shape_unresolved = 0
@@ -425,45 +423,28 @@ class DomeFamily:
             self.shape_ratios.extend(ratio.tolist())
 
     def _build_levels(self):
-        alphabet = _alphabet(self.G.rank)
+        """Per-level words and inflated nested supports from G.word_tree."""
+        tree = self.G.word_tree
         self.words = enumerate_elements(self.G, self.max_len)
         levels: list[_WordLevel] = []
-        frontier: list[tuple[tuple[int, ...], MobiusMap]] = [((), mobius.identity(self.G.n))]
-        for _ in range(self.max_len):
-            rows = []
-            for letters, prefix in frontier:
-                last = letters[-1] if letters else 0
-                for s in alphabet:
-                    if s == -last:
-                        continue
-                    w_letters = letters + (s,)
-                    m = compose(prefix, self.G.letter(s))
-                    support = cap_image(prefix, self.G.letter_target_cap(s))
-                    rows.append((w_letters, m, support))
-            words = [Word(r[0], r[1]) for r in rows]
-            inv_maps = [inverse(r[1]) for r in rows]
-            centers = np.array([r[2].center for r in rows])
+        for d in range(1, self.max_len + 1):
+            words = tree.level(d)
+            support = tree.nested_caps(d)
             support_angles = np.minimum(
-                np.array([r[2].theta for r in rows]) * SUPPORT_INFLATION + 1e-12,
+                np.array([c.theta for c in support]) * SUPPORT_INFLATION + 1e-12,
                 np.pi / 2 - 1e-9,
             )
             levels.append(
                 _WordLevel(
                     words=words,
-                    inv_maps=inv_maps,
-                    centers=centers,
+                    inv_maps=[inverse(w.map) for w in words],
+                    centers=np.array([c.center for c in support]),
                     support_cos=np.cos(support_angles),
                     query_chord=float(chord_from_angle(support_angles.max()) * 1.0000001),
                 )
             )
-            frontier = [(r[0], r[1]) for r in rows]
         self._levels = levels
         self._level_trees = [cKDTree(lv.centers) for lv in levels]
-        self._word_index = {
-            lv_words.letters: (li, wi)
-            for li, lv in enumerate(levels)
-            for wi, lv_words in enumerate(lv.words)
-        }
 
     def _audit_shape(self, count: int, rng: np.random.Generator):
         total_words = sum(len(lv.words) for lv in self._levels)
@@ -634,12 +615,6 @@ def _nearest_unit(cloud: LimitSetCloud, u: np.ndarray) -> np.ndarray:
     return cloud.points[int(idx[0])]
 
 
-def propagate(seed_caps: list[SphericalCap], G: GroupPresentation, max_len: int,
-              cloud: LimitSetCloud, mode: str = "auto") -> DomeFamily:
-    """Orbit of the seed caps under all elements up to max_len, shape-checked."""
-    return DomeFamily(G, cloud, seed_caps, max_len, eps0=np.nan, mode=mode)
-
-
 def height(F: DomeFamily, x) -> float:
     """f(x) for a single direction; raises NotCovered off the covered region."""
     u = x.vec if isinstance(x, SpherePoint) else np.asarray(x, float)
@@ -647,36 +622,6 @@ def height(F: DomeFamily, x) -> float:
     if not res.covered[0]:
         raise NotCovered("no dome met along this direction")
     return float(res.f[0])
-
-
-class GraphFunction:
-    """Memoized view of a family's height function (transparent cache)."""
-
-    def __init__(self, family: DomeFamily):
-        self.family = family
-        self._memo: dict[bytes, tuple[float, bool, float]] = {}
-
-    def heights(self, U: np.ndarray) -> HeightResult:
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        keys = [np.round(row, 14).tobytes() for row in U]
-        missing = [i for i, k in enumerate(keys) if k not in self._memo]
-        if missing:
-            res = self.family.heights(U[missing])
-            for j, i in enumerate(missing):
-                self._memo[keys[i]] = (
-                    float(res.f[j]), bool(res.covered[j]), float(res.theta[j])
-                )
-        f = np.array([self._memo[k][0] for k in keys])
-        covered = np.array([self._memo[k][1] for k in keys])
-        theta = np.array([self._memo[k][2] for k in keys])
-        return HeightResult(f=f, covered=covered, theta=theta)
-
-    def value(self, x) -> float:
-        u = x.vec if isinstance(x, SpherePoint) else np.asarray(x, float)
-        res = self.heights(u[None, :])
-        if not res.covered[0]:
-            raise NotCovered("no dome met along this direction")
-        return float(res.f[0])
 
 
 # ---------------------------------------------------------------------------

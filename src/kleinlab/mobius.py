@@ -24,6 +24,7 @@ from .geom import (
 IDENTITY_TOL = 1e-10
 ORTHO_TOL = 1e-10
 _POLE_CANCEL_TOL = 1e-13
+_BALL_COND = 1e5
 
 
 class PoleEvaluation(ValueError):
@@ -299,13 +300,30 @@ class ExtendedMap:
 
     source: MobiusMap
     ball_map: MobiusMap
+    half_map: MobiusMap | None = None
 
     def apply_ball(self, x: BallPoint) -> BallPoint:
         y = self.apply_ball_rows(x.vec[None, :])[0]
         return BallPoint(y)
 
+    def _ill_conditioned(self) -> bool:
+        # |b| = 1/|gamma(0)| for a ball isometry; evaluating b + r A iota(x - a)
+        # then cancels about log10|b| digits, so maps that nearly fix the ball
+        # center lose accuracy in the composed normal form
+        return (self.half_map is not None
+                and float(self.ball_map.b @ self.ball_map.b) > _BALL_COND ** 2)
+
     def apply_ball_rows(self, X: np.ndarray) -> np.ndarray:
-        Y, at_pole = apply_rows(self.ball_map, X)
+        if self._ill_conditioned():
+            # go through upper half-space, where each factor is well conditioned
+            k = _cayley(self.ball_map.n)
+            Z, at_pole = apply_rows(k, X)
+            if not np.any(at_pole):
+                Z, at_pole = apply_rows(self.half_map, Z)
+            if not np.any(at_pole):
+                Y, at_pole = apply_rows(inverse(k), Z)
+        else:
+            Y, at_pole = apply_rows(self.ball_map, X)
         if np.any(at_pole):
             raise PoleEvaluation("ball map pole inside the ball; map is not ball-preserving")
         norms = np.linalg.norm(Y, axis=1)
@@ -338,7 +356,7 @@ def poincare_extend(g: MobiusMap) -> ExtendedMap:
     g_half = MobiusMap(m, g.eps, a, g.r, A, b)
     k = _cayley(m)
     ball = compose(inverse(k), compose(g_half, k))
-    return ExtendedMap(source=g, ball_map=ball)
+    return ExtendedMap(source=g, ball_map=ball, half_map=g_half)
 
 
 # ---------------------------------------------------------------------------

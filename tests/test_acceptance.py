@@ -59,7 +59,7 @@ class _Shared:
         if key not in cls._cache:
             cls._cache[key] = lipgraph.DomeFamily(
                 cls.group(), cls.cloud(6), cls.mesh_caps(eps0), max_len=depth,
-                eps0=eps0, audit=300,
+                audit=300,
             )
         return cls._cache[key]
 
@@ -218,7 +218,7 @@ def test_criterion_05_graph_invariance():
     dirs = dirs[region.contains(dirs)]
     devs = []
     for depth in (1, 3, 5):
-        fam = lipgraph.DomeFamily(G, cloud, caps, max_len=depth, eps0=0.12)
+        fam = lipgraph.DomeFamily(G, cloud, caps, max_len=depth)
         dev, cnt = lipgraph.check_invariance(fam, G.generators[0], dirs)
         assert cnt > 500
         devs.append(dev)

@@ -209,6 +209,37 @@ class TestCommands:
         assert res["verdict"] == "consistent-with-geometrically-finite"
         assert "skipped" in res["volume_evidence"]
 
+    def test_diagnose_honours_epsilon0_flag(self, tmp_path, capsys):
+        doc = schottky_doc()
+        doc["epsilon0"] = 0.25
+        path = tmp_path / "eps.json"
+        path.write_text(json.dumps(doc))
+        results = []
+        for argv in (["--file", SCHOTTKY, "--epsilon0", "0.25"],
+                     ["--file", str(path)]):
+            cli.main(["diagnose", *argv, "--depth", "4", "--json"])
+            results.append(json.loads(capsys.readouterr().out)["results"])
+        assert "volume_evidence" in results[0]
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["dimension", "--depth", "0"],
+        ["dimension", "--depth", "-2"],
+        ["graph", "--epsilon0", "0.9"],
+        ["graph", "--samples", "1"],
+        ["harmonic", "--samples", "1"],
+        ["graph", "--seed", "-1"],
+    ])
+    def test_bad_flag_exits_2_with_message(self, argv, capsys):
+        assert cli.main([*argv, "--file", LOXODROMIC]) == 2
+        assert f"error: {argv[1]}: must" in capsys.readouterr().out
+
+    def test_graph_with_too_few_covered_samples_inconclusive(self, capsys):
+        code = cli.main(["graph", "--file", LOXODROMIC, "--depth", "3",
+                         "--samples", "8"])
+        assert code == 3
+        assert "budget too small" in capsys.readouterr().out
+
     def test_reports_carry_inputs_and_wall_time(self, capsys):
         cli.main(["validate", "--file", LOXODROMIC, "--json"])
         rep = json.loads(capsys.readouterr().out)

@@ -1,4 +1,4 @@
-"""Word enumeration, orbits, growth estimators, Margulis tests, constructors."""
+"""Word tree and enumeration, growth estimators, Margulis tests, constructors."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from kleinlab import group, mobius
 from kleinlab.caps import SphericalCap
-from kleinlab.geom import BallPoint, ExtPoint
+from kleinlab.geom import BallPoint
 from kleinlab.group import (
     BadSchottkyConfiguration,
     GroupPresentation,
@@ -95,27 +95,109 @@ class TestEnumeration:
             assert mobius.maps_close(m, w.map, tol=1e-9)
 
 
-class TestOrbit:
-    def test_identity_only_orbit(self):
-        G = free_rank2_presentation()
-        base = ExtPoint.finite(np.array([0.3, 0.4]))
-        pts = group.orbit(G, base, 0)
-        assert len(pts) == 1
+def elliptic_order5():
+    th = 2 * np.pi / 5
+    A = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    return make_cyclic(mobius.affine(2, A=A))
 
-    def test_cyclic_doubling_orbit(self):
-        G = make_cyclic(mobius.affine(2, r=2.0))
-        base = ExtPoint.finite(np.array([1.0, 0.0]))
-        pts = group.orbit(G, base, 3)
-        norms = sorted(np.linalg.norm(p.coords) for p in pts)
-        assert norms == pytest.approx([2.0 ** j for j in range(-3, 4)])
 
-    def test_schottky_orbit_counts_free(self):
+def reference_bfs(G, max_len):
+    """Plain breadth-first enumeration: every kept word times every letter."""
+    letters = [s for i in range(1, G.rank + 1) for s in (i, -i)]
+    dedup = group._MapDeduper(G.n)
+    ident = group.Word((), mobius.identity(G.n))
+    dedup.check_and_add(ident.map)
+    words, frontier = [ident], [ident]
+    for _ in range(max_len):
+        nxt = []
+        for w in frontier:
+            for s in letters:
+                if w.letters and s == -w.letters[-1]:
+                    continue
+                m = mobius.compose(w.map, G.letter(s))
+                if dedup.check_and_add(m):
+                    nxt.append(group.Word(w.letters + (s,), m))
+        words += nxt
+        frontier = nxt
+    return words
+
+
+def same_words(got, want):
+    assert [w.letters for w in got] == [w.letters for w in want]
+    for g, h in zip((w.map for w in got), (w.map for w in want)):
+        assert (g.eps, g.r) == (h.eps, h.r)
+        for x, y in ((g.a, h.a), (g.A, h.A), (g.b, h.b)):
+            assert np.array_equal(x, y)
+
+
+class TestWordTree:
+    CASES = [(reference_schottky, 5), (free_rank2_presentation, 3),
+             (elliptic_order5, 7)]
+
+    @pytest.mark.parametrize("make,depth", CASES)
+    def test_enumeration_matches_plain_bfs_bitwise(self, make, depth):
+        want = reference_bfs(make(), depth)
+        same_words(enumerate_elements(make(), depth), want)
+        # grown in place from a shallower call, then sliced back
+        G = make()
+        shallow = enumerate_elements(G, depth - 2)
+        same_words(enumerate_elements(G, depth), want)
+        same_words(enumerate_elements(G, depth - 2), shallow)
+        same_words(shallow, want[:len(shallow)])
+
+    def test_levels_are_not_deduplicated(self):
+        G = elliptic_order5()
+        assert len(enumerate_elements(G, 7)) == 5
+        assert [len(G.word_tree.level(d)) for d in range(4)] == [1, 2, 2, 2]
+        tree = reference_schottky().word_tree
+        assert [len(tree.level(d)) for d in range(4)] == [1, 4, 12, 36]
+        assert [(w.letters, s) for w, s in tree.children(tree.level(1))][:3] == [
+            ((1,), 1), ((1,), 2), ((1,), -2)]
+
+    def test_one_pipeline_composes_and_fits_each_word_once(self, monkeypatch):
+        from kleinlab import limitset, lipgraph
+
         G = reference_schottky()
-        base = ExtPoint.finite(np.array([0.0, 0.0]))  # region point (south pole)
-        for depth in (1, 2, 3):
-            pts = group.orbit(G, base, depth)
-            expected = 1 + sum(4 * 3 ** (k - 1) for k in range(1, depth + 1))
-            assert len(pts) == expected
+        defining = [id(c) for c in G.ball_caps]
+        compositions, fits = [], []
+        compose, cap_image = mobius.compose, group.cap_image
+
+        def counting_compose(g, h):
+            compositions.append(1)
+            return compose(g, h)
+
+        def counting_cap_image(g, cap):
+            if id(cap) in defining:  # nested caps, not seed-cap images
+                fits.append(1)
+            return cap_image(g, cap)
+
+        for mod in (group, limitset, lipgraph):
+            for name, fn in (("compose", counting_compose),
+                             ("cap_image", counting_cap_image)):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, fn)
+        cloud = limitset.sample_limit_set(G, 6)
+        group.critical_exponent(G, 6)
+        mesh = lipgraph.region_mesh(lipgraph.schottky_region(G), cloud, 0.1,
+                                    np.random.default_rng(3), max_points=40,
+                                    stop_after_rejects=200)
+        caps = lipgraph.base_caps(mesh, 0.1, cloud)
+        for depth in (5, 6):
+            fam = lipgraph.DomeFamily(G, cloud, caps, depth, mode="factored",
+                                      audit=20)
+            assert fam.cap_count_bound == len(caps) * (1 + 2 * (3**depth - 1))
+        # 4 + 12 + ... + 972 = 1456 words of length 1 to 6
+        assert 0 < len(compositions) <= 1456
+        assert 0 < len(fits) <= 1456
+
+    def test_schottky_collision_raises_on_every_call(self):
+        ref = reference_schottky()
+        g = ref.generators[0]
+        G = GroupPresentation(n=2, generators=(g, g), tag=group.TAG_SCHOTTKY,
+                              ball_caps=ref.ball_caps)
+        for _ in range(2):
+            with pytest.raises(group.SchottkyCollision, match=r"\(2,\)"):
+                enumerate_elements(G, 2)
 
 
 class TestCounting:

@@ -13,7 +13,6 @@ from kleinlab.group import make_cyclic
 from kleinlab.limitset import sample_limit_set
 from kleinlab.lipgraph import (
     DomeFamily,
-    GraphFunction,
     NotCovered,
     UncertifiedSample,
     annulus_region,
@@ -46,7 +45,7 @@ def small_schottky_family(max_len=2, eps0=0.1, max_points=400, mode="auto"):
         mesh = region_mesh(region, cloud, eps0, rng, max_points=max_points,
                            stop_after_rejects=800)
         caps = base_caps(mesh, eps0, cloud)
-        fam = DomeFamily(G, cloud, caps, max_len=max_len, eps0=eps0, mode=mode,
+        fam = DomeFamily(G, cloud, caps, max_len=max_len, mode=mode,
                          audit=100)
         _SCHOTTKY_CACHE[key] = (G, cloud, region, fam)
     return _SCHOTTKY_CACHE[key]
@@ -65,7 +64,7 @@ def cyclic_family(depth, eps0=0.12, seed=5):
         _CYCLIC_CACHE[base_key] = (G, cloud, region, caps, {})
     G, cloud, region, caps, by_depth = _CYCLIC_CACHE[base_key]
     if depth not in by_depth:
-        by_depth[depth] = DomeFamily(G, cloud, caps, max_len=depth, eps0=eps0)
+        by_depth[depth] = DomeFamily(G, cloud, caps, max_len=depth)
     return G, cloud, region, by_depth[depth]
 
 
@@ -227,7 +226,7 @@ class TestFamily:
         G = make_cyclic(mobius.affine(2, r=2.0))
         cloud = sample_limit_set(G, 2)
         seed = base_caps(np.array([[1.0, 0.0, 0.0]]), 0.1, cloud)
-        fam = DomeFamily(G, cloud, seed, max_len=3, eps0=0.1)
+        fam = DomeFamily(G, cloud, seed, max_len=3)
         assert fam._all_centers.shape[0] == 7
         thetas = fam._all_thetas
         # word order: identity, gamma, gamma^-1, gamma^2, gamma^-2, ...
@@ -271,18 +270,19 @@ class TestFamily:
         mesh = region_mesh(schottky_region(G), cloud, 0.25,
                            np.random.default_rng(7))
         caps = base_caps(mesh, 0.25, cloud)
-        fam = DomeFamily(G, cloud, caps, max_len=4, eps0=0.25,
+        fam = DomeFamily(G, cloud, caps, max_len=4,
                          mode="materialized")
         assert len(caps) == 1102
         assert fam._all_thetas.shape == (1102 * 161,)
         assert np.all((fam._all_thetas > 0) & (fam._all_thetas < np.pi / 2))
         assert np.allclose(np.linalg.norm(fam._all_centers, axis=1), 1.0)
 
-    def test_propagate_wrapper(self):
+    def test_cyclic_materialized_family_has_five_caps_per_seed(self):
         G = make_cyclic(mobius.affine(2, r=2.0))
         cloud = sample_limit_set(G, 2)
         seeds = base_caps(np.array([[1.0, 0.0, 0.0]]), 0.1, cloud)
-        fam = lipgraph.propagate(seeds, G, 2, cloud)
+        fam = DomeFamily(G, cloud, seeds, 2)
+        assert fam.mode == "materialized"
         assert fam._all_centers.shape[0] == 5  # identity + gamma^{+-1, +-2}
 
     def test_strict_shape_policy(self):
@@ -294,7 +294,7 @@ class TestFamily:
                            stop_after_rejects=300)
         caps = base_caps(mesh, 0.02, cloud)
         # tiny eps0 stays inside the strict Prop-1.1 regime
-        fam = DomeFamily(G, cloud, caps, max_len=2, eps0=0.02,
+        fam = DomeFamily(G, cloud, caps, max_len=2,
                          shape_policy="strict")
         assert fam.shape_bound_ok
         # the pinned eps0 = 0.1 exceeds it for this group: strict aborts,
@@ -303,9 +303,9 @@ class TestFamily:
                             stop_after_rejects=400)
         caps2 = base_caps(mesh2, 0.1, cloud)
         with pytest.raises(lipgraph.ShrinkEpsilon):
-            DomeFamily(G, cloud, caps2, max_len=3, eps0=0.1,
+            DomeFamily(G, cloud, caps2, max_len=3,
                        shape_policy="strict")
-        fam2 = DomeFamily(G, cloud, caps2, max_len=3, eps0=0.1)
+        fam2 = DomeFamily(G, cloud, caps2, max_len=3)
         assert not fam2.shape_bound_ok
         assert fam2.max_shape_ratio() > 0.5 > fam2.min_shape_ratio()
 
@@ -314,19 +314,6 @@ class TestFamily:
         # cloud points' directions are inside the defining caps, far from seeds
         with pytest.raises(NotCovered):
             height(fam, cloud.points[0])
-
-    def test_graph_function_memo_transparent(self):
-        G, cloud, region, fam = small_schottky_family()
-        gf = GraphFunction(fam)
-        U = uniform_sphere(np.random.default_rng(9), 2, 200)
-        direct = fam.heights(U)
-        once = gf.heights(U)
-        twice = gf.heights(U)  # served from the memo
-        mask = direct.covered
-        assert (once.covered == direct.covered).all()
-        assert (twice.covered == direct.covered).all()
-        assert np.allclose(once.f[mask], direct.f[mask], equal_nan=True)
-        assert np.allclose(twice.f[mask], direct.f[mask], equal_nan=True)
 
 
 class TestInvariance:
@@ -386,7 +373,7 @@ class TestLipschitz:
         G = make_cyclic(mobius.translation([1.0, 0.0]))
         cloud = sample_limit_set(G, 2)
         cap = SphericalCap(center=np.array([0.0, 0.0, -1.0]), theta=0.6)
-        fam = DomeFamily(G, cloud, [cap], max_len=0, eps0=0.1)
+        fam = DomeFamily(G, cloud, [cap], max_len=0)
         rng = np.random.default_rng(14)
         U = uniform_sphere(rng, 2, 3000)
         U = U[fam.heights(U).covered][:400]
@@ -419,7 +406,7 @@ class TestSeparation:
         rng = np.random.default_rng(19)
         mesh = region_mesh(region, cloud, 0.1, rng, max_points=500,
                            stop_after_rejects=600)
-        fam = DomeFamily(G, cloud, base_caps(mesh, 0.1, cloud), max_len=2, eps0=0.1)
+        fam = DomeFamily(G, cloud, base_caps(mesh, 0.1, cloud), max_len=2)
         rep = separation_check(fam, cloud, 100, rng)
         assert rep.passed and rep.checked == 0
 
@@ -441,8 +428,7 @@ class TestVolume:
         rng = np.random.default_rng(21)
         mesh = region_mesh(region, cloud, 0.15, rng, max_points=4000,
                            stop_after_rejects=3000)
-        fam = DomeFamily(G, cloud, base_caps(mesh, 0.15, cloud), max_len=3,
-                         eps0=0.15)
+        fam = DomeFamily(G, cloud, base_caps(mesh, 0.15, cloud), max_len=3)
         est = graph_volume(fam, region, 30_000, seed=7)
         oracle = _strip_quadrature(fam, q_floor=1.0, nx=120, ny=320)
         assert est.covered_fraction > 0.999
@@ -466,7 +452,7 @@ class TestVolume:
         caps = base_caps(mesh, 0.1, cloud)
         vols = []
         for depth in (3, 4):
-            fam = DomeFamily(G, cloud, caps, max_len=depth, eps0=0.1, audit=50)
+            fam = DomeFamily(G, cloud, caps, max_len=depth, audit=50)
             vols.append(graph_volume(fam, region, 15_000, seed=5).value)
         assert abs(vols[1] - vols[0]) <= 0.05 * abs(vols[1])
 

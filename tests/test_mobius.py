@@ -244,6 +244,19 @@ class TestPoincareExtension:
             worst = max(worst, np.max(np.abs(d_before - d_after)))
         assert worst < 1e-9
 
+    @pytest.mark.parametrize("shift", [1e-12, 5.736809936689657e-12, 1e-8, 1e-5])
+    def test_isometry_under_near_identity_translation(self, shift):
+        # the composed ball map has |b| ~ 2/shift here, so evaluating it
+        # directly would cancel about -log10(shift) digits
+        ext = poincare_extend(translation([0.0, shift]))
+        X = np.array([[0.0, 0.3 * np.tanh(1.0), 0.1], [0.5, -0.2, 0.4]])
+        Y = np.zeros((2, 3))
+        d_before = geom.hyperbolic_distance_rows(X, Y)
+        d_after = geom.hyperbolic_distance_rows(
+            ext.apply_ball_rows(X), ext.apply_ball_rows(Y)
+        )
+        assert np.max(np.abs(d_before - d_after)) < 1e-12
+
     def test_boundary_action_is_stereo_conjugate(self):
         for _ in range(30):
             g = random_mobius(RNG, 2)
