@@ -286,6 +286,35 @@ def dome_entry_radius(cap: SphericalCap, x) -> float | None:
 # dome families
 # ---------------------------------------------------------------------------
 
+class _CapIndex:
+    """Candidate (row, ball) pairs for balls of mixed angular radii on S^n.
+
+    Balls are grouped by the octave floor(log2 theta) of their radius, and
+    each octave has its own kd-tree queried at its own largest chord, so a
+    row meets only balls within a factor two of their reach. Every pair
+    whose chord is within the ball's radius (with a 1e-7 relative slack) is
+    returned; callers confirm each pair with their own test.
+    """
+
+    def __init__(self, centers: np.ndarray, thetas: np.ndarray):
+        octave = np.frexp(thetas)[1]
+        self._buckets = []
+        for e in np.unique(octave):
+            idx = np.flatnonzero(octave == e)
+            chord = float(chord_from_angle(thetas[idx].max()) * 1.0000001)
+            self._buckets.append((cKDTree(centers[idx]), chord, idx))
+
+    def pairs(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(row of U, ball) index arrays, in no particular order."""
+        rows = cKDTree(U)
+        qi, bi = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+        for tree, chord, idx in self._buckets:
+            m = rows.sparse_distance_matrix(tree, chord, output_type="ndarray")
+            qi.append(m["i"])
+            bi.append(idx[m["j"]])
+        return np.concatenate(qi), np.concatenate(bi)
+
+
 @dataclass
 class HeightResult:
     f: np.ndarray
@@ -299,7 +328,7 @@ class _WordLevel:
     inv_maps: list[MobiusMap]
     centers: np.ndarray
     support_cos: np.ndarray  # cos of inflated support angles
-    query_chord: float
+    index: _CapIndex
 
 
 class DomeFamily:
@@ -314,6 +343,13 @@ class DomeFamily:
     bound violations are counted and flagged, matching pipelines that pin
     eps0 above the strict Prop-1.1 regime of the group; "strict" aborts on
     the first measurable violation. Caps reaching a hemisphere always abort.
+
+    Every height query draws its candidates from a _CapIndex: the
+    materialized caps, the seed caps (also for the factored pass's mapped
+    rows) and each level's nested supports. Each candidate is confirmed by
+    its caller's own test, and candidate_pairs / hit_pairs count both. A row
+    takes the smallest entry radius; ties go to the lowest cap index, and in
+    the factored pass to the first cap met in (level, word, seed) order.
     """
 
     def __init__(self, G: GroupPresentation, cloud: LimitSetCloud,
@@ -330,14 +366,13 @@ class DomeFamily:
         self.shape_ratios: list[float] = []
         self.shape_unresolved = 0
         self.shape_violations = 0
+        self.candidate_pairs = 0
+        self.hit_pairs = 0
         self._img_cache: dict[tuple[int, int, int], SphericalCap] = {}
         self._seed_centers = np.array([c.center for c in self.seed_caps])
         self._seed_thetas = np.array([c.theta for c in self.seed_caps])
         self._seed_cos = np.cos(self._seed_thetas)
-        self._seed_tree = cKDTree(self._seed_centers)
-        self._seed_chord_max = float(
-            chord_from_angle(self._seed_thetas.max()) * 1.0000001
-        )
+        self._seed_index = _CapIndex(self._seed_centers, self._seed_thetas)
         if mode == "auto":
             count = len(self.seed_caps) * _word_count_estimate(G, max_len)
             mode = (
@@ -390,10 +425,7 @@ class DomeFamily:
         self._all_centers = np.concatenate(centers)
         self._all_thetas = np.concatenate(thetas)
         self._all_cos = np.cos(self._all_thetas)
-        self._all_tree = cKDTree(self._all_centers)
-        self._all_chord_max = float(
-            chord_from_angle(self._all_thetas.max()) * 1.0000001
-        )
+        self._all_index = _CapIndex(self._all_centers, self._all_thetas)
 
     def _shape_check_batch(self, probes: np.ndarray):
         """Shape bound on stacks of exactly mapped cap probes, (S, k, m)."""
@@ -434,17 +466,17 @@ class DomeFamily:
                 np.array([c.theta for c in support]) * SUPPORT_INFLATION + 1e-12,
                 np.pi / 2 - 1e-9,
             )
+            centers = np.array([c.center for c in support])
             levels.append(
                 _WordLevel(
                     words=words,
                     inv_maps=[inverse(w.map) for w in words],
-                    centers=np.array([c.center for c in support]),
+                    centers=centers,
                     support_cos=np.cos(support_angles),
-                    query_chord=float(chord_from_angle(support_angles.max()) * 1.0000001),
+                    index=_CapIndex(centers, support_angles),
                 )
             )
         self._levels = levels
-        self._level_trees = [cKDTree(lv.centers) for lv in levels]
 
     def _audit_shape(self, count: int, rng: np.random.Generator):
         total_words = sum(len(lv.words) for lv in self._levels)
@@ -529,73 +561,76 @@ class DomeFamily:
 
     def heights(self, U: np.ndarray) -> HeightResult:
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        N = U.shape[0]
-        f = np.full(N, np.inf)
-        theta = np.zeros(N)
         if self.mode == "materialized":
-            self._min_over_index(
-                U, self._all_tree, self._all_centers, self._all_cos,
-                self._all_thetas, self._all_chord_max, f, theta,
-                np.arange(N),
+            f, theta = self._min_over_index(
+                U, self._all_index, self._all_centers, self._all_cos,
+                self._all_thetas,
             )
         else:
-            self._min_over_index(
-                U, self._seed_tree, self._seed_centers, self._seed_cos,
-                self._seed_thetas, self._seed_chord_max, f, theta,
-                np.arange(N),
+            f, theta = self._min_over_index(
+                U, self._seed_index, self._seed_centers, self._seed_cos,
+                self._seed_thetas,
             )
             self._factored_pass(U, f, theta)
         covered = np.isfinite(f)
         f[~covered] = np.nan
         return HeightResult(f=f, covered=covered, theta=theta)
 
-    @staticmethod
-    def _min_over_index(U, tree, centers, cosines, thetas, chord_max, f, theta,
-                        global_idx):
-        pi, pj = _pairs(tree.query_ball_point(U, chord_max))
-        if pi.size == 0:
-            return
+    def _min_over_index(self, U, index, centers, cosines, thetas):
+        """(f, theta) over the caps of one index; inf and 0 where none is met."""
+        N = U.shape[0]
+        pi, pj = index.pairs(U)
         d = np.einsum("ij,ij->i", U[pi], centers[pj]) / cosines[pj]
         hit = d >= 1.0
+        self.candidate_pairs += pi.size
+        self.hit_pairs += int(hit.sum())
         pi, pj, d = pi[hit], pj[hit], d[hit]
         t = d - np.sqrt(d * d - 1.0)
-        order = np.argsort(t, kind="stable")
-        pi_o, pj_o, t_o = pi[order], pj[order], t[order]
-        first = np.unique(pi_o, return_index=True)[1]
-        gi = global_idx[pi_o[first]]
-        better = t_o[first] < f[gi]
-        f[gi[better]] = t_o[first][better]
-        theta[gi[better]] = thetas[pj_o[first][better]]
+        f = np.full(N, np.inf)
+        np.minimum.at(f, pi, t)
+        best = t == f[pi]
+        cap = np.full(N, len(thetas))
+        np.minimum.at(cap, pi[best], pj[best])
+        theta = np.zeros(N)
+        rows = np.flatnonzero(np.isfinite(f))
+        theta[rows] = thetas[cap[rows]]
+        return f, theta
+
+    def _confirmed(self, index, U, centers, cosines):
+        """(row, ball) pairs of the index whose row lies in the ball."""
+        r, b = index.pairs(U)
+        hit = np.einsum("ij,ij->i", U[r], centers[b]) >= cosines[b]
+        self.candidate_pairs += r.size
+        self.hit_pairs += int(hit.sum())
+        return r[hit], b[hit]
 
     def _factored_pass(self, U, f, theta):
-        for li, (lv, tree) in enumerate(zip(self._levels, self._level_trees)):
-            # candidate (sample, word) pairs: sample inside the inflated
-            # nested support cap of the word
-            pairs = tree.query_ball_point(U, lv.query_chord)
-            word_to_samples: dict[int, list[int]] = {}
-            for i, lst in enumerate(pairs):
-                for wi in lst:
-                    if U[i] @ lv.centers[wi] >= lv.support_cos[wi]:
-                        word_to_samples.setdefault(wi, []).append(i)
-            for wi, sample_idx in word_to_samples.items():
-                idx = np.array(sample_idx)
-                Y = sphere_action_rows(lv.inv_maps[wi], U[idx])
-                seed_lists = self._seed_tree.query_ball_point(
-                    Y, self._seed_chord_max
-                )
-                for k, seeds in enumerate(seed_lists):
-                    if not seeds:
-                        continue
-                    y = Y[k]
-                    gi = idx[k]
-                    for si in seeds:
-                        if y @ self._seed_centers[si] < self._seed_cos[si]:
-                            continue
-                        img = self._image_cap(li, wi, si)
-                        t = dome_entry_radius(img, U[gi])
-                        if t is not None and t < f[gi]:
-                            f[gi] = t
-                            theta[gi] = img.theta
+        for li, lv in enumerate(self._levels):
+            # (sample, word) pairs with the sample inside the word's inflated
+            # nested support cap, visited word by word in the order of each
+            # word's first sample, samples ascending within a word
+            i, w = self._confirmed(lv.index, U, lv.centers, lv.support_cos)
+            if i.size == 0:
+                continue
+            first = np.full(len(lv.words), U.shape[0])
+            np.minimum.at(first, w, i)
+            order = np.lexsort((i, w, first[w]))
+            i, w = i[order], w[order]
+            cuts = np.flatnonzero(w[1:] != w[:-1]) + 1
+            Y = np.concatenate([
+                sphere_action_rows(lv.inv_maps[ws[0]], U[rs])
+                for rs, ws in zip(np.split(i, cuts), np.split(w, cuts))
+            ])
+            k, si = self._confirmed(self._seed_index, Y, self._seed_centers,
+                                    self._seed_cos)
+            order = np.lexsort((si, k))
+            for kk, s in zip(k[order].tolist(), si[order].tolist()):
+                gi = i[kk]
+                img = self._image_cap(li, int(w[kk]), s)
+                t = dome_entry_radius(img, U[gi])
+                if t is not None and t < f[gi]:
+                    f[gi] = t
+                    theta[gi] = img.theta
 
 
 def _word_count_estimate(G: GroupPresentation, max_len: int) -> int:
@@ -688,36 +723,30 @@ def separation_check(F: DomeFamily, L: LimitSetCloud, trials: int,
     """Sampled hull-side check: geodesics between limit points stay under the graph.
 
     Every sampled point p on a geodesic joining two cloud points must satisfy
-    |p| <= f(p/|p|) + tol wherever the direction is covered.
+    |p| <= f(p/|p|) + tol wherever the direction is covered. The points of
+    all trials are evaluated in one heights call; witnesses come in trial
+    order.
     """
     if L.size < 2:
         return SeparationReport(passed=True, checked=0, witnesses=[])
     if tol is None:
         tol = (L.resolution or 0.0) + 1e-9
-    witnesses = []
-    checked = 0
+    chunks = [np.empty((0, L.points.shape[1]))]
     for _ in range(trials):
         i, j = rng.integers(0, L.size, 2)
-        if i == j:
-            continue
-        pts = _geodesic_points(L.points[i], L.points[j], points_per_geodesic)
-        if pts.size == 0:
-            continue
-        norms = np.linalg.norm(pts, axis=1)
-        keep = norms > 1e-9
-        pts, norms = pts[keep], norms[keep]
-        dirs = pts / norms[:, None]
-        res = F.heights(dirs)
-        mask = res.covered
-        checked += int(mask.sum())
-        bad = mask & (norms > res.f + tol)
-        for b in np.nonzero(bad)[0]:
-            witnesses.append(
-                {"point": pts[b].tolist(), "radius": float(norms[b]),
-                 "graph": float(res.f[b])}
-            )
-    return SeparationReport(passed=not witnesses, checked=checked,
-                            witnesses=witnesses)
+        if i != j:
+            chunks.append(_geodesic_points(L.points[i], L.points[j],
+                                           points_per_geodesic))
+    pts = np.concatenate(chunks)
+    norms = np.linalg.norm(pts, axis=1)
+    keep = norms > 1e-9
+    pts, norms = pts[keep], norms[keep]
+    res = F.heights(pts / norms[:, None])
+    bad = res.covered & (norms > res.f + tol)
+    witnesses = [{"point": pts[b].tolist(), "radius": float(norms[b]),
+                  "graph": float(res.f[b])} for b in np.flatnonzero(bad)]
+    return SeparationReport(passed=not witnesses,
+                            checked=int(res.covered.sum()), witnesses=witnesses)
 
 
 def _geodesic_points(a: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:

@@ -5,14 +5,15 @@ import pathlib
 import numpy as np
 import pytest
 
-from kleinlab import limitset, lipgraph, mobius
-from kleinlab.caps import SphericalCap
+from kleinlab import cli, limitset, lipgraph, mobius
+from kleinlab.caps import SphericalCap, cap_image
 from kleinlab.files import load_group_file
 from kleinlab.geom import embed_rows, uniform_sphere
 from kleinlab.group import make_cyclic
 from kleinlab.limitset import sample_limit_set
 from kleinlab.lipgraph import (
     DomeFamily,
+    HeightResult,
     NotCovered,
     UncertifiedSample,
     annulus_region,
@@ -66,6 +67,86 @@ def cyclic_family(depth, eps0=0.12, seed=5):
     if depth not in by_depth:
         by_depth[depth] = DomeFamily(G, cloud, caps, max_len=depth)
     return G, cloud, region, by_depth[depth]
+
+
+_FILE_CACHE: dict = {}
+
+
+def file_family(name):
+    """The depth-6 family that `graph` builds from a shipped group file."""
+    if name not in _FILE_CACHE:
+        defn = load_group_file(GROUPS / f"{name}.json")
+        G = defn.presentation
+        cloud = sample_limit_set(G, defn.depths[-1])
+        region = cli._region_for(defn)
+        mesh = region_mesh(region, cloud, defn.epsilon0,
+                           np.random.default_rng(defn.seed))
+        caps = base_caps(mesh, defn.epsilon0, cloud)
+        fam = DomeFamily(G, cloud, caps, max_len=defn.depths[-1])
+        _FILE_CACHE[name] = (G, cloud, region, fam)
+    return _FILE_CACHE[name]
+
+
+def quarter_schottky_caps():
+    """Reference caps at eps0 0.25 over a depth-6 cloud, mesh seed 7."""
+    if "quarter" not in _FILE_CACHE:
+        G = load_group_file(GROUPS / "reference_schottky.json").presentation
+        cloud = sample_limit_set(G, 6)
+        mesh = region_mesh(schottky_region(G), cloud, 0.25,
+                           np.random.default_rng(7))
+        _FILE_CACHE["quarter"] = (G, cloud, base_caps(mesh, 0.25, cloud))
+    return _FILE_CACHE["quarter"]
+
+
+def brute_heights(U, centers, thetas):
+    """Every row against every cap with the evaluator's formula.
+
+    A row meets a cap when d = (u . c) / cos(theta) >= 1, at entry radius
+    t = d - sqrt(d^2 - 1); it takes the smallest t, and ties go to the
+    lowest cap index.
+    """
+    M = centers.shape[0]
+    cos = np.cos(thetas)
+    f = np.full(U.shape[0], np.nan)
+    theta = np.zeros(U.shape[0])
+    for r in range(U.shape[0]):
+        d = np.einsum("ij,ij->i", U[np.full(M, r)], centers) / cos
+        hit = np.flatnonzero(d >= 1.0)
+        if hit.size:
+            t = d[hit] - np.sqrt(d[hit] * d[hit] - 1.0)
+            k = int(np.argmin(t))
+            f[r], theta[r] = t[k], thetas[hit[k]]
+    return HeightResult(f=f, covered=np.isfinite(f), theta=theta)
+
+
+def brute_factored_heights(fam, U):
+    """The seed caps as in brute_heights, then every image cap gamma(C) of
+    every word and seed whose preimage gamma^-1 u lies in C, in (level, word,
+    seed) order, each taken on a strict decrease of the entry radius."""
+    ref = brute_heights(U, fam._seed_centers, fam._seed_thetas)
+    f = np.where(ref.covered, ref.f, np.inf)
+    theta = ref.theta
+    S = len(fam.seed_caps)
+    for d in range(1, fam.max_len + 1):
+        for word in fam.G.word_tree.level(d):
+            Y = mobius.sphere_action_rows(mobius.inverse(word.map), U)
+            for r in range(U.shape[0]):
+                inside = (np.einsum("ij,ij->i", Y[np.full(S, r)],
+                                    fam._seed_centers) >= fam._seed_cos)
+                for s in np.flatnonzero(inside):
+                    img = cap_image(word.map, fam.seed_caps[s])
+                    t = dome_entry_radius(img, U[r])
+                    if t is not None and t < f[r]:
+                        f[r], theta[r] = t, img.theta
+    covered = np.isfinite(f)
+    f[~covered] = np.nan
+    return HeightResult(f=f, covered=covered, theta=theta)
+
+
+def assert_same_heights(res, ref):
+    assert res.f.tobytes() == ref.f.tobytes()
+    assert res.covered.tobytes() == ref.covered.tobytes()
+    assert res.theta.tobytes() == ref.theta.tobytes()
 
 
 def greedy_mesh_reference(region, L, eps0, rng, spacing=0.7,
@@ -265,11 +346,7 @@ class TestFamily:
     def test_materialized_family_with_singular_image_fits(self):
         # reference caps, eps0 0.25, mesh seed 7: depth-4 image caps spread
         # down to 8.6e-13 and their batched normal equations go singular
-        G = load_group_file(GROUPS / "reference_schottky.json").presentation
-        cloud = sample_limit_set(G, 6)
-        mesh = region_mesh(schottky_region(G), cloud, 0.25,
-                           np.random.default_rng(7))
-        caps = base_caps(mesh, 0.25, cloud)
+        G, cloud, caps = quarter_schottky_caps()
         fam = DomeFamily(G, cloud, caps, max_len=4,
                          mode="materialized")
         assert len(caps) == 1102
@@ -314,6 +391,115 @@ class TestFamily:
         # cloud points' directions are inside the defining caps, far from seeds
         with pytest.raises(NotCovered):
             height(fam, cloud.points[0])
+
+
+def _tie_partner(u_axis, x1, theta1, theta2, other_axis):
+    """A cap of radius theta2 whose d = u . c / cos(theta) equals that of the
+    cap with u . c = x1 and radius theta1, bit for bit."""
+    cos1, cos2 = np.cos(np.array([theta1, theta2]))
+    d1 = x1 / cos1
+    x = d1 * cos2
+    for _ in range(200):
+        center = np.zeros(3)
+        center[u_axis], center[other_axis] = x, np.sqrt(1.0 - x * x)
+        cap = SphericalCap(center=center, theta=theta2)
+        if cap.center[u_axis] / cos2 == d1:
+            return cap
+        x = np.nextafter(x, 0.0)
+    raise AssertionError("no exact tie found")
+
+
+def synthetic_octave_family():
+    """Caps over ten octaves of radius on the equatorial band of the
+    dilation group, with exact duplicates and exact cross-radius ties."""
+    G = make_cyclic(mobius.affine(2, r=2.0))
+    cloud = sample_limit_set(G, 2)
+    rng = np.random.default_rng(41)
+    axes = np.array([[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]])
+    caps = []
+    while len(caps) < 300:
+        c = uniform_sphere(rng, 2, 1)[0]
+        if abs(c[2]) < 0.3 and np.max(axes @ c) < np.cos(0.6):
+            caps.append(SphericalCap(center=c, theta=2.0 ** rng.uniform(-12, -2)))
+    caps += [caps[i] for i in rng.choice(300, 20, replace=False)]
+    # row e_x: the larger cap comes first; row e_y: the smaller one. Both
+    # rows lie near the larger cap's boundary, well inside the smaller cap.
+    big, small = 0.3, 0.07
+    first = SphericalCap(center=[np.cos(0.295), np.sin(0.295), 0.0], theta=big)
+    caps[17] = first
+    caps[250] = _tie_partner(0, first.center[0], big, small, 1)
+    first = SphericalCap(center=[np.sin(0.04), np.cos(0.04), 0.0], theta=small)
+    caps[40] = first
+    caps[41] = _tie_partner(1, first.center[1], small, big, 0)
+    fam = DomeFamily(G, cloud, caps, max_len=0)
+    rows = [uniform_sphere(rng, 2, 400), axes]
+    for cap in caps:  # on each cap boundary, and at its center
+        e = np.cross(cap.center, [0.0, 0.0, 1.0])
+        e /= np.linalg.norm(e)
+        rows.append(np.vstack([np.cos(cap.theta) * cap.center
+                               + np.sin(cap.theta) * e, cap.center]))
+    return fam, np.vstack(rows)
+
+
+class TestHeightIndex:
+    """heights through the octave index against every row x every cap."""
+
+    @pytest.mark.parametrize("name", ["cyclic_loxodromic", "cyclic_parabolic"])
+    def test_materialized_file_families_match_brute_force(self, name):
+        G, cloud, region, fam = file_family(name)
+        assert fam.mode == "materialized"
+        U = uniform_sphere(np.random.default_rng(3), 2, 3000)
+        U = np.vstack([U[region.contains(U)][:1500], U[:300]])
+        ref = brute_heights(U, fam._all_centers, fam._all_thetas)
+        assert ref.covered.sum() > 1000
+        assert_same_heights(fam.heights(U), ref)
+
+    def test_factored_family_matches_brute_force(self):
+        G, cloud, region, fam = small_schottky_family(max_len=3, mode="factored")
+        rng = np.random.default_rng(9)
+        rows = [uniform_sphere(rng, 2, 300)]
+        for d in (1, 2, 3):  # on and inside image caps of every level
+            for word in G.word_tree.level(d)[::3]:
+                cap = fam.seed_caps[int(rng.integers(len(fam.seed_caps)))]
+                pts = np.vstack([cap.boundary_points(count=4), cap.center])
+                rows.append(mobius.sphere_action_rows(word.map, pts))
+        U = np.vstack(rows)
+        ref = brute_factored_heights(fam, U)
+        # rows governed by image caps, not only by seed caps
+        assert np.sum(ref.covered & ~np.isin(ref.theta, fam._seed_thetas)) > 20
+        assert_same_heights(fam.heights(U), ref)
+
+    def test_mixed_octaves_boundaries_and_ties(self):
+        fam, U = synthetic_octave_family()
+        assert np.ptp(np.frexp(fam._all_thetas)[1]) >= 8
+        ref = brute_heights(U, fam._all_centers, fam._all_thetas)
+        # rows e_x and e_y are governed by two caps of different radii at
+        # the same t: the lower index wins
+        assert ref.theta[400] == 0.3 and ref.theta[402] == 0.07
+        assert_same_heights(fam.heights(U), ref)
+
+    def test_empty_and_single_row(self):
+        for fam in (file_family("cyclic_parabolic")[3],
+                    small_schottky_family(max_len=2, mode="factored")[3]):
+            res = fam.heights(np.empty((0, 3)))
+            assert res.f.shape == res.covered.shape == res.theta.shape == (0,)
+            u = fam.seed_caps[0].center[None, :]
+            ref = (brute_heights(u, fam._all_centers, fam._all_thetas)
+                   if fam.mode == "materialized"
+                   else brute_factored_heights(fam, u))
+            assert ref.covered[0]
+            assert_same_heights(fam.heights(u), ref)
+
+    def test_candidates_at_most_three_per_hit(self):
+        G, cloud, region, fam = file_family("cyclic_parabolic")
+        G2, cloud2, caps = quarter_schottky_caps()
+        fam2 = DomeFamily(G2, cloud2, caps, max_len=5, audit=200)
+        assert fam2.mode == "factored"
+        for fam, region in ((fam, region), (fam2, schottky_region(G2))):
+            U = uniform_sphere(np.random.default_rng(5), 2, 10_000)
+            fam.candidate_pairs = fam.hit_pairs = 0
+            fam.heights(U[region.contains(U)])
+            assert 0 < fam.hit_pairs <= fam.candidate_pairs <= 3 * fam.hit_pairs
 
 
 class TestInvariance:
@@ -398,6 +584,29 @@ class TestSeparation:
         G, cloud, region, fam = small_schottky_family(max_len=3)
         rep = separation_check(fam, cloud, 300, np.random.default_rng(16))
         assert rep.passed and rep.checked > 500
+
+    def test_witnesses_match_trial_by_trial_evaluation(self):
+        # a negative tolerance turns most covered points into witnesses
+        G, cloud, region, fam = small_schottky_family(max_len=2, mode="factored")
+        rep = separation_check(fam, cloud, 100, np.random.default_rng(21),
+                               tol=-0.3)
+        rng = np.random.default_rng(21)
+        witnesses, checked = [], 0
+        for _ in range(100):
+            i, j = rng.integers(0, cloud.size, 2)
+            if i == j:
+                continue
+            pts = lipgraph._geodesic_points(cloud.points[i], cloud.points[j], 12)
+            norms = np.linalg.norm(pts, axis=1)
+            pts, norms = pts[norms > 1e-9], norms[norms > 1e-9]
+            res = fam.heights(pts / norms[:, None])
+            checked += int(res.covered.sum())
+            for b in np.flatnonzero(res.covered & (norms > res.f - 0.3)):
+                witnesses.append({"point": pts[b].tolist(),
+                                  "radius": float(norms[b]),
+                                  "graph": float(res.f[b])})
+        assert len(witnesses) > 50
+        assert rep.checked == checked and rep.witnesses == witnesses
 
     def test_single_point_cloud_vacuous(self):
         G = make_cyclic(mobius.translation([1.0, 0.0]))
