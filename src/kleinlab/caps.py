@@ -44,10 +44,6 @@ class SphericalCap:
         return self.center.size
 
     @property
-    def chordal_radius(self) -> float:
-        return float(chord_from_angle(self.theta))
-
-    @property
     def chordal_diameter(self) -> float:
         """Largest chordal distance between two cap points (chord of 2 theta)."""
         return float(chord_from_angle(2.0 * self.theta))

@@ -42,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("validate", "parse and check a group-definition file"),
         ("limitset", "sample the limit set and export the point cloud"),
         ("dimension", "box-counting dimension, growth exponent, spectral bottom"),
-        ("graph", "dome-envelope graph: band, Lipschitz, invariance, volume trend"),
+        ("graph", "dome-envelope graph: band, Lipschitz, invariance, volume"),
         ("harmonic", "harmonic measure at the origin and invariance residuals"),
         ("diagnose", "geometric-finiteness evidence grading"),
     ]:
@@ -163,17 +163,10 @@ def cmd_dimension(args, defn: GroupDefinition, cloud=None) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def _volume_trend(G, region, caps, cloud, depths, samples, seed):
-    vols = []
-    for d in depths:
-        fam = lipgraph_mod.DomeFamily(G, cloud, caps, max_len=d, audit=200)
-        est = lipgraph_mod.graph_volume(fam, region, samples, seed=seed)
-        vols.append({"depth": d, "value": est.value, "stderr": est.stderr,
-                     "covered_fraction": est.covered_fraction})
-    trend = None
-    if len(vols) >= 2 and vols[-1]["value"] != 0:
-        trend = abs(vols[-1]["value"] - vols[-2]["value"]) / abs(vols[-1]["value"])
-    return vols, trend
+def _volume(fam, region, samples: int, seed: int) -> dict:
+    est = lipgraph_mod.graph_volume(fam, region, samples, seed=seed)
+    return {"depth": fam.max_len, "value": est.value, "stderr": est.stderr,
+            "covered_fraction": est.covered_fraction}
 
 
 def cmd_graph(args, defn: GroupDefinition) -> tuple[dict, int]:
@@ -187,9 +180,6 @@ def cmd_graph(args, defn: GroupDefinition) -> tuple[dict, int]:
     rng = np.random.default_rng(seed)
     mesh = lipgraph_mod.region_mesh(region, cloud, eps0, rng)
     caps = lipgraph_mod.base_caps(mesh, eps0, cloud)
-    trend_depths = [d for d in defn.depths if d <= depth] or [depth]
-    vols, trend = _volume_trend(G, region, caps, cloud, trend_depths,
-                                samples, seed)
     fam = lipgraph_mod.DomeFamily(G, cloud, caps, max_len=depth, audit=500)
     U = uniform_sphere(np.random.default_rng(seed + 1), G.n, samples)
     U = U[region.contains(U)]
@@ -207,6 +197,14 @@ def cmd_graph(args, defn: GroupDefinition) -> tuple[dict, int]:
     if args.out:
         lipgraph_mod.export_graph_csv(fam, U, args.out)
     bilip = lipgraph_mod.bilipschitz_ratios(fam, U[:1600])
+    # read before the volume queries fit further image caps into the audit
+    shape = {
+        "min_ratio": fam.min_shape_ratio(),
+        "max_ratio": fam.max_shape_ratio(),
+        "violations": fam.shape_violations,
+        "unresolved": fam.shape_unresolved,
+        "bound_ok": fam.shape_bound_ok,
+    }
     report = {
         "depth": depth,
         "epsilon0": eps0,
@@ -216,14 +214,8 @@ def cmd_graph(args, defn: GroupDefinition) -> tuple[dict, int]:
         "bilipschitz": {"min": float(bilip.min()), "max": float(bilip.max())},
         "lipschitz": {"M": M_full, "M_half_sample": M_half},
         "invariance": inv,
-        "volume_trend": {"by_depth": vols, "last_step_change": trend},
-        "shape": {
-            "min_ratio": fam.min_shape_ratio(),
-            "max_ratio": fam.max_shape_ratio(),
-            "violations": fam.shape_violations,
-            "unresolved": fam.shape_unresolved,
-            "bound_ok": fam.shape_bound_ok,
-        },
+        "volume": _volume(fam, region, samples, seed),
+        "shape": shape,
         "csv": args.out,
     }
     return report, EXIT_OK
@@ -295,38 +287,30 @@ def cmd_diagnose(args, defn: GroupDefinition) -> tuple[dict, int]:
         return report, EXIT_INCONCLUSIVE
     box = dim_report["box_dimension"]["estimate"]
     delta = dim_report["delta"]["estimate"]
-    trend = None
     if defn.kind == "schottky":
         region = _region_for(defn)
         rng = np.random.default_rng(seed)
         mesh = lipgraph_mod.region_mesh(region, cloud, eps0, rng)
         caps = lipgraph_mod.base_caps(mesh, eps0, cloud)
-        trend_depths = [d for d in defn.depths if d <= depth][-3:] or [depth]
-        vols, trend = _volume_trend(G, region, caps, cloud, trend_depths,
-                                    samples, seed)
-        report["volume_evidence"] = {"by_depth": vols, "last_step_change": trend}
-        trend_ok = trend is not None and trend <= 0.05
+        fam = lipgraph_mod.DomeFamily(G, cloud, caps, max_len=depth, audit=200)
+        report["volume_evidence"] = {
+            **_volume(fam, region, samples, seed),
+            "note": "the region is compact and away from the limit set, so "
+                    "the volume is finite by construction: reported, not gated",
+        }
     else:
         report["volume_evidence"] = (
             "skipped: elementary presentation is geometrically finite by type"
         )
-        trend_ok = True
-    dim_hi = max(box, delta)
-    if dim_hi < n - 0.3 and trend_ok:
-        report["verdict"] = "consistent-with-geometrically-finite"
-        report["evidence"] = {
-            "box": box, "delta": delta, "n": n,
-            "volume_trend": trend,
-        }
-        return report, EXIT_OK
-    if min(box, delta) > n - 0.1:
-        report["verdict"] = "dimension-n-regime"
-        report["evidence"] = {"box": box, "delta": delta, "n": n}
-        return report, EXIT_OK
-    report["verdict"] = "inconclusive"
-    report["evidence"] = {"box": box, "delta": delta, "n": n,
-                          "volume_trend": trend}
-    return report, EXIT_INCONCLUSIVE
+    if max(box, delta) < n - 0.3:
+        verdict, code = "consistent-with-geometrically-finite", EXIT_OK
+    elif min(box, delta) > n - 0.1:
+        verdict, code = "dimension-n-regime", EXIT_OK
+    else:
+        verdict, code = "inconclusive", EXIT_INCONCLUSIVE
+    report["verdict"] = verdict
+    report["evidence"] = {"box": box, "delta": delta, "n": n}
+    return report, code
 
 
 _COMMANDS = {

@@ -64,10 +64,6 @@ class ExtPoint:
     def is_infinity(self) -> bool:
         return self.coords is None
 
-    def close_to(self, other: "ExtPoint", tol: float = 1e-9) -> bool:
-        """Chordal proximity test (safe at infinity)."""
-        return chordal_distance(self, other) <= tol
-
 
 @dataclass(frozen=True)
 class SpherePoint:

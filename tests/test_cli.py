@@ -6,7 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from kleinlab import cli, files, mobius
+from kleinlab import cli, files, lipgraph, mobius
 from kleinlab.files import (
     ValidationError,
     load_group_file,
@@ -24,6 +24,19 @@ PARABOLIC = str(GROUPS / "cyclic_parabolic.json")
 
 def schottky_doc():
     return json.loads(pathlib.Path(SCHOTTKY).read_text())
+
+
+def _count_families(monkeypatch) -> list:
+    """Record every lipgraph.DomeFamily built while the test runs."""
+    built = []
+    real = lipgraph.DomeFamily
+
+    def counting(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(lipgraph, "DomeFamily", counting)
+    return built
 
 
 class TestSchema:
@@ -209,18 +222,42 @@ class TestCommands:
         assert res["verdict"] == "consistent-with-geometrically-finite"
         assert "skipped" in res["volume_evidence"]
 
-    def test_diagnose_honours_epsilon0_flag(self, tmp_path, capsys):
+    def test_diagnose_honours_epsilon0_flag(self, tmp_path, monkeypatch,
+                                            capsys):
         doc = schottky_doc()
         doc["epsilon0"] = 0.25
         path = tmp_path / "eps.json"
         path.write_text(json.dumps(doc))
+        families = _count_families(monkeypatch)
         results = []
         for argv in (["--file", SCHOTTKY, "--epsilon0", "0.25"],
                      ["--file", str(path)]):
-            cli.main(["diagnose", *argv, "--depth", "4", "--json"])
+            code = cli.main(["diagnose", *argv, "--depth", "4", "--json"])
+            assert code == 0
             results.append(json.loads(capsys.readouterr().out)["results"])
-        assert "volume_evidence" in results[0]
+        assert len(families) == 2
+        # the verdict rests on the dimension evidence alone, so it does not
+        # need two of the file's depths at or below --depth
+        assert results[0]["verdict"] == "consistent-with-geometrically-finite"
+        assert results[0]["volume_evidence"]["depth"] == 4
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("path, value, stderr", [
+        (LOXODROMIC, 244.12256287791078, 1.9914795725864642),
+        (PARABOLIC, 212.52134696310736, 2.858569211184327),
+    ], ids=["loxodromic", "parabolic"])
+    def test_graph_volume_from_its_one_family(self, path, value, stderr,
+                                              monkeypatch, capsys):
+        families = _count_families(monkeypatch)
+        code = cli.main(["graph", "--file", path, "--samples", "40000",
+                         "--seed", "1000", "--json"])
+        assert code == 0
+        assert len(families) == 1
+        vol = json.loads(capsys.readouterr().out)["results"]["volume"]
+        # golden depth-6 volume at this seed, bit for bit
+        assert vol["depth"] == 6
+        assert vol["value"] == value and vol["stderr"] == stderr
+        assert vol["covered_fraction"] == 1.0
 
     @pytest.mark.parametrize("argv", [
         ["dimension", "--depth", "0"],
