@@ -1,9 +1,11 @@
 """Spherical caps on S^n and their images under conformal maps.
 
 A cap is stored by its unit-vector center and angular radius. Conformal maps
-send caps to caps; the image cap is recovered from n+1 boundary probes, which
-lie on an affine hyperplane of R^{n+1} (the boundary of a cap is a round
-subsphere), plus a side disambiguation through the mapped center.
+send caps to caps. Every image cap comes from one batched fit,
+fit_image_caps: the mapped boundary probes of a cap (n+1 for cap_image, more
+where callers want a denser shape check) lie on an affine hyperplane of
+R^{n+1}, as the boundary of a cap is a round subsphere, and the mapped center
+decides the side.
 """
 
 from __future__ import annotations
@@ -87,63 +89,95 @@ def caps_disjoint(c1: SphericalCap, c2: SphericalCap, margin: float = 0.0) -> bo
     return gap > c1.theta + c2.theta + margin
 
 
-def cap_area(cap: SphericalCap) -> float:
-    """Surface measure of the cap inside S^n."""
-    from scipy.integrate import quad
-
-    from .geom import sphere_area
-
-    n = cap.ambient_dim - 1
-    boundary_area = sphere_area(n - 1)
-    val, _ = quad(lambda t: np.sin(t) ** (n - 1), 0.0, cap.theta)
-    return float(boundary_area * val)
-
-
 def cap_image(g: mobius.MobiusMap, cap: SphericalCap) -> SphericalCap:
     """Image of a cap under the sphere action of g, again as a cap.
 
-    The image boundary is a round subsphere through n+1 mapped probes; its
-    affine hyperplane gives the cap center (the oriented normal) and the
-    angular radius comes from atan2(circumradius, offset), which stays
-    accurate for both tiny and wide images.
+    A one-row call of cap_images_batch on the cap's n+1 boundary probes.
     """
-    probes = cap.boundary_points()
-    imgs = mobius.sphere_action_rows(g, probes)
-    center_img = mobius.sphere_action_rows(g, cap.center[None, :])[0]
-    mean = imgs.mean(axis=0)
-    spread = imgs - mean
-    scale = float(np.max(np.linalg.norm(spread, axis=1)))
-    if scale < 1e-14:
-        # probes collapse at float precision; first-order image of a tiny cap
-        theta = cap.theta * _sphere_deriv_at_unit(g, cap.center)
-        if not (0.0 < theta < CAP_MAX_ANGLE):
-            raise CapDegenerate("degenerate tiny image cap")
-        return SphericalCap(center=center_img, theta=theta)
-    # plane normal: smallest principal direction of the centered probes,
-    # oriented toward the mapped cap center
-    _, _, Vt = np.linalg.svd(spread)
-    nu = Vt[-1]
-    if center_img @ nu < 0:
-        nu = -nu
-    h = float(np.mean(imgs @ nu))
-    # circumcenter of the image subsphere, solved in mean-centered coordinates
-    # so nothing cancels at the O(1) scale for tiny images
-    q = spread
-    D = q[1:] - q[0]
-    rhs = 0.5 * (np.einsum("ij,ij->i", q[1:], q[1:]) - q[0] @ q[0])
-    A = np.vstack([D, nu])
-    bvec = np.append(rhs, float(h - nu @ mean))
-    c_centered, *_ = np.linalg.lstsq(A, bvec, rcond=None)
-    r_c = float(np.mean(np.linalg.norm(q - c_centered, axis=1)))
-    theta = float(np.arctan2(r_c, h))
-    if not (0.0 < theta < CAP_MAX_ANGLE):
+    nu, theta, valid, _ = cap_images_batch(
+        g, cap.boundary_points()[None], cap.center[None], np.array([cap.theta])
+    )
+    if not valid[0]:
         raise CapDegenerate(
-            f"image cap has angular radius {theta!r}; family shape bound broken"
+            f"image cap has angular radius {theta[0]!r} or covers a hemisphere; "
+            "family shape bound broken"
         )
-    if center_img @ nu < h - 1e-9:
-        # mapped center fell outside: the true image covers more than a hemisphere
-        raise CapDegenerate("image is the complement of a cap; shape bound broken")
-    return SphericalCap(center=nu, theta=theta)
+    return SphericalCap(center=nu[0], theta=theta[0])
+
+
+def cap_images_batch(g: mobius.MobiusMap, boundary: np.ndarray,
+                     centers: np.ndarray, src_thetas: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Image caps of many source caps under one map.
+
+    boundary holds k >= n+1 boundary probes per cap, shape (S, k, m);
+    centers the cap centers (S, m). Returns (centers, thetas, valid, probes)
+    of the image caps as fit_image_caps gives them, where probes stacks the
+    exactly mapped boundary points and mapped center, shape (S, k+1, m), for
+    downstream shape checks.
+    """
+    S, k, m = boundary.shape
+    imgs = mobius.sphere_action_rows(g, boundary.reshape(S * k, m)).reshape(S, k, m)
+    c_img = mobius.sphere_action_rows(g, centers)
+    nu, theta, valid = fit_image_caps(imgs, c_img, [g] * S, centers, src_thetas)
+    return nu, theta, valid, np.concatenate([imgs, c_img[:, None, :]], axis=1)
+
+
+def fit_image_caps(imgs: np.ndarray, c_img: np.ndarray, maps,
+                   centers: np.ndarray, src_thetas: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The caps through stacks of mapped boundary probes, one cap per row.
+
+    Row i holds the images under maps[i] of k >= n+1 boundary probes of the
+    source cap (centers[i], src_thetas[i]), shape (S, k, m), and of its
+    center, c_img (S, m). Each row is fitted on its own, so a row gets the
+    same bits in any stack. The image boundary is a round subsphere: the
+    plane normal is the smallest principal direction of the mean-centred
+    probes, oriented toward the mapped center, and the circumcenter solves
+    the equal-distance equations with the plane constraint by a batched QR,
+    in coordinates scaled by a power of two near the probe spread, so tiny
+    images keep their relative accuracy. The angular radius is atan2 of
+    the circumradius and the plane offset. Rows whose probes spread less
+    than 1e-14, or whose system is rank-deficient, take the first-order
+    image: the mapped center, with the radius scaled by the derivative.
+    Returns (centers, thetas, valid); rows whose image is degenerate (at
+    least a hemisphere) are flagged invalid.
+    """
+    S, k, m = imgs.shape
+    mean = imgs.mean(axis=1)
+    spread = imgs - mean[:, None, :]
+    scale = np.linalg.norm(spread, axis=2).max(axis=1)
+    rows = np.flatnonzero(scale >= 1e-14)
+    _, _, Vt = np.linalg.svd(spread[rows])
+    nu = Vt[:, -1, :]
+    nu[(c_img[rows] * nu).sum(axis=1) < 0] *= -1.0
+    h = (imgs[rows] * nu[:, None, :]).sum(axis=2).mean(axis=1)
+    # |q_j - x|^2 = |q_0 - x|^2 for every probe j, and x in the plane
+    e = np.frexp(scale[rows])[1]
+    q = np.ldexp(spread[rows], -e[:, None, None])
+    sq = (q * q).sum(axis=2)
+    A = np.concatenate([q[:, 1:] - q[:, :1], nu[:, None, :]], axis=1)
+    b = np.concatenate([0.5 * (sq[:, 1:] - sq[:, :1]), np.zeros((rows.size, 1))],
+                       axis=1)
+    Q, R = np.linalg.qr(A)
+    diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    full = diag.min(axis=1) > diag.max(axis=1) * k * np.finfo(float).eps
+    rows, nu, h, e, q, Q, R, b = (a[full] for a in (rows, nu, h, e, q, Q, R, b))
+    y = (Q * b[:, :, None]).sum(axis=1)
+    x = np.zeros_like(y)
+    for j in range(m - 1, -1, -1):  # back substitution in R x = Q^T b
+        x[:, j] = (y[:, j] - (R[:, j, j + 1:] * x[:, j + 1:]).sum(axis=1)) / R[:, j, j]
+    r_c = np.ldexp(np.linalg.norm(q - x[:, None, :], axis=2).mean(axis=1), e)
+    out_centers = c_img.copy()
+    out_centers[rows] = nu
+    out_thetas = np.empty(S)
+    out_thetas[rows] = np.arctan2(r_c, h)
+    for i in np.setdiff1d(np.arange(S), rows):
+        out_thetas[i] = src_thetas[i] * _sphere_deriv_at_unit(maps[i], centers[i])
+    valid = (out_thetas > 0.0) & (out_thetas < CAP_MAX_ANGLE)
+    # a mapped center below the plane: the image covers more than a hemisphere
+    valid[rows] &= (c_img[rows] * nu).sum(axis=1) >= h - 1e-9
+    return out_centers, out_thetas, valid
 
 
 def _sphere_deriv_at_unit(g: mobius.MobiusMap, u: np.ndarray) -> float:
@@ -151,86 +185,6 @@ def _sphere_deriv_at_unit(g: mobius.MobiusMap, u: np.ndarray) -> float:
     from .geom import SpherePoint, stereo_project
 
     return mobius.deriv_sphere(g, stereo_project(SpherePoint(u)))
-
-
-def cap_images_batch(g: mobius.MobiusMap, boundary: np.ndarray,
-                     centers: np.ndarray, src_thetas: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Image caps of many source caps under one map, vectorized.
-
-    boundary holds k >= n+1 boundary probes per cap, shape (S, k, m);
-    centers the cap centers (S, m). Returns (centers, thetas, valid, probes)
-    of the image caps, where probes stacks the exactly mapped boundary points
-    and mapped center, shape (S, k+1, m), for downstream shape checks. Rows
-    whose image is degenerate (at least a hemisphere) are flagged invalid;
-    rows whose probes collapse below float resolution fall back to the
-    first-order image (mapped center, derivative-scaled radius).
-    """
-    S, k, m = boundary.shape
-    imgs = mobius.sphere_action_rows(g, boundary.reshape(S * k, m)).reshape(S, k, m)
-    c_img = mobius.sphere_action_rows(g, centers)
-    mean = imgs.mean(axis=1)
-    spread = imgs - mean[:, None, :]
-    scale = np.linalg.norm(spread, axis=2).max(axis=1)
-    tiny = scale < 1e-14
-    out_centers = np.empty_like(centers)
-    out_thetas = np.empty(S)
-    valid = np.ones(S, dtype=bool)
-    big = ~tiny
-    if np.any(big):
-        sp = spread[big]
-        _, _, Vt = np.linalg.svd(sp)
-        nu = Vt[:, -1, :]
-        sign = np.sign(np.einsum("ij,ij->i", c_img[big], nu))
-        sign[sign == 0] = 1.0
-        nu *= sign[:, None]
-        h = np.einsum("ijk,ik->ij", imgs[big], nu).mean(axis=1)
-        D = sp[:, 1:, :] - sp[:, :1, :]
-        rhs = 0.5 * (
-            np.einsum("ijk,ijk->ij", sp[:, 1:, :], sp[:, 1:, :])
-            - np.einsum("ik,ik->i", sp[:, 0, :], sp[:, 0, :])[:, None]
-        )
-        plane_rhs = h - np.einsum("ij,ij->i", nu, mean[big])
-        A = np.concatenate([D, nu[:, None, :]], axis=1)
-        b = np.concatenate([rhs, plane_rhs[:, None]], axis=1)
-        AtA = np.einsum("ijk,ijl->ikl", A, A)
-        Atb = np.einsum("ijk,ij->ik", A, b)
-        c_cent = _solve_normal_rows(AtA, Atb, A, b)
-        r_c = np.linalg.norm(sp - c_cent[:, None, :], axis=2).mean(axis=1)
-        theta = np.arctan2(r_c, h)
-        side_ok = np.einsum("ij,ij->i", c_img[big], nu) >= h - 1e-9
-        out_centers[big] = nu
-        out_thetas[big] = theta
-        valid[big] = (theta > 0) & (theta < CAP_MAX_ANGLE) & side_ok
-    if np.any(tiny):
-        for i in np.nonzero(tiny)[0]:
-            th = src_thetas[i] * _sphere_deriv_at_unit(g, centers[i])
-            out_centers[i] = c_img[i]
-            out_thetas[i] = th
-            valid[i] = 0.0 < th < CAP_MAX_ANGLE
-    probes = np.concatenate([imgs, c_img[:, None, :]], axis=1)
-    return out_centers, out_thetas, valid, probes
-
-
-def _solve_normal_rows(AtA: np.ndarray, Atb: np.ndarray, A: np.ndarray,
-                       b: np.ndarray) -> np.ndarray:
-    """Row-wise solutions of the normal equations AtA x = Atb, batched.
-
-    A matrix whose LU factorization meets an exact zero pivot (image spreads
-    near 1e-12) has determinant exactly 0; its row takes cap_image's
-    least-squares fit of A x = b instead. The batched solve treats each
-    matrix on its own, so the other rows keep the bits it gives them.
-    """
-    try:
-        return np.linalg.solve(AtA, Atb[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        singular = np.linalg.det(AtA) == 0.0
-    out = np.empty_like(Atb)
-    ok = ~singular
-    out[ok] = np.linalg.solve(AtA[ok], Atb[ok][:, :, None])[:, :, 0]
-    for i in np.flatnonzero(singular):
-        out[i] = np.linalg.lstsq(A[i], b[i], rcond=None)[0]
-    return out
 
 
 # ---------------------------------------------------------------------------

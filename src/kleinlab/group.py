@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mobius
-from .caps import SphericalCap, cap_image, cap_to_euclidean_ball, caps_disjoint
+from .caps import (CapDegenerate, SphericalCap, cap_to_euclidean_ball,
+                   caps_disjoint, fit_image_caps)
 from .geom import BallPoint, ExtPoint, embed_ext
 from .mobius import (MobiusMap, compose, inverse, poincare_extend,
                      sphere_action_rows)
@@ -204,13 +205,16 @@ class WordTree:
         self.G = G
         self._letters = tuple(s for i in range(1, G.rank + 1) for s in (i, -i))
         self._levels = [[Word((), mobius.identity(G.n))]]
-        self._caps: dict[int, list[SphericalCap]] = {}
+        self._caps: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._targets: dict[int, np.ndarray] | None = None  # probes, center
         self._dedup: _MapDeduper | None = None
+
+    def _next_letters(self, w: Word) -> list[int]:
+        return [s for s in self._letters if not w.letters or s != -w.letters[-1]]
 
     def children(self, parents: list[Word]) -> list[tuple[Word, int]]:
         """(parent, letter) of each reduced one-letter extension, in order."""
-        return [(w, s) for w in parents for s in self._letters
-                if not w.letters or s != -w.letters[-1]]
+        return [(w, s) for w in parents for s in self._next_letters(w)]
 
     def _grow(self, parents: list[Word]) -> list[Word]:
         G = self.G
@@ -225,16 +229,38 @@ class WordTree:
             self._levels.append(self._grow(self._levels[-1]))
         return self._levels[d]
 
-    def nested_caps(self, d: int) -> list[SphericalCap]:
-        """Nested cap of each word of level d >= 1 (schottky presentations).
+    def nested_caps(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(centers, thetas, points) of the words of level d >= 1, schottky only.
 
-        The cap of the word w s is cap_image(w.map, G.letter_target_cap(s)),
-        fitted once; only level d - 1 is composed for it.
+        The nested cap of the word w s is the image of G.letter_target_cap(s)
+        under w.map, and its point the image of that cap's center. Each
+        letter's n+1 target-cap probes and center are stacked once per tree;
+        each parent map is applied once to the stacks of its children, and
+        the whole level is fitted in one fit_image_caps call. Only level
+        d - 1 is composed for it.
         """
         if d not in self._caps:
             G = self.G
-            self._caps[d] = [cap_image(w.map, G.letter_target_cap(s))
-                             for w, s in self.children(self.level(d - 1))]
+            if self._targets is None:
+                self._targets = {}
+                for s in self._letters:
+                    cap = G.letter_target_cap(s)
+                    self._targets[s] = np.vstack([cap.boundary_points(), cap.center])
+            blocks, maps, letters = [], [], []
+            for w in self.level(d - 1):
+                kids = self._next_letters(w)
+                blocks.append(sphere_action_rows(
+                    w.map, np.concatenate([self._targets[s] for s in kids])))
+                maps += [w.map] * len(kids)
+                letters += kids
+            imgs = np.concatenate(blocks).reshape(len(letters), G.n + 2, G.n + 1)
+            centers, thetas, valid = fit_image_caps(
+                imgs[:, :-1], imgs[:, -1], maps,
+                np.array([self._targets[s][-1] for s in letters]),
+                np.array([G.letter_target_cap(s).theta for s in letters]))
+            if not valid.all():
+                raise CapDegenerate("a nested cap is degenerate or covers a hemisphere")
+            self._caps[d] = (centers, thetas, imgs[:, -1].copy())
         return self._caps[d]
 
     def elements(self, max_len: int) -> list[Word]:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import mobius
-from .geom import ExtPoint, SpherePoint, embed_ext
+from .geom import ExtPoint, SpherePoint, chord_from_angle, embed_ext
 from .group import FitResult, GroupPresentation, TAG_CYCLIC, TAG_SCHOTTKY, _slope_fit
 from .mobius import sphere_action_rows
 
@@ -155,20 +155,15 @@ def _sample_schottky(G: GroupPresentation, depth: int) -> LimitSetCloud:
     samples computed by composing the word and by applying its letters one
     at a time differ by up to 4.4e-16 at depths 6 to 8.
 
-    The prefixes and nested caps come from G.word_tree, which composes
-    words up to length depth - 1 only.
+    The samples are the points of G.word_tree.nested_caps(depth), mapped
+    there once with the caps; the tree composes words up to length
+    depth - 1 only.
     """
-    tree = G.word_tree
-    pts = [
-        sphere_action_rows(w.map, G.letter_target_cap(s).center[None, :])[0]
-        for w, s in tree.children(tree.level(depth - 1))
-    ]
-    max_diam = 0.0
-    for nested in tree.nested_caps(depth):
-        max_diam = max(max_diam, nested.chordal_diameter)
+    _, thetas, pts = G.word_tree.nested_caps(depth)
+    max_diam = float(np.max(chord_from_angle(2.0 * thetas)))
     round_off = np.sqrt(G.n + 1) * (G.n + 3) * np.finfo(float).eps / 2
     return LimitSetCloud(
-        n=G.n, points=np.array(pts), depth=depth,
+        n=G.n, points=pts, depth=depth,
         resolution=max(max_diam, float(round_off)),
     )
 

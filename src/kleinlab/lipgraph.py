@@ -11,8 +11,11 @@ Families over schottky groups are evaluated through the group factorization:
 x lies in the image cap gamma(C) exactly when gamma^-1 x lies in the seed cap
 C, and gamma(C) is contained in the inflated nested cap of the word gamma, so
 candidate words come from a per-level spatial index of nested caps and only
-the touched image caps are ever materialized (each one shape-checked as it is
-built). Small families are materialized outright.
+the touched image caps are ever fitted: word by word, all the seeds a height
+query or the build audit touches in one batched fit, each one shape-checked
+on its mapped probes. Small families are materialized outright. Both modes
+fit image caps through caps.cap_images_batch on the same 8-point probe
+stacks, so a cap has the same fit in either mode.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Callable
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .caps import CapDegenerate, SphericalCap, cap_image, cap_images_batch
+from .caps import SphericalCap, cap_images_batch
 from .geom import (
     SpherePoint,
     angle_from_chord,
@@ -43,10 +46,6 @@ MATERIALIZE_BUDGET = 400_000
 
 class ShrinkEpsilon(RuntimeError):
     """A propagated cap broke the family shape bound; retry with smaller eps0."""
-
-
-class NotCovered(RuntimeError):
-    """Direction is outside the covered part of the domain of discontinuity."""
 
 
 class UncertifiedSample(ValueError):
@@ -329,27 +328,33 @@ class _WordLevel:
     centers: np.ndarray
     support_cos: np.ndarray  # cos of inflated support angles
     index: _CapIndex
+    # fitted image caps, sorted by key word index * seed count + seed index
+    keys: np.ndarray
+    img_centers: np.ndarray
+    img_thetas: np.ndarray
 
 
 class DomeFamily:
     """Truncated invariant ball family with a height evaluator.
 
     mode "materialized" stores every image cap; mode "factored" (schottky)
-    stores seed caps plus per-word nested support caps and materializes image
-    caps lazily with a cache. Both modes measure the family shape bound
-    (diameter over distance-to-limit-set within (0, 1/2]) on every cap they
-    materialize; the factored mode additionally audits a random sample of the
-    full product at build time. Under shape_policy "record" (default) upper
-    bound violations are counted and flagged, matching pipelines that pin
-    eps0 above the strict Prop-1.1 regime of the group; "strict" aborts on
-    the first measurable violation. Caps reaching a hemisphere always abort.
+    stores seed caps plus per-word nested support caps, and fits image caps
+    when a query first touches them, per word in one batched call, keeping
+    them per level. Both modes measure the family shape bound (diameter over
+    distance-to-limit-set within (0, 1/2]) on every cap they fit; the
+    factored mode additionally audits a random sample of the full product at
+    build time. Under shape_policy "record" (default) upper bound violations
+    are counted and flagged, matching pipelines that pin eps0 above the
+    strict Prop-1.1 regime of the group; "strict" aborts on the first
+    measurable violation. Caps reaching a hemisphere always abort.
 
     Every height query draws its candidates from a _CapIndex: the
     materialized caps, the seed caps (also for the factored pass's mapped
     rows) and each level's nested supports. Each candidate is confirmed by
     its caller's own test, and candidate_pairs / hit_pairs count both. A row
     takes the smallest entry radius; ties go to the lowest cap index, and in
-    the factored pass to the first cap met in (level, word, seed) order.
+    the factored pass to the first cap in (level, word, seed) order, a later
+    level taking a row only on a strict decrease.
     """
 
     def __init__(self, G: GroupPresentation, cloud: LimitSetCloud,
@@ -368,7 +373,6 @@ class DomeFamily:
         self.shape_violations = 0
         self.candidate_pairs = 0
         self.hit_pairs = 0
-        self._img_cache: dict[tuple[int, int, int], SphericalCap] = {}
         self._seed_centers = np.array([c.center for c in self.seed_caps])
         self._seed_thetas = np.array([c.theta for c in self.seed_caps])
         self._seed_cos = np.cos(self._seed_thetas)
@@ -406,26 +410,32 @@ class DomeFamily:
     def _materialize(self):
         words = enumerate_elements(self.G, self.max_len)
         self.words = words
-        boundary = self._seed_probe_stack()
         centers = [self._seed_centers]
         thetas = [self._seed_thetas]
         for w in words:
             if len(w) == 0:
                 continue
-            nu, th, valid, probes = cap_images_batch(
-                w.map, boundary, self._seed_centers, self._seed_thetas
-            )
-            if not valid.all():
-                raise ShrinkEpsilon(
-                    "a propagated cap reached a hemisphere; choose a smaller eps0"
-                )
-            self._shape_check_batch(probes)
+            nu, th = self._fit_images(w.map, slice(None))
             centers.append(nu)
             thetas.append(th)
         self._all_centers = np.concatenate(centers)
         self._all_thetas = np.concatenate(thetas)
         self._all_cos = np.cos(self._all_thetas)
         self._all_index = _CapIndex(self._all_centers, self._all_thetas)
+
+    def _fit_images(self, g: MobiusMap, seeds) -> tuple[np.ndarray, np.ndarray]:
+        """(centers, thetas) of the images under g of the seed caps indexed
+        by seeds, from their 8-point probe stacks, shape-checked."""
+        nu, th, valid, probes = cap_images_batch(
+            g, self._seed_probe_stack()[seeds], self._seed_centers[seeds],
+            self._seed_thetas[seeds]
+        )
+        if not valid.all():
+            raise ShrinkEpsilon(
+                "a propagated cap reached a hemisphere; choose a smaller eps0"
+            )
+        self._shape_check_batch(probes)
+        return nu, th
 
     def _shape_check_batch(self, probes: np.ndarray):
         """Shape bound on stacks of exactly mapped cap probes, (S, k, m)."""
@@ -458,15 +468,14 @@ class DomeFamily:
         """Per-level words and inflated nested supports from G.word_tree."""
         tree = self.G.word_tree
         self.words = enumerate_elements(self.G, self.max_len)
+        m = self.G.n + 1
         levels: list[_WordLevel] = []
         for d in range(1, self.max_len + 1):
             words = tree.level(d)
-            support = tree.nested_caps(d)
+            centers, thetas, _ = tree.nested_caps(d)
             support_angles = np.minimum(
-                np.array([c.theta for c in support]) * SUPPORT_INFLATION + 1e-12,
-                np.pi / 2 - 1e-9,
+                thetas * SUPPORT_INFLATION + 1e-12, np.pi / 2 - 1e-9
             )
-            centers = np.array([c.center for c in support])
             levels.append(
                 _WordLevel(
                     words=words,
@@ -474,6 +483,9 @@ class DomeFamily:
                     centers=centers,
                     support_cos=np.cos(support_angles),
                     index=_CapIndex(centers, support_angles),
+                    keys=np.empty(0, dtype=np.int64),
+                    img_centers=np.empty((0, m)),
+                    img_thetas=np.empty(0),
                 )
             )
         self._levels = levels
@@ -482,12 +494,16 @@ class DomeFamily:
         total_words = sum(len(lv.words) for lv in self._levels)
         if total_words == 0 or not self.seed_caps:
             return
+        drawn: list[list[tuple[int, int]]] = [[] for _ in self._levels]
         for _ in range(count):
             li = int(rng.integers(0, len(self._levels)))
-            lv = self._levels[li]
-            wi = int(rng.integers(0, len(lv.words)))
+            wi = int(rng.integers(0, len(self._levels[li].words)))
             si = int(rng.integers(0, len(self.seed_caps)))
-            self._image_cap(li, wi, si)
+            drawn[li].append((wi, si))
+        for li, pairs in enumerate(drawn):
+            if pairs:
+                w, s = np.array(pairs).T
+                self._image_caps(li, w, s)
 
     # -- cap bookkeeping ----------------------------------------------------
 
@@ -510,37 +526,29 @@ class DomeFamily:
         self.shape_ratios.append(ratio)
         return cap
 
-    def _image_cap_checked(self, m: MobiusMap, seed: SphericalCap) -> SphericalCap:
-        try:
-            img = cap_image(m, seed)
-        except CapDegenerate as exc:
-            raise ShrinkEpsilon(str(exc)) from exc
-        self._verify_shape_mapped(m, seed)
-        return img
+    def _image_caps(self, li: int, w: np.ndarray, s: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """(centers, thetas) of the image caps of words w under seeds s, level li.
 
-    def _verify_shape_mapped(self, m: MobiusMap, seed: SphericalCap):
-        """Shape bound for an image cap, measured on exactly mapped probes.
-
-        The fitted cap parameters lose the center direction once the image
-        is many orders smaller than the probes' absolute roundoff, so the
-        diameter and cloud distance are taken from the mapped boundary
-        points themselves. Caps whose scale falls below the cloud's
-        certified resolution cannot be measured against it and are counted
-        as unresolved rather than failed.
+        Caps not fitted before are fitted word by word, all of a word's new
+        seeds in one _fit_images call, and kept for later queries.
         """
-        probes = seed.boundary_points(count=8)
-        pts = sphere_action_rows(m, np.vstack([probes, seed.center[None, :]]))
-        self._shape_check_batch(pts[None, :, :])
-
-    def _image_cap(self, li: int, wi: int, si: int) -> SphericalCap:
-        key = (li, wi, si)
-        cached = self._img_cache.get(key)
-        if cached is None:
-            cached = self._image_cap_checked(
-                self._levels[li].words[wi].map, self.seed_caps[si]
-            )
-            self._img_cache[key] = cached
-        return cached
+        lv = self._levels[li]
+        S = len(self.seed_caps)
+        key = w * S + s
+        new = np.setdiff1d(key, lv.keys)
+        if new.size:
+            cuts = np.flatnonzero(np.diff(new // S)) + 1
+            fits = [self._fit_images(lv.words[int(ks[0]) // S].map, ks % S)
+                    for ks in np.split(new, cuts)]
+            order = np.argsort(np.concatenate([lv.keys, new]))
+            lv.keys = np.concatenate([lv.keys, new])[order]
+            lv.img_centers = np.concatenate(
+                [lv.img_centers] + [c for c, _ in fits])[order]
+            lv.img_thetas = np.concatenate(
+                [lv.img_thetas] + [t for _, t in fits])[order]
+        pos = np.searchsorted(lv.keys, key)
+        return lv.img_centers[pos], lv.img_thetas[pos]
 
     @property
     def cap_count_bound(self) -> int:
@@ -585,12 +593,7 @@ class DomeFamily:
         self.candidate_pairs += pi.size
         self.hit_pairs += int(hit.sum())
         pi, pj, d = pi[hit], pj[hit], d[hit]
-        t = d - np.sqrt(d * d - 1.0)
-        f = np.full(N, np.inf)
-        np.minimum.at(f, pi, t)
-        best = t == f[pi]
-        cap = np.full(N, len(thetas))
-        np.minimum.at(cap, pi[best], pj[best])
+        f, cap = _row_minima(N, pi, d - np.sqrt(d * d - 1.0), pj)
         theta = np.zeros(N)
         rows = np.flatnonzero(np.isfinite(f))
         theta[rows] = thetas[cap[rows]]
@@ -605,32 +608,46 @@ class DomeFamily:
         return r[hit], b[hit]
 
     def _factored_pass(self, U, f, theta):
+        S = len(self.seed_caps)
         for li, lv in enumerate(self._levels):
             # (sample, word) pairs with the sample inside the word's inflated
-            # nested support cap, visited word by word in the order of each
-            # word's first sample, samples ascending within a word
+            # nested support cap, grouped by word, samples ascending
             i, w = self._confirmed(lv.index, U, lv.centers, lv.support_cos)
             if i.size == 0:
                 continue
-            first = np.full(len(lv.words), U.shape[0])
-            np.minimum.at(first, w, i)
-            order = np.lexsort((i, w, first[w]))
+            order = np.lexsort((i, w))
             i, w = i[order], w[order]
-            cuts = np.flatnonzero(w[1:] != w[:-1]) + 1
+            cuts = np.flatnonzero(np.diff(w)) + 1
             Y = np.concatenate([
                 sphere_action_rows(lv.inv_maps[ws[0]], U[rs])
                 for rs, ws in zip(np.split(i, cuts), np.split(w, cuts))
             ])
-            k, si = self._confirmed(self._seed_index, Y, self._seed_centers,
-                                    self._seed_cos)
-            order = np.lexsort((si, k))
-            for kk, s in zip(k[order].tolist(), si[order].tolist()):
-                gi = i[kk]
-                img = self._image_cap(li, int(w[kk]), s)
-                t = dome_entry_radius(img, U[gi])
-                if t is not None and t < f[gi]:
-                    f[gi] = t
-                    theta[gi] = img.theta
+            k, s = self._confirmed(self._seed_index, Y, self._seed_centers,
+                                   self._seed_cos)
+            rows, w = i[k], w[k]
+            centers, thetas = self._image_caps(li, w, s)
+            d = np.einsum("ij,ij->i", U[rows], centers) / np.cos(thetas)
+            hit = d >= 1.0
+            rows, key, thetas, d = rows[hit], (w * S + s)[hit], thetas[hit], d[hit]
+            t = d - np.sqrt(d * d - 1.0)
+            # a row takes the level's first cap in (word, seed) order at its
+            # smallest t, on a strict decrease of f
+            _, first = _row_minima(U.shape[0], rows, t, key)
+            win = np.flatnonzero((key == first[rows]) & (t < f[rows]))
+            f[rows[win]] = t[win]
+            theta[rows[win]] = thetas[win]
+
+
+def _row_minima(N: int, rows: np.ndarray, t: np.ndarray, key: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest t of each of N rows over its (rows, t, key) pairs, inf where
+    it has none, and the smallest key among the row's pairs at that t."""
+    best = np.full(N, np.inf)
+    np.minimum.at(best, rows, t)
+    at = t == best[rows]
+    first = np.full(N, np.iinfo(np.int64).max)
+    np.minimum.at(first, rows[at], key[at])
+    return best, first
 
 
 def _word_count_estimate(G: GroupPresentation, max_len: int) -> int:
@@ -648,15 +665,6 @@ def _word_count_estimate(G: GroupPresentation, max_len: int) -> int:
 def _nearest_unit(cloud: LimitSetCloud, u: np.ndarray) -> np.ndarray:
     _, idx = cloud.tree.query(u[None, :])
     return cloud.points[int(idx[0])]
-
-
-def height(F: DomeFamily, x) -> float:
-    """f(x) for a single direction; raises NotCovered off the covered region."""
-    u = x.vec if isinstance(x, SpherePoint) else np.asarray(x, float)
-    res = F.heights(u[None, :])
-    if not res.covered[0]:
-        raise NotCovered("no dome met along this direction")
-    return float(res.f[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
 """Spherical caps: membership, stereographic balls, and conformal images."""
 
+import decimal
+import math
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from kleinlab import caps, geom, mobius
 from kleinlab.caps import SphericalCap, cap_image, cap_to_euclidean_ball
 
-from util import random_mobius
+from util import random_mobius, reference_schottky
 
 RNG = np.random.default_rng(1234)
 
@@ -36,12 +41,6 @@ class TestCapBasics:
         pts = cap.boundary_points(count=16)
         ang = geom.angular_distance(pts, cap.center)
         assert np.allclose(ang, cap.theta, atol=1e-12)
-
-    def test_area_matches_closed_form_on_s2(self):
-        cap = random_cap(RNG)
-        assert caps.cap_area(cap) == pytest.approx(
-            2 * np.pi * (1 - np.cos(cap.theta)), rel=1e-10
-        )
 
     def test_disjointness(self):
         c1 = SphericalCap(center=np.array([1.0, 0.0, 0.0]), theta=0.2)
@@ -130,18 +129,94 @@ class TestCapImage:
         assert np.allclose(ang, img.theta, atol=1e-10)
 
 
+def exact_theta(P):
+    """Angular radius of the circle through three float points of R^3, in
+    exact rational arithmetic: atan2 of the circumradius and the distance of
+    their plane from the origin, with the two square roots taken in 60-digit
+    decimals."""
+    p = [[Fraction(float(v)) for v in row] for row in P]
+    a = [p[1][i] - p[0][i] for i in range(3)]
+    b = [p[2][i] - p[0][i] for i in range(3)]
+    c = [a[i] - b[i] for i in range(3)]
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    n = [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+         a[0] * b[1] - a[1] * b[0]]
+    r2 = dot(a, a) * dot(b, b) * dot(c, c) / (4 * dot(n, n))
+    h2 = dot(n, p[0]) ** 2 / dot(n, n)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        r, h = (float((Decimal(q.numerator) / q.denominator).sqrt())
+                for q in (r2, h2))
+    return math.atan2(r, h)
+
+
+def nested_probe_stacks(G, d):
+    """The mapped target-cap probes and centers of every word of level d,
+    with the source caps and maps, as WordTree.nested_caps maps them."""
+    tree = G.word_tree
+    rows, maps, src = [], [], []
+    for w, s in tree.children(tree.level(d - 1)):
+        cap = G.letter_target_cap(s)
+        rows.append(mobius.sphere_action_rows(
+            w.map, np.vstack([cap.boundary_points(), cap.center])))
+        maps.append(w.map)
+        src.append(cap)
+    P = np.array(rows)
+    return (P[:, :-1], P[:, -1], maps, np.array([c.center for c in src]),
+            np.array([c.theta for c in src]))
+
+
 class TestBatchedImages:
-    def test_singular_normal_equations_fall_back_to_lstsq(self):
-        rng = np.random.default_rng(4321)
-        A = rng.standard_normal((6, 5, 3))
-        A[2, :, 1] = 0.0  # a zero column: that row's A^T A is exactly singular
-        b = rng.standard_normal((6, 5))
-        AtA = np.einsum("ijk,ijl->ikl", A, A)
-        Atb = np.einsum("ijk,ij->ik", A, b)
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(AtA, Atb[:, :, None])
-        x = caps._solve_normal_rows(AtA, Atb, A, b)
-        ok = np.arange(6) != 2
-        batched = np.linalg.solve(AtA[ok], Atb[ok][:, :, None])[:, :, 0]
-        assert np.array_equal(x[ok], batched)
-        assert np.array_equal(x[2], np.linalg.lstsq(A[2], b[2], rcond=None)[0])
+    @pytest.mark.parametrize("depth,bound", [(2, 1e-13), (3, 1e-13),
+                                             (4, 1e-13), (5, 1e-9)])
+    def test_nested_caps_match_exact_circumcircle(self, depth, bound):
+        # the circle through the same float probes, in exact arithmetic
+        G = reference_schottky()
+        imgs, c_img, maps, centers, thetas = nested_probe_stacks(G, depth)
+        _, theta, valid = caps.fit_image_caps(imgs, c_img, maps, centers,
+                                              thetas)
+        assert valid.all()
+        exact = np.array([exact_theta(P) for P in imgs])
+        assert np.max(np.abs(theta - exact) / exact) <= bound
+        # the tree's own fit of the level is the same fit
+        assert np.array_equal(G.word_tree.nested_caps(depth)[1], theta)
+
+    def test_fallback_rows_in_a_mixed_stack(self):
+        G = reference_schottky()
+        imgs, c_img, maps, centers, thetas = nested_probe_stacks(G, 3)
+        imgs, c_img = imgs[:8].copy(), c_img[:8].copy()
+        maps, centers, thetas = maps[:8], centers[:8], thetas[:8]
+        imgs[2, 1] = imgs[2, 0]  # two coincident probes: rank-deficient
+        # probes spread below 1e-14 around the mapped center
+        imgs[5] = c_img[5] + 3e-15 * np.array([[1.0, 0, 0], [0, 1, 0], [-1, 0, 0]])
+        nu, theta, valid = caps.fit_image_caps(imgs, c_img, maps, centers,
+                                               thetas)
+        assert valid.all()
+        for i in (2, 5):  # first-order image: mapped center, scaled radius
+            assert np.array_equal(nu[i], c_img[i])
+            want = thetas[i] * caps._sphere_deriv_at_unit(maps[i], centers[i])
+            assert theta[i] == want
+        # to first order in the radius, near the fit of the intact probes
+        assert theta[2] == pytest.approx(G.word_tree.nested_caps(3)[1][2],
+                                         rel=1e-2)
+        for i in (0, 1, 3, 4, 6, 7):  # ordinary rows: the bits of a lone fit
+            alone = caps.fit_image_caps(imgs[i:i + 1], c_img[i:i + 1],
+                                        maps[i:i + 1], centers[i:i + 1],
+                                        thetas[i:i + 1])
+            assert np.array_equal(alone[0][0], nu[i])
+            assert alone[1][0] == theta[i]
+
+    def test_cap_image_is_a_one_row_fit(self):
+        cap = random_cap(RNG, theta_max=0.7)
+        g = random_mobius(np.random.default_rng(5), 2)
+        P = mobius.sphere_action_rows(g, np.vstack([cap.boundary_points(),
+                                                     cap.center]))
+        nu, theta, _ = caps.fit_image_caps(P[None, :-1], P[None, -1], [g],
+                                           cap.center[None],
+                                           np.array([cap.theta]))
+        img = cap_image(g, cap)
+        assert img.theta == theta[0]
+        assert np.allclose(img.center, nu[0], rtol=0, atol=1e-15)

@@ -158,24 +158,21 @@ class TestWordTree:
         from kleinlab import limitset, lipgraph
 
         G = reference_schottky()
-        defining = [id(c) for c in G.ball_caps]
         compositions, fits = [], []
-        compose, cap_image = mobius.compose, group.cap_image
+        compose, fit_image_caps = mobius.compose, group.fit_image_caps
 
         def counting_compose(g, h):
             compositions.append(1)
             return compose(g, h)
 
-        def counting_cap_image(g, cap):
-            if id(cap) in defining:  # nested caps, not seed-cap images
-                fits.append(1)
-            return cap_image(g, cap)
+        def counting_fit(imgs, c_img, maps, centers, thetas):
+            fits.extend([1] * len(maps))  # one per nested cap fitted
+            return fit_image_caps(imgs, c_img, maps, centers, thetas)
 
         for mod in (group, limitset, lipgraph):
-            for name, fn in (("compose", counting_compose),
-                             ("cap_image", counting_cap_image)):
-                if hasattr(mod, name):
-                    monkeypatch.setattr(mod, name, fn)
+            if hasattr(mod, "compose"):
+                monkeypatch.setattr(mod, "compose", counting_compose)
+        monkeypatch.setattr(group, "fit_image_caps", counting_fit)
         cloud = limitset.sample_limit_set(G, 6)
         group.critical_exponent(G, 6)
         mesh = lipgraph.region_mesh(lipgraph.schottky_region(G), cloud, 0.1,

@@ -48,6 +48,18 @@ class TestSampling:
                 assert cloud.resolution < prev_res
             prev_res = cloud.resolution
 
+    def test_schottky_points_are_single_row_images(self):
+        # the tree maps each parent's child stacks in one block; every sample
+        # keeps the bits of mapping its target-cap center alone
+        G = reference_schottky()
+        tree = G.word_tree
+        cloud = sample_limit_set(G, 6)
+        want = np.array([
+            mobius.sphere_action_rows(w.map, G.letter_target_cap(s).center[None])[0]
+            for w, s in tree.children(tree.level(5))
+        ])
+        assert cloud.points.tobytes() == want.tobytes()
+
     def test_resolution_floored_at_row_round_off(self):
         # caps of chordal radius 0.006 nest below 1e-15 by depth 4
         G = reference_schottky(theta=float(2.0 * np.arcsin(0.003)))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kleinlab import cli, limitset, lipgraph, mobius
-from kleinlab.caps import SphericalCap, cap_image
+from kleinlab.caps import SphericalCap
 from kleinlab.files import load_group_file
 from kleinlab.geom import embed_rows, uniform_sphere
 from kleinlab.group import make_cyclic
@@ -14,13 +14,11 @@ from kleinlab.limitset import sample_limit_set
 from kleinlab.lipgraph import (
     DomeFamily,
     HeightResult,
-    NotCovered,
     UncertifiedSample,
     annulus_region,
     base_caps,
     dome_entry_radius,
     graph_volume,
-    height,
     region_mesh,
     schottky_region,
     separation_check,
@@ -122,22 +120,30 @@ def brute_heights(U, centers, thetas):
 def brute_factored_heights(fam, U):
     """The seed caps as in brute_heights, then every image cap gamma(C) of
     every word and seed whose preimage gamma^-1 u lies in C, in (level, word,
-    seed) order, each taken on a strict decrease of the entry radius."""
+    seed) order, each taken on a strict decrease of the entry radius.
+
+    The image caps are the family's own fits (fam._image_caps, which fits a
+    cap not fitted before), so the reference checks which caps govern a
+    row, not the fit; TestFamily compares the fits of the two evaluators."""
     ref = brute_heights(U, fam._seed_centers, fam._seed_thetas)
     f = np.where(ref.covered, ref.f, np.inf)
     theta = ref.theta
     S = len(fam.seed_caps)
-    for d in range(1, fam.max_len + 1):
-        for word in fam.G.word_tree.level(d):
+    for li in range(fam.max_len):
+        for wi, word in enumerate(fam.G.word_tree.level(li + 1)):
             Y = mobius.sphere_action_rows(mobius.inverse(word.map), U)
             for r in range(U.shape[0]):
                 inside = (np.einsum("ij,ij->i", Y[np.full(S, r)],
                                     fam._seed_centers) >= fam._seed_cos)
-                for s in np.flatnonzero(inside):
-                    img = cap_image(word.map, fam.seed_caps[s])
-                    t = dome_entry_radius(img, U[r])
-                    if t is not None and t < f[r]:
-                        f[r], theta[r] = t, img.theta
+                seeds = np.flatnonzero(inside)
+                centers, thetas = fam._image_caps(li, np.full(seeds.size, wi),
+                                                  seeds)
+                d = (np.einsum("ij,ij->i", U[np.full(seeds.size, r)], centers)
+                     / np.cos(thetas))
+                for k in np.flatnonzero(d >= 1.0):
+                    t = d[k] - np.sqrt(d[k] * d[k] - 1.0)
+                    if t < f[r]:
+                        f[r], theta[r] = t, thetas[k]
     covered = np.isfinite(f)
     f[~covered] = np.nan
     return HeightResult(f=f, covered=covered, theta=theta)
@@ -386,11 +392,31 @@ class TestFamily:
         assert not fam2.shape_bound_ok
         assert fam2.max_shape_ratio() > 0.5 > fam2.min_shape_ratio()
 
-    def test_not_covered_raises(self):
-        G, cloud, region, fam = small_schottky_family()
-        # cloud points' directions are inside the defining caps, far from seeds
-        with pytest.raises(NotCovered):
-            height(fam, cloud.points[0])
+    def test_factored_and_materialized_fit_the_same_caps(self):
+        # every image cap the factored family fits for its queries and audit
+        # against the materialized family's cap of the same (word, seed);
+        # the two map their probes in blocks of different sizes, which may
+        # move the last bit of a mapped probe
+        G, cloud, region, fam_f = small_schottky_family(max_len=3, mode="factored")
+        _, _, _, fam_m = small_schottky_family(max_len=3)
+        assert fam_m.mode == "materialized"
+        S = len(fam_f.seed_caps)
+        rng = np.random.default_rng(21)
+        fam_f.heights(np.vstack([  # seed centers mapped by every word
+            mobius.sphere_action_rows(word.map,
+                                      fam_f._seed_centers[rng.choice(S, 4)])
+            for d in (1, 2, 3) for word in G.word_tree.level(d)]))
+        index = {w.letters: i for i, w in enumerate(fam_m.words)}
+        checked = 0
+        for lv in fam_f._levels:
+            w, s = np.divmod(lv.keys, S)
+            rows = np.array([index[lv.words[k].letters] for k in w]) * S + s
+            assert np.all(np.abs(lv.img_centers - fam_m._all_centers[rows])
+                          <= 1e-15)
+            thetas = fam_m._all_thetas[rows]
+            assert np.all(np.abs(lv.img_thetas - thetas) <= 1e-15 * thetas)
+            checked += rows.size
+        assert checked > 300
 
 
 def _tie_partner(u_axis, x1, theta1, theta2, other_axis):
