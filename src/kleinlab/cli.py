@@ -197,7 +197,6 @@ def cmd_graph(args, defn: GroupDefinition) -> tuple[dict, int]:
     if args.out:
         lipgraph_mod.export_graph_csv(fam, U, args.out)
     bilip = lipgraph_mod.bilipschitz_ratios(fam, U[:1600])
-    # read before the volume queries fit further image caps into the audit
     shape = {
         "min_ratio": fam.min_shape_ratio(),
         "max_ratio": fam.max_shape_ratio(),

@@ -7,15 +7,15 @@ sphere of Euclidean center c/cos(theta) and radius tan(theta), the unique
 sphere meeting S^n orthogonally along the cap boundary; the graph height f(x)
 is the smallest dome-entry radius along the ray through x.
 
-Families over schottky groups are evaluated through the group factorization:
-x lies in the image cap gamma(C) exactly when gamma^-1 x lies in the seed cap
-C, and gamma(C) is contained in the inflated nested cap of the word gamma, so
-candidate words come from a per-level spatial index of nested caps and only
-the touched image caps are ever fitted: word by word, all the seeds a height
-query or the build audit touches in one batched fit, each one shape-checked
-on its mapped probes. Small families are materialized outright. Both modes
-fit image caps through caps.cap_images_batch on the same 8-point probe
-stacks, so a cap has the same fit in either mode.
+One evaluator serves every family. The seed caps, and for groups without
+nested caps (cyclic, custom) every image cap, are fitted at build into one
+spatial index. Schottky families are evaluated through the group
+factorization: x lies in the image cap gamma(C) exactly when gamma^-1 x lies
+in the seed cap C, and gamma(C) is contained in the inflated nested cap of
+the word gamma, so candidate words come from a per-level spatial index of
+nested caps and only the touched image caps are ever fitted, word by word in
+one caps.cap_images_batch call on the seeds' 8-point probe stacks. Every
+cap a row meets, from either source, enters one minimum.
 """
 
 from __future__ import annotations
@@ -62,14 +62,6 @@ class FundamentalRegion:
 
     kind: str
     contains: Callable[[np.ndarray], np.ndarray]
-
-    def restrict(self, extra: Callable[[np.ndarray], np.ndarray],
-                 kind: str | None = None) -> "FundamentalRegion":
-        base = self.contains
-        return FundamentalRegion(
-            kind=kind or f"{self.kind}+cut",
-            contains=lambda U: base(U) & extra(U),
-        )
 
 
 def schottky_region(G: GroupPresentation) -> FundamentalRegion:
@@ -285,14 +277,21 @@ def dome_entry_radius(cap: SphericalCap, x) -> float | None:
 # dome families
 # ---------------------------------------------------------------------------
 
+# A test u . c >= cos(theta) (or d >= 1) on unit rows can pass by rounding
+# alone for rows within this chord of c, whatever theta: 1 - u . c = q^2 / 2
+# drops below the few ulps of the dot product at q ~ 3e-8.
+_ROUNDING_CHORD = 1e-7
+
+
 class _CapIndex:
     """Candidate (row, ball) pairs for balls of mixed angular radii on S^n.
 
     Balls are grouped by the octave floor(log2 theta) of their radius, and
     each octave has its own kd-tree queried at its own largest chord, so a
     row meets only balls within a factor two of their reach. Every pair
-    whose chord is within the ball's radius (with a 1e-7 relative slack) is
-    returned; callers confirm each pair with their own test.
+    whose chord is within the ball's radius (with a 1e-7 relative slack,
+    and at least _ROUNDING_CHORD) is returned; callers confirm each pair
+    with their own test.
     """
 
     def __init__(self, centers: np.ndarray, thetas: np.ndarray):
@@ -300,12 +299,12 @@ class _CapIndex:
         self._buckets = []
         for e in np.unique(octave):
             idx = np.flatnonzero(octave == e)
-            chord = float(chord_from_angle(thetas[idx].max()) * 1.0000001)
+            chord = max(float(chord_from_angle(thetas[idx].max()) * 1.0000001),
+                        _ROUNDING_CHORD)
             self._buckets.append((cKDTree(centers[idx]), chord, idx))
 
-    def pairs(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(row of U, ball) index arrays, in no particular order."""
-        rows = cKDTree(U)
+    def pairs(self, rows: cKDTree) -> tuple[np.ndarray, np.ndarray]:
+        """(row of the tree, ball) index arrays, in no particular order."""
         qi, bi = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
         for tree, chord, idx in self._buckets:
             m = rows.sparse_distance_matrix(tree, chord, output_type="ndarray")
@@ -328,6 +327,7 @@ class _WordLevel:
     centers: np.ndarray
     support_cos: np.ndarray  # cos of inflated support angles
     index: _CapIndex
+    offset: int  # family key of the level's first cap
     # fitted image caps, sorted by key word index * seed count + seed index
     keys: np.ndarray
     img_centers: np.ndarray
@@ -337,64 +337,71 @@ class _WordLevel:
 class DomeFamily:
     """Truncated invariant ball family with a height evaluator.
 
-    mode "materialized" stores every image cap; mode "factored" (schottky)
-    stores seed caps plus per-word nested support caps, and fits image caps
-    when a query first touches them, per word in one batched call, keeping
-    them per level. Both modes measure the family shape bound (diameter over
-    distance-to-limit-set within (0, 1/2]) on every cap they fit; the
-    factored mode additionally audits a random sample of the full product at
-    build time. Under shape_policy "record" (default) upper bound violations
-    are counted and flagged, matching pipelines that pin eps0 above the
-    strict Prop-1.1 regime of the group; "strict" aborts on the first
-    measurable violation. Caps reaching a hemisphere always abort.
+    The cap gamma(C) of a word gamma and seed cap C has the family key
+    (index of gamma in self.words) * seed count + (index of C), so keys run
+    in (level, word, seed) order with the seed caps first. Caps come from
+    two sources:
 
-    Every height query draws its candidates from a _CapIndex: the
-    materialized caps, the seed caps (also for the factored pass's mapped
-    rows) and each level's nested supports. Each candidate is confirmed by
-    its caller's own test, and candidate_pairs / hit_pairs count both. A row
-    takes the smallest entry radius; ties go to the lowest cap index, and in
-    the factored pass to the first cap in (level, word, seed) order, a later
-    level taking a row only on a strict decrease.
+    - fitted at build: the seed caps, and for a group without nested caps
+      (cyclic, custom) every image cap, in one _CapIndex; a row meets such
+      a cap when d = (u . c) / cos(theta) >= 1;
+    - fitted lazily: the image caps of a schottky group, level by level.
+      A row meets gamma(C) when it lies in the inflated nested support of
+      gamma, its preimage gamma^-1 u lies in C, and d >= 1 on the fitted
+      image cap. Caps are fitted when a query or the build audit first
+      touches them, per word in one batched call, and kept per level.
+
+    A row takes the smallest entry radius t = d - sqrt(d^2 - 1) over every
+    cap it meets from both sources, in one _row_minima call; ties go to the
+    lowest key. candidate_pairs / hit_pairs count the index candidates and
+    the confirmed ones.
+
+    The family shape bound (diameter over distance-to-limit-set within
+    (0, 1/2]) is measured on every cap fitted at build: the seeds, the
+    build-fitted image caps, and for schottky groups a random audit sample
+    of the image caps. Violations are counted, not raised, so the shape
+    block of a family does not depend on which queries ran. Any fitted cap
+    that reaches a hemisphere raises ShrinkEpsilon.
     """
 
     def __init__(self, G: GroupPresentation, cloud: LimitSetCloud,
                  seed_caps: list[SphericalCap], max_len: int,
-                 mode: str = "auto", audit: int = 1500, rng=None,
-                 shape_policy: str = "record"):
-        if shape_policy not in ("record", "strict"):
-            raise ValueError("shape_policy must be 'record' or 'strict'")
+                 audit: int = 1500, rng=None):
         self.G = G
         self.cloud = cloud
         self.seed_caps = list(seed_caps)
         self.max_len = max_len
-        self.shape_policy = shape_policy
         self.shape_ratios: list[float] = []
         self.shape_unresolved = 0
         self.shape_violations = 0
         self.candidate_pairs = 0
         self.hit_pairs = 0
-        self._seed_centers = np.array([c.center for c in self.seed_caps])
-        self._seed_thetas = np.array([c.theta for c in self.seed_caps])
-        self._seed_cos = np.cos(self._seed_thetas)
-        self._seed_index = _CapIndex(self._seed_centers, self._seed_thetas)
-        if mode == "auto":
+        nested = G.tag == TAG_SCHOTTKY
+        if not nested:
             count = len(self.seed_caps) * _word_count_estimate(G, max_len)
-            mode = (
-                "factored"
-                if G.tag == TAG_SCHOTTKY and count > MATERIALIZE_BUDGET
-                else "materialized"
-            )
-            if mode == "materialized" and count > MATERIALIZE_BUDGET:
+            if count > MATERIALIZE_BUDGET:
                 raise ShrinkEpsilon(
                     f"family of ~{count} caps exceeds the materialization "
                     "budget and the group is not schottky-factorable"
                 )
-        self.mode = mode
+        self._seed_centers = np.array([c.center for c in self.seed_caps])
+        self._seed_thetas = np.array([c.theta for c in self.seed_caps])
         for cap in self.seed_caps:
             self._verify_shape(cap)
-        if mode == "materialized":
-            self._materialize()
-        else:
+        self.words = enumerate_elements(G, max_len)
+        centers, thetas = [self._seed_centers], [self._seed_thetas]
+        if not nested:
+            for w in self.words:
+                if len(w):
+                    nu, th = self._fit_images(w.map, slice(None), record=True)
+                    centers.append(nu)
+                    thetas.append(th)
+        self._centers = np.concatenate(centers)
+        self._thetas = np.concatenate(thetas)
+        self._cos = np.cos(self._thetas)
+        self._index = _CapIndex(self._centers, self._thetas)
+        self._levels: list[_WordLevel] = []
+        if nested:
             self._build_levels()
             self._audit_shape(audit, rng or np.random.default_rng(0))
 
@@ -407,25 +414,10 @@ class DomeFamily:
             )
         return self._seed_boundary
 
-    def _materialize(self):
-        words = enumerate_elements(self.G, self.max_len)
-        self.words = words
-        centers = [self._seed_centers]
-        thetas = [self._seed_thetas]
-        for w in words:
-            if len(w) == 0:
-                continue
-            nu, th = self._fit_images(w.map, slice(None))
-            centers.append(nu)
-            thetas.append(th)
-        self._all_centers = np.concatenate(centers)
-        self._all_thetas = np.concatenate(thetas)
-        self._all_cos = np.cos(self._all_thetas)
-        self._all_index = _CapIndex(self._all_centers, self._all_thetas)
-
-    def _fit_images(self, g: MobiusMap, seeds) -> tuple[np.ndarray, np.ndarray]:
+    def _fit_images(self, g: MobiusMap, seeds, record: bool
+                    ) -> tuple[np.ndarray, np.ndarray]:
         """(centers, thetas) of the images under g of the seed caps indexed
-        by seeds, from their 8-point probe stacks, shape-checked."""
+        by seeds, from their 8-point probe stacks; shape-checked if record."""
         nu, th, valid, probes = cap_images_batch(
             g, self._seed_probe_stack()[seeds], self._seed_centers[seeds],
             self._seed_thetas[seeds]
@@ -434,7 +426,8 @@ class DomeFamily:
             raise ShrinkEpsilon(
                 "a propagated cap reached a hemisphere; choose a smaller eps0"
             )
-        self._shape_check_batch(probes)
+        if record:
+            self._shape_check_batch(probes)
         return nu, th
 
     def _shape_check_batch(self, probes: np.ndarray):
@@ -454,41 +447,35 @@ class DomeFamily:
         meas = ~unresolved
         if np.any(meas):
             ratio = diam[meas] / (near_min[meas] - res)
-            bad = ratio > SHAPE_RATIO_MAX
-            if np.any(bad):
-                if self.shape_policy == "strict":
-                    raise ShrinkEpsilon(
-                        f"image cap shape ratio {ratio.max():.3f} exceeds 1/2; "
-                        "choose a smaller eps0"
-                    )
-                self.shape_violations += int(bad.sum())
+            self.shape_violations += int((ratio > SHAPE_RATIO_MAX).sum())
             self.shape_ratios.extend(ratio.tolist())
 
     def _build_levels(self):
         """Per-level words and inflated nested supports from G.word_tree."""
         tree = self.G.word_tree
-        self.words = enumerate_elements(self.G, self.max_len)
         m = self.G.n + 1
-        levels: list[_WordLevel] = []
+        offset = len(self.seed_caps)  # the identity's caps are the seeds
         for d in range(1, self.max_len + 1):
             words = tree.level(d)
             centers, thetas, _ = tree.nested_caps(d)
+            # every row that the tests of an image cap can accept
             support_angles = np.minimum(
-                thetas * SUPPORT_INFLATION + 1e-12, np.pi / 2 - 1e-9
+                thetas * SUPPORT_INFLATION + _ROUNDING_CHORD, np.pi / 2 - 1e-9
             )
-            levels.append(
+            self._levels.append(
                 _WordLevel(
                     words=words,
                     inv_maps=[inverse(w.map) for w in words],
                     centers=centers,
                     support_cos=np.cos(support_angles),
                     index=_CapIndex(centers, support_angles),
+                    offset=offset,
                     keys=np.empty(0, dtype=np.int64),
                     img_centers=np.empty((0, m)),
                     img_thetas=np.empty(0),
                 )
             )
-        self._levels = levels
+            offset += len(words) * len(self.seed_caps)
 
     def _audit_shape(self, count: int, rng: np.random.Generator):
         total_words = sum(len(lv.words) for lv in self._levels)
@@ -500,14 +487,14 @@ class DomeFamily:
             wi = int(rng.integers(0, len(self._levels[li].words)))
             si = int(rng.integers(0, len(self.seed_caps)))
             drawn[li].append((wi, si))
-        for li, pairs in enumerate(drawn):
+        for lv, pairs in zip(self._levels, drawn):
             if pairs:
                 w, s = np.array(pairs).T
-                self._image_caps(li, w, s)
+                self._image_caps(lv, w, s, record=True)
 
     # -- cap bookkeeping ----------------------------------------------------
 
-    def _verify_shape(self, cap: SphericalCap) -> SphericalCap:
+    def _verify_shape(self, cap: SphericalCap):
         diam = cap.chordal_diameter
         # angle to the nearest sample through the chord, stable at small gaps
         chord = float(np.linalg.norm(cap.center - _nearest_unit(self.cloud, cap.center)))
@@ -518,28 +505,23 @@ class DomeFamily:
             raise ShrinkEpsilon("cap touches the limit-set resolution band")
         ratio = diam / dist_lo
         if ratio > SHAPE_RATIO_MAX:
-            if self.shape_policy == "strict":
-                raise ShrinkEpsilon(
-                    f"cap shape ratio {ratio:.3f} exceeds 1/2; choose a smaller eps0"
-                )
             self.shape_violations += 1
         self.shape_ratios.append(ratio)
-        return cap
 
-    def _image_caps(self, li: int, w: np.ndarray, s: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        """(centers, thetas) of the image caps of words w under seeds s, level li.
+    def _image_caps(self, lv: _WordLevel, w: np.ndarray, s: np.ndarray,
+                    record: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """(centers, thetas) of the image caps of words w under seeds s.
 
         Caps not fitted before are fitted word by word, all of a word's new
         seeds in one _fit_images call, and kept for later queries.
         """
-        lv = self._levels[li]
         S = len(self.seed_caps)
         key = w * S + s
         new = np.setdiff1d(key, lv.keys)
         if new.size:
             cuts = np.flatnonzero(np.diff(new // S)) + 1
-            fits = [self._fit_images(lv.words[int(ks[0]) // S].map, ks % S)
+            fits = [self._fit_images(lv.words[int(ks[0]) // S].map, ks % S,
+                                     record)
                     for ks in np.split(new, cuts)]
             order = np.argsort(np.concatenate([lv.keys, new]))
             lv.keys = np.concatenate([lv.keys, new])[order]
@@ -569,73 +551,53 @@ class DomeFamily:
 
     def heights(self, U: np.ndarray) -> HeightResult:
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        if self.mode == "materialized":
-            f, theta = self._min_over_index(
-                U, self._all_index, self._all_centers, self._all_cos,
-                self._all_thetas,
-            )
-        else:
-            f, theta = self._min_over_index(
-                U, self._seed_index, self._seed_centers, self._seed_cos,
-                self._seed_thetas,
-            )
-            self._factored_pass(U, f, theta)
+        N = U.shape[0]
+        tree = cKDTree(U)
+        i, k = self._index.pairs(tree)
+        d = np.einsum("ij,ij->i", U[i], self._centers[k]) / self._cos[k]
+        hit = d >= 1.0
+        self.candidate_pairs += i.size
+        self.hit_pairs += int(hit.sum())
+        hits = [(i[hit], d[hit], k[hit], self._thetas[k[hit]])]
+        hits += [self._level_hits(lv, U, tree) for lv in self._levels]
+        rows, d, key, thetas = (np.concatenate(a) for a in zip(*hits))
+        f, first = _row_minima(N, rows, d - np.sqrt(d * d - 1.0), key)
+        win = np.flatnonzero(key == first[rows])
+        theta = np.zeros(N)
+        theta[rows[win]] = thetas[win]
         covered = np.isfinite(f)
         f[~covered] = np.nan
         return HeightResult(f=f, covered=covered, theta=theta)
 
-    def _min_over_index(self, U, index, centers, cosines, thetas):
-        """(f, theta) over the caps of one index; inf and 0 where none is met."""
-        N = U.shape[0]
-        pi, pj = index.pairs(U)
-        d = np.einsum("ij,ij->i", U[pi], centers[pj]) / cosines[pj]
-        hit = d >= 1.0
-        self.candidate_pairs += pi.size
-        self.hit_pairs += int(hit.sum())
-        pi, pj, d = pi[hit], pj[hit], d[hit]
-        f, cap = _row_minima(N, pi, d - np.sqrt(d * d - 1.0), pj)
-        theta = np.zeros(N)
-        rows = np.flatnonzero(np.isfinite(f))
-        theta[rows] = thetas[cap[rows]]
-        return f, theta
-
-    def _confirmed(self, index, U, centers, cosines):
+    def _confirmed(self, index, tree, U, centers, cosines):
         """(row, ball) pairs of the index whose row lies in the ball."""
-        r, b = index.pairs(U)
+        r, b = index.pairs(tree)
         hit = np.einsum("ij,ij->i", U[r], centers[b]) >= cosines[b]
         self.candidate_pairs += r.size
         self.hit_pairs += int(hit.sum())
         return r[hit], b[hit]
 
-    def _factored_pass(self, U, f, theta):
-        S = len(self.seed_caps)
-        for li, lv in enumerate(self._levels):
-            # (sample, word) pairs with the sample inside the word's inflated
-            # nested support cap, grouped by word, samples ascending
-            i, w = self._confirmed(lv.index, U, lv.centers, lv.support_cos)
-            if i.size == 0:
-                continue
-            order = np.lexsort((i, w))
-            i, w = i[order], w[order]
-            cuts = np.flatnonzero(np.diff(w)) + 1
-            Y = np.concatenate([
-                sphere_action_rows(lv.inv_maps[ws[0]], U[rs])
-                for rs, ws in zip(np.split(i, cuts), np.split(w, cuts))
-            ])
-            k, s = self._confirmed(self._seed_index, Y, self._seed_centers,
-                                   self._seed_cos)
-            rows, w = i[k], w[k]
-            centers, thetas = self._image_caps(li, w, s)
-            d = np.einsum("ij,ij->i", U[rows], centers) / np.cos(thetas)
-            hit = d >= 1.0
-            rows, key, thetas, d = rows[hit], (w * S + s)[hit], thetas[hit], d[hit]
-            t = d - np.sqrt(d * d - 1.0)
-            # a row takes the level's first cap in (word, seed) order at its
-            # smallest t, on a strict decrease of f
-            _, first = _row_minima(U.shape[0], rows, t, key)
-            win = np.flatnonzero((key == first[rows]) & (t < f[rows]))
-            f[rows[win]] = t[win]
-            theta[rows[win]] = thetas[win]
+    def _level_hits(self, lv: _WordLevel, U: np.ndarray, tree: cKDTree):
+        """(row, d, key, theta) of the rows of U meeting a cap of level lv."""
+        # (row, word) pairs with the row inside the word's inflated nested
+        # support cap, grouped by word, rows ascending
+        i, w = self._confirmed(lv.index, tree, U, lv.centers, lv.support_cos)
+        order = np.lexsort((i, w))
+        i, w = i[order], w[order]
+        cuts = np.flatnonzero(np.diff(w)) + 1
+        Y = np.concatenate([np.empty((0, U.shape[1]))] + [
+            sphere_action_rows(lv.inv_maps[ws[0]], U[rs])
+            for rs, ws in zip(np.split(i, cuts), np.split(w, cuts)) if rs.size
+        ])
+        # for a group with nested caps the build-fitted caps are the seeds
+        j, s = self._confirmed(self._index, cKDTree(Y), Y, self._centers,
+                               self._cos)
+        i, w = i[j], w[j]
+        centers, thetas = self._image_caps(lv, w, s)
+        d = np.einsum("ij,ij->i", U[i], centers) / np.cos(thetas)
+        hit = d >= 1.0
+        key = lv.offset + w * len(self.seed_caps) + s
+        return i[hit], d[hit], key[hit], thetas[hit]
 
 
 def _row_minima(N: int, rows: np.ndarray, t: np.ndarray, key: np.ndarray

@@ -180,8 +180,7 @@ class TestWordTree:
                                     stop_after_rejects=200)
         caps = lipgraph.base_caps(mesh, 0.1, cloud)
         for depth in (5, 6):
-            fam = lipgraph.DomeFamily(G, cloud, caps, depth, mode="factored",
-                                      audit=20)
+            fam = lipgraph.DomeFamily(G, cloud, caps, depth, audit=20)
             assert fam.cap_count_bound == len(caps) * (1 + 2 * (3**depth - 1))
         # 4 + 12 + ... + 972 = 1456 words of length 1 to 6
         assert 0 < len(compositions) <= 1456

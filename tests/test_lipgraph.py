@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kleinlab import cli, limitset, lipgraph, mobius
-from kleinlab.caps import SphericalCap
+from kleinlab.caps import SphericalCap, cap_images_batch
 from kleinlab.files import load_group_file
 from kleinlab.geom import embed_rows, uniform_sphere
 from kleinlab.group import make_cyclic
@@ -34,8 +34,8 @@ _SCHOTTKY_CACHE: dict = {}
 _CYCLIC_CACHE: dict = {}
 
 
-def small_schottky_family(max_len=2, eps0=0.1, max_points=400, mode="auto"):
-    key = (max_len, eps0, max_points, mode)
+def small_schottky_family(max_len=2, eps0=0.1, max_points=400):
+    key = (max_len, eps0, max_points)
     if key not in _SCHOTTKY_CACHE:
         G = reference_schottky()
         cloud = sample_limit_set(G, 5)
@@ -44,8 +44,7 @@ def small_schottky_family(max_len=2, eps0=0.1, max_points=400, mode="auto"):
         mesh = region_mesh(region, cloud, eps0, rng, max_points=max_points,
                            stop_after_rejects=800)
         caps = base_caps(mesh, eps0, cloud)
-        fam = DomeFamily(G, cloud, caps, max_len=max_len, mode=mode,
-                         audit=100)
+        fam = DomeFamily(G, cloud, caps, max_len=max_len, audit=100)
         _SCHOTTKY_CACHE[key] = (G, cloud, region, fam)
     return _SCHOTTKY_CACHE[key]
 
@@ -117,36 +116,58 @@ def brute_heights(U, centers, thetas):
     return HeightResult(f=f, covered=np.isfinite(f), theta=theta)
 
 
+def seed_arrays(fam):
+    """(centers, thetas, 8-point probe stacks) of the family's seed caps."""
+    return (np.array([c.center for c in fam.seed_caps]),
+            np.array([c.theta for c in fam.seed_caps]),
+            np.stack([c.boundary_points(count=8) for c in fam.seed_caps]))
+
+
 def brute_factored_heights(fam, U):
     """The seed caps as in brute_heights, then every image cap gamma(C) of
     every word and seed whose preimage gamma^-1 u lies in C, in (level, word,
     seed) order, each taken on a strict decrease of the entry radius.
 
-    The image caps are the family's own fits (fam._image_caps, which fits a
-    cap not fitted before), so the reference checks which caps govern a
-    row, not the fit; TestFamily compares the fits of the two evaluators."""
-    ref = brute_heights(U, fam._seed_centers, fam._seed_thetas)
+    The membership and entry radius use the evaluator's formulas on every
+    (row, seed). Each word's image caps are fitted here, in one
+    cap_images_batch call on the 8-point probe stacks of the seeds some
+    preimage lies in."""
+    centers, thetas, probes = seed_arrays(fam)
+    ref = brute_heights(U, centers, thetas)
     f = np.where(ref.covered, ref.f, np.inf)
     theta = ref.theta
-    S = len(fam.seed_caps)
-    for li in range(fam.max_len):
-        for wi, word in enumerate(fam.G.word_tree.level(li + 1)):
+    S, R = len(fam.seed_caps), U.shape[0]
+    r, s = np.divmod(np.arange(R * S), S)  # every (row, seed), rows ascending
+    for depth in range(1, fam.max_len + 1):
+        for word in fam.G.word_tree.level(depth):
             Y = mobius.sphere_action_rows(mobius.inverse(word.map), U)
-            for r in range(U.shape[0]):
-                inside = (np.einsum("ij,ij->i", Y[np.full(S, r)],
-                                    fam._seed_centers) >= fam._seed_cos)
-                seeds = np.flatnonzero(inside)
-                centers, thetas = fam._image_caps(li, np.full(seeds.size, wi),
-                                                  seeds)
-                d = (np.einsum("ij,ij->i", U[np.full(seeds.size, r)], centers)
-                     / np.cos(thetas))
-                for k in np.flatnonzero(d >= 1.0):
-                    t = d[k] - np.sqrt(d[k] * d[k] - 1.0)
-                    if t < f[r]:
-                        f[r], theta[r] = t, thetas[k]
+            inside = np.einsum("ij,ij->i", Y[r], centers[s]) >= np.cos(thetas[s])
+            need = np.unique(s[inside])
+            img_c, img_th = np.zeros((S, U.shape[1])), np.zeros(S)
+            img_c[need], img_th[need], _, _ = cap_images_batch(
+                word.map, probes[need], centers[need], thetas[need])
+            d = np.einsum("ij,ij->i", U[r], img_c[s]) / np.cos(img_th[s])
+            hit = inside & (d >= 1.0)
+            t = np.full(R * S, np.inf)
+            t[hit] = d[hit] - np.sqrt(d[hit] * d[hit] - 1.0)
+            k = np.argmin(t.reshape(R, S), axis=1)  # lowest seed on a tie
+            tk = t.reshape(R, S)[np.arange(R), k]
+            take = tk < f
+            f[take], theta[take] = tk[take], img_th[k[take]]
     covered = np.isfinite(f)
     f[~covered] = np.nan
     return HeightResult(f=f, covered=covered, theta=theta)
+
+
+def mapped_seed_centers(fam, per_word, rng):
+    """Centers of per_word random seed caps mapped by every word of every
+    level: rows at the center of an image cap of each word."""
+    centers = seed_arrays(fam)[0]
+    return np.vstack([
+        mobius.sphere_action_rows(word.map,
+                                  centers[rng.choice(len(centers), per_word)])
+        for d in range(1, fam.max_len + 1)
+        for word in fam.G.word_tree.level(d)])
 
 
 def assert_same_heights(res, ref):
@@ -302,11 +323,11 @@ class TestBaseCaps:
 class TestFamily:
     def test_identity_only_keeps_seeds(self):
         G, cloud, region, fam = small_schottky_family(max_len=0)
-        assert fam.mode == "materialized"
-        assert fam._all_centers.shape[0] == len(fam.seed_caps)
-        for a, b in zip(fam._all_centers, fam.seed_caps):
+        assert not fam._levels
+        assert fam._centers.shape[0] == len(fam.seed_caps)
+        for a, b in zip(fam._centers, fam.seed_caps):
             assert np.allclose(a, b.center)
-        assert np.allclose(fam._all_thetas,
+        assert np.allclose(fam._thetas,
                            [c.theta for c in fam.seed_caps])
 
     def test_cyclic_image_radii_shrink_toward_fixed_points(self):
@@ -314,23 +335,19 @@ class TestFamily:
         cloud = sample_limit_set(G, 2)
         seed = base_caps(np.array([[1.0, 0.0, 0.0]]), 0.1, cloud)
         fam = DomeFamily(G, cloud, seed, max_len=3)
-        assert fam._all_centers.shape[0] == 7
-        thetas = fam._all_thetas
+        assert fam._centers.shape[0] == 7
+        thetas = fam._thetas
         # word order: identity, gamma, gamma^-1, gamma^2, gamma^-2, ...
         assert np.all(thetas[1:3] < thetas[0])
         assert np.all(thetas[3:5] < thetas[1:3].max())
         assert np.all(thetas[5:7] < thetas[3:5].max())
 
-    def test_factored_matches_materialized(self):
-        G, cloud, region, fam_f = small_schottky_family(max_len=2, mode="factored")
-        _, _, _, fam_m = small_schottky_family(max_len=2, mode="materialized")
-        rng = np.random.default_rng(17)
-        U = uniform_sphere(rng, 2, 800)
-        rf = fam_f.heights(U)
-        rm = fam_m.heights(U)
-        assert (rf.covered == rm.covered).all()
-        mask = rf.covered
-        assert np.allclose(rf.f[mask], rm.f[mask], atol=1e-11)
+    def test_uniform_rows_match_brute_force(self):
+        G, cloud, region, fam = small_schottky_family(max_len=2)
+        U = uniform_sphere(np.random.default_rng(17), 2, 800)
+        ref = brute_factored_heights(fam, U)
+        assert ref.covered.sum() > 50
+        assert_same_heights(fam.heights(U), ref)
 
     def test_monotone_under_family_growth(self):
         G, cloud, region, fam2 = small_schottky_family(max_len=2)
@@ -351,24 +368,30 @@ class TestFamily:
 
     def test_materialized_family_with_singular_image_fits(self):
         # reference caps, eps0 0.25, mesh seed 7: depth-4 image caps spread
-        # down to 8.6e-13 and their batched normal equations go singular
+        # down to 8.6e-13 and their batched normal equations go singular;
+        # every one of the 1102 x 160 image caps is fitted
         G, cloud, caps = quarter_schottky_caps()
-        fam = DomeFamily(G, cloud, caps, max_len=4,
-                         mode="materialized")
-        assert len(caps) == 1102
-        assert fam._all_thetas.shape == (1102 * 161,)
-        assert np.all((fam._all_thetas > 0) & (fam._all_thetas < np.pi / 2))
-        assert np.allclose(np.linalg.norm(fam._all_centers, axis=1), 1.0)
+        fam = DomeFamily(G, cloud, caps, max_len=4, audit=0)
+        S = len(caps)
+        assert S == 1102
+        for lv in fam._levels:
+            w, s = np.divmod(np.arange(len(lv.words) * S), S)
+            fam._image_caps(lv, w, s)
+        thetas = np.concatenate([lv.img_thetas for lv in fam._levels])
+        centers = np.concatenate([lv.img_centers for lv in fam._levels])
+        assert thetas.shape == (1102 * 160,)
+        assert np.all((thetas > 0) & (thetas < np.pi / 2))
+        assert np.allclose(np.linalg.norm(centers, axis=1), 1.0)
 
     def test_cyclic_materialized_family_has_five_caps_per_seed(self):
         G = make_cyclic(mobius.affine(2, r=2.0))
         cloud = sample_limit_set(G, 2)
         seeds = base_caps(np.array([[1.0, 0.0, 0.0]]), 0.1, cloud)
         fam = DomeFamily(G, cloud, seeds, 2)
-        assert fam.mode == "materialized"
-        assert fam._all_centers.shape[0] == 5  # identity + gamma^{+-1, +-2}
+        assert not fam._levels  # every cap is fitted at build
+        assert fam._centers.shape[0] == 5  # identity + gamma^{+-1, +-2}
 
-    def test_strict_shape_policy(self):
+    def test_shape_bound_recorded(self):
         G = reference_schottky()
         cloud = sample_limit_set(G, 5)
         region = schottky_region(G)
@@ -377,46 +400,46 @@ class TestFamily:
                            stop_after_rejects=300)
         caps = base_caps(mesh, 0.02, cloud)
         # tiny eps0 stays inside the strict Prop-1.1 regime
-        fam = DomeFamily(G, cloud, caps, max_len=2,
-                         shape_policy="strict")
+        fam = DomeFamily(G, cloud, caps, max_len=2)
         assert fam.shape_bound_ok
-        # the pinned eps0 = 0.1 exceeds it for this group: strict aborts,
-        # the default records
+        # the pinned eps0 = 0.1 exceeds it for this group: the violations
+        # are recorded
         mesh2 = region_mesh(region, cloud, 0.1, rng, max_points=400,
                             stop_after_rejects=400)
         caps2 = base_caps(mesh2, 0.1, cloud)
-        with pytest.raises(lipgraph.ShrinkEpsilon):
-            DomeFamily(G, cloud, caps2, max_len=3,
-                       shape_policy="strict")
         fam2 = DomeFamily(G, cloud, caps2, max_len=3)
         assert not fam2.shape_bound_ok
         assert fam2.max_shape_ratio() > 0.5 > fam2.min_shape_ratio()
 
-    def test_factored_and_materialized_fit_the_same_caps(self):
-        # every image cap the factored family fits for its queries and audit
-        # against the materialized family's cap of the same (word, seed);
-        # the two map their probes in blocks of different sizes, which may
-        # move the last bit of a mapped probe
-        G, cloud, region, fam_f = small_schottky_family(max_len=3, mode="factored")
-        _, _, _, fam_m = small_schottky_family(max_len=3)
-        assert fam_m.mode == "materialized"
-        S = len(fam_f.seed_caps)
-        rng = np.random.default_rng(21)
-        fam_f.heights(np.vstack([  # seed centers mapped by every word
-            mobius.sphere_action_rows(word.map,
-                                      fam_f._seed_centers[rng.choice(S, 4)])
-            for d in (1, 2, 3) for word in G.word_tree.level(d)]))
-        index = {w.letters: i for i, w in enumerate(fam_m.words)}
+    def test_lazy_caps_match_direct_fits(self):
+        # every image cap the family fits for its audit and a query, bit for
+        # bit against a one-row cap_images_batch fit of the same (word, seed)
+        G, cloud, region, fam = small_schottky_family(max_len=3)
+        fam.heights(mapped_seed_centers(fam, 4, np.random.default_rng(21)))
+        centers, thetas, probes = seed_arrays(fam)
+        S = len(fam.seed_caps)
         checked = 0
-        for lv in fam_f._levels:
-            w, s = np.divmod(lv.keys, S)
-            rows = np.array([index[lv.words[k].letters] for k in w]) * S + s
-            assert np.all(np.abs(lv.img_centers - fam_m._all_centers[rows])
-                          <= 1e-15)
-            thetas = fam_m._all_thetas[rows]
-            assert np.all(np.abs(lv.img_thetas - thetas) <= 1e-15 * thetas)
-            checked += rows.size
+        for lv in fam._levels:
+            for key, c, th in zip(lv.keys, lv.img_centers, lv.img_thetas):
+                w, s = divmod(int(key), S)
+                nu, t, _, _ = cap_images_batch(lv.words[w].map, probes[[s]],
+                                               centers[[s]], thetas[[s]])
+                assert nu[0].tobytes() == c.tobytes() and t[0] == th
+                checked += 1
         assert checked > 300
+
+    def test_shape_block_is_fixed_at_build(self):
+        # caps fitted for height queries refuse a hemisphere but add no
+        # shape counts, so the block reads the same before and after them
+        G, cloud, caps = quarter_schottky_caps()
+        fam = DomeFamily(G, cloud, caps, max_len=6, audit=500)
+        before = (list(fam.shape_ratios), fam.shape_violations,
+                  fam.shape_unresolved)
+        fitted = sum(lv.keys.size for lv in fam._levels)
+        graph_volume(fam, schottky_region(G), 10_000, seed=7)
+        assert sum(lv.keys.size for lv in fam._levels) > fitted
+        assert (fam.shape_ratios, fam.shape_violations,
+                fam.shape_unresolved) == before
 
 
 def _tie_partner(u_axis, x1, theta1, theta2, other_axis):
@@ -473,15 +496,15 @@ class TestHeightIndex:
     @pytest.mark.parametrize("name", ["cyclic_loxodromic", "cyclic_parabolic"])
     def test_materialized_file_families_match_brute_force(self, name):
         G, cloud, region, fam = file_family(name)
-        assert fam.mode == "materialized"
+        assert not fam._levels  # every cap is fitted at build
         U = uniform_sphere(np.random.default_rng(3), 2, 3000)
         U = np.vstack([U[region.contains(U)][:1500], U[:300]])
-        ref = brute_heights(U, fam._all_centers, fam._all_thetas)
+        ref = brute_heights(U, fam._centers, fam._thetas)
         assert ref.covered.sum() > 1000
         assert_same_heights(fam.heights(U), ref)
 
     def test_factored_family_matches_brute_force(self):
-        G, cloud, region, fam = small_schottky_family(max_len=3, mode="factored")
+        G, cloud, region, fam = small_schottky_family(max_len=3)
         rng = np.random.default_rng(9)
         rows = [uniform_sphere(rng, 2, 300)]
         for d in (1, 2, 3):  # on and inside image caps of every level
@@ -495,10 +518,21 @@ class TestHeightIndex:
         assert np.sum(ref.covered & ~np.isin(ref.theta, fam._seed_thetas)) > 20
         assert_same_heights(fam.heights(U), ref)
 
+    def test_tiny_image_caps_need_the_seed_preimage(self):
+        # quarter caps at depth 4: level-4 image caps have theta ~ 1e-9, so
+        # (u . c) / cos(theta) rounds to 1 for rows up to ~1e-8 from a cap
+        # center, far outside the cap. A row meets such a cap only when its
+        # preimage lies in the seed cap, as brute_factored_heights tests.
+        G, cloud, caps = quarter_schottky_caps()
+        fam = DomeFamily(G, cloud, caps, max_len=4, audit=0)
+        U = mapped_seed_centers(fam, 2, np.random.default_rng(23))
+        ref = brute_factored_heights(fam, U)
+        assert_same_heights(fam.heights(U), ref)
+
     def test_mixed_octaves_boundaries_and_ties(self):
         fam, U = synthetic_octave_family()
-        assert np.ptp(np.frexp(fam._all_thetas)[1]) >= 8
-        ref = brute_heights(U, fam._all_centers, fam._all_thetas)
+        assert np.ptp(np.frexp(fam._thetas)[1]) >= 8
+        ref = brute_heights(U, fam._centers, fam._thetas)
         # rows e_x and e_y are governed by two caps of different radii at
         # the same t: the lower index wins
         assert ref.theta[400] == 0.3 and ref.theta[402] == 0.07
@@ -506,13 +540,12 @@ class TestHeightIndex:
 
     def test_empty_and_single_row(self):
         for fam in (file_family("cyclic_parabolic")[3],
-                    small_schottky_family(max_len=2, mode="factored")[3]):
+                    small_schottky_family(max_len=2)[3]):
             res = fam.heights(np.empty((0, 3)))
             assert res.f.shape == res.covered.shape == res.theta.shape == (0,)
             u = fam.seed_caps[0].center[None, :]
-            ref = (brute_heights(u, fam._all_centers, fam._all_thetas)
-                   if fam.mode == "materialized"
-                   else brute_factored_heights(fam, u))
+            ref = (brute_factored_heights(fam, u) if fam._levels
+                   else brute_heights(u, fam._centers, fam._thetas))
             assert ref.covered[0]
             assert_same_heights(fam.heights(u), ref)
 
@@ -520,7 +553,6 @@ class TestHeightIndex:
         G, cloud, region, fam = file_family("cyclic_parabolic")
         G2, cloud2, caps = quarter_schottky_caps()
         fam2 = DomeFamily(G2, cloud2, caps, max_len=5, audit=200)
-        assert fam2.mode == "factored"
         for fam, region in ((fam, region), (fam2, schottky_region(G2))):
             U = uniform_sphere(np.random.default_rng(5), 2, 10_000)
             fam.candidate_pairs = fam.hit_pairs = 0
@@ -613,7 +645,7 @@ class TestSeparation:
 
     def test_witnesses_match_trial_by_trial_evaluation(self):
         # a negative tolerance turns most covered points into witnesses
-        G, cloud, region, fam = small_schottky_family(max_len=2, mode="factored")
+        G, cloud, region, fam = small_schottky_family(max_len=2)
         rep = separation_check(fam, cloud, 100, np.random.default_rng(21),
                                tol=-0.3)
         rng = np.random.default_rng(21)
@@ -672,7 +704,8 @@ class TestVolume:
     def test_region_monotonicity(self):
         G, cloud, region, fam = small_schottky_family(max_len=2,
                                                       max_points=1200)
-        sub = region.restrict(lambda U: U[:, 2] < 0.0)  # southern half only
+        sub = lipgraph.FundamentalRegion(  # southern half only
+            region.kind, lambda U: region.contains(U) & (U[:, 2] < 0.0))
         full = graph_volume(fam, region, 20_000, seed=3)
         part = graph_volume(fam, sub, 20_000, seed=3)
         assert part.value < full.value
