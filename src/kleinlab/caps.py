@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mobius
-from .geom import chord_from_angle
+from .geom import chord_from_angle, unembed_rows
 
 CAP_MAX_ANGLE = np.pi / 2.0
 
@@ -172,19 +172,14 @@ def fit_image_caps(imgs: np.ndarray, c_img: np.ndarray, maps,
     out_centers[rows] = nu
     out_thetas = np.empty(S)
     out_thetas[rows] = np.arctan2(r_c, h)
-    for i in np.setdiff1d(np.arange(S), rows):
-        out_thetas[i] = src_thetas[i] * _sphere_deriv_at_unit(maps[i], centers[i])
+    first = np.setdiff1d(np.arange(S), rows)
+    if first.size:
+        out_thetas[first] = src_thetas[first] * mobius.deriv_sphere_rows(
+            [maps[i] for i in first], *unembed_rows(centers[first]))
     valid = (out_thetas > 0.0) & (out_thetas < CAP_MAX_ANGLE)
     # a mapped center below the plane: the image covers more than a hemisphere
     valid[rows] &= (c_img[rows] * nu).sum(axis=1) >= h - 1e-9
     return out_centers, out_thetas, valid
-
-
-def _sphere_deriv_at_unit(g: mobius.MobiusMap, u: np.ndarray) -> float:
-    """Round-metric derivative of the sphere action at a unit vector."""
-    from .geom import SpherePoint, stereo_project
-
-    return mobius.deriv_sphere(g, stereo_project(SpherePoint(u)))
 
 
 # ---------------------------------------------------------------------------

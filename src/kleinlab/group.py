@@ -19,10 +19,7 @@ from . import mobius
 from .caps import (CapDegenerate, SphericalCap, cap_to_euclidean_ball,
                    caps_disjoint, fit_image_caps)
 from .geom import BallPoint, ExtPoint, embed_ext
-from .mobius import (MobiusMap, compose, inverse, poincare_extend,
-                     sphere_action_rows)
-
-DEFAULT_MARGULIS_EPS = 0.1  # configured stand-in for the dimensional constant
+from .mobius import MobiusMap, compose, inverse, sphere_action_rows
 
 TAG_SCHOTTKY = "schottky"
 TAG_CYCLIC = "elementary-cyclic"
@@ -314,19 +311,12 @@ def enumerate_elements(G: GroupPresentation, max_len: int) -> list[Word]:
     return G.word_tree.elements(max_len)
 
 
-displacement_rows = mobius.ball_displacement_rows
-
-
 def element_displacements(G: GroupPresentation, max_len: int
                           ) -> tuple[list[Word], np.ndarray]:
     """Words up to max_len with the displacement rho(0, gamma 0) of each."""
     words = enumerate_elements(G, max_len)
-    origin = np.zeros((1, G.n + 1))
-    ds = np.empty(len(words))
-    for i, w in enumerate(words):
-        ext = poincare_extend(w.map)
-        ds[i] = displacement_rows(ext, origin)[0]
-    return words, ds
+    origin = np.zeros(G.n + 1)
+    return words, mobius.orbit_distances([w.map for w in words], origin, origin)
 
 
 @dataclass(frozen=True)
@@ -414,10 +404,11 @@ def detect_nonelementary(G: GroupPresentation) -> bool:
 def critical_exponent(G: GroupPresentation, max_len: int) -> FitResult:
     """Growth rate of log N(R) in R, fit by least squares over the reliable window.
 
-    Radii below the 10th orbit point and above the truncation horizon are
-    discarded. Elementary cyclic groups return 0 by definition of the
-    exponent for linear orbit growth; the fit is still run for diagnostics
-    when the window holds 5 radii, and skipped (fit_slope None) when not.
+    Radii below the 10th orbit point and above the truncation horizon (by
+    more than a relative 1e-12) are discarded. Elementary cyclic groups
+    return 0 by definition of the exponent for linear orbit growth; the fit
+    is still run for diagnostics when the window holds 5 radii, and skipped
+    (fit_slope None) when not.
     """
     if G.tag not in (TAG_CYCLIC, TAG_SCHOTTKY) and not detect_nonelementary(G):
         raise NotNonelementary(
@@ -429,9 +420,9 @@ def critical_exponent(G: GroupPresentation, max_len: int) -> FitResult:
     d_sorted = ds[order]
     counts = np.arange(1, len(d_sorted) + 1, dtype=float)
     lo_idx = min(10, len(d_sorted) - 1)
-    usable = (np.arange(len(d_sorted)) >= lo_idx) & (d_sorted <= horizon) & (
-        d_sorted > 0
-    )
+    # words tied with the horizon by symmetry differ only by rounding
+    within = d_sorted <= horizon * (1.0 + 1e-12)
+    usable = (np.arange(len(d_sorted)) >= lo_idx) & within & (d_sorted > 0)
     if usable.sum() >= 5:
         slope, se = _slope_fit(d_sorted[usable], np.log(counts[usable]))
     elif G.tag == TAG_CYCLIC:
@@ -455,8 +446,7 @@ def critical_exponent(G: GroupPresentation, max_len: int) -> FitResult:
 
 def displacement(x: BallPoint, g: MobiusMap) -> float:
     """Hyperbolic displacement rho(x, gamma x) through the Poincare extension."""
-    ext = poincare_extend(g)
-    return float(displacement_rows(ext, x.vec[None, :])[0])
+    return float(mobius.orbit_distances([g], x.vec, x.vec)[0])
 
 
 @dataclass(frozen=True)
@@ -475,18 +465,11 @@ def margulis_region_test(x: BallPoint, G_a: GroupPresentation, eps: float,
     if eps <= 0:
         raise ValueError("eps must be positive")
     words = enumerate_elements(G_a, max_len)
-    origin = x.vec[None, :]
-    best = float("inf")
-    ds = []
-    for w in words:
-        if len(w) == 0:
-            ds.append(0.0)
-            continue
-        ext = poincare_extend(w.map)
-        d = float(displacement_rows(ext, origin)[0])
-        ds.append(d)
-        best = min(best, d)
-    horizon = _truncation_horizon(words, np.array(ds), max_len)
+    ds = mobius.orbit_distances([w.map for w in words], x.vec, x.vec)
+    moved = np.array([len(w) > 0 for w in words])
+    ds[~moved] = 0.0
+    best = float(ds[moved].min(initial=float("inf")))
+    horizon = _truncation_horizon(words, ds, max_len)
     return MargulisResult(hit=bool(best < eps), min_displacement=best,
                           horizon=horizon)
 

@@ -19,7 +19,7 @@ from .caps import SphericalCap
 from .geom import BallPoint, ball_gauge, uniform_sphere
 from .group import GroupPresentation
 from .limitset import LimitSetCloud
-from .mobius import poincare_extend
+from .mobius import orbit_distances
 
 
 class GreenPole(ValueError):
@@ -216,16 +216,13 @@ def green_quotient(x: BallPoint, y: BallPoint, G: GroupPresentation,
     """Partial sum over enumerated gamma of g(x, gamma y), with a depth trend."""
     from .group import enumerate_elements
 
-    n = G.n
     words = enumerate_elements(G, max_len)
-    per_depth = np.zeros(max_len + 1)
-    for w in words:
-        ext = poincare_extend(w.map)
-        gy = BallPoint(ext.apply_ball_rows(y.vec[None, :])[0])
-        s = ball_gauge(x, gy)
-        if s <= 1e-14:
-            raise GreenPole(f"orbit point of y collides with x at word {w.letters}")
-        per_depth[len(w)] += float(green_gauge(n, s))
+    s = np.tanh(0.5 * orbit_distances([w.map for w in words], x.vec, y.vec))
+    if np.any(s <= 1e-14):
+        w = words[int(np.argmax(s <= 1e-14))]
+        raise GreenPole(f"orbit point of y collides with x at word {w.letters}")
+    per_depth = np.bincount([len(w) for w in words], weights=green_gauge(G.n, s),
+                            minlength=max_len + 1)
     partials = np.cumsum(per_depth)
     return GreenPartial(value=float(partials[-1]), by_depth=partials.tolist(),
                         terms=len(words))

@@ -5,6 +5,12 @@ r > 0, A orthogonal. Composition and inversion stay inside this normal form
 through exact algebraic identities, so deep words never leave the
 representation; A is re-projected to the nearest orthogonal matrix after every
 composition to stop drift.
+
+The Poincare extension of a map is evaluated in upper half-space only, where
+its lift has a closed form in the same fields (_lift). The lift serves one
+map at many points (ExtendedMap, the round derivative) and many maps at one
+point: orbit_distances gives rho(x, gamma_i y) for a whole list of maps from
+their stacked fields.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from .geom import (
     BallPoint,
     DimensionMismatch,
     ExtPoint,
+    distance_from_gauge_ratio,
     embed_rows,
     unembed_rows,
 )
@@ -24,7 +31,6 @@ from .geom import (
 IDENTITY_TOL = 1e-10
 ORTHO_TOL = 1e-10
 _POLE_CANCEL_TOL = 1e-13
-_BALL_COND = 1e5
 
 
 class PoleEvaluation(ValueError):
@@ -252,28 +258,59 @@ def deriv_euclid_rows(g: MobiusMap, X: np.ndarray) -> np.ndarray:
     return g.r / d2
 
 
-def deriv_sphere(g: MobiusMap, x: ExtPoint) -> float:
-    """|gamma'(x)| in the round metric, total on R^n cup {inf} via chordal limits.
+def _fields(maps) -> tuple[np.ndarray, ...]:
+    """(eps, a, r, A, b) of a list of maps, each stacked along a leading axis."""
+    return (np.array([g.eps for g in maps]), np.array([g.a for g in maps]),
+            np.array([g.r for g in maps]), np.array([g.A for g in maps]),
+            np.array([g.b for g in maps]))
 
+
+def _lift(fields, P: np.ndarray, H) -> tuple[np.ndarray, np.ndarray]:
+    """Lifts of stacked maps at upper half-space points (p, h), row by row.
+
+    The lift of x -> b + r A iota^eps(x - a) sends (p, h) to
+    (b + c A(p - a), c h) with c = r/(|p - a|^2 + h^2) for inverting maps and
+    c = r for affine ones (Ratcliffe, Foundations of Hyperbolic Manifolds,
+    ch. 4). At h = 0 this is the boundary action and c is |gamma'(p)|_e.
+    Maps and points broadcast against each other. Returns (image p, c).
+    """
+    eps, a, r, A, b = fields
+    D = P - a
+    s = np.where(eps == 1, np.einsum("...i,...i->...", D, D) + H * H, 1.0)
+    c = r / s
+    return b + c[..., None] * np.einsum("...ij,...j->...i", A, D), c
+
+
+def deriv_sphere_rows(maps, X: np.ndarray, at_inf: np.ndarray) -> np.ndarray:
+    """|gamma_i'(x_i)| in the round metric for rows of extended points.
+
+    Row i of X holds x_i (ignored where at_inf[i], the point at infinity).
     For finite x with finite image this is (1+|x|^2)/(1+|gx|^2) |gamma'(x)|_e;
     the pole and infinity get the continuous extensions.
     """
-    if x.is_infinity:
-        if g.eps == 0:
-            return 1.0 / g.r
-        return g.r / (1.0 + float(g.b @ g.b))
-    if g.eps == 1:
-        d2 = float(np.sum((x.coords - g.a) ** 2))
-        if d2 < 1e-280:
-            return (1.0 + float(g.a @ g.a)) / g.r
-    gx = apply(g, x)
-    nx = float(x.coords @ x.coords)
-    ngx = float(gx.coords @ gx.coords)
-    return (1.0 + nx) / (1.0 + ngx) * deriv_euclid(g, x)
+    fields = _fields(maps)
+    eps, a, r, _, b = fields
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    at_inf = np.asarray(at_inf, dtype=bool)
+    pole = (eps == 1) & ~at_inf & (np.einsum("ij,ij->i", X - a, X - a) < 1e-280)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Y, c = _lift(fields, X, 0.0)
+        out = (1.0 + np.einsum("ij,ij->i", X, X)) / (
+            1.0 + np.einsum("ij,ij->i", Y, Y)) * c
+    at_inf_value = np.where(eps == 1, r / (1.0 + np.einsum("ij,ij->i", b, b)),
+                            1.0 / r)
+    out = np.where(at_inf, at_inf_value, out)
+    return np.where(pole, (1.0 + np.einsum("ij,ij->i", a, a)) / r, out)
+
+
+def deriv_sphere(g: MobiusMap, x: ExtPoint) -> float:
+    """|gamma'(x)| in the round metric: a one-row call of deriv_sphere_rows."""
+    X = np.zeros((1, g.n)) if x.is_infinity else x.coords[None, :]
+    return float(deriv_sphere_rows([g], X, np.array([x.is_infinity]))[0])
 
 
 # ---------------------------------------------------------------------------
-# Poincare extension to the hyperbolic ball
+# Poincare extension, evaluated in upper half-space
 # ---------------------------------------------------------------------------
 
 def _cayley(m: int) -> MobiusMap:
@@ -290,42 +327,42 @@ def _cayley(m: int) -> MobiusMap:
     return MobiusMap(m, 1, north, 2.0, A, -north)
 
 
+def orbit_distances(maps, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """rho(x, gamma_i y) for ball points x, y and every map gamma_i of a list.
+
+    The Cayley map sends x and y to z and w in upper half-space, the lift of
+    each map sends w to w_i, and cosh rho = 1 + |z - w_i|^2 / (2 z_h w_ih).
+    """
+    (z, w), _ = apply_rows(_cayley(len(x)), np.vstack([x, y]))
+    P, c = _lift(_fields(maps), w[:-1], w[-1])
+    d2 = np.einsum("ij,ij->i", P - z[:-1], P - z[:-1]) + (c * w[-1] - z[-1]) ** 2
+    return distance_from_gauge_ratio(d2 / (4.0 * z[-1] * c * w[-1]))
+
+
 @dataclass(frozen=True)
 class ExtendedMap:
     """Poincare extension of a boundary map: an isometry of the unit ball B^{n+1}.
 
-    ball_map acts on R^{n+1} cup {inf}, preserves the open unit ball and the
-    unit sphere, and restricts on S^n to the stereographic conjugate of source.
+    Ball rows go through the Cayley map to upper half-space, through the lift
+    of source there (see _lift) and back; each factor is well conditioned,
+    whatever the map. On S^n the extension is the stereographic conjugate of
+    source.
     """
 
     source: MobiusMap
-    ball_map: MobiusMap
-    half_map: MobiusMap | None = None
 
     def apply_ball(self, x: BallPoint) -> BallPoint:
         y = self.apply_ball_rows(x.vec[None, :])[0]
         return BallPoint(y)
 
-    def _ill_conditioned(self) -> bool:
-        # |b| = 1/|gamma(0)| for a ball isometry; evaluating b + r A iota(x - a)
-        # then cancels about log10|b| digits, so maps that nearly fix the ball
-        # center lose accuracy in the composed normal form
-        return (self.half_map is not None
-                and float(self.ball_map.b @ self.ball_map.b) > _BALL_COND ** 2)
-
     def apply_ball_rows(self, X: np.ndarray) -> np.ndarray:
-        if self._ill_conditioned():
-            # go through upper half-space, where each factor is well conditioned
-            k = _cayley(self.ball_map.n)
-            Z, at_pole = apply_rows(k, X)
-            if not np.any(at_pole):
-                Z, at_pole = apply_rows(self.half_map, Z)
-            if not np.any(at_pole):
-                Y, at_pole = apply_rows(inverse(k), Z)
-        else:
-            Y, at_pole = apply_rows(self.ball_map, X)
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        k = _cayley(X.shape[1])
+        Z, at_pole = apply_rows(k, X)
         if np.any(at_pole):
-            raise PoleEvaluation("ball map pole inside the ball; map is not ball-preserving")
+            raise PoleEvaluation("ball row at the north pole, not inside the ball")
+        P, c = _lift(_fields([self.source]), Z[:, :-1], Z[:, -1])
+        Y, _ = apply_rows(inverse(k), np.column_stack([P, c * Z[:, -1]]))
         norms = np.linalg.norm(Y, axis=1)
         crowded = norms >= 1.0
         if np.any(crowded):
@@ -333,57 +370,15 @@ class ExtendedMap:
             Y[crowded] *= ((1.0 - 1e-15) / norms[crowded])[:, None]
         return Y
 
-    def apply_sphere_rows(self, U: np.ndarray) -> np.ndarray:
-        """Action on unit rows of the boundary sphere S^n inside R^{n+1}.
-
-        The pole of a ball-preserving map lies strictly outside the closed
-        ball, so the action is total here.
-        """
-        V, at_pole = apply_rows(self.ball_map, np.atleast_2d(U))
-        if np.any(at_pole):
-            raise PoleEvaluation("ball map pole on the unit sphere")
-        return V / np.linalg.norm(V, axis=1, keepdims=True)
-
 
 def poincare_extend(g: MobiusMap) -> ExtendedMap:
-    """Extend g verbatim to R^{n+1} (upper half-space) and conjugate to the ball."""
-    m = g.n + 1
-    a = np.append(g.a, 0.0)
-    b = np.append(g.b, 0.0)
-    A = np.zeros((m, m))
-    A[:-1, :-1] = g.A
-    A[-1, -1] = 1.0
-    g_half = MobiusMap(m, g.eps, a, g.r, A, b)
-    k = _cayley(m)
-    ball = compose(inverse(k), compose(g_half, k))
-    return ExtendedMap(source=g, ball_map=ball, half_map=g_half)
+    """The extension of g to the ball, evaluated through its half-space lift."""
+    return ExtendedMap(source=g)
 
 
 # ---------------------------------------------------------------------------
 # dynamical classification
 # ---------------------------------------------------------------------------
-
-def ball_displacement_rows(ext: ExtendedMap, X: np.ndarray) -> np.ndarray:
-    """rho(x, gamma x) for ball rows, stable arbitrarily close to the sphere.
-
-    Uses 1 - |gamma x|^2 = |gamma'(x)|_e (1 - |x|^2), exact for isometries of
-    the ball, so the complement never suffers boundary cancellation.
-    """
-    from .geom import distance_from_gauge_ratio
-
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = ext.apply_ball_rows(X)
-    nx = 1.0 - np.einsum("ij,ij->i", X, X)
-    ny = deriv_euclid_rows(ext.ball_map, X) * nx
-    d2 = np.einsum("ij,ij->i", X - Y, X - Y)
-    return distance_from_gauge_ratio(d2 / (nx * ny))
-
-
-def _origin_displacement(g: MobiusMap) -> float:
-    ext = poincare_extend(g)
-    origin = np.zeros((1, g.n + 1))
-    return float(ball_displacement_rows(ext, origin)[0])
-
 
 def _fields_blown_up(g: MobiusMap) -> bool:
     vals = [g.r, 1.0 / g.r, float(np.max(np.abs(g.a), initial=0.0)),
@@ -454,8 +449,9 @@ def classify(g: MobiusMap) -> str:
     displacements: list[float] = []
     h = g
     escaped = False
+    origin = np.zeros(g.n + 1)
     for _ in range(34):
-        displacements.append(_origin_displacement(h))
+        displacements.append(float(orbit_distances([h], origin, origin)[0]))
         if displacements[-1] > 30.0:
             escaped = True
             break

@@ -197,7 +197,8 @@ class TestBatchedImages:
         assert valid.all()
         for i in (2, 5):  # first-order image: mapped center, scaled radius
             assert np.array_equal(nu[i], c_img[i])
-            want = thetas[i] * caps._sphere_deriv_at_unit(maps[i], centers[i])
+            x = geom.stereo_project(geom.SpherePoint(centers[i]))
+            want = thetas[i] * mobius.deriv_sphere(maps[i], x)
             assert theta[i] == want
         # to first order in the radius, near the fit of the intact probes
         assert theta[2] == pytest.approx(G.word_tree.nested_caps(3)[1][2],

@@ -33,6 +33,8 @@ RUNS = {
                           ["diagnose", "--seed", "1000"]),
     "graph-schottky": ("reference_schottky.json", {},
                        ["graph", "--epsilon0", "0.25", "--seed", "7"]),
+    "dimension-schottky": ("reference_schottky.json", {},
+                           ["dimension", "--depth", "7", "--seed", "1000"]),
 }
 
 

@@ -1,5 +1,7 @@
 """Word tree and enumeration, growth estimators, Margulis tests, constructors."""
 
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from kleinlab import group, mobius
 from kleinlab.caps import SphericalCap
+from kleinlab.files import load_group_file
 from kleinlab.geom import BallPoint
 from kleinlab.group import (
     BadSchottkyConfiguration,
@@ -19,6 +22,15 @@ from kleinlab.group import (
 from util import random_mobius, reference_schottky
 
 RNG = np.random.default_rng(555)
+GROUPS = pathlib.Path(__file__).resolve().parents[1] / "groups"
+
+
+@pytest.fixture(scope="module")
+def reference_depth7():
+    """The shipped reference group with its words enumerated to depth 7."""
+    G = load_group_file(GROUPS / "reference_schottky.json").presentation
+    enumerate_elements(G, 7)
+    return G
 
 
 def free_rank2_presentation():
@@ -314,6 +326,33 @@ class TestCriticalExponent:
         tol = 2 * (fit.stderr + fit_c.stderr) + 0.05
         assert abs(fit.estimate - fit_c.estimate) < tol
 
+    def test_words_tied_at_the_horizon_enter_the_window(self, reference_depth7):
+        _, ds = group.element_displacements(reference_depth7, 7)
+        fit = group.critical_exponent(reference_depth7, 7)
+        tied = np.isclose(ds, fit.diagnostics["horizon"], rtol=1e-12, atol=0.0)
+        assert tied.sum() == 8  # equal by symmetry, apart in the last bits
+        # the window is every radius past the 10th orbit point up to the ties
+        assert fit.diagnostics["usable_points"] == np.sum(ds <= ds[tied].max()) - 10
+        assert fit.estimate == pytest.approx(0.20269, abs=5e-5)
+
+    def test_exponent_composes_nothing_after_enumeration(self, reference_depth7,
+                                                         monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (mobius, group):
+            monkeypatch.setattr(module, "compose",
+                                counted("compose", mobius.compose))
+        monkeypatch.setattr(mobius, "poincare_extend",
+                            counted("poincare_extend", mobius.poincare_extend))
+        group.critical_exponent(reference_depth7, 7)
+        assert calls == []
+
     def test_custom_elementary_rejected(self):
         g = mobius.affine(2, r=2.0)
         G = GroupPresentation(n=2, generators=(g,), tag=group.TAG_CUSTOM)
@@ -330,6 +369,15 @@ def test_poincare_series_monotone_property(s1, s2):
 
 
 class TestDisplacement:
+    def test_inverse_moves_the_center_as_far(self, reference_depth7):
+        words, ds = group.element_displacements(reference_depth7, 7)
+        origin = np.zeros(3)
+        back = mobius.orbit_distances([mobius.inverse(w.map) for w in words],
+                                      origin, origin)
+        moved = ds > 0
+        assert moved.sum() == len(words) - 1
+        assert np.max(np.abs(back[moved] - ds[moved]) / ds[moved]) < 1e-13
+
     def test_identity_zero(self):
         x = BallPoint(np.array([0.3, 0.1, -0.2]))
         assert group.displacement(x, mobius.identity(2)) == pytest.approx(0.0, abs=1e-12)
