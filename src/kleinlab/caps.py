@@ -119,21 +119,24 @@ def cap_images_batch(g: mobius.MobiusMap, boundary: np.ndarray,
     S, k, m = boundary.shape
     imgs = mobius.sphere_action_rows(g, boundary.reshape(S * k, m)).reshape(S, k, m)
     c_img = mobius.sphere_action_rows(g, centers)
-    nu, theta, valid = fit_image_caps(imgs, c_img, [g] * S, centers, src_thetas)
+    fields = tuple(np.broadcast_to(f, (S,) + f.shape[1:])
+                   for f in mobius.stack_fields([g]))
+    nu, theta, valid = fit_image_caps(imgs, c_img, fields, centers, src_thetas)
     return nu, theta, valid, np.concatenate([imgs, c_img[:, None, :]], axis=1)
 
 
-def fit_image_caps(imgs: np.ndarray, c_img: np.ndarray, maps,
+def fit_image_caps(imgs: np.ndarray, c_img: np.ndarray, fields,
                    centers: np.ndarray, src_thetas: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The caps through stacks of mapped boundary probes, one cap per row.
 
-    Row i holds the images under maps[i] of k >= n+1 boundary probes of the
-    source cap (centers[i], src_thetas[i]), shape (S, k, m), and of its
-    center, c_img (S, m). Each row is fitted on its own, so a row gets the
-    same bits in any stack. The image boundary is a round subsphere: the
-    plane normal is the smallest principal direction of the mean-centred
-    probes, oriented toward the mapped center, and the circumcenter solves
+    Row i holds the images of k >= n+1 boundary probes of the source cap
+    (centers[i], src_thetas[i]), shape (S, k, m), and of its center, c_img
+    (S, m), under the map of row i of the stacked fields. Each row is fitted
+    on its own, so a row gets the same bits in any stack. The image
+    boundary is a round subsphere: the plane normal is the smallest
+    principal direction of the mean-centred probes, oriented toward the
+    mapped center, and the circumcenter solves
     the equal-distance equations with the plane constraint by a batched QR,
     in coordinates scaled by a power of two near the probe spread, so tiny
     images keep their relative accuracy. The angular radius is atan2 of
@@ -175,7 +178,7 @@ def fit_image_caps(imgs: np.ndarray, c_img: np.ndarray, maps,
     first = np.setdiff1d(np.arange(S), rows)
     if first.size:
         out_thetas[first] = src_thetas[first] * mobius.deriv_sphere_rows(
-            [maps[i] for i in first], *unembed_rows(centers[first]))
+            tuple(f[first] for f in fields), *unembed_rows(centers[first]))
     valid = (out_thetas > 0.0) & (out_thetas < CAP_MAX_ANGLE)
     # a mapped center below the plane: the image covers more than a hemisphere
     valid[rows] &= (c_img[rows] * nu).sum(axis=1) >= h - 1e-9

@@ -7,7 +7,9 @@ kleinlab <validate|limitset|dimension|graph|harmonic|diagnose>
 Every command reads a strict group-definition JSON file, prints a summary (or
 the full JSON report with --json), writes CSV artifacts to --out where that
 applies, and exits 0 on success, 2 on validation failure (of the file or of
-a flag), 3 when the budget leaves the question inconclusive.
+a flag) or a bad configuration (a schottky word that duplicates another, a
+degenerate nested cap), 3 when the budget leaves the question inconclusive
+or the depth needs more words than group.MAX_WORDS.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from . import harmonic as harmonic_mod
 from . import limitset as limitset_mod
 from . import lipgraph as lipgraph_mod
 from . import mobius
+from .caps import CapDegenerate
 from .files import GroupDefinition, ValidationError, load_group_file, render_report
 from .geom import BallPoint, uniform_sphere
 from .group import InsufficientRange
@@ -339,7 +342,9 @@ def main(argv=None) -> int:
         body, code = handler(args, defn)
     except ValidationError as exc:
         body, code = {"valid": False, "error": str(exc)}, EXIT_INVALID
-    except lipgraph_mod.ShrinkEpsilon as exc:
+    except (group_mod.SchottkyCollision, CapDegenerate) as exc:
+        body, code = {"error": f"bad configuration: {exc}"}, EXIT_INVALID
+    except (lipgraph_mod.ShrinkEpsilon, group_mod.WordBudgetExceeded) as exc:
         body, code = {"error": str(exc)}, EXIT_INCONCLUSIVE
     report = {
         "command": args.command,

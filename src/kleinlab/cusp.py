@@ -13,18 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mobius
-from .geom import ExtPoint, SpherePoint, embed_ext, sphere_area, stereo_project
-from .group import GroupPresentation, TAG_SCHOTTKY
-from .limitset import LimitSetCloud
+from .geom import sphere_area
 
 
 class SingularStencil(ValueError):
     """Finite-difference stencil would cross the singular locus x = 0."""
-
-
-class LocatorFailed(RuntimeError):
-    """Fundamental-domain walk did not terminate."""
 
 
 @dataclass(frozen=True)
@@ -178,72 +171,3 @@ def horn_scalar_curvature_exact(n: int, m: int) -> float:
 def scalar_curvature_numeric(end: CuspEnd, p: np.ndarray) -> float:
     """Scalar curvature of the cusp-end metric at p = (x, y)."""
     return horn_scalar_curvature(np.asarray(p, dtype=float).reshape(end.n), end.m)
-
-
-# ---------------------------------------------------------------------------
-# equivariant extension of conformal factors
-# ---------------------------------------------------------------------------
-
-def locate_in_domain(G: GroupPresentation, u: np.ndarray, max_steps: int = 200
-                     ) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Walk a sphere point into the schottky fundamental region.
-
-    Repeatedly applies the escape letter of whichever defining cap contains
-    the point. Returns the landed point and the applied letters (so the
-    composite map delta with delta(u) in the region is their product).
-    """
-    if G.tag != TAG_SCHOTTKY:
-        raise ValueError("domain locator requires a schottky presentation")
-    letters: list[int] = []
-    point = np.asarray(u, dtype=float).copy()
-    for _ in range(max_steps):
-        inside = None
-        for idx, cap in enumerate(G.ball_caps):
-            if cap.contains(point[None, :])[0]:
-                inside = idx
-                break
-        if inside is None:
-            return point, tuple(letters)
-        gen = inside // 2
-        s = (gen + 1) if inside % 2 == 0 else -(gen + 1)
-        point = mobius.sphere_action_rows(G.letter(s), point[None, :])[0]
-        letters.append(s)
-    raise LocatorFailed(f"no fundamental-domain landing in {max_steps} steps")
-
-
-def equivariant_extend(u0, G: GroupPresentation, x, max_steps: int = 200
-                       ) -> tuple[float, tuple[int, ...]]:
-    """Extend a fundamental-domain conformal factor to x by equivariance.
-
-    With delta the locator word (delta x = y in the domain), the invariance
-    law e^{u(x)} = e^{u(delta x)} |delta'(x)|_s defines the value; ties on
-    domain boundaries are broken by the locator's deterministic cap order.
-    u0 maps a sphere unit vector in the domain to the factor there.
-    """
-    if isinstance(x, SpherePoint):
-        u = x.vec
-    elif isinstance(x, ExtPoint):
-        u = embed_ext(x)
-    else:
-        u = np.asarray(x, dtype=float)
-    y, letters = locate_in_domain(G, u, max_steps=max_steps)
-    delta = mobius.identity(G.n)
-    for s in letters:
-        delta = mobius.compose(G.letter(s), delta)
-    ds = mobius.deriv_sphere(delta, stereo_project(SpherePoint(u / np.linalg.norm(u))))
-    return float(u0(y) * ds), tuple(letters)
-
-
-def extension_band(u0, G: GroupPresentation, cloud: LimitSetCloud,
-                   samples: np.ndarray) -> np.ndarray:
-    """e^{u(x)} dist(x, cloud) over sample rows (the two-sided band data)."""
-    from .limitset import dist_rows
-
-    vals = []
-    _, upper = dist_rows(samples, cloud)
-    for row, up in zip(samples, upper):
-        if up <= (cloud.resolution or 0.0):
-            continue
-        val, _ = equivariant_extend(u0, G, row)
-        vals.append(val * up)
-    return np.array(vals)

@@ -1,25 +1,26 @@
 """Finitely generated Kleinian groups as data.
 
 Every presentation carries one WordTree, the only walker of its reduced
-words: the levels of all reduced words of each length (maps composed once,
-in a fixed order), the nested caps of schottky words, and the deduplicated
-enumeration built on those levels. On top of it: orbit counting N(R),
-Poincare series partial sums, a least-squares estimator for the critical
-exponent, displacement and Margulis-region tests, and safe constructors for
-Schottky and elementary cyclic groups.
+words: each length is one WordLevel of arrays (parent row, last letter and
+the stacked fields of the maps, composed once per level in a fixed order),
+the nested caps of schottky words, and the deduplicated enumeration built
+on those levels. Word is a view of one row. On top of it: a least-squares
+estimator for the critical exponent, displacements, a word budget, and safe
+constructors for Schottky and elementary cyclic groups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import mobius
 from .caps import (CapDegenerate, SphericalCap, cap_to_euclidean_ball,
                    caps_disjoint, fit_image_caps)
-from .geom import BallPoint, ExtPoint, embed_ext
-from .mobius import MobiusMap, compose, inverse, sphere_action_rows
+from .geom import BallPoint, embed_rows
+from .mobius import MobiusMap, compose, inverse
 
 TAG_SCHOTTKY = "schottky"
 TAG_CYCLIC = "elementary-cyclic"
@@ -100,128 +101,233 @@ class GroupPresentation:
         return self.ball_caps[2 * i + (0 if s > 0 else 1)]
 
 
-@dataclass(frozen=True)
-class Word:
-    """Freely reduced word with its evaluated map."""
+# A word holds 8 (n^2 + 2n + 6) bytes of level arrays (112 for n = 2), but
+# deduplication costs far more on strongly contracting groups, whose
+# candidate pairs grow faster than the words: dimension --depth 9 on the
+# reference file (39,365 words) peaks at 236 MB of RSS against 92 MB at
+# depth 7, about 3.7 kB a word. 2^16 words keep a run below ~0.5 GB.
+MAX_WORDS = 2**16
 
-    letters: tuple[int, ...]
-    map: MobiusMap
+
+class WordBudgetExceeded(RuntimeError):
+    """A requested depth holds more reduced words than MAX_WORDS."""
+
+
+def word_count(rank: int, max_len: int) -> int:
+    """Reduced words of length <= max_len: k (k - 1)^(d - 1) of each length
+    d >= 1, k = 2 rank; past length 64 (over 2^64 words) taken at 64."""
+    k = 2 * rank
+    if k <= 2:
+        return 1 + k * max_len
+    return 1 + k * ((k - 1) ** min(max_len, 64) - 1) // (k - 2)
+
+
+def _take(fields, rows) -> tuple[np.ndarray, ...]:
+    return tuple(f[rows] for f in fields)
+
+
+class Word:
+    """Row `row` of a WordLevel: letters walks the parent rows, and map is
+    built when first read."""
+
+    def __init__(self, level: WordLevel, row: int):
+        self.level, self.row = level, row
 
     def __len__(self):
-        return len(self.letters)
+        return self.level.depth
+
+    @property
+    def letters(self) -> tuple[int, ...]:
+        out, lv, i = [], self.level, self.row
+        while lv.up is not None:
+            out.append(int(lv.letter[i]))
+            lv, i = lv.up, int(lv.parent[i])
+        return tuple(out[::-1])
+
+    @cached_property
+    def map(self) -> MobiusMap:
+        return mobius.map_row(self.level.fields, self.row)
+
+
+class WordLevel:
+    """Reduced words of one length as arrays.
+
+    Row i is the word of row parent[i] of the level `up` followed by the
+    letter letter[i] (+j for g_j, -j for its inverse); fields holds the
+    stacked (eps, a, r, A, b) of the rows' maps. Indexing and iteration give
+    Word views, made once per level.
+    """
+
+    def __init__(self, up: WordLevel | None, parent: np.ndarray,
+                 letter: np.ndarray, fields: tuple[np.ndarray, ...]):
+        self.up, self.parent, self.letter, self.fields = up, parent, letter, fields
+        self.depth = 0 if up is None else up.depth + 1
+
+    def __len__(self):
+        return len(self.letter)
+
+    @cached_property
+    def words(self) -> list[Word]:
+        return [Word(self, i) for i in range(len(self))]
+
+    def __getitem__(self, i) -> Word:
+        return self.words[i]
+
+    def __iter__(self):
+        return iter(self.words)
 
 
 class _MapDeduper:
-    """Near-duplicate detection for maps through probe-image fingerprints.
+    """Near-duplicate detection for stacks of maps, one level at a time.
 
     The forward fingerprint of g holds the images g(p) of three fixed probes,
-    embedded on S^n and concatenated. It is keyed on two grids of cell 1e-8,
-    the second shifted by half a cell, and earlier words with the same key
-    in either grid are the candidates. In one coordinate, two values within
-    half a cell share a cell of at least one grid. A key spans all 3(n + 1)
-    coordinates, so two such fingerprints are sure to share a key only when
-    one grid keeps every coordinate together; a duplicate missed this way is
-    kept as a new word. Deep words contract the sphere into caps far below
-    1e-8, so their forward images share keys with many other words.
+    embedded on S^n side by side, from one lift per probe. It is keyed on
+    two grids of cell 1e-8, the second shifted by half a cell; earlier maps
+    with the same key in either grid are the candidates. A duplicate whose
+    coordinates split across the grids is missed and kept as a new word.
 
-    Each accepted word also keeps its inverse fingerprint, the images
-    g^-1(p) of the same probes. A candidate is confirmed with maps_close at
-    1e-8 only when the inverse fingerprints agree within 1e-6 in every
-    coordinate. That is a necessary condition: if maps_close(g, h) holds,
-    then k = g^-1 h is the affine map x -> b + r A x with |r - 1|, every
-    entry of A - I and every entry of b below 1e-8, and h^-1 = k^-1 g^-1.
-    A conformal affine map moves every point of R^n u {inf} chordally by at
-    most |r - 1| + ||A - I|| + 2|b| to first order, which is below
-    (1 + n + 2 sqrt(n)) 1e-8 for k^-1 as well, so h^-1(p) lies within that
-    distance of g^-1(p). The factor 100 between 1e-8 and 1e-6 leaves room
-    for n up to 80 and for rounding. Deep words, whose forward images
-    collapse, differ in their last letters and therefore in their inverse
-    images.
+    A candidate pair (g, h) is confirmed, by compose(g^-1, h) within 1e-8 of
+    the identity, only when the inverse fingerprints g^-1(p) and h^-1(p)
+    agree within 1e-6 in every coordinate. That is necessary: g^-1 h within
+    1e-8 of the identity is affine with |r - 1|, A - I and b below 1e-8, so
+    its inverse moves every point chordally by at most (1 + n + 2 sqrt(n))
+    1e-8 to first order. The factor 100 leaves room for n up to 80.
+
+    Deep words contract the sphere far below 1e-8, so words sharing a prefix
+    share forward keys and words sharing a suffix inverse fingerprints:
+    either test alone passes pairs quadratic in the level. A map is filed
+    under a hash of its grid, forward key and the 1e-6 cell of the first
+    inverse coordinate, and looked up in that cell and its two neighbours;
+    keys and gaps are then tested in full, which removes hash collisions.
+
+    add() records every map of a stack and returns which are kept: a map is
+    dropped when it matches a kept map of an earlier stack or an earlier
+    kept row of its own. The candidates are confirmed in batched
+    compositions of up to 2^16 pairs; confirmed counts them.
     """
 
     def __init__(self, n: int, tol: float = 1e-8):
         rng = np.random.default_rng(2718281828)
-        self.probes = [ExtPoint.finite(rng.normal(0.0, 1.0, n)) for _ in range(3)]
-        self._probe_rows = np.array([embed_ext(p) for p in self.probes])
+        self._probes = rng.normal(0.0, 1.0, (3, n))
         self.tol = tol
-        self._buckets: dict[tuple, list[int]] = {}
-        self._maps: list[MobiusMap] = []
-        self._inverse_fps = np.empty((64, 3 * (n + 1)))
+        self.confirmed = 0
+        self._buckets: dict[int, list[int]] = {}
+        # every map recorded, kept or not: fields, inverse fingerprints and
+        # the forward keys of both grids
+        self._fields = _take(mobius.stack_fields([mobius.identity(n)]), slice(0))
+        self._inverse_fps = np.empty((0, 3 * (n + 1)))
+        self._keys = np.empty((2, 0, 3 * (n + 1)), dtype=np.int64)
+        self._kept = np.empty(0, dtype=bool)
 
-    def _fingerprint(self, g: MobiusMap) -> np.ndarray:
-        return np.concatenate(
-            [embed_ext(mobius.apply(g, p)) for p in self.probes]
-        )
+    def _fingerprints(self, fields) -> np.ndarray:
+        """The embedded probe images side by side; a pole maps to the north pole."""
+        n = self._probes.shape[1]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            Y = np.stack([mobius._lift(fields, p, 0.0)[0] for p in self._probes],
+                         axis=1)
+            out = embed_rows(Y.reshape(-1, n))
+        out[~np.isfinite(out).all(axis=1)] = np.eye(n + 1)[-1]
+        return out.reshape(len(Y), 3 * (n + 1))
 
-    def check_and_add(self, g: MobiusMap) -> bool:
-        """True if g is new (and records it); False if a duplicate was found."""
-        fp = self._fingerprint(g)
-        inv_fp = sphere_action_rows(inverse(g), self._probe_rows).ravel()
-        keys = [tuple(np.floor(fp / self.tol).astype(np.int64)),
-                tuple(np.floor(fp / self.tol + 0.5).astype(np.int64))]
-        candidates: set[int] = set()
-        for key in keys:
-            candidates.update(self._buckets.get(key, ()))
-        if candidates:
-            idx = np.fromiter(candidates, dtype=np.int64, count=len(candidates))
-            gap = np.abs(self._inverse_fps[idx] - inv_fp).max(axis=1)
-            for i in idx[gap <= 1e-6]:
-                if mobius.maps_close(self._maps[i], g, tol=1e-8):
-                    return False
-        idx = len(self._maps)
-        self._maps.append(g)
-        if idx == len(self._inverse_fps):
-            self._inverse_fps = np.concatenate(
-                [self._inverse_fps, np.empty_like(self._inverse_fps)])
-        self._inverse_fps[idx] = inv_fp
-        for key in keys:
-            self._buckets.setdefault(key, []).append(idx)
-        return True
+    def add(self, fields) -> np.ndarray:
+        """Keep mask of the stacked maps, in order."""
+        N, m = len(fields[0]), len(self._kept)
+        fp = self._fingerprints(fields)
+        inv = self._fingerprints(mobius.inverse_rows(fields))
+        keys = np.stack([np.floor(fp / self.tol + shift)
+                         for shift in (0.0, 0.5)]).astype(np.int64)
+        self._inverse_fps = np.concatenate([self._inverse_fps, inv])
+        self._keys = np.concatenate([self._keys, keys], axis=1)
+        self._fields = tuple(np.concatenate(f) for f in zip(self._fields, fields))
+        cells, keys = np.floor(inv[:, 0] / 1e-6).astype(int).tolist(), keys.tolist()
+        pi: list[int] = []
+        pj: list[int] = []
+        for r in range(N):
+            found: set[int] = set()
+            for grid in (0, 1):
+                key = keys[grid][r]
+                for cell in (cells[r] - 1, cells[r] + 1):
+                    found.update(self._buckets.get(hash((grid, cell, *key)), ()))
+                bucket = self._buckets.setdefault(hash((grid, cells[r], *key)), [])
+                found.update(bucket)
+                bucket.append(m + r)
+            pi += [m + r] * len(found)
+            pj += found
+        i, j = np.array(pi, dtype=np.intp), np.array(pj, dtype=np.intp)
+        k = self._keys
+        cand = ((k[0, i] == k[0, j]).all(axis=1) | (k[1, i] == k[1, j]).all(axis=1))
+        cand &= np.abs(self._inverse_fps[i] - self._inverse_fps[j]).max(axis=1) <= 1e-6
+        i, j = i[cand], j[cand]
+        same = np.concatenate([np.zeros(0, dtype=bool)] + [
+            mobius.is_identity_rows(mobius.compose_rows(
+                mobius.inverse_rows(_take(self._fields, j[lo:lo + 2**16])),
+                _take(self._fields, i[lo:lo + 2**16])), tol=self.tol)
+            for lo in range(0, i.size, 2**16)])  # bounds the temporaries
+        self.confirmed += i.size
+        self._kept = np.concatenate([self._kept, np.ones(N, dtype=bool)])
+        for row, other in zip(i[same], j[same]):  # rows ascend
+            self._kept[row] &= not self._kept[other]
+        return self._kept[m:].copy()
 
 
 class WordTree:
     """The freely reduced words of a presentation, built level by level.
 
-    Level d holds every reduced word of length d: the children of the words
-    of level d - 1 in their order, each word's children in the alphabet
-    order g1, g1^-1, g2, g2^-1, ... without the letter that would cancel.
-    A child's map is compose(parent.map, G.letter(s)), composed once and
-    kept, so every caller reads the same bits. A level is built when first
-    asked for, together with the levels below it and none above.
+    Level d is a WordLevel holding every reduced word of length d: the
+    children of the rows of level d - 1 in their order, each row's children
+    in the alphabet order g1, g1^-1, g2, g2^-1, ... without the letter that
+    would cancel. Its maps come from one compose_rows call on its parents'
+    rows and the letters and are kept, so every caller reads the same bits.
+    A level is built when first asked for, with the levels below it. A
+    request past MAX_WORDS words raises WordBudgetExceeded before anything
+    is composed.
 
     elements() is the deduplicated enumeration behind enumerate_elements.
     While the deduper has dropped no word, which holds for every schottky
-    and free presentation, its levels are the level() lists themselves.
+    and free presentation, its levels are the level() arrays themselves.
     After the first dropped word, each later length is composed from the
-    kept words of the one before, so children of dropped words are never
-    built; these pruned levels stay out of level(). The enumeration grows in
-    place: its elements up to length d are the enumeration at depth d.
+    kept rows of the one before; these pruned levels stay out of level().
+    Its elements up to length d are the enumeration at depth d.
     """
 
     def __init__(self, G: GroupPresentation):
         self.G = G
-        self._letters = tuple(s for i in range(1, G.rank + 1) for s in (i, -i))
-        self._levels = [[Word((), mobius.identity(G.n))]]
+        self._alphabet = np.array(
+            [s for i in range(1, G.rank + 1) for s in (i, -i)], dtype=np.int64)
+        self._letter_fields = mobius.stack_fields(
+            [G.letter(int(s)) for s in self._alphabet])
+        self._levels = [WordLevel(None, np.zeros(1, np.intp),
+                                  np.zeros(1, np.int64),
+                                  mobius.stack_fields([mobius.identity(G.n)]))]
         self._caps: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._targets: dict[int, np.ndarray] | None = None  # probes, center
+        self._targets: np.ndarray | None = None  # per letter: probes, center
         self._dedup: _MapDeduper | None = None
 
-    def _next_letters(self, w: Word) -> list[int]:
-        return [s for s in self._letters if not w.letters or s != -w.letters[-1]]
+    def _check_budget(self, d: int):
+        count = word_count(self.G.rank, d)
+        if count > MAX_WORDS:
+            raise WordBudgetExceeded(f"depth {d} holds {count} reduced words, "
+                                     f"over the budget of {MAX_WORDS}")
 
-    def children(self, parents: list[Word]) -> list[tuple[Word, int]]:
-        """(parent, letter) of each reduced one-letter extension, in order."""
-        return [(w, s) for w in parents for s in self._next_letters(w)]
+    def _children(self, lv: WordLevel) -> tuple[np.ndarray, np.ndarray]:
+        """(parent row, alphabet index) of each reduced one-letter extension."""
+        k = len(self._alphabet)
+        parent = np.repeat(np.arange(len(lv)), k)
+        slot = np.tile(np.arange(k), len(lv))
+        keep = self._alphabet[slot] != -lv.letter[parent]
+        return parent[keep], slot[keep]
 
-    def _grow(self, parents: list[Word]) -> list[Word]:
-        G = self.G
-        return [Word(w.letters + (s,), compose(w.map, G.letter(s)))
-                for w, s in self.children(parents)]
+    def _grow(self, lv: WordLevel) -> WordLevel:
+        parent, slot = self._children(lv)
+        fields = mobius.compose_rows(_take(lv.fields, parent),
+                                     _take(self._letter_fields, slot))
+        return WordLevel(lv, parent, self._alphabet[slot], fields)
 
-    def level(self, d: int) -> list[Word]:
-        """Every reduced word of length d, not deduplicated (a shared list)."""
+    def level(self, d: int) -> WordLevel:
+        """Every reduced word of length d, not deduplicated (shared)."""
         if d < 0:
             raise ValueError("level must be >= 0")
+        self._check_budget(d)
         while len(self._levels) <= d:
             self._levels.append(self._grow(self._levels[-1]))
         return self._levels[d]
@@ -230,31 +336,28 @@ class WordTree:
         """(centers, thetas, points) of the words of level d >= 1, schottky only.
 
         The nested cap of the word w s is the image of G.letter_target_cap(s)
-        under w.map, and its point the image of that cap's center. Each
-        letter's n+1 target-cap probes and center are stacked once per tree;
-        each parent map is applied once to the stacks of its children, and
-        the whole level is fitted in one fit_image_caps call. Only level
-        d - 1 is composed for it.
+        under w.map, and its point the image of that cap's center. The rows
+        of level d - 1, the only level composed for it, map the n+1 probes
+        and the center of each child's target cap in one sphere_action_stack
+        call, and the level is fitted in one fit_image_caps call.
         """
         if d not in self._caps:
-            G = self.G
+            G, m = self.G, self.G.n + 1
+            self._check_budget(d)
             if self._targets is None:
-                self._targets = {}
-                for s in self._letters:
-                    cap = G.letter_target_cap(s)
-                    self._targets[s] = np.vstack([cap.boundary_points(), cap.center])
-            blocks, maps, letters = [], [], []
-            for w in self.level(d - 1):
-                kids = self._next_letters(w)
-                blocks.append(sphere_action_rows(
-                    w.map, np.concatenate([self._targets[s] for s in kids])))
-                maps += [w.map] * len(kids)
-                letters += kids
-            imgs = np.concatenate(blocks).reshape(len(letters), G.n + 2, G.n + 1)
+                caps = [G.letter_target_cap(int(s)) for s in self._alphabet]
+                self._targets = np.stack(
+                    [np.vstack([c.boundary_points(), c.center]) for c in caps])
+                self._target_thetas = np.array([c.theta for c in caps])
+            up = self.level(d - 1)
+            parent, slot = self._children(up)
+            fields = _take(up.fields, parent)
+            imgs = mobius.sphere_action_stack(
+                _take(fields, np.repeat(np.arange(len(parent)), m + 1)),
+                self._targets[slot].reshape(-1, m)).reshape(len(parent), m + 1, m)
             centers, thetas, valid = fit_image_caps(
-                imgs[:, :-1], imgs[:, -1], maps,
-                np.array([self._targets[s][-1] for s in letters]),
-                np.array([G.letter_target_cap(s).theta for s in letters]))
+                imgs[:, :-1], imgs[:, -1], fields, self._targets[slot, -1],
+                self._target_thetas[slot])
             if not valid.all():
                 raise CapDegenerate("a nested cap is degenerate or covers a hemisphere")
             self._caps[d] = (centers, thetas, imgs[:, -1].copy())
@@ -264,37 +367,43 @@ class WordTree:
         """Distinct elements of word length <= max_len (see enumerate_elements)."""
         if max_len < 0:
             raise ValueError("max_len must be >= 0")
+        self._check_budget(max_len)
         if self._dedup is None:
             self._dedup = _MapDeduper(self.G.n)
-            self._dedup.check_and_add(self._levels[0][0].map)
-            # _ends[d] counts the elements of length <= d; _kept holds the
-            # last length's kept words once a word has been dropped
-            self._elements, self._ends, self._kept = list(self._levels[0]), [1], None
+            self._dedup.add(self._levels[0].fields)
+            # _kept[d] holds the kept words of length d
+            self._kept, self._pruned = [self._levels[0]], False
+            self._elements = list(self._levels[0])
         try:
-            while len(self._ends) <= max_len:
+            while len(self._kept) <= max_len:
                 self._extend()
         except SchottkyCollision:
             self._dedup = None  # the next call starts over and raises again
             raise
-        return self._elements[:self._ends[max_len]]
+        return self._elements[:sum(map(len, self._kept[:max_len + 1]))]
+
+    def element_fields(self, max_len: int) -> tuple[np.ndarray, ...]:
+        """Stacked fields of elements(max_len), in the same order."""
+        self.elements(max_len)
+        return tuple(np.concatenate(f) for f in
+                     zip(*(lv.fields for lv in self._kept[:max_len + 1])))
 
     def _extend(self):
-        if self._kept is None:
-            candidates = self.level(len(self._ends))
+        if self._pruned:
+            level = self._grow(self._kept[-1])
         else:
-            candidates = self._grow(self._kept)
-        kept = []
-        for w in candidates:
-            if self._dedup.check_and_add(w.map):
-                kept.append(w)
-            elif self.G.tag == TAG_SCHOTTKY:
+            level = self.level(len(self._kept))
+        keep = self._dedup.add(level.fields)
+        if not keep.all():
+            if self.G.tag == TAG_SCHOTTKY:
                 raise SchottkyCollision(
-                    f"word {w.letters} duplicates an earlier element"
-                )
-        if self._kept is not None or len(kept) < len(candidates):
-            self._kept = kept
-        self._elements.extend(kept)
-        self._ends.append(len(self._elements))
+                    f"word {level[int(np.argmin(keep))].letters} duplicates "
+                    "an earlier element")
+            level = WordLevel(level.up, level.parent[keep], level.letter[keep],
+                              _take(level.fields, keep))
+            self._pruned = True
+        self._kept.append(level)
+        self._elements.extend(level)
 
 
 def enumerate_elements(G: GroupPresentation, max_len: int) -> list[Word]:
@@ -316,31 +425,8 @@ def element_displacements(G: GroupPresentation, max_len: int
     """Words up to max_len with the displacement rho(0, gamma 0) of each."""
     words = enumerate_elements(G, max_len)
     origin = np.zeros(G.n + 1)
-    return words, mobius.orbit_distances([w.map for w in words], origin, origin)
-
-
-@dataclass(frozen=True)
-class OrbitCount:
-    count: int
-    horizon: float
-    reliable: bool
-
-
-def orbit_count(G: GroupPresentation, R: float, max_len: int) -> OrbitCount:
-    """N(R) = #{gamma : rho(0, gamma 0) <= R} from the truncated enumeration.
-
-    The count is exact for R below the reported horizon (the cheapest word of
-    full length max_len); beyond it longer words could still enter the ball.
-    """
-    if R < 0:
-        raise ValueError("R must be >= 0")
-    words, ds = element_displacements(G, max_len)
-    horizon = _truncation_horizon(words, ds, max_len)
-    return OrbitCount(
-        count=int(np.sum(ds <= R + 1e-12)),
-        horizon=horizon,
-        reliable=bool(R <= horizon),
-    )
+    return words, mobius.orbit_distances(G.word_tree.element_fields(max_len),
+                                         origin, origin)
 
 
 def _truncation_horizon(words: list[Word], ds: np.ndarray, max_len: int) -> float:
@@ -348,14 +434,6 @@ def _truncation_horizon(words: list[Word], ds: np.ndarray, max_len: int) -> floa
     if not full.any():
         return float("inf") if max_len == 0 else 0.0
     return float(ds[full].min())
-
-
-def poincare_series(G: GroupPresentation, s: float, max_len: int) -> float:
-    """Partial sum over |gamma| <= max_len of exp(-s rho(0, gamma 0))."""
-    if s < 0:
-        raise ValueError("exponent s must be >= 0")
-    _, ds = element_displacements(G, max_len)
-    return float(np.sum(np.exp(-s * ds)))
 
 
 @dataclass(frozen=True)
@@ -446,32 +524,8 @@ def critical_exponent(G: GroupPresentation, max_len: int) -> FitResult:
 
 def displacement(x: BallPoint, g: MobiusMap) -> float:
     """Hyperbolic displacement rho(x, gamma x) through the Poincare extension."""
-    return float(mobius.orbit_distances([g], x.vec, x.vec)[0])
-
-
-@dataclass(frozen=True)
-class MargulisResult:
-    hit: bool
-    min_displacement: float
-    horizon: float
-
-    def __bool__(self):
-        return self.hit
-
-
-def margulis_region_test(x: BallPoint, G_a: GroupPresentation, eps: float,
-                         max_len: int) -> MargulisResult:
-    """Whether some enumerated non-identity element moves x less than eps."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    words = enumerate_elements(G_a, max_len)
-    ds = mobius.orbit_distances([w.map for w in words], x.vec, x.vec)
-    moved = np.array([len(w) > 0 for w in words])
-    ds[~moved] = 0.0
-    best = float(ds[moved].min(initial=float("inf")))
-    horizon = _truncation_horizon(words, ds, max_len)
-    return MargulisResult(hit=bool(best < eps), min_displacement=best,
-                          horizon=horizon)
+    return float(mobius.orbit_distances(mobius.stack_fields([g]), x.vec,
+                                        x.vec)[0])
 
 
 # ---------------------------------------------------------------------------

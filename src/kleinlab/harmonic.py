@@ -19,7 +19,6 @@ from .caps import SphericalCap
 from .geom import BallPoint, ball_gauge, uniform_sphere
 from .group import GroupPresentation
 from .limitset import LimitSetCloud
-from .mobius import orbit_distances
 
 
 class GreenPole(ValueError):
@@ -171,7 +170,7 @@ def harmonic_extension(chi: BoundaryIndicator, x: BallPoint, n_samples: int,
 
 
 # ---------------------------------------------------------------------------
-# Green's function on the ball and on quotients
+# Green's function on the ball
 # ---------------------------------------------------------------------------
 
 def _green_antiderivative(n: int, t: np.ndarray) -> np.ndarray:
@@ -202,30 +201,6 @@ def green_ball(x: BallPoint, y: BallPoint) -> float:
     if s <= 0.0:
         raise GreenPole("green_ball evaluated on the diagonal")
     return float(green_gauge(x.vec.size - 1, s))
-
-
-@dataclass(frozen=True)
-class GreenPartial:
-    value: float
-    by_depth: list[float]
-    terms: int
-
-
-def green_quotient(x: BallPoint, y: BallPoint, G: GroupPresentation,
-                   max_len: int) -> GreenPartial:
-    """Partial sum over enumerated gamma of g(x, gamma y), with a depth trend."""
-    from .group import enumerate_elements
-
-    words = enumerate_elements(G, max_len)
-    s = np.tanh(0.5 * orbit_distances([w.map for w in words], x.vec, y.vec))
-    if np.any(s <= 1e-14):
-        w = words[int(np.argmax(s <= 1e-14))]
-        raise GreenPole(f"orbit point of y collides with x at word {w.letters}")
-    per_depth = np.bincount([len(w) for w in words], weights=green_gauge(G.n, s),
-                            minlength=max_len + 1)
-    partials = np.cumsum(per_depth)
-    return GreenPartial(value=float(partials[-1]), by_depth=partials.tolist(),
-                        terms=len(words))
 
 
 # ---------------------------------------------------------------------------

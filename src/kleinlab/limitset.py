@@ -68,14 +68,22 @@ class LimitSetCloud:
         sub = self.points
         if self.size > 4000:
             sub = self.points[:: self.size // 4000 + 1]
-        # 256-row blocks bound the (rows, size, m) temporary; max is exact,
-        # so the blocks change no bit of the result
-        d2 = max(
-            np.max(np.sum((sub[i:i + 256, None, :] - sub[None, :, :]) ** 2,
-                          axis=-1))
-            for i in range(0, sub.shape[0], 256)
-        )
-        return float(np.sqrt(d2))
+        # The Gram form |u|^2 + |v|^2 - 2 u.v, in 256-row blocks, is off the
+        # squared distance by a few ulps of max |u|^2, far below tol, so the
+        # farthest pair screens within tol of its block's maximum. The
+        # difference formula on those pairs gives the bits it gives on all.
+        sq = np.einsum("ij,ij->i", sub, sub)
+        tol = 4e-12 * sq.max()
+        pairs = []
+        for i in range(0, sub.shape[0], 256):
+            g = sub[i:i + 256] @ sub.T
+            g *= -2.0
+            g += sq[None, :]
+            g += sq[i:i + 256, None]
+            rows, cols = np.nonzero(g >= g.max() - tol)
+            pairs.append((rows + i, cols))
+        u, v = (np.concatenate(ix) for ix in zip(*pairs))
+        return float(np.sqrt(np.max(np.sum((sub[u] - sub[v]) ** 2, axis=-1))))
 
     def nearest(self, U: np.ndarray) -> np.ndarray:
         """Chordal distance from unit rows to the nearest sample."""
@@ -216,9 +224,10 @@ def _sample_custom(G: GroupPresentation, depth: int,
                    seeds: tuple[ExtPoint, ...]) -> LimitSetCloud:
     """Images of the seeds under every reduced word of length depth."""
     seed_rows = np.array([embed_ext(p) for p in seeds])
-    pts = np.vstack([
-        sphere_action_rows(w.map, seed_rows) for w in G.word_tree.level(depth)
-    ])
+    level = G.word_tree.level(depth)
+    rows = np.repeat(np.arange(len(level)), len(seed_rows))
+    pts = mobius.sphere_action_stack(tuple(f[rows] for f in level.fields),
+                                     np.tile(seed_rows, (len(level), 1)))
     pts = _dedup_rows(pts, 1e-12)
     return LimitSetCloud(n=G.n, points=pts, depth=depth, resolution=None)
 
@@ -314,12 +323,6 @@ def distortion_ratio(G: GroupPresentation, x: ExtPoint, g: mobius.MobiusMap,
     if d_gx.upper <= 0.0:
         raise UncertifiedDistance("g x collides with the cloud")
     return float(mobius.deriv_sphere(g, x) * d_x.upper / d_gx.upper)
-
-
-def cloud_invariance_defect(L: LimitSetCloud, g: mobius.MobiusMap) -> float:
-    """Max distance from mapped samples back to the cloud (sampled Hausdorff)."""
-    mapped = sphere_action_rows(g, L.points)
-    return float(np.max(L.nearest(mapped)))
 
 
 def export_csv(L: LimitSetCloud, path) -> None:

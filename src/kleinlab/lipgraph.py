@@ -35,9 +35,10 @@ from .geom import (
     sphere_area,
     uniform_sphere,
 )
-from .group import GroupPresentation, TAG_SCHOTTKY, Word, enumerate_elements
+from .group import (GroupPresentation, TAG_SCHOTTKY, WordLevel, enumerate_elements,
+                    word_count)
 from .limitset import LimitSetCloud, dist_rows
-from .mobius import MobiusMap, inverse, poincare_extend, sphere_action_rows
+from .mobius import MobiusMap, inverse_rows, poincare_extend, sphere_action_stack
 
 SHAPE_RATIO_MAX = 0.5
 SUPPORT_INFLATION = 1.5
@@ -322,8 +323,8 @@ class HeightResult:
 
 @dataclass
 class _WordLevel:
-    words: list[Word]
-    inv_maps: list[MobiusMap]
+    words: WordLevel
+    inv_fields: tuple[np.ndarray, ...]  # stacked inverses of the words
     centers: np.ndarray
     support_cos: np.ndarray  # cos of inflated support angles
     index: _CapIndex
@@ -378,7 +379,7 @@ class DomeFamily:
         self.hit_pairs = 0
         nested = G.tag == TAG_SCHOTTKY
         if not nested:
-            count = len(self.seed_caps) * _word_count_estimate(G, max_len)
+            count = len(self.seed_caps) * word_count(G.rank, max_len)
             if count > MATERIALIZE_BUDGET:
                 raise ShrinkEpsilon(
                     f"family of ~{count} caps exceeds the materialization "
@@ -465,7 +466,7 @@ class DomeFamily:
             self._levels.append(
                 _WordLevel(
                     words=words,
-                    inv_maps=[inverse(w.map) for w in words],
+                    inv_fields=inverse_rows(words.fields),
                     centers=centers,
                     support_cos=np.cos(support_angles),
                     index=_CapIndex(centers, support_angles),
@@ -580,15 +581,9 @@ class DomeFamily:
     def _level_hits(self, lv: _WordLevel, U: np.ndarray, tree: cKDTree):
         """(row, d, key, theta) of the rows of U meeting a cap of level lv."""
         # (row, word) pairs with the row inside the word's inflated nested
-        # support cap, grouped by word, rows ascending
+        # support cap, and the row's preimage under the word
         i, w = self._confirmed(lv.index, tree, U, lv.centers, lv.support_cos)
-        order = np.lexsort((i, w))
-        i, w = i[order], w[order]
-        cuts = np.flatnonzero(np.diff(w)) + 1
-        Y = np.concatenate([np.empty((0, U.shape[1]))] + [
-            sphere_action_rows(lv.inv_maps[ws[0]], U[rs])
-            for rs, ws in zip(np.split(i, cuts), np.split(w, cuts)) if rs.size
-        ])
+        Y = sphere_action_stack(tuple(f[w] for f in lv.inv_fields), U[i])
         # for a group with nested caps the build-fitted caps are the seeds
         j, s = self._confirmed(self._index, cKDTree(Y), Y, self._centers,
                                self._cos)
@@ -610,18 +605,6 @@ def _row_minima(N: int, rows: np.ndarray, t: np.ndarray, key: np.ndarray
     first = np.full(N, np.iinfo(np.int64).max)
     np.minimum.at(first, rows[at], key[at])
     return best, first
-
-
-def _word_count_estimate(G: GroupPresentation, max_len: int) -> int:
-    k = 2 * G.rank
-    if k <= 1:
-        return 2 * max_len + 1
-    total = 1
-    level = 1
-    for _ in range(max_len):
-        level = level * (k - 1) if level > 1 else k
-        total += level
-    return total
 
 
 def _nearest_unit(cloud: LimitSetCloud, u: np.ndarray) -> np.ndarray:

@@ -9,8 +9,12 @@ composition to stop drift.
 The Poincare extension of a map is evaluated in upper half-space only, where
 its lift has a closed form in the same fields (_lift). The lift serves one
 map at many points (ExtendedMap, the round derivative) and many maps at one
-point: orbit_distances gives rho(x, gamma_i y) for a whole list of maps from
-their stacked fields.
+point: orbit_distances gives rho(x, gamma_i y) for a whole stack of maps.
+
+Stacks of maps are held as their stacked fields (eps, a, r, A, b), one row
+per map. compose_rows and inverse_rows work on such stacks; compose and
+inverse are their one-row calls, so a map gets the same bits alone or in
+a stack of any size.
 """
 
 from __future__ import annotations
@@ -149,29 +153,33 @@ def apply_rows(g: MobiusMap, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sphere_action_rows(g: MobiusMap, U: np.ndarray) -> np.ndarray:
+    """Action of one map on unit rows: see sphere_action_stack."""
+    return sphere_action_stack(stack_fields([g]), U)
+
+
+def sphere_action_stack(fields, U: np.ndarray) -> np.ndarray:
     """Action on S^n through the stereographic identification; total.
 
-    U holds unit vectors in R^{n+1}; the result is again unit rows (the north
-    pole plays the role of infinity).
+    Row i of the unit rows U goes through the map of row i of the stacked
+    fields, or through their only map, to a unit row (the north pole plays
+    the role of infinity). One map takes one matmul of the rows, a stack
+    one per row, with the same bits.
     """
+    eps, a, r, A, b = fields
     U = np.atleast_2d(np.asarray(U, dtype=float))
     coords, at_inf = unembed_rows(U)
-    out = np.empty_like(U)
-    if np.any(~at_inf):
-        Y, to_inf = apply_rows(g, coords[~at_inf])
-        emb = embed_rows(Y)
-        if np.any(to_inf):
-            north = np.zeros(U.shape[1])
-            north[-1] = 1.0
-            emb[to_inf] = north
-        out[~at_inf] = emb
-    if np.any(at_inf):
-        if g.eps == 0:
-            north = np.zeros(U.shape[1])
-            north[-1] = 1.0
-            out[at_inf] = north
-        else:
-            out[at_inf] = embed_rows(g.b[None, :])[0]
+    V = coords - a
+    s = np.einsum("ij,ij->i", V, V)
+    inv = eps == 1
+    at_pole = inv & (s < 1e-280)
+    V = V / np.where(inv & ~at_pole, s, 1.0)[:, None]
+    if len(A) == 1:
+        lin = V @ A[0].T
+    else:
+        lin = np.matmul(V[:, None, :], A.transpose(0, 2, 1))[:, 0, :]
+    out = embed_rows(b + r[:, None] * lin)
+    out[at_pole | (at_inf & ~inv)] = np.eye(U.shape[1])[-1]
+    out[at_inf & inv] = embed_rows(np.broadcast_to(b, coords.shape)[at_inf & inv])
     return out / np.linalg.norm(out, axis=1, keepdims=True)
 
 
@@ -179,54 +187,106 @@ def sphere_action_rows(g: MobiusMap, U: np.ndarray) -> np.ndarray:
 # group structure
 # ---------------------------------------------------------------------------
 
+def stack_fields(maps) -> tuple[np.ndarray, ...]:
+    """(eps, a, r, A, b) of a list of maps, each stacked along a leading axis."""
+    return (np.array([g.eps for g in maps]), np.array([g.a for g in maps]),
+            np.array([g.r for g in maps]), np.array([g.A for g in maps]),
+            np.array([g.b for g in maps]))
+
+
+def map_row(fields, i: int) -> MobiusMap:
+    """Row i of stacked fields as a map."""
+    eps, a, r, A, b = fields
+    return MobiusMap(a.shape[1], int(eps[i]), a[i], float(r[i]), A[i], b[i])
+
+
+def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.matmul(M, v[:, :, None])[:, :, 0]
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+
+def compose_rows(f1, f2) -> tuple[np.ndarray, ...]:
+    """Stacked fields of x -> g1_i(g2_i(x)) for the rows of two stacks.
+
+    The rows split by the eps cases: an affine outer map keeps the inner
+    structure, an inverting one after an affine one moves its pole, two
+    inverting maps whose poles cancel compose to an affine map, and else
+    iota(c + s M iota(v)) = iota(c) + (s/|c|^2) M R_{M^T c} iota(v + s M^T
+    iota(c)), c = b2 - a1. Each product is a matmul per row, so a row gets
+    the same bits in any stack. A is re-projected to the nearest orthogonal
+    matrix on the rows whose drift passes ORTHO_TOL.
+    """
+    e1, a1, r1, A1, b1 = f1
+    e2, a2, r2, A2, b2 = f2
+    k, n = a1.shape
+    eps, a, r = e2.copy(), np.zeros((k, n)), np.empty(k)
+    A, b = np.matmul(A1, A2), np.empty((k, n))
+    i = np.flatnonzero(e1 == 0)
+    if i.size:
+        a[i], r[i] = a2[i], r1[i] * r2[i]
+        b[i] = b1[i] + r1[i, None] * _mv(A1[i], b2[i])
+    i = np.flatnonzero((e1 == 1) & (e2 == 0))
+    if i.size:
+        # iota(r2 A2 x + b2 - a1) = (1/r2) A2 iota(x - d)
+        eps[i], r[i], b[i] = 1, r1[i] / r2[i], b1[i]
+        a[i] = _mv(A2[i].transpose(0, 2, 1), a1[i] - b2[i]) / r2[i, None]
+    both = np.flatnonzero((e1 == 1) & (e2 == 1))
+    if both.size:
+        c = b2[both] - a1[both]
+        scale = 1.0 + np.sqrt(_dot(a1[both], a1[both])) + np.sqrt(
+            _dot(b2[both], b2[both]))
+        cancel = np.sqrt(_dot(c, c)) < _POLE_CANCEL_TOL * scale
+        i = both[cancel]
+        eps[i], r[i] = 0, r1[i] / r2[i]
+        b[i] = b1[i] - r[i, None] * _mv(A[i], a2[i])
+        i, c = both[~cancel], c[~cancel]
+        c2 = _dot(c, c)
+        u = _mv(A2[i].transpose(0, 2, 1), c)
+        R = np.eye(n) - 2.0 * (u[:, :, None] * u[:, None, :]) / _dot(u, u)[:, None, None]
+        a[i] = a2[i] - r2[i, None] * u / c2[:, None]
+        r[i] = r1[i] * r2[i] / c2
+        A[i] = np.matmul(A1[i], np.matmul(A2[i], R))
+        b[i] = b1[i] + r1[i, None] * _mv(A1[i], c) / c2[:, None]
+    drift = np.abs(np.matmul(A.transpose(0, 2, 1), A) - np.eye(n)).max(axis=(1, 2))
+    i = np.flatnonzero(drift > ORTHO_TOL)
+    if i.size:
+        U, _, Vt = np.linalg.svd(A[i])
+        A[i] = np.matmul(U, Vt)
+    return eps, a, r, A, b
+
+
 def compose(g1: MobiusMap, g2: MobiusMap) -> MobiusMap:
-    """The map x -> g1(g2(x)), renormalized to the canonical form."""
+    """The map x -> g1(g2(x)): a one-row call of compose_rows."""
     if g1.n != g2.n:
         raise DimensionMismatch(f"{g1.n} vs {g2.n}")
-    n = g1.n
-    if g1.eps == 0:
-        # affine post-composition keeps the inner structure
-        return MobiusMap(
-            n, g2.eps, g2.a, g1.r * g2.r, g1.A @ g2.A,
-            g1.b + g1.r * (g1.A @ g2.b),
-        )
-    if g2.eps == 0:
-        # iota(r2 A2 x + b2 - a1) = (1/r2) A2 iota(x - d)
-        d = g2.A.T @ (g1.a - g2.b) / g2.r
-        return MobiusMap(n, 1, d, g1.r / g2.r, g1.A @ g2.A, g1.b)
-    c = g2.b - g1.a
-    scale = 1.0 + np.linalg.norm(g1.a) + np.linalg.norm(g2.b)
-    if np.linalg.norm(c) < _POLE_CANCEL_TOL * scale:
-        # poles cancel: the composition is affine
-        r = g1.r / g2.r
-        A = g1.A @ g2.A
-        return MobiusMap(n, 0, np.zeros(n), r, A, g1.b - r * (A @ g2.a))
-    # iota(c + s M iota(v)) = iota(c) + (s/|c|^2) M R_{M^T c} iota(v + s M^T iota(c))
-    c2 = float(c @ c)
-    u = g2.A.T @ c
-    R = np.eye(n) - 2.0 * np.outer(u, u) / float(u @ u)
-    a = g2.a - g2.r * u / c2
-    r = g1.r * g2.r / c2
-    A = g1.A @ (g2.A @ R)
-    b = g1.b + g1.r * (g1.A @ c) / c2
-    return MobiusMap(n, 1, a, r, A, b)
+    return map_row(compose_rows(stack_fields([g1]), stack_fields([g2])), 0)
+
+
+def inverse_rows(fields) -> tuple[np.ndarray, ...]:
+    """Stacked fields of the inverses: a field swap for inverting maps."""
+    eps, a, r, A, b = fields
+    At = A.transpose(0, 2, 1)
+    aff = (eps == 0)[:, None]
+    return (eps.copy(), np.where(aff, 0.0, b), np.where(eps == 0, 1.0 / r, r),
+            At.copy(), np.where(aff, -_mv(At, b) / r[:, None], a))
 
 
 def inverse(g: MobiusMap) -> MobiusMap:
-    if g.eps == 0:
-        Ainv = g.A.T
-        return MobiusMap(g.n, 0, np.zeros(g.n), 1.0 / g.r, Ainv,
-                         -(Ainv @ g.b) / g.r)
-    return MobiusMap(g.n, 1, g.b, g.r, g.A.T, g.a)
+    return map_row(inverse_rows(stack_fields([g])), 0)
+
+
+def is_identity_rows(fields, tol: float = IDENTITY_TOL) -> np.ndarray:
+    eps, _, r, A, b = fields
+    return ((eps == 0) & (np.abs(r - 1.0) < tol)
+            & (np.abs(A - np.eye(A.shape[1])).max(axis=(1, 2)) < tol)
+            & (np.abs(b).max(axis=1) < tol))
 
 
 def is_identity(g: MobiusMap, tol: float = IDENTITY_TOL) -> bool:
-    return (
-        g.eps == 0
-        and abs(g.r - 1.0) < tol
-        and np.max(np.abs(g.A - np.eye(g.n))) < tol
-        and np.max(np.abs(g.b)) < tol
-    )
+    return bool(is_identity_rows(stack_fields([g]), tol)[0])
 
 
 def maps_close(g: MobiusMap, h: MobiusMap, tol: float = IDENTITY_TOL) -> bool:
@@ -258,13 +318,6 @@ def deriv_euclid_rows(g: MobiusMap, X: np.ndarray) -> np.ndarray:
     return g.r / d2
 
 
-def _fields(maps) -> tuple[np.ndarray, ...]:
-    """(eps, a, r, A, b) of a list of maps, each stacked along a leading axis."""
-    return (np.array([g.eps for g in maps]), np.array([g.a for g in maps]),
-            np.array([g.r for g in maps]), np.array([g.A for g in maps]),
-            np.array([g.b for g in maps]))
-
-
 def _lift(fields, P: np.ndarray, H) -> tuple[np.ndarray, np.ndarray]:
     """Lifts of stacked maps at upper half-space points (p, h), row by row.
 
@@ -281,14 +334,13 @@ def _lift(fields, P: np.ndarray, H) -> tuple[np.ndarray, np.ndarray]:
     return b + c[..., None] * np.einsum("...ij,...j->...i", A, D), c
 
 
-def deriv_sphere_rows(maps, X: np.ndarray, at_inf: np.ndarray) -> np.ndarray:
-    """|gamma_i'(x_i)| in the round metric for rows of extended points.
+def deriv_sphere_rows(fields, X: np.ndarray, at_inf: np.ndarray) -> np.ndarray:
+    """|gamma_i'(x_i)| in the round metric for the rows of stacked fields.
 
     Row i of X holds x_i (ignored where at_inf[i], the point at infinity).
     For finite x with finite image this is (1+|x|^2)/(1+|gx|^2) |gamma'(x)|_e;
     the pole and infinity get the continuous extensions.
     """
-    fields = _fields(maps)
     eps, a, r, _, b = fields
     X = np.atleast_2d(np.asarray(X, dtype=float))
     at_inf = np.asarray(at_inf, dtype=bool)
@@ -306,7 +358,8 @@ def deriv_sphere_rows(maps, X: np.ndarray, at_inf: np.ndarray) -> np.ndarray:
 def deriv_sphere(g: MobiusMap, x: ExtPoint) -> float:
     """|gamma'(x)| in the round metric: a one-row call of deriv_sphere_rows."""
     X = np.zeros((1, g.n)) if x.is_infinity else x.coords[None, :]
-    return float(deriv_sphere_rows([g], X, np.array([x.is_infinity]))[0])
+    return float(deriv_sphere_rows(stack_fields([g]), X,
+                                   np.array([x.is_infinity]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +380,14 @@ def _cayley(m: int) -> MobiusMap:
     return MobiusMap(m, 1, north, 2.0, A, -north)
 
 
-def orbit_distances(maps, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """rho(x, gamma_i y) for ball points x, y and every map gamma_i of a list.
+def orbit_distances(fields, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """rho(x, gamma_i y) for ball points x, y and every row of stacked fields.
 
     The Cayley map sends x and y to z and w in upper half-space, the lift of
     each map sends w to w_i, and cosh rho = 1 + |z - w_i|^2 / (2 z_h w_ih).
     """
     (z, w), _ = apply_rows(_cayley(len(x)), np.vstack([x, y]))
-    P, c = _lift(_fields(maps), w[:-1], w[-1])
+    P, c = _lift(fields, w[:-1], w[-1])
     d2 = np.einsum("ij,ij->i", P - z[:-1], P - z[:-1]) + (c * w[-1] - z[-1]) ** 2
     return distance_from_gauge_ratio(d2 / (4.0 * z[-1] * c * w[-1]))
 
@@ -361,7 +414,7 @@ class ExtendedMap:
         Z, at_pole = apply_rows(k, X)
         if np.any(at_pole):
             raise PoleEvaluation("ball row at the north pole, not inside the ball")
-        P, c = _lift(_fields([self.source]), Z[:, :-1], Z[:, -1])
+        P, c = _lift(stack_fields([self.source]), Z[:, :-1], Z[:, -1])
         Y, _ = apply_rows(inverse(k), np.column_stack([P, c * Z[:, -1]]))
         norms = np.linalg.norm(Y, axis=1)
         crowded = norms >= 1.0
@@ -451,7 +504,7 @@ def classify(g: MobiusMap) -> str:
     escaped = False
     origin = np.zeros(g.n + 1)
     for _ in range(34):
-        displacements.append(float(orbit_distances([h], origin, origin)[0]))
+        displacements.append(float(orbit_distances(stack_fields([h]), origin, origin)[0]))
         if displacements[-1] > 30.0:
             escaped = True
             break

@@ -11,7 +11,7 @@ import pytest
 from kleinlab import caps, geom, mobius
 from kleinlab.caps import SphericalCap, cap_image, cap_to_euclidean_ball
 
-from util import random_mobius, reference_schottky
+from util import level_children, random_mobius, reference_schottky
 
 RNG = np.random.default_rng(1234)
 
@@ -158,7 +158,7 @@ def nested_probe_stacks(G, d):
     with the source caps and maps, as WordTree.nested_caps maps them."""
     tree = G.word_tree
     rows, maps, src = [], [], []
-    for w, s in tree.children(tree.level(d - 1)):
+    for w, s in level_children(tree, d):
         cap = G.letter_target_cap(s)
         rows.append(mobius.sphere_action_rows(
             w.map, np.vstack([cap.boundary_points(), cap.center])))
@@ -176,8 +176,8 @@ class TestBatchedImages:
         # the circle through the same float probes, in exact arithmetic
         G = reference_schottky()
         imgs, c_img, maps, centers, thetas = nested_probe_stacks(G, depth)
-        _, theta, valid = caps.fit_image_caps(imgs, c_img, maps, centers,
-                                              thetas)
+        _, theta, valid = caps.fit_image_caps(
+            imgs, c_img, mobius.stack_fields(maps), centers, thetas)
         assert valid.all()
         exact = np.array([exact_theta(P) for P in imgs])
         assert np.max(np.abs(theta - exact) / exact) <= bound
@@ -192,8 +192,8 @@ class TestBatchedImages:
         imgs[2, 1] = imgs[2, 0]  # two coincident probes: rank-deficient
         # probes spread below 1e-14 around the mapped center
         imgs[5] = c_img[5] + 3e-15 * np.array([[1.0, 0, 0], [0, 1, 0], [-1, 0, 0]])
-        nu, theta, valid = caps.fit_image_caps(imgs, c_img, maps, centers,
-                                               thetas)
+        nu, theta, valid = caps.fit_image_caps(
+            imgs, c_img, mobius.stack_fields(maps), centers, thetas)
         assert valid.all()
         for i in (2, 5):  # first-order image: mapped center, scaled radius
             assert np.array_equal(nu[i], c_img[i])
@@ -205,8 +205,8 @@ class TestBatchedImages:
                                          rel=1e-2)
         for i in (0, 1, 3, 4, 6, 7):  # ordinary rows: the bits of a lone fit
             alone = caps.fit_image_caps(imgs[i:i + 1], c_img[i:i + 1],
-                                        maps[i:i + 1], centers[i:i + 1],
-                                        thetas[i:i + 1])
+                                        mobius.stack_fields(maps[i:i + 1]),
+                                        centers[i:i + 1], thetas[i:i + 1])
             assert np.array_equal(alone[0][0], nu[i])
             assert alone[1][0] == theta[i]
 
@@ -215,7 +215,8 @@ class TestBatchedImages:
         g = random_mobius(np.random.default_rng(5), 2)
         P = mobius.sphere_action_rows(g, np.vstack([cap.boundary_points(),
                                                      cap.center]))
-        nu, theta, _ = caps.fit_image_caps(P[None, :-1], P[None, -1], [g],
+        nu, theta, _ = caps.fit_image_caps(P[None, :-1], P[None, -1],
+                                           mobius.stack_fields([g]),
                                            cap.center[None],
                                            np.array([cap.theta]))
         img = cap_image(g, cap)

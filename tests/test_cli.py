@@ -2,11 +2,13 @@
 
 import json
 import pathlib
+import time
 
 import numpy as np
 import pytest
 
-from kleinlab import cli, files, lipgraph, mobius
+from kleinlab import cli, files, group, limitset, lipgraph, mobius
+from kleinlab.caps import CapDegenerate
 from kleinlab.files import (
     ValidationError,
     load_group_file,
@@ -276,6 +278,39 @@ class TestCommands:
                          "--samples", "8"])
         assert code == 3
         assert "budget too small" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["dimension", "limitset"])
+    def test_depth_over_the_word_budget_exits_3_before_work(self, command,
+                                                            capsys):
+        start = time.perf_counter()
+        code = cli.main([command, "--file", SCHOTTKY, "--depth", "30", "--json"])
+        assert code == 3 and time.perf_counter() - start < 1.0
+        error = json.loads(capsys.readouterr().out)["results"]["error"]
+        assert "depth 30" in error and "budget" in error
+
+    def test_long_cyclic_words_stay_within_the_budget(self, capsys):
+        # 1 + 2 * 40 = 81 words
+        code = cli.main(["dimension", "--file", LOXODROMIC, "--depth", "40",
+                         "--json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["results"]["delta"][
+            "estimate"] == 0.0
+
+    @pytest.mark.parametrize("target,error", [
+        ("critical_exponent", group.SchottkyCollision("word (2,) duplicates")),
+        ("sample_limit_set", CapDegenerate("a nested cap is degenerate")),
+    ])
+    def test_bad_configuration_exits_2_with_message(self, target, error,
+                                                    monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise error
+
+        module = group if target == "critical_exponent" else limitset
+        monkeypatch.setattr(module, target, broken)
+        code = cli.main(["dimension", "--file", SCHOTTKY, "--json"])
+        assert code == 2
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["error"] == f"bad configuration: {error}"
 
     def test_reports_carry_inputs_and_wall_time(self, capsys):
         cli.main(["validate", "--file", LOXODROMIC, "--json"])

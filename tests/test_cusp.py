@@ -9,7 +9,6 @@ from kleinlab.cusp import (
     CuspEnd,
     cusp_volume,
     cusp_volume_mc,
-    equivariant_extend,
     gh_factor,
     gh_factor_flat,
     gh_product_identity,
@@ -19,7 +18,8 @@ from kleinlab.cusp import (
 from kleinlab.geom import SpherePoint, stereo_project, uniform_sphere
 from kleinlab.limitset import sample_limit_set
 
-from util import reference_schottky
+from util import (LocatorFailed, equivariant_extend, extension_band,
+                  reference_schottky)
 
 RNG = np.random.default_rng(2024)
 
@@ -181,13 +181,13 @@ class TestEquivariantExtension:
             x = stereo_project(SpherePoint(u))
             try:
                 val_x, _ = equivariant_extend(lambda y: 1.0, G, u)
-            except cusp.LocatorFailed:
+            except LocatorFailed:
                 continue
             for g in G.generators:
                 gu = mobius.sphere_action_rows(g, u[None, :])[0]
                 try:
                     val_gx, _ = equivariant_extend(lambda y: 1.0, G, gu)
-                except cusp.LocatorFailed:
+                except LocatorFailed:
                     continue
                 ds = mobius.deriv_sphere(g, x)
                 worst = max(worst, abs(val_x - val_gx * ds) / val_x)
@@ -214,7 +214,7 @@ class TestEquivariantExtension:
         cloud = sample_limit_set(G, 5)
         rng = np.random.default_rng(5)
         samples = uniform_sphere(rng, 2, 800)
-        band = cusp.extension_band(lambda y: 1.0, G, cloud, samples)
+        band = extension_band(lambda y: 1.0, G, cloud, samples)
         assert band.size > 300
         K = max(band.max(), 1.0 / band.min())
         assert np.isfinite(K)

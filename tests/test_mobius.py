@@ -63,6 +63,39 @@ class TestApply:
 
 
 class TestGroupStructure:
+    def test_compose_row_bits_do_not_depend_on_the_stack(self):
+        # 250 rows of each eps case: affine outer map, inverting after
+        # affine, two inverting maps whose poles cancel, and the general case
+        rng = np.random.default_rng(31)
+        pairs = []
+        for outer, inner in ((0, None), (1, 0), (1, 1), (1, 1)):
+            for _ in range(250):
+                g = random_mobius(rng, 3, inverting=outer)
+                h = random_mobius(rng, 3, inverting=inner)
+                pairs.append((g, h))
+        for g, h in pairs[500:750]:  # the poles cancel: h sends inf to g.a
+            object.__setattr__(h, "b", g.a.copy())
+        stack = mobius.compose_rows(mobius.stack_fields([g for g, _ in pairs]),
+                                    mobius.stack_fields([h for _, h in pairs]))
+        assert (stack[0][500:750] == 0).all() and (stack[0][750:] == 1).all()
+        for i, (g, h) in enumerate(pairs):
+            one, row = compose(g, h), mobius.map_row(stack, i)
+            assert (one.eps, one.r) == (row.eps, row.r)
+            for x, y in ((one.a, row.a), (one.A, row.A), (one.b, row.b)):
+                assert x.tobytes() == y.tobytes()
+
+    def test_stacked_sphere_action_keeps_the_bits_of_one_map(self):
+        rng = np.random.default_rng(32)
+        maps = [random_mobius(rng, 2) for _ in range(300)]
+        U = geom.uniform_sphere(rng, 2, 300)
+        U[:3] = np.eye(3)[-1]  # the point at infinity
+        maps[3] = mobius.MobiusMap(2, 1, geom.stereo_project(
+            geom.SpherePoint(U[4])).coords, 1.0, np.eye(2), np.zeros(2))
+        got = mobius.sphere_action_stack(mobius.stack_fields(maps), U)
+        want = np.array([mobius.sphere_action_rows(g, u[None])[0]
+                         for g, u in zip(maps, U)])
+        assert got.tobytes() == want.tobytes()
+
     def test_inversion_is_involution(self):
         g = unit_inversion(3)
         assert is_identity(compose(g, g))
@@ -304,7 +337,7 @@ class TestOrbitDistances:
             maps = [random_mobius(RNG, 2) for _ in range(10)]
             x, y = (0.9 * RNG.uniform() * geom.uniform_sphere(RNG, 2, 1)[0]
                     for _ in range(2))
-            got = mobius.orbit_distances(maps, x, y)
+            got = mobius.orbit_distances(mobius.stack_fields(maps), x, y)
             want = [geom.hyperbolic_distance_rows(
                 x[None, :], poincare_extend(g).apply_ball_rows(y[None, :]))[0]
                 for g in maps]
@@ -317,7 +350,7 @@ class TestOrbitDistances:
                 for _ in range(10)]
         x = np.array([0.0, 0.3 * np.tanh(1.0), 0.1])
         for y in (x, np.zeros(3), np.array([0.5, -0.2, 0.4])):
-            got = mobius.orbit_distances(maps, x, y)
+            got = mobius.orbit_distances(mobius.stack_fields(maps), x, y)
             want = [geom.hyperbolic_distance_rows(
                 x[None, :], poincare_extend(g).apply_ball_rows(y[None, :]))[0]
                 for g in maps]

@@ -1,9 +1,13 @@
-"""Shared helpers for the test suite: random maps, points, reference groups."""
+"""Shared helpers for the test suite: random maps, points, reference groups,
+and the letter-by-letter fundamental-domain walk of a schottky group."""
 
 import numpy as np
 
+from kleinlab import mobius
 from kleinlab.caps import SphericalCap
-from kleinlab.group import make_schottky
+from kleinlab.geom import ExtPoint, SpherePoint, embed_ext, stereo_project
+from kleinlab.group import TAG_SCHOTTKY, make_schottky
+from kleinlab.limitset import dist_rows
 from kleinlab.mobius import MobiusMap
 
 
@@ -24,6 +28,12 @@ def reference_schottky(theta=REFERENCE_THETA):
     ])
     c = [SphericalCap(center=v, theta=theta) for v in centers]
     return make_schottky([(c[0], c[1]), (c[2], c[3])])
+
+
+def level_children(tree, d):
+    """(parent word, last letter) of each word of level d of a WordTree."""
+    lv, up = tree.level(d), tree.level(d - 1)
+    return [(up[int(p)], int(s)) for p, s in zip(lv.parent, lv.letter)]
 
 
 def random_orthogonal(rng, n):
@@ -54,3 +64,70 @@ def random_ball_point(rng, m, rmax=0.95):
     v = rng.standard_normal(m)
     v /= np.linalg.norm(v)
     return v * rmax * rng.uniform(0.0, 1.0) ** (1.0 / m)
+
+
+class LocatorFailed(RuntimeError):
+    """Fundamental-domain walk did not terminate."""
+
+
+def locate_in_domain(G, u: np.ndarray, max_steps: int = 200
+                     ) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Walk a sphere point into the schottky fundamental region.
+
+    Repeatedly applies the escape letter of whichever defining cap contains
+    the point. Returns the landed point and the applied letters (so the
+    composite map delta with delta(u) in the region is their product).
+    """
+    if G.tag != TAG_SCHOTTKY:
+        raise ValueError("domain locator requires a schottky presentation")
+    letters: list[int] = []
+    point = np.asarray(u, dtype=float).copy()
+    for _ in range(max_steps):
+        inside = None
+        for idx, cap in enumerate(G.ball_caps):
+            if cap.contains(point[None, :])[0]:
+                inside = idx
+                break
+        if inside is None:
+            return point, tuple(letters)
+        gen = inside // 2
+        s = (gen + 1) if inside % 2 == 0 else -(gen + 1)
+        point = mobius.sphere_action_rows(G.letter(s), point[None, :])[0]
+        letters.append(s)
+    raise LocatorFailed(f"no fundamental-domain landing in {max_steps} steps")
+
+
+def equivariant_extend(u0, G, x, max_steps: int = 200
+                       ) -> tuple[float, tuple[int, ...]]:
+    """Extend a fundamental-domain conformal factor to x by equivariance.
+
+    With delta the locator word (delta x = y in the domain), the invariance
+    law e^{u(x)} = e^{u(delta x)} |delta'(x)|_s defines the value; ties on
+    domain boundaries are broken by the locator's deterministic cap order.
+    u0 maps a sphere unit vector in the domain to the factor there.
+    """
+    if isinstance(x, SpherePoint):
+        u = x.vec
+    elif isinstance(x, ExtPoint):
+        u = embed_ext(x)
+    else:
+        u = np.asarray(x, dtype=float)
+    y, letters = locate_in_domain(G, u, max_steps=max_steps)
+    delta = mobius.identity(G.n)
+    for s in letters:
+        delta = mobius.compose(G.letter(s), delta)
+    ds = mobius.deriv_sphere(delta, stereo_project(SpherePoint(u / np.linalg.norm(u))))
+    return float(u0(y) * ds), tuple(letters)
+
+
+def extension_band(u0, G, cloud,
+                   samples: np.ndarray) -> np.ndarray:
+    """e^{u(x)} dist(x, cloud) over sample rows (the two-sided band data)."""
+    vals = []
+    _, upper = dist_rows(samples, cloud)
+    for row, up in zip(samples, upper):
+        if up <= (cloud.resolution or 0.0):
+            continue
+        val, _ = equivariant_extend(u0, G, row)
+        vals.append(val * up)
+    return np.array(vals)
