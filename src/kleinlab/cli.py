@@ -34,6 +34,17 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_INCONCLUSIVE = 3
 
+# Peak RSS grows with --samples by about 105 bytes a sample for harmonic,
+# 330 for graph and 1.2 kB for diagnose (its volume Monte-Carlo): from 44,
+# 99 and 126 MB at 40k samples to 80, 213 and 545 MB at 400k, on the
+# reference and loxodromic files. A million samples keep every command
+# below ~1.3 GB.
+MAX_SAMPLES = 1_000_000
+
+
+class SampleBudgetExceeded(RuntimeError):
+    """--samples asks for more than MAX_SAMPLES."""
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -66,7 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_flags(args):
-    """Reject an out-of-range flag before any work, as a validation failure."""
+    """Reject an out-of-range flag before any work, as a validation failure,
+    and a sample count over the budget as inconclusive."""
     if args.depth is not None and args.depth < 1:
         raise ValidationError("--depth", "must be >= 1")
     if args.epsilon0 is not None and not 0.0 < args.epsilon0 <= 0.5:
@@ -74,6 +86,9 @@ def _check_flags(args):
     # harmonic splits its budget four ways for the invariance residuals
     if args.samples is not None and args.samples < 4:
         raise ValidationError("--samples", "must be >= 4")
+    if args.samples is not None and args.samples > MAX_SAMPLES:
+        raise SampleBudgetExceeded(f"--samples {args.samples} is over the "
+                                   f"budget of {MAX_SAMPLES}")
     if args.seed is not None and args.seed < 0:
         raise ValidationError("--seed", "must be >= 0")
 
@@ -344,7 +359,8 @@ def main(argv=None) -> int:
         body, code = {"valid": False, "error": str(exc)}, EXIT_INVALID
     except (group_mod.SchottkyCollision, CapDegenerate) as exc:
         body, code = {"error": f"bad configuration: {exc}"}, EXIT_INVALID
-    except (lipgraph_mod.ShrinkEpsilon, group_mod.WordBudgetExceeded) as exc:
+    except (lipgraph_mod.ShrinkEpsilon, group_mod.WordBudgetExceeded,
+            SampleBudgetExceeded) as exc:
         body, code = {"error": str(exc)}, EXIT_INCONCLUSIVE
     report = {
         "command": args.command,

@@ -141,13 +141,9 @@ def stereo_project(p: SpherePoint) -> ExtPoint:
     return ExtPoint.finite(v[:-1] / (1.0 - v[-1]))
 
 
-def stereo_unproject(x: ExtPoint) -> SpherePoint:
-    """Inverse of stereo_project; the origin maps to the south pole."""
-    return SpherePoint(embed_ext(x))
-
-
 def embed_ext(x: ExtPoint) -> np.ndarray:
-    """Unit-vector embedding of an extended point into R^{n+1}."""
+    """Unit-vector embedding of an extended point into R^{n+1}, the inverse
+    of stereo_project; the origin maps to the south pole."""
     if x.is_infinity:
         v = np.zeros(x.dim + 1)
         v[-1] = 1.0
@@ -188,13 +184,9 @@ def unembed_rows(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # hyperbolic metric on the ball
 # ---------------------------------------------------------------------------
 
-def hyperbolic_distance(x: BallPoint, y: BallPoint) -> float:
-    """Distance in the Poincare ball metric 2|dx|/(1-|x|^2)."""
-    return float(hyperbolic_distance_rows(x.vec[None, :], y.vec[None, :])[0])
-
-
 def hyperbolic_distance_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Row-wise Poincare distance; arguments must lie strictly inside the ball."""
+    """Row-wise distance in the Poincare ball metric 2|dx|/(1-|x|^2);
+    arguments must lie strictly inside the ball."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     nx = np.einsum("ij,ij->i", X, X)

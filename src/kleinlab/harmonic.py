@@ -15,7 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from .caps import SphericalCap
 from .geom import BallPoint, ball_gauge, uniform_sphere
 from .group import GroupPresentation
 from .limitset import LimitSetCloud
@@ -47,34 +46,15 @@ class BoundaryIndicator:
     classify: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def _decidable(kind: str, member: Callable[[np.ndarray], np.ndarray]
-               ) -> BoundaryIndicator:
-    def classify(U):
-        m = member(np.atleast_2d(U))
-        return m, np.zeros_like(m)
-
-    return BoundaryIndicator(kind=kind, classify=classify)
-
-
-def full_sphere() -> BoundaryIndicator:
-    return _decidable("full-sphere",
-                      lambda U: np.ones(U.shape[0], dtype=bool))
-
-
 def hemisphere(axis: np.ndarray) -> BoundaryIndicator:
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
-    return _decidable("hemisphere", lambda U: U @ axis >= 0.0)
 
+    def classify(U):
+        member = np.atleast_2d(U) @ axis >= 0.0
+        return member, np.zeros_like(member)
 
-def cap_union(caps: list[SphericalCap]) -> BoundaryIndicator:
-    def member(U):
-        out = np.zeros(U.shape[0], dtype=bool)
-        for cap in caps:
-            out |= cap.contains(U)
-        return out
-
-    return _decidable("cap-union", member)
+    return BoundaryIndicator(kind="hemisphere", classify=classify)
 
 
 def cloud_complement(L: LimitSetCloud) -> BoundaryIndicator:
@@ -82,22 +62,17 @@ def cloud_complement(L: LimitSetCloud) -> BoundaryIndicator:
 
     A row is indeterminate when its chordal distance to the nearest sample
     is at most the band (the certified resolution, 0 without one) and a
-    member otherwise, as L.nearest(U) > band would decide. One kd-tree query
-    per batch answers both. The query is bounded just above the band, so
-    the search stops once no sample can lie within it, and rows with no
-    sample inside the bound read inf. The tree compares squared distances:
-    the bound is the next float above the band, which still squares above
-    any distance that rounds to the band, and at least 2^-511, whose square
-    is the smallest normal float, so that it does not square to zero when
-    the band is 0.
+    member otherwise, as L.nearest(U) > band would decide: a row is
+    indeterminate exactly when some sample p in its sweep window has
+    sqrt(sum((u - p)^2)) <= band.
     """
     band = L.resolution or 0.0
-    bound = max(np.nextafter(band, np.inf), np.sqrt(np.finfo(float).tiny))
 
     def classify(U):
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        d, _ = L.tree.query(U, distance_upper_bound=bound)
-        indet = d <= band
+        indet = np.zeros(U.shape[0], dtype=bool)
+        for i, _, d2 in L.sweep.pairs(U, band):
+            indet[i[np.sqrt(d2) <= band]] = True
         return ~indet, indet
 
     return BoundaryIndicator(kind="complement-of-cloud", classify=classify)

@@ -10,10 +10,10 @@ a (lower, upper) interval that downstream bounds propagate worst-case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import mobius
 from .geom import ExtPoint, SpherePoint, chord_from_angle, embed_ext
@@ -29,13 +29,88 @@ class EmptyScaleWindow(RuntimeError):
     """No valid scales between the resolution and the cloud diameter."""
 
 
+def kdtree(points: np.ndarray):
+    """A cKDTree of the rows, for nearest-neighbour and mixed-radius queries.
+
+    The only import of scipy.spatial, made on the first call, so a run that
+    asks fixed-radius questions only never loads SciPy.
+    """
+    from scipy.spatial import cKDTree
+
+    return cKDTree(points)
+
+
+# Relative widening of a sweep window. A pair whose squared distance rounds
+# to at most r^2 differs along the axis by at most r (1 + 3u) (u = eps / 2),
+# and the window ends x -+ w are rounded once more; the absolute pad covers
+# that last rounding and r = 0. Every candidate is confirmed exactly.
+_WINDOW_SLACK = 1e-9
+
+
+def _sq_dist(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Row-wise sum((p - q)^2), summed in the order a kd-tree sums it."""
+    d = P - Q
+    return np.add.reduce(d * d, axis=1)
+
+
+class _Sweep:
+    """Rows sorted along their coordinate of largest extent.
+
+    window(x, r) gives, for values x on that axis, the sorted positions
+    [lo, hi) of the rows whose axis coordinate lies within about r of x:
+    every row within chordal distance r of a query is inside its window.
+    """
+
+    def __init__(self, points: np.ndarray):
+        self.axis = int(np.argmax(np.ptp(points, axis=0))) if len(points) else 0
+        self.order = np.argsort(points[:, self.axis], kind="stable")
+        self.rank = np.empty_like(self.order)
+        self.rank[self.order] = np.arange(len(points))
+        self.points = points[self.order]
+        self.keys = np.ascontiguousarray(self.points[:, self.axis])
+        top = float(np.abs(self.keys).max()) if len(points) else 0.0
+        self._pad = 4.0 * np.finfo(float).eps * max(1.0, top)
+
+    def window(self, x: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+        w = r * (1.0 + _WINDOW_SLACK) + self._pad
+        return (np.searchsorted(self.keys, x - w, "left"),
+                np.searchsorted(self.keys, x + w, "right"))
+
+    def pairs(self, Q: np.ndarray, r: float, later: bool = False,
+              budget: int = 1 << 20):
+        """(row of Q, sorted position, squared distance) arrays of every
+        candidate in the windows of the rows of Q, in chunks of whole windows
+        of about budget pairs. With later, Q is self.points and each row is
+        paired with the rows after it only.
+        """
+        lo, hi = self.window(Q[:, self.axis], r)
+        if later:
+            lo = np.arange(1, len(Q) + 1)
+        counts = np.maximum(hi - lo, 0)
+        ends = np.cumsum(counts)
+        start = 0
+        while start < len(Q):
+            done = int(ends[start - 1]) if start else 0
+            stop = max(int(np.searchsorted(ends, done + budget, "right")),
+                       start + 1)
+            c = counts[start:stop]
+            i = np.repeat(np.arange(start, stop), c)
+            # pair k of the chunk is lo_i + k - (the chunk's first pair of i)
+            j = np.arange(i.size) + np.repeat(
+                lo[start:stop] - (ends[start:stop] - c - done), c)
+            yield i, j, _sq_dist(self.points[j], Q[i])
+            start = stop
+
+
 @dataclass(frozen=True)
 class LimitSetCloud:
-    """Finite sample of a limit set with a spatial index.
+    """Finite sample of a limit set.
 
     resolution is the certified covering radius (None when the sampling
     carries no certificate); warnings records degeneracies such as elementary
-    groups with fewer than three limit points.
+    groups with fewer than three limit points. Fixed-radius queries go
+    through the sweep, the samples sorted along one axis; nearest queries go
+    through a kd-tree. Both are built on first use.
     """
 
     n: int
@@ -43,15 +118,20 @@ class LimitSetCloud:
     depth: int
     resolution: float | None
     warnings: tuple[str, ...] = ()
-    tree: cKDTree = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         object.__setattr__(self, "points", pts)
-        if pts.shape[0] == 0:
-            object.__setattr__(self, "tree", None)
-        else:
-            object.__setattr__(self, "tree", cKDTree(pts))
+
+    @cached_property
+    def tree(self):
+        """kd-tree of the samples (None for an empty cloud)."""
+        return kdtree(self.points) if self.size else None
+
+    @cached_property
+    def sweep(self) -> _Sweep:
+        """The samples sorted along one axis, for fixed-radius queries."""
+        return _Sweep(self.points)
 
     @property
     def size(self) -> int:
@@ -233,11 +313,13 @@ def _sample_custom(G: GroupPresentation, depth: int,
 
 
 def _dedup_rows(pts: np.ndarray, tol: float) -> np.ndarray:
-    tree = cKDTree(pts)
-    pairs = tree.query_pairs(tol, output_type="ndarray")
-    drop = set(pairs[:, 1].tolist()) if len(pairs) else set()
-    keep = [i for i in range(pts.shape[0]) if i not in drop]
-    return pts[keep]
+    """The rows without the later row of every pair within tol."""
+    sw = _Sweep(pts)
+    drop = np.zeros(len(pts), dtype=bool)
+    for s, t, d2 in sw.pairs(sw.points, tol, later=True):
+        near = d2 <= tol * tol
+        drop[np.maximum(sw.order[s[near]], sw.order[t[near]])] = True
+    return pts[~drop]
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +327,24 @@ def _dedup_rows(pts: np.ndarray, tol: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def greedy_net_count(L: LimitSetCloud, scale: float) -> int:
-    """Size of the greedy chordal net at the given scale (deterministic)."""
-    covered = np.zeros(L.size, dtype=bool)
+    """Size of the greedy chordal net at the given scale (deterministic).
+
+    The samples are visited in order; each one not yet covered opens a ball
+    that covers every sample p with sum((p - q)^2) <= scale^2.
+    """
+    sw = L.sweep
+    lo, hi = (x.tolist() for x in sw.window(sw.keys, scale))
+    r2 = scale * scale
+    # by sorted position; a bytearray reads faster one item at a time
+    covered = bytearray(L.size)
+    cover = np.frombuffer(covered, dtype=bool)
     count = 0
-    for i in range(L.size):
-        if covered[i]:
+    for s in sw.rank.tolist():
+        if covered[s]:
             continue
         count += 1
-        covered[L.tree.query_ball_point(L.points[i], scale)] = True
-        covered[i] = True
+        a, b = lo[s], hi[s]
+        cover[a:b] |= _sq_dist(sw.points[a:b], sw.points[s]) <= r2
     return count
 
 

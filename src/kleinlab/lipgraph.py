@@ -25,7 +25,6 @@ from itertools import chain
 from typing import Callable
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .caps import SphericalCap, cap_images_batch
 from .geom import (
@@ -37,7 +36,7 @@ from .geom import (
 )
 from .group import (GroupPresentation, TAG_SCHOTTKY, WordLevel, enumerate_elements,
                     word_count)
-from .limitset import LimitSetCloud, dist_rows
+from .limitset import LimitSetCloud, dist_rows, kdtree
 from .mobius import MobiusMap, inverse_rows, poincare_extend, sphere_action_stack
 
 SHAPE_RATIO_MAX = 0.5
@@ -175,7 +174,7 @@ def _blocked_by_earlier(P: np.ndarray, R: np.ndarray, X: np.ndarray,
     tree's rounding hid a tie.
     """
     out = np.zeros(X.shape[0], dtype=bool)
-    tree = cKDTree(P)
+    tree = kdtree(P)
 
     def confirm(xi, pj):
         d = np.linalg.norm(P[pj] - X[xi], axis=1)
@@ -188,7 +187,7 @@ def _blocked_by_earlier(P: np.ndarray, R: np.ndarray, X: np.ndarray,
     if tie.size:
         xi, pj = _pairs(tree.query_ball_point(X[tie], r[tie] * _TREE_SLACK))
         confirm(tie[xi], pj)
-    pj, xi = _pairs(cKDTree(X).query_ball_point(P, R * _TREE_SLACK))
+    pj, xi = _pairs(kdtree(X).query_ball_point(P, R * _TREE_SLACK))
     confirm(xi, pj)
     return out
 
@@ -302,9 +301,9 @@ class _CapIndex:
             idx = np.flatnonzero(octave == e)
             chord = max(float(chord_from_angle(thetas[idx].max()) * 1.0000001),
                         _ROUNDING_CHORD)
-            self._buckets.append((cKDTree(centers[idx]), chord, idx))
+            self._buckets.append((kdtree(centers[idx]), chord, idx))
 
-    def pairs(self, rows: cKDTree) -> tuple[np.ndarray, np.ndarray]:
+    def pairs(self, rows) -> tuple[np.ndarray, np.ndarray]:
         """(row of the tree, ball) index arrays, in no particular order."""
         qi, bi = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
         for tree, chord, idx in self._buckets:
@@ -553,7 +552,7 @@ class DomeFamily:
     def heights(self, U: np.ndarray) -> HeightResult:
         U = np.atleast_2d(np.asarray(U, dtype=float))
         N = U.shape[0]
-        tree = cKDTree(U)
+        tree = kdtree(U)
         i, k = self._index.pairs(tree)
         d = np.einsum("ij,ij->i", U[i], self._centers[k]) / self._cos[k]
         hit = d >= 1.0
@@ -578,14 +577,14 @@ class DomeFamily:
         self.hit_pairs += int(hit.sum())
         return r[hit], b[hit]
 
-    def _level_hits(self, lv: _WordLevel, U: np.ndarray, tree: cKDTree):
+    def _level_hits(self, lv: _WordLevel, U: np.ndarray, tree):
         """(row, d, key, theta) of the rows of U meeting a cap of level lv."""
         # (row, word) pairs with the row inside the word's inflated nested
         # support cap, and the row's preimage under the word
         i, w = self._confirmed(lv.index, tree, U, lv.centers, lv.support_cos)
         Y = sphere_action_stack(tuple(f[w] for f in lv.inv_fields), U[i])
         # for a group with nested caps the build-fitted caps are the seeds
-        j, s = self._confirmed(self._index, cKDTree(Y), Y, self._centers,
+        j, s = self._confirmed(self._index, kdtree(Y), Y, self._centers,
                                self._cos)
         i, w = i[j], w[j]
         centers, thetas = self._image_caps(lv, w, s)
@@ -814,7 +813,7 @@ def bilipschitz_ratios(F: DomeFamily, samples: np.ndarray,
         raise ValueError("need at least two covered samples")
     if U.shape[0] > 2 * max_pairs:
         U, fv = U[: 2 * max_pairs], fv[: 2 * max_pairs]
-    tree = cKDTree(U)
+    tree = kdtree(U)
     d, j = tree.query(U, k=2)
     q = d[:, 1]
     j = j[:, 1]

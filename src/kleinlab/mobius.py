@@ -298,19 +298,9 @@ def maps_close(g: MobiusMap, h: MobiusMap, tol: float = IDENTITY_TOL) -> bool:
 # conformal derivatives
 # ---------------------------------------------------------------------------
 
-def deriv_euclid(g: MobiusMap, x: ExtPoint) -> float:
-    """|gamma'(x)| in the Euclidean metric: r for affine maps, r/|x-a|^2 else."""
-    if x.is_infinity:
-        raise PoleEvaluation("Euclidean derivative is not defined at infinity")
-    if g.eps == 0:
-        return g.r
-    d2 = float(np.sum((x.coords - g.a) ** 2))
-    if d2 < 1e-280:
-        raise PoleEvaluation("derivative requested at the pole")
-    return g.r / d2
-
-
 def deriv_euclid_rows(g: MobiusMap, X: np.ndarray) -> np.ndarray:
+    """|gamma'(x)| in the Euclidean metric on finite rows off the pole: r for
+    affine maps, r/|x-a|^2 else."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if g.eps == 0:
         return np.full(X.shape[0], g.r)

@@ -1,7 +1,10 @@
 """Group-definition schema, report rendering, and the command-line surface."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -279,6 +282,21 @@ class TestCommands:
         assert code == 3
         assert "budget too small" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["harmonic", "graph", "diagnose"])
+    def test_samples_over_the_budget_exit_3_before_work(self, command, capsys):
+        start = time.perf_counter()
+        code = cli.main([command, "--file", SCHOTTKY, "--samples",
+                         "10000000000", "--json"])
+        assert code == 3 and time.perf_counter() - start < 1.0
+        error = json.loads(capsys.readouterr().out)["results"]["error"]
+        assert "--samples 10000000000" in error and "budget" in error
+
+    @pytest.mark.parametrize("samples", [40_000, 400_000, cli.MAX_SAMPLES])
+    def test_samples_within_the_budget_pass_the_flag_check(self, samples):
+        args = cli._build_parser().parse_args(
+            ["harmonic", "--file", SCHOTTKY, "--samples", str(samples)])
+        cli._check_flags(args)
+
     @pytest.mark.parametrize("command", ["dimension", "limitset"])
     def test_depth_over_the_word_budget_exits_3_before_work(self, command,
                                                             capsys):
@@ -318,3 +336,28 @@ class TestCommands:
         assert rep["command"] == "validate"
         assert rep["inputs"]["file"] == LOXODROMIC
         assert rep["wall_time_s"] >= 0.0
+
+
+_NO_SCIPY_RUN = """
+import sys
+from kleinlab import cli
+for path in sys.argv[1:]:
+    for argv in (["validate"], ["limitset"], ["dimension"],
+                 ["harmonic", "--samples", "4000"]):
+        assert cli.main([*argv, "--file", path]) == 0, (argv, path)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+assert cli.main(["graph", "--file", sys.argv[2], "--samples", "2000"]) == 0
+assert "scipy.spatial" in sys.modules
+"""
+
+
+def test_only_graph_and_diagnose_load_scipy():
+    # in a fresh interpreter, since pytest itself has imported SciPy
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_RUN, SCHOTTKY, LOXODROMIC, PARABOLIC],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

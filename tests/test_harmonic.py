@@ -5,16 +5,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.spatial import cKDTree
 
 from kleinlab import harmonic, mobius
 from kleinlab.geom import BallPoint, uniform_sphere
 from kleinlab.group import enumerate_elements, make_cyclic
 from kleinlab.harmonic import (
+    BoundaryIndicator,
     GreenPole,
     boundary_shift_rows,
     cloud_complement,
     flux_density_check,
-    full_sphere,
     green_ball,
     green_gauge,
     harmonic_extension,
@@ -77,7 +78,11 @@ class TestPoissonKernel:
 
 class TestHarmonicExtension:
     def test_full_sphere_exact_one(self):
-        est = harmonic_extension(full_sphere(), ball_point([0.4, 0.2, -0.3]),
+        def everywhere(U):
+            return np.ones(len(U), dtype=bool), np.zeros(len(U), dtype=bool)
+
+        full_sphere = BoundaryIndicator(kind="full-sphere", classify=everywhere)
+        est = harmonic_extension(full_sphere, ball_point([0.4, 0.2, -0.3]),
                                  5000, seed=0)
         assert est.value == 1.0 and est.stderr == 0.0
 
@@ -137,6 +142,34 @@ class TestHarmonicExtension:
             assert np.array_equal(indet, ~expect)
             assert indet[len(rows):].all()
 
+    @pytest.mark.parametrize("depth", [5, 6])
+    def test_cloud_complement_matches_kdtree_at_the_band(self, depth):
+        cloud = sample_limit_set(reference_schottky(), depth)
+        band = cloud.resolution
+        rng = np.random.default_rng(depth)
+        P = cloud.points[rng.integers(0, cloud.size, 3000)]
+        step = uniform_sphere(rng, 2, 3000)
+        # rows equal to samples, within 1e-13 of them, and at distances just
+        # inside, at and just outside the band
+        U = np.vstack([P, P + 1e-13 * step,
+                       *(P + band * f * step for f in (1 - 1e-12, 1, 1 + 1e-12)),
+                       uniform_sphere(rng, 2, 20_000)])
+        member, indet = cloud_complement(cloud).classify(U)
+        d, _ = cKDTree(cloud.points).query(U)
+        assert np.array_equal(indet, d <= band) and np.array_equal(member, ~indet)
+        assert indet[:6000].all() and 0 < indet[6000:15000].sum() < 9000
+
+    def test_uncertified_cloud_has_band_zero(self):
+        rng = np.random.default_rng(40)
+        pts = uniform_sphere(rng, 2, 500)
+        cloud = LimitSetCloud(n=2, points=pts, depth=1, resolution=None)
+        U = np.vstack([pts, pts + 1e-300, np.nextafter(pts, 2.0),
+                       uniform_sphere(rng, 2, 5000)])
+        member, indet = cloud_complement(cloud).classify(U)
+        d, _ = cKDTree(pts).query(U)
+        assert np.array_equal(indet, d <= 0.0) and np.array_equal(member, ~indet)
+        assert indet[:1000].all() and not indet[1000:].any()
+
     def test_conformal_covariance_of_cap_mass(self):
         # u_{chi}(x) = u_{chi o g^-1}(g x) for a ball isometry g
         from kleinlab.caps import SphericalCap, cap_image
@@ -147,8 +180,10 @@ class TestHarmonicExtension:
         x = ball_point([0.25, -0.1, 0.3])
         gx = ext.apply_ball(BallPoint(x.vec))
         img = cap_image(g, cap)
-        chi = harmonic.cap_union([cap])
-        chi_img = harmonic.cap_union([img])
+        chi, chi_img = (
+            BoundaryIndicator(kind="cap", classify=lambda U, c=c: (
+                c.contains(U), np.zeros(len(U), dtype=bool)))
+            for c in (cap, img))
         u1 = harmonic_extension(chi, x, 150_000, seed=13)
         u2 = harmonic_extension(chi_img, gx, 150_000, seed=14)
         assert abs(u1.value - u2.value) < 3 * (u1.stderr + u2.stderr) + 2e-3

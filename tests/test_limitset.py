@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from kleinlab import geom, group, limitset, mobius
 from kleinlab.geom import ExtPoint
@@ -9,8 +10,10 @@ from kleinlab.group import make_cyclic
 from kleinlab.limitset import (
     LimitSetCloud,
     box_dimension,
+    default_scale_grid,
     dist_to_limit_set,
     distortion_ratio,
+    greedy_net_count,
     sample_limit_set,
     sullivan_lambda0,
 )
@@ -135,6 +138,90 @@ class TestDiameter:
             pts = pts[rng.permutation(len(pts))]
             cloud = LimitSetCloud(n=2, points=pts, depth=1, resolution=None)
             assert cloud.diameter() == blocked_brute_diameter(pts)
+
+
+def kdtree_net_count(points, scale):
+    """Greedy net count through kd-tree ball queries, the reference."""
+    tree = cKDTree(points)
+    covered = np.zeros(len(points), dtype=bool)
+    count = 0
+    for i in range(len(points)):
+        if not covered[i]:
+            count += 1
+            covered[tree.query_ball_point(points[i], scale)] = True
+            covered[i] = True
+    return count
+
+
+def kdtree_dedup(pts, tol):
+    """Rows without the later row of every kd-tree pair within tol."""
+    pairs = cKDTree(pts).query_pairs(tol, output_type="ndarray")
+    drop = set(pairs[:, 1].tolist()) if len(pairs) else set()
+    return pts[[i for i in range(len(pts)) if i not in drop]]
+
+
+def assert_nets_match(cloud, scales):
+    counts = [greedy_net_count(cloud, s) for s in scales]
+    assert counts == [kdtree_net_count(cloud.points, s) for s in scales]
+
+
+class TestSweep:
+    @pytest.mark.parametrize("depth", [5, 6, 7, 8])
+    def test_net_counts_match_kdtree_on_reference_clouds(self, depth):
+        cloud = sample_limit_set(reference_schottky(), depth)
+        assert_nets_match(cloud, default_scale_grid(cloud))
+
+    @pytest.mark.parametrize("size", [1, 2, 50, 700])
+    def test_net_counts_match_kdtree_on_random_clouds(self, size):
+        rng = np.random.default_rng(size)
+        pts = geom.uniform_sphere(rng, 2, size)
+        # repeated rows and rows a few ulps apart tie with their originals
+        pts = np.vstack([pts, pts[: size // 3], pts[: size // 3] * (1 + 1e-15)])
+        cloud = LimitSetCloud(n=2, points=pts[rng.permutation(len(pts))],
+                              depth=1, resolution=None)
+        assert_nets_match(cloud, [0.0, 1e-15, *np.geomspace(2.0, 1e-3, 12)])
+
+    def test_great_circle_cloud_sweeps_along_its_plane(self):
+        # the cloud has no extent along x0, so the sweep takes x1 or x2
+        t = np.random.default_rng(5).uniform(0, 2 * np.pi, 400)
+        pts = np.stack([np.zeros_like(t), np.cos(t), np.sin(t)], axis=1)
+        cloud = LimitSetCloud(n=2, points=pts, depth=1, resolution=None)
+        assert cloud.sweep.axis != 0
+        assert_nets_match(cloud, np.geomspace(2.0, 1e-3, 16))
+
+    def test_pair_at_exactly_the_scale_is_covered(self):
+        # the pairs differ by exactly 0.5 along the sweep axis and across it
+        pts = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [1.0, 0.0, 0.0],
+                        [1.0, 0.5, 0.0]])
+        cloud = LimitSetCloud(n=2, points=pts, depth=1, resolution=None)
+        assert cloud.sweep.axis == 0
+        assert greedy_net_count(cloud, 0.5) == 2
+        assert greedy_net_count(cloud, np.nextafter(0.5, 0.0)) == 4
+        assert_nets_match(cloud, [0.5, np.nextafter(0.5, 0.0)])
+
+    def test_chunked_pairs_are_the_unchunked_pairs(self):
+        cloud = sample_limit_set(reference_schottky(), 5)
+        U = geom.uniform_sphere(np.random.default_rng(8), 2, 300)
+        whole = [np.concatenate(a) for a in zip(*cloud.sweep.pairs(U, 0.1))]
+        parts = [np.concatenate(a)
+                 for a in zip(*cloud.sweep.pairs(U, 0.1, budget=7))]
+        assert whole[0].size > 7
+        for a, b in zip(whole, parts):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dedup_matches_query_pairs_on_a_chain(self, seed):
+        # a chain of rows 0.6e-12 apart: neighbours lie within tol, rows two
+        # apart do not, and every later row of a pair goes
+        rng = np.random.default_rng(seed)
+        base = geom.uniform_sphere(rng, 2, 1)[0]
+        step = geom.uniform_sphere(rng, 2, 1)[0] * 0.6e-12
+        chain = base + np.arange(12)[:, None] * step
+        pts = np.vstack([chain, geom.uniform_sphere(rng, 2, 200), chain[::3]])
+        pts = pts[rng.permutation(len(pts))]
+        kept = limitset._dedup_rows(pts, 1e-12)
+        assert np.array_equal(kept, kdtree_dedup(pts, 1e-12))
+        assert 200 < len(kept) < len(pts) - 6
 
 
 class TestDistance:
