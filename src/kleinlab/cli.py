@@ -8,8 +8,9 @@ Every command reads a strict group-definition JSON file, prints a summary (or
 the full JSON report with --json), writes CSV artifacts to --out where that
 applies, and exits 0 on success, 2 on validation failure (of the file or of
 a flag) or a bad configuration (a schottky word that duplicates another, a
-degenerate nested cap), 3 when the budget leaves the question inconclusive
-or the depth needs more words than group.MAX_WORDS.
+degenerate nested cap), 3 when the budget leaves the question inconclusive,
+the depth needs more words than group.MAX_WORDS, or the cloud is too coarse
+to certify the region's distance to the limit set.
 """
 
 from __future__ import annotations
@@ -34,11 +35,12 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_INCONCLUSIVE = 3
 
-# Peak RSS grows with --samples by about 105 bytes a sample for harmonic,
-# 330 for graph and 1.2 kB for diagnose (its volume Monte-Carlo): from 44,
-# 99 and 126 MB at 40k samples to 80, 213 and 545 MB at 400k, on the
-# reference and loxodromic files. A million samples keep every command
-# below ~1.3 GB.
+# Peak RSS grows with --samples by about 100 bytes a sample for harmonic,
+# 140 for graph (its band heights take every sample at once) and 40 for
+# diagnose (the volume Monte-Carlo runs in lipgraph.VOLUME_BLOCK blocks):
+# from 44, 102 and 95 MB at 40k samples to 80, 153 and 108 MB at 400k and
+# 139, 283 and 133 MB at a million, on the reference file (graph: the
+# loxodromic file; diagnose at --epsilon0 0.25 --depth 5).
 MAX_SAMPLES = 1_000_000
 
 
@@ -195,8 +197,7 @@ def cmd_graph(args, defn: GroupDefinition) -> tuple[dict, int]:
     seed = args.seed if args.seed is not None else defn.seed
     region = _region_for(defn)
     cloud = _cloud_for(defn, depth)
-    rng = np.random.default_rng(seed)
-    mesh = lipgraph_mod.region_mesh(region, cloud, eps0, rng)
+    mesh = lipgraph_mod.region_mesh(region, cloud, eps0)
     caps = lipgraph_mod.base_caps(mesh, eps0, cloud)
     fam = lipgraph_mod.DomeFamily(G, cloud, caps, max_len=depth, audit=500)
     U = uniform_sphere(np.random.default_rng(seed + 1), G.n, samples)
@@ -306,8 +307,7 @@ def cmd_diagnose(args, defn: GroupDefinition) -> tuple[dict, int]:
     delta = dim_report["delta"]["estimate"]
     if defn.kind == "schottky":
         region = _region_for(defn)
-        rng = np.random.default_rng(seed)
-        mesh = lipgraph_mod.region_mesh(region, cloud, eps0, rng)
+        mesh = lipgraph_mod.region_mesh(region, cloud, eps0)
         caps = lipgraph_mod.base_caps(mesh, eps0, cloud)
         fam = lipgraph_mod.DomeFamily(G, cloud, caps, max_len=depth, audit=200)
         report["volume_evidence"] = {
@@ -359,8 +359,8 @@ def main(argv=None) -> int:
         body, code = {"valid": False, "error": str(exc)}, EXIT_INVALID
     except (group_mod.SchottkyCollision, CapDegenerate) as exc:
         body, code = {"error": f"bad configuration: {exc}"}, EXIT_INVALID
-    except (lipgraph_mod.ShrinkEpsilon, group_mod.WordBudgetExceeded,
-            SampleBudgetExceeded) as exc:
+    except (lipgraph_mod.ShrinkEpsilon, lipgraph_mod.UncertifiedSample,
+            group_mod.WordBudgetExceeded, SampleBudgetExceeded) as exc:
         body, code = {"error": str(exc)}, EXIT_INCONCLUSIVE
     report = {
         "command": args.command,

@@ -1,11 +1,13 @@
 """Invariant dome-envelope graph over the domain of discontinuity.
 
-Base caps are centered at mesh points of a fundamental region with chordal
-radius eps0 * dist(center, limit set); the family is the orbit of those caps
-under the truncated group. The dome over a cap of angular radius theta is the
-sphere of Euclidean center c/cos(theta) and radius tan(theta), the unique
-sphere meeting S^n orthogonally along the cap boundary; the graph height f(x)
-is the smallest dome-entry radius along the ray through x.
+Base caps are centered at the leaf centers of a dyadic cubed-sphere mesh of
+a fundamental region, refined until each leaf lies in the cap of chordal
+radius eps0 * dist(center, limit set) around its center, and have that
+radius; the family is the orbit of those caps under the truncated group.
+Nothing in the mesh is random. The dome over a cap of angular radius theta
+is the sphere of Euclidean center c/cos(theta) and radius tan(theta), the
+unique sphere meeting S^n orthogonally along the cap boundary; the graph
+height f(x) is the smallest dome-entry radius along the ray through x.
 
 One evaluator serves every family. The seed caps, and for groups without
 nested caps (cyclic, custom) every image cap, are fitted at build into one
@@ -21,7 +23,6 @@ cap a row meets, from either source, enters one minimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -123,12 +124,9 @@ def base_caps(sample_points, eps0: float, L: LimitSetCloud) -> list[SphericalCap
 
     The chordal radius converts to the angular radius 2 asin(r/2).
     """
-    if not 0.0 < eps0 <= 0.5:
-        raise ValueError("eps0 must lie in (0, 1/2]")
+    _check_scale(eps0, L)
     rows = _as_unit_rows(sample_points)
     lower, upper = dist_rows(rows, L)
-    if not L.certified:
-        raise UncertifiedSample("cloud carries no resolution certificate")
     out = []
     for row, lo, up in zip(rows, lower, upper):
         if lo <= 0.0 or up <= L.resolution:
@@ -137,6 +135,13 @@ def base_caps(sample_points, eps0: float, L: LimitSetCloud) -> list[SphericalCap
             )
         out.append(SphericalCap(center=row, theta=float(angle_from_chord(eps0 * lo))))
     return out
+
+
+def _check_scale(eps0: float, L: LimitSetCloud):
+    if not 0.0 < eps0 <= 0.5:
+        raise ValueError("eps0 must lie in (0, 1/2]")
+    if not L.certified:
+        raise UncertifiedSample("cloud carries no resolution certificate")
 
 
 def _as_unit_rows(points) -> np.ndarray:
@@ -148,111 +153,67 @@ def _as_unit_rows(points) -> np.ndarray:
     return np.array(rows)
 
 
-# Relative slack on kd-tree radii, far above the few ulps by which a tree's
-# distance can differ from the norm that confirms each pair.
-_TREE_SLACK = 1.0 + 1e-9
+def region_mesh(region: FundamentalRegion, L: LimitSetCloud, eps0: float
+                ) -> np.ndarray:
+    """Centers of a dyadic Whitney-type cover of the region, at scale eps0.
 
-
-def _pairs(lists) -> tuple[np.ndarray, np.ndarray]:
-    """(query row, tree row) index arrays from query_ball_point lists."""
-    counts = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
-    qi = np.repeat(np.arange(len(lists)), counts)
-    ti = np.fromiter(chain.from_iterable(lists), dtype=np.int64,
-                     count=int(counts.sum()))
-    return qi, ti
-
-
-def _blocked_by_earlier(P: np.ndarray, R: np.ndarray, X: np.ndarray,
-                        r: np.ndarray) -> np.ndarray:
-    """Rows of X within max(r_i, R_j) of some earlier mesh point P_j.
-
-    The nearest earlier point of each row tests |x_i - p_j| < r_i, and a ball
-    query of every earlier disk into a tree of the rows tests |x_i - p_j| <
-    R_j; each pair is confirmed with the greedy pass's own norm and
-    comparison. A row whose nearest point lies within the slack of r_i but is
-    not confirmed is checked against every point in that slack, in case the
-    tree's rounding hid a tie.
+    The sphere S^n is cut into the 2(n+1) gnomonic faces of a cube, each an
+    n-cube that splits into 2^n children; the refinement starts at 2^n
+    cells per face. A cell that touches the region (its center or a corner
+    lies in it) splits while the chord from its center to its farthest
+    corner exceeds eps0 * lower(center), the certified distance to L. Cells
+    are geodesically convex, so every leaf lies inside the base cap
+    B(center, eps0 * lower(center)) of its own center, and the leaf centers,
+    some just outside the region, are returned level by level, shape
+    (count, n+1). No randomness enters. Raises UncertifiedSample when the
+    cloud is uncertified or a cell that touches the region has its center in
+    the cloud's resolution band.
     """
-    out = np.zeros(X.shape[0], dtype=bool)
-    tree = kdtree(P)
-
-    def confirm(xi, pj):
-        d = np.linalg.norm(P[pj] - X[xi], axis=1)
-        out[xi[d < np.maximum(r[xi], R[pj])]] = True
-
-    dist, near = tree.query(X, distance_upper_bound=float(r.max()) * _TREE_SLACK)
-    rows = np.flatnonzero(near < P.shape[0])
-    confirm(rows, near[rows])
-    tie = np.flatnonzero(~out & (dist < r * _TREE_SLACK))
-    if tie.size:
-        xi, pj = _pairs(tree.query_ball_point(X[tie], r[tie] * _TREE_SLACK))
-        confirm(tie[xi], pj)
-    pj, xi = _pairs(kdtree(X).query_ball_point(P, R * _TREE_SLACK))
-    confirm(xi, pj)
-    return out
-
-
-def region_mesh(region: FundamentalRegion, L: LimitSetCloud, eps0: float,
-                rng: np.random.Generator, spacing: float = 0.7,
-                max_points: int = 30_000, stop_after_rejects: int = 6000,
-                batch: int = 8192) -> np.ndarray:
-    """Variable-radius Poisson-disk sample of the region.
-
-    Local disk radius is spacing * eps0 * dist(x, L) in the chordal metric, so
-    coverage density tracks the base-cap scale and the graph band stays tight.
-    Greedy in draw order over batches of uniform directions: a candidate is
-    kept when no kept point lies within max(its radius, the kept point's
-    radius), and sampling stops after stop_after_rejects refusals in a row
-    or at max_points.
-
-    Each batch is rejected in two stages: all at once against the points
-    kept in earlier batches (_blocked_by_earlier), then the survivors one by
-    one against the points kept earlier in the same batch. Both decide each
-    pair with the same norm and comparison and the counter runs in draw
-    order, so the mesh and the final generator state match a plain
-    sequential pass byte for byte. Returns the kept rows, shape (count, n+1).
-    """
+    _check_scale(eps0, L)
     m = L.points.shape[1]
-    P = np.empty((0, m))  # kept in earlier batches
-    R = np.empty(0)
-    rejects = 0
-    while P.shape[0] < max_points and rejects < stop_after_rejects:
-        cand = uniform_sphere(rng, m - 1, batch)
-        cand = cand[region.contains(cand)]
-        if cand.shape[0] == 0:
-            rejects += batch
-            continue
-        lower, _ = dist_rows(cand, L)
-        r = spacing * eps0 * lower
-        free = lower > 0
-        if P.shape[0] and free.any():
-            free[free] = ~_blocked_by_earlier(P, R, cand[free], r[free])
-        survivors = np.flatnonzero(free)
-        new = np.empty((survivors.size, m))
-        new_r = np.empty(survivors.size)
-        k = 0
-        last = -1
-        for i in survivors.tolist():
-            rejects += i - last - 1
-            last = i
-            if rejects >= stop_after_rejects:
-                break
-            x, ri = cand[i], r[i]
-            if k and np.any(np.linalg.norm(new[:k] - x, axis=1)
-                            < np.maximum(ri, new_r[:k])):
-                rejects += 1
-            else:
-                new[k] = x
-                new_r[k] = ri
-                k += 1
-                rejects = 0
-            if P.shape[0] + k >= max_points or rejects >= stop_after_rejects:
-                break
-        else:
-            rejects += cand.shape[0] - last - 1
-        P = np.concatenate([P, new[:k]])
-        R = np.concatenate([R, new_r[:k]])
-    return P
+    n = m - 1
+    k = 2 ** n
+    signs = np.array(np.meshgrid(*[[-1.0, 1.0]] * n, indexing="ij")
+                     ).reshape(n, k).T  # corner and child offsets
+    faces = np.repeat(np.arange(2 * m), k)
+    mid = np.tile(0.5 * signs, (2 * m, 1))  # face coordinates of the cells
+    half = 0.5
+    leaves = [np.empty((0, m))]
+    while faces.size:
+        center = _face_rows(faces, mid)
+        corner = _face_rows(np.repeat(faces, k),
+                            (mid[:, None, :] + half * signs).reshape(-1, n))
+        touch = region.contains(center) | region.contains(corner).reshape(
+            -1, k).any(axis=1)
+        faces, mid, center = faces[touch], mid[touch], center[touch]
+        corner = corner.reshape(-1, k, m)[touch]
+        lower, _ = dist_rows(center, L)
+        if np.any(lower <= 0.0):
+            raise UncertifiedSample(
+                "the region meets the resolution band of the cloud; "
+                "sample the limit set deeper"
+            )
+        reach = np.linalg.norm(corner - center[:, None, :], axis=2).max(axis=1)
+        split = reach > eps0 * lower
+        leaves.append(center[~split])
+        faces = np.repeat(faces[split], k)
+        half *= 0.5
+        mid = (mid[split][:, None, :] + half * signs).reshape(-1, n)
+    return np.concatenate(leaves)
+
+
+def _face_rows(faces: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Unit rows through the points of the cube faces at face coordinates.
+
+    Face k is the side x_a = s of the cube [-1, 1]^(n+1), a = k // 2 and
+    s = -1, 1 for even, odd k; its coordinates are the other n axes."""
+    N, n = coords.shape
+    axis = faces // 2
+    rows = np.empty((N, n + 1))
+    rows[np.arange(N), axis] = np.where(faces % 2, 1.0, -1.0)
+    others = np.arange(n + 1)[None, :] != axis[:, None]
+    rows[others] = coords.ravel()
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +319,15 @@ class DomeFamily:
 
     The family shape bound (diameter over distance-to-limit-set within
     (0, 1/2]) is measured on every cap fitted at build: the seeds, the
-    build-fitted image caps, and for schottky groups a random audit sample
-    of the image caps. Violations are counted, not raised, so the shape
-    block of a family does not depend on which queries ran. Any fitted cap
-    that reaches a hemisphere raises ShrinkEpsilon.
+    build-fitted image caps, and for schottky groups an audit sample of
+    the image caps drawn with a fixed seed. Violations are counted, not
+    raised, so the shape block of a family does not depend on which queries
+    ran. Any fitted cap that reaches a hemisphere raises ShrinkEpsilon.
     """
 
     def __init__(self, G: GroupPresentation, cloud: LimitSetCloud,
                  seed_caps: list[SphericalCap], max_len: int,
-                 audit: int = 1500, rng=None):
+                 audit: int = 1500):
         self.G = G
         self.cloud = cloud
         self.seed_caps = list(seed_caps)
@@ -403,7 +364,7 @@ class DomeFamily:
         self._levels: list[_WordLevel] = []
         if nested:
             self._build_levels()
-            self._audit_shape(audit, rng or np.random.default_rng(0))
+            self._audit_shape(audit)
 
     # -- construction ------------------------------------------------------
 
@@ -477,7 +438,8 @@ class DomeFamily:
             )
             offset += len(words) * len(self.seed_caps)
 
-    def _audit_shape(self, count: int, rng: np.random.Generator):
+    def _audit_shape(self, count: int):
+        rng = np.random.default_rng(0)
         total_words = sum(len(lv.words) for lv in self._levels)
         if total_words == 0 or not self.seed_caps:
             return
@@ -722,6 +684,11 @@ def _geodesic_points(a: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:
     return c + R * (np.cos(phis)[:, None] * e1 + np.sin(phis)[:, None] * e2)
 
 
+# Samples per heights call of graph_volume: its peak memory grows with the
+# block, not with the sample count.
+VOLUME_BLOCK = 16_384
+
+
 @dataclass
 class VolumeEstimate:
     value: float
@@ -737,34 +704,36 @@ def graph_volume(F: DomeFamily, region: FundamentalRegion, n_samples: int,
     The graph map u -> f(u) u has Euclidean area element
     f^{n-1} sqrt(f^2 + |grad f|^2) dA(u); the hyperbolic element scales it by
     (2/(1-f^2))^n at radius f. The gradient uses central differences with an
-    angular step proportional to the governing cap radius.
+    angular step proportional to the governing cap radius. The samples are
+    evaluated VOLUME_BLOCK at a time, and every row's value is the same
+    whatever the block it falls in.
     """
     rng = np.random.default_rng(seed)
     n = F.G.n
     U = uniform_sphere(rng, n, n_samples)
-    in_region = region.contains(U)
-    vals = np.zeros(n_samples)
-    idx = np.nonzero(in_region)[0]
-    if idx.size:
-        Ur = U[idx]
-        res = F.heights(Ur)
+    vals, inside, covered = [], 0, 0
+    for start in range(0, n_samples, VOLUME_BLOCK):
+        block = U[start:start + VOLUME_BLOCK]
+        idx = np.flatnonzero(region.contains(block))
+        res = F.heights(block[idx])
         cov = res.covered
+        v = np.zeros(block.shape[0])
         if cov.any():
-            Uc = Ur[cov]
             fc = res.f[cov]
             step = grad_step * np.maximum(res.theta[cov], 1e-12)
-            grad2 = _tangent_gradient_sq(F, Uc, fc, step)
+            grad2 = _tangent_gradient_sq(F, block[idx[cov]], fc, step)
             area = fc ** (n - 1) * np.sqrt(fc**2 + grad2)
             hyp = (2.0 / (1.0 - fc**2)) ** n
-            vals[idx[cov]] = area * hyp
-        covered_fraction = float(cov.mean())
-    else:
-        covered_fraction = 0.0
+            v[idx[cov]] = area * hyp
+        vals.append(v)
+        inside += idx.size
+        covered += int(cov.sum())
+    vals = np.concatenate(vals)
     A = sphere_area(n)
     value = A * float(vals.mean())
     stderr = A * float(vals.std(ddof=1) / np.sqrt(n_samples))
     return VolumeEstimate(value=value, stderr=stderr, samples=n_samples,
-                          covered_fraction=covered_fraction)
+                          covered_fraction=covered / inside if inside else 0.0)
 
 
 def _tangent_gradient_sq(F: DomeFamily, U: np.ndarray, f: np.ndarray,

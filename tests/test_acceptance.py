@@ -48,8 +48,7 @@ class _Shared:
             G = cls.group()
             cloud = cls.cloud(6)
             region = lipgraph.schottky_region(G)
-            rng = np.random.default_rng(1234)
-            mesh = lipgraph.region_mesh(region, cloud, eps0, rng)
+            mesh = lipgraph.region_mesh(region, cloud, eps0)
             cls._cache[key] = lipgraph.base_caps(mesh, eps0, cloud)
         return cls._cache[key]
 
@@ -210,9 +209,7 @@ def test_criterion_05_graph_invariance():
     G = make_cyclic(mobius.affine(2, r=2.0))
     cloud = limitset.sample_limit_set(G, 2)
     region = lipgraph.annulus_region(2.0)
-    rng = np.random.default_rng(55)
-    mesh = lipgraph.region_mesh(region, cloud, 0.12, rng, max_points=3000,
-                                stop_after_rejects=2500)
+    mesh = lipgraph.region_mesh(region, cloud, 0.12)
     caps = lipgraph.base_caps(mesh, 0.12, cloud)
     dirs = uniform_sphere(np.random.default_rng(56), 2, 5000)
     dirs = dirs[region.contains(dirs)]

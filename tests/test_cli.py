@@ -248,8 +248,8 @@ class TestCommands:
         assert results[0] == results[1]
 
     @pytest.mark.parametrize("path, value, stderr", [
-        (LOXODROMIC, 244.12256287791078, 1.9914795725864642),
-        (PARABOLIC, 212.52134696310736, 2.858569211184327),
+        (LOXODROMIC, 228.3398420177331, 1.8292216839184656),
+        (PARABOLIC, 202.5375047918898, 2.6586607775771602),
     ], ids=["loxodromic", "parabolic"])
     def test_graph_volume_from_its_one_family(self, path, value, stderr,
                                               monkeypatch, capsys):
@@ -263,6 +263,34 @@ class TestCommands:
         assert vol["depth"] == 6
         assert vol["value"] == value and vol["stderr"] == stderr
         assert vol["covered_fraction"] == 1.0
+
+    def test_mesh_does_not_depend_on_the_seed(self, monkeypatch, capsys):
+        meshes = []
+        real = lipgraph.region_mesh
+
+        def recording(*args):
+            meshes.append(real(*args))
+            return meshes[-1]
+
+        monkeypatch.setattr(lipgraph, "region_mesh", recording)
+        seeds = []
+        for seed in ("1", "2"):
+            code = cli.main(["graph", "--file", SCHOTTKY, "--epsilon0", "0.25",
+                             "--depth", "3", "--samples", "2000", "--seed",
+                             seed, "--json"])
+            assert code == 0
+            seeds.append(json.loads(capsys.readouterr().out)["results"]["seeds"])
+        assert seeds[0] == seeds[1] == len(meshes[0]) > 0
+        assert meshes[0].tobytes() == meshes[1].tobytes()
+
+    def test_region_in_the_resolution_band_exits_3_quickly(self, capsys):
+        # the depth-1 cloud certifies only 0.1997, which the region reaches
+        start = time.perf_counter()
+        code = cli.main(["graph", "--file", SCHOTTKY, "--depth", "1",
+                         "--epsilon0", "0.25", "--json"])
+        assert code == 3 and time.perf_counter() - start < 5.0
+        error = json.loads(capsys.readouterr().out)["results"]["error"]
+        assert "resolution band" in error
 
     @pytest.mark.parametrize("argv", [
         ["dimension", "--depth", "0"],

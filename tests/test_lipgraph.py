@@ -34,33 +34,29 @@ _SCHOTTKY_CACHE: dict = {}
 _CYCLIC_CACHE: dict = {}
 
 
-def small_schottky_family(max_len=2, eps0=0.1, max_points=400):
-    key = (max_len, eps0, max_points)
+def small_schottky_family(max_len=2, eps0=0.1, stride=17):
+    """Reference family over every stride-th point of the eps0 mesh (6912
+    points at eps0 0.1), so it covers part of the region."""
+    key = (max_len, eps0, stride)
     if key not in _SCHOTTKY_CACHE:
         G = reference_schottky()
         cloud = sample_limit_set(G, 5)
         region = schottky_region(G)
-        rng = np.random.default_rng(8)
-        mesh = region_mesh(region, cloud, eps0, rng, max_points=max_points,
-                           stop_after_rejects=800)
+        mesh = region_mesh(region, cloud, eps0)[::stride]
         caps = base_caps(mesh, eps0, cloud)
         fam = DomeFamily(G, cloud, caps, max_len=max_len, audit=100)
         _SCHOTTKY_CACHE[key] = (G, cloud, region, fam)
     return _SCHOTTKY_CACHE[key]
 
 
-def cyclic_family(depth, eps0=0.12, seed=5):
-    base_key = (eps0, seed)
-    if base_key not in _CYCLIC_CACHE:
+def cyclic_family(depth, eps0=0.12):
+    if eps0 not in _CYCLIC_CACHE:
         G = make_cyclic(mobius.affine(2, r=2.0))
         cloud = sample_limit_set(G, 2)
         region = annulus_region(2.0)
-        rng = np.random.default_rng(seed)
-        mesh = region_mesh(region, cloud, eps0, rng, max_points=3000,
-                           stop_after_rejects=2500)
-        caps = base_caps(mesh, eps0, cloud)
-        _CYCLIC_CACHE[base_key] = (G, cloud, region, caps, {})
-    G, cloud, region, caps, by_depth = _CYCLIC_CACHE[base_key]
+        caps = base_caps(region_mesh(region, cloud, eps0), eps0, cloud)
+        _CYCLIC_CACHE[eps0] = (G, cloud, region, caps, {})
+    G, cloud, region, caps, by_depth = _CYCLIC_CACHE[eps0]
     if depth not in by_depth:
         by_depth[depth] = DomeFamily(G, cloud, caps, max_len=depth)
     return G, cloud, region, by_depth[depth]
@@ -76,8 +72,7 @@ def file_family(name):
         G = defn.presentation
         cloud = sample_limit_set(G, defn.depths[-1])
         region = cli._region_for(defn)
-        mesh = region_mesh(region, cloud, defn.epsilon0,
-                           np.random.default_rng(defn.seed))
+        mesh = region_mesh(region, cloud, defn.epsilon0)
         caps = base_caps(mesh, defn.epsilon0, cloud)
         fam = DomeFamily(G, cloud, caps, max_len=defn.depths[-1])
         _FILE_CACHE[name] = (G, cloud, region, fam)
@@ -85,12 +80,11 @@ def file_family(name):
 
 
 def quarter_schottky_caps():
-    """Reference caps at eps0 0.25 over a depth-6 cloud, mesh seed 7."""
+    """Reference caps at eps0 0.25 over a depth-6 cloud."""
     if "quarter" not in _FILE_CACHE:
         G = load_group_file(GROUPS / "reference_schottky.json").presentation
         cloud = sample_limit_set(G, 6)
-        mesh = region_mesh(schottky_region(G), cloud, 0.25,
-                           np.random.default_rng(7))
+        mesh = region_mesh(schottky_region(G), cloud, 0.25)
         _FILE_CACHE["quarter"] = (G, cloud, base_caps(mesh, 0.25, cloud))
     return _FILE_CACHE["quarter"]
 
@@ -176,76 +170,6 @@ def assert_same_heights(res, ref):
     assert res.theta.tobytes() == ref.theta.tobytes()
 
 
-def greedy_mesh_reference(region, L, eps0, rng, spacing=0.7,
-                          max_points=30_000, stop_after_rejects=6000,
-                          batch=8192):
-    """O(N^2) greedy Poisson-disk pass drawing what region_mesh draws.
-
-    Every candidate is tested against every kept point. Returns the mesh and
-    counts of how it ran: batches, refused batches, why it stopped and at
-    which row of its last batch, and the blocks by points of earlier batches,
-    split by which radius of max(r, r_p) was needed.
-    """
-    n = L.points.shape[1] - 1
-    kept, radii, born = [], [], []
-    stats = dict(batches=0, refused_batches=0, stop="exhausted", stop_row=-1,
-                 last_batch_rows=0, earlier_batch_blocks=0,
-                 earlier_only_by_own_radius=0, earlier_only_by_their_radius=0)
-    rejects = 0
-    while len(kept) < max_points and rejects < stop_after_rejects:
-        stats["batches"] += 1
-        cand = uniform_sphere(rng, n, batch)
-        cand = cand[region.contains(cand)]
-        if cand.shape[0] == 0:
-            stats["refused_batches"] += 1
-            rejects += batch
-            continue
-        stats["last_batch_rows"] = cand.shape[0]
-        lower, _ = limitset.dist_rows(cand, L)
-        for i, (x, lo) in enumerate(zip(cand, lower)):
-            r = spacing * eps0 * lo
-            blocks = np.zeros(0, dtype=bool)
-            if kept:
-                d = np.linalg.norm(np.array(kept) - x, axis=1)
-                blocks = d < np.maximum(r, radii)
-            if lo <= 0 or blocks.any():
-                rejects += 1
-                earlier = blocks & (np.array(born) < stats["batches"])
-                if earlier.any():
-                    stats["earlier_batch_blocks"] += 1
-                    own = earlier & (d < r)
-                    theirs = earlier & (d < np.array(radii))
-                    stats["earlier_only_by_own_radius"] += int(not theirs.any())
-                    stats["earlier_only_by_their_radius"] += int(not own.any())
-            else:
-                kept.append(x)
-                radii.append(r)
-                born.append(stats["batches"])
-                rejects = 0
-            if len(kept) >= max_points or rejects >= stop_after_rejects:
-                stats["stop"] = "max_points" if len(kept) >= max_points else "rejects"
-                stats["stop_row"] = i
-                break
-    stats["points"] = len(kept)
-    return np.array(kept).reshape(-1, n + 1), stats
-
-
-def _assert_mesh_matches(region, cloud, eps0, seed, **kw):
-    """region_mesh against the brute-force pass: same bytes, same final rng.
-
-    region may be a factory, for regions that keep state between batches.
-    """
-    make = region if callable(region) else (lambda: region)
-    rng = np.random.default_rng(seed)
-    mesh = region_mesh(make(), cloud, eps0, rng, **kw)
-    rng_ref = np.random.default_rng(seed)
-    ref, stats = greedy_mesh_reference(make(), cloud, eps0, rng_ref, **kw)
-    assert mesh.shape == ref.shape and mesh.dtype == ref.dtype
-    assert mesh.tobytes() == ref.tobytes()
-    assert rng.bit_generator.state == rng_ref.bit_generator.state
-    return stats
-
-
 class TestDomeEntry:
     def test_center_value_thirty_degrees(self):
         # oracle: solve t^2 - 2 t d + 1 = 0 at d = 1/cos(theta)
@@ -318,6 +242,8 @@ class TestBaseCaps:
         cloud = limitset.LimitSetCloud(n=2, points=pts, depth=1, resolution=None)
         with pytest.raises(UncertifiedSample):
             base_caps(uniform_sphere(RNG, 2, 3), 0.1, cloud)
+        with pytest.raises(UncertifiedSample, match="certificate"):
+            region_mesh(annulus_region(2.0), cloud, 0.1)
 
 
 class TestFamily:
@@ -367,19 +293,19 @@ class TestFamily:
         assert np.all((vals > 0) & (vals < 1))
 
     def test_materialized_family_with_singular_image_fits(self):
-        # reference caps, eps0 0.25, mesh seed 7: depth-4 image caps spread
-        # down to 8.6e-13 and their batched normal equations go singular;
-        # every one of the 1102 x 160 image caps is fitted
+        # reference caps, eps0 0.25: depth-4 image caps spread down to
+        # 7.9e-13 and their batched normal equations go singular; every one
+        # of the 1192 x 160 image caps is fitted
         G, cloud, caps = quarter_schottky_caps()
         fam = DomeFamily(G, cloud, caps, max_len=4, audit=0)
         S = len(caps)
-        assert S == 1102
+        assert S == 1192
         for lv in fam._levels:
             w, s = np.divmod(np.arange(len(lv.words) * S), S)
             fam._image_caps(lv, w, s)
         thetas = np.concatenate([lv.img_thetas for lv in fam._levels])
         centers = np.concatenate([lv.img_centers for lv in fam._levels])
-        assert thetas.shape == (1102 * 160,)
+        assert thetas.shape == (1192 * 160,)
         assert np.all((thetas > 0) & (thetas < np.pi / 2))
         assert np.allclose(np.linalg.norm(centers, axis=1), 1.0)
 
@@ -395,17 +321,15 @@ class TestFamily:
         G = reference_schottky()
         cloud = sample_limit_set(G, 5)
         region = schottky_region(G)
-        rng = np.random.default_rng(88)
-        mesh = region_mesh(region, cloud, 0.02, rng, max_points=300,
-                           stop_after_rejects=300)
+        # every 562nd point of the 168,672-point mesh
+        mesh = region_mesh(region, cloud, 0.02)[::562]
         caps = base_caps(mesh, 0.02, cloud)
         # tiny eps0 stays inside the strict Prop-1.1 regime
         fam = DomeFamily(G, cloud, caps, max_len=2)
         assert fam.shape_bound_ok
         # the pinned eps0 = 0.1 exceeds it for this group: the violations
         # are recorded
-        mesh2 = region_mesh(region, cloud, 0.1, rng, max_points=400,
-                            stop_after_rejects=400)
+        mesh2 = region_mesh(region, cloud, 0.1)[::17]
         caps2 = base_caps(mesh2, 0.1, cloud)
         fam2 = DomeFamily(G, cloud, caps2, max_len=3)
         assert not fam2.shape_bound_ok
@@ -670,11 +594,9 @@ class TestSeparation:
         G = make_cyclic(mobius.translation([1.0, 0.0]))
         cloud = sample_limit_set(G, 2)
         region = strip_region(np.array([1.0, 0.0]), q_floor=0.8)
-        rng = np.random.default_rng(19)
-        mesh = region_mesh(region, cloud, 0.1, rng, max_points=500,
-                           stop_after_rejects=600)
+        mesh = region_mesh(region, cloud, 0.1)
         fam = DomeFamily(G, cloud, base_caps(mesh, 0.1, cloud), max_len=2)
-        rep = separation_check(fam, cloud, 100, rng)
+        rep = separation_check(fam, cloud, 100, np.random.default_rng(19))
         assert rep.passed and rep.checked == 0
 
     def test_antipodal_pair_diameter(self):
@@ -692,18 +614,23 @@ class TestVolume:
         G = make_cyclic(mobius.translation([1.0, 0.0]))
         cloud = sample_limit_set(G, 2)
         region = strip_region(np.array([1.0, 0.0]), q_floor=1.0)
-        rng = np.random.default_rng(21)
-        mesh = region_mesh(region, cloud, 0.15, rng, max_points=4000,
-                           stop_after_rejects=3000)
+        mesh = region_mesh(region, cloud, 0.15)
         fam = DomeFamily(G, cloud, base_caps(mesh, 0.15, cloud), max_len=3)
         est = graph_volume(fam, region, 30_000, seed=7)
         oracle = _strip_quadrature(fam, q_floor=1.0, nx=120, ny=320)
         assert est.covered_fraction > 0.999
         assert abs(est.value - oracle) < 2 * est.stderr + 0.02 * oracle
 
+    def test_blocks_do_not_move_the_estimate(self, monkeypatch):
+        # every row's value is the same in any block, so the one mean and
+        # standard deviation are too
+        G, cloud, region, fam = small_schottky_family(max_len=2)
+        whole = graph_volume(fam, region, 5000, seed=4)
+        monkeypatch.setattr(lipgraph, "VOLUME_BLOCK", 777)
+        assert graph_volume(fam, region, 5000, seed=4) == whole
+
     def test_region_monotonicity(self):
-        G, cloud, region, fam = small_schottky_family(max_len=2,
-                                                      max_points=1200)
+        G, cloud, region, fam = small_schottky_family(max_len=2, stride=6)
         sub = lipgraph.FundamentalRegion(  # southern half only
             region.kind, lambda U: region.contains(U) & (U[:, 2] < 0.0))
         full = graph_volume(fam, region, 20_000, seed=3)
@@ -714,9 +641,7 @@ class TestVolume:
         G = reference_schottky()
         cloud = sample_limit_set(G, 5)
         region = schottky_region(G)
-        rng = np.random.default_rng(22)
-        mesh = region_mesh(region, cloud, 0.1, rng, max_points=2500,
-                           stop_after_rejects=1500)
+        mesh = region_mesh(region, cloud, 0.1)[::3]
         caps = base_caps(mesh, 0.1, cloud)
         vols = []
         for depth in (3, 4):
@@ -751,80 +676,38 @@ def _strip_quadrature(fam, q_floor, nx, ny):
     return float(np.sum(integrand * conf) * cell)
 
 
+def _mesh_reach(mesh, cloud, eps0, U):
+    """Largest chord from a row of U to its nearest mesh point, in units of
+    the row's base-cap scale eps0 * lower."""
+    lower, _ = limitset.dist_rows(U, cloud)
+    chord, _ = limitset.kdtree(mesh).query(U)
+    return float(np.max(chord / (eps0 * lower)))
+
+
 class TestMeshAndRegion:
-    def test_mesh_points_in_region_with_spacing(self):
-        G, cloud, region, fam = small_schottky_family(max_points=600)
-        mesh = np.array([c.center for c in fam.seed_caps])
-        assert region.contains(mesh).all()
-        # no two mesh points closer than the smaller of their local radii
-        from kleinlab.limitset import dist_rows
+    @pytest.mark.parametrize("name", ["reference_schottky", "cyclic_loxodromic",
+                                      "cyclic_parabolic"])
+    def test_every_region_direction_is_in_a_base_cap(self, name):
+        # at the file's own graph settings, over 200k region directions
+        defn = load_group_file(GROUPS / f"{name}.json")
+        cloud = sample_limit_set(defn.presentation, defn.depths[-1])
+        region = cli._region_for(defn)
+        mesh = region_mesh(region, cloud, defn.epsilon0)
+        U = uniform_sphere(np.random.default_rng(29), 2, 800_000)
+        U = U[region.contains(U)][:200_000]
+        assert len(U) == 200_000
+        assert _mesh_reach(mesh, cloud, defn.epsilon0, U) <= 1.0
 
-        lower, _ = dist_rows(mesh, cloud)
-        r = 0.7 * 0.1 * lower
-        d2 = np.sum((mesh[:, None, :] - mesh[None, :, :]) ** 2, axis=-1)
-        np.fill_diagonal(d2, np.inf)
-        pairmin = np.minimum(r[:, None], r[None, :])
-        assert np.all(np.sqrt(d2) >= pairmin - 1e-12)
-
-    def test_mesh_matches_brute_force_greedy_on_each_region(self):
-        schottky = reference_schottky()
-        dilation = make_cyclic(mobius.affine(2, r=2.0))
-        shift = make_cyclic(mobius.translation([1.0, 0.0]))
-        cases = [
-            (schottky_region(schottky), sample_limit_set(schottky, 4), 0.5, 1024),
-            (annulus_region(2.0), sample_limit_set(dilation, 2), 0.3, 512),
-            (strip_region(np.array([1.0, 0.0]), q_floor=0.5),
-             sample_limit_set(shift, 2), 0.3, 512),
-        ]
-        for region, cloud, eps0, batch in cases:
-            stats = _assert_mesh_matches(region, cloud, eps0, 61,
-                                         stop_after_rejects=600, batch=batch)
-            assert stats["stop"] == "rejects" and stats["batches"] > 5
-            # blocks by points of earlier batches, through each side of
-            # |x - p| < max(r, r_p) alone
-            assert stats["earlier_only_by_own_radius"] > 0, region.kind
-            assert stats["earlier_only_by_their_radius"] > 0, region.kind
-
-    def test_mesh_stops_on_rejects_mid_batch(self):
-        G = reference_schottky()
-        stats = _assert_mesh_matches(schottky_region(G), sample_limit_set(G, 4),
-                                     0.5, 61, stop_after_rejects=100,
-                                     batch=1024)
-        assert stats["stop"] == "rejects"
-        assert stats["batches"] > 1 and stats["earlier_batch_blocks"] > 0
-        assert 0 < stats["stop_row"] < stats["last_batch_rows"] - 1
-
-    def test_mesh_stops_on_max_points_mid_batch(self):
-        G = reference_schottky()
-        stats = _assert_mesh_matches(schottky_region(G), sample_limit_set(G, 4),
-                                     0.5, 61, max_points=200, batch=256)
-        assert stats["stop"] == "max_points" and stats["points"] == 200
-        assert stats["batches"] > 1 and stats["earlier_batch_blocks"] > 0
-        assert 0 < stats["stop_row"] < stats["last_batch_rows"] - 1
-
-    def test_mesh_counts_a_refused_batch_as_rejects(self):
-        G = reference_schottky()
-        cloud = sample_limit_set(G, 4)
-        base = schottky_region(G)
-
-        def every_other_batch():
-            calls = [0]
-
-            def contains(U):
-                calls[0] += 1
-                return base.contains(U) & (calls[0] % 2 == 0)
-
-            return lipgraph.FundamentalRegion("every-other-batch", contains)
-
-        stats = _assert_mesh_matches(every_other_batch, cloud, 0.5, 61,
-                                     stop_after_rejects=600, batch=256)
-        assert stats["refused_batches"] > 1
-        # a region that refuses everything stops after 3 batches of 256
-        nowhere = lipgraph.FundamentalRegion(
-            "nowhere", lambda U: np.zeros(len(U), dtype=bool))
-        stats = _assert_mesh_matches(nowhere, cloud, 0.5, 61,
-                                     stop_after_rejects=600, batch=256)
-        assert stats["points"] == 0 and stats["refused_batches"] == 3
+    def test_mesh_of_a_three_sphere_annulus(self):
+        G = make_cyclic(mobius.affine(3, r=2.0))
+        cloud = sample_limit_set(G, 2)
+        region = annulus_region(2.0)
+        mesh = region_mesh(region, cloud, 0.3)
+        assert mesh.shape[1] == 4
+        U = uniform_sphere(np.random.default_rng(30), 3, 100_000)
+        U = U[region.contains(U)]
+        assert len(U) > 10_000
+        assert _mesh_reach(mesh, cloud, 0.3, U) <= 1.0
 
     def test_strip_region_membership(self):
         region = strip_region(np.array([1.0, 0.0]), q_floor=0.5)
@@ -838,8 +721,7 @@ class TestMeshAndRegion:
 
 class TestBilipschitz:
     def test_two_sided_band_with_default_factor(self):
-        G, cloud, region, fam = small_schottky_family(max_len=2,
-                                                      max_points=1200)
+        G, cloud, region, fam = small_schottky_family(max_len=2, stride=6)
         rng = np.random.default_rng(27)
         U = uniform_sphere(rng, 2, 6000)
         U = U[region.contains(U)]
@@ -852,8 +734,7 @@ class TestBilipschitz:
     def test_equivariant_factor_variant(self):
         from util import equivariant_extend
 
-        G, cloud, region, fam = small_schottky_family(max_len=2,
-                                                      max_points=1200)
+        G, cloud, region, fam = small_schottky_family(max_len=2, stride=6)
         rng = np.random.default_rng(28)
         U = uniform_sphere(rng, 2, 2500)
         U = U[region.contains(U)][:400]
@@ -869,7 +750,7 @@ class TestBilipschitz:
 
 
 def test_export_graph_csv(tmp_path):
-    G, cloud, region, fam = small_schottky_family(max_points=300)
+    G, cloud, region, fam = small_schottky_family(stride=23)
     U = uniform_sphere(np.random.default_rng(23), 2, 100)
     path = tmp_path / "graph.csv"
     lipgraph.export_graph_csv(fam, U, path)
