@@ -58,29 +58,48 @@ class SphericalCap:
 
     def boundary_frame(self) -> np.ndarray:
         """Orthonormal basis of the center's orthogonal complement."""
-        m = self.center.size
-        # complete the center to an orthonormal basis by QR on [c | I]
-        M = np.concatenate([self.center[:, None], np.eye(m)], axis=1)
-        Q, _ = np.linalg.qr(M)
-        # first column is +-center; the rest spans its complement
-        return Q[:, 1:m].T
+        return boundary_frames(self.center[None])[0]
 
     def boundary_points(self, count: int | None = None) -> np.ndarray:
-        """Points on the cap boundary; defaults to the n+1 probes used for images.
+        """Points on the cap boundary; a one-row call of boundary_probes."""
+        return boundary_probes(self.center[None], np.array([self.theta]),
+                               count)[0]
 
-        With count given, spreads points along a circle in the first two frame
-        directions (falls back to the two boundary points when n = 1).
-        """
-        frame = self.boundary_frame()  # (m-1, m)
-        if count is None:
-            dirs = np.vstack([frame, -frame[0]])
-        elif frame.shape[0] == 1:
-            dirs = np.vstack([frame[0], -frame[0]])
-        else:
-            ts = np.linspace(0.0, 2 * np.pi, count, endpoint=False)
-            dirs = np.outer(np.cos(ts), frame[0]) + np.outer(np.sin(ts), frame[1])
-        pts = np.cos(self.theta) * self.center + np.sin(self.theta) * dirs
-        return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+def boundary_frames(centers: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the complements of unit rows, shape (S, m-1, m).
+
+    Each center is completed to an orthonormal basis by the QR of [c | I],
+    one stacked QR for every row; the first column of Q is +-c and the
+    others span its complement. A row gets the same bits in any stack.
+    """
+    S, m = centers.shape
+    M = np.concatenate(
+        [centers[:, :, None], np.broadcast_to(np.eye(m), (S, m, m))], axis=2)
+    Q, _ = np.linalg.qr(M)
+    return np.swapaxes(Q[:, :, 1:m], 1, 2)
+
+
+def boundary_probes(centers: np.ndarray, thetas: np.ndarray,
+                    count: int | None = None) -> np.ndarray:
+    """Points on the boundaries of the caps (centers, thetas), (S, k, m).
+
+    By default the n+1 probes used for images: the frame directions and the
+    negated first one. With count given, count points spread along a circle
+    in the first two frame directions (the two boundary points when n = 1).
+    """
+    frames = boundary_frames(centers)  # (S, m-1, m)
+    if count is None:
+        dirs = np.concatenate([frames, -frames[:, :1]], axis=1)
+    elif frames.shape[1] == 1:
+        dirs = np.concatenate([frames, -frames], axis=1)
+    else:
+        ts = np.linspace(0.0, 2 * np.pi, count, endpoint=False)[None, :, None]
+        dirs = (np.cos(ts) * frames[:, None, 0, :]
+                + np.sin(ts) * frames[:, None, 1, :])
+    thetas = np.asarray(thetas, dtype=float)[:, None, None]
+    pts = np.cos(thetas) * centers[:, None, :] + np.sin(thetas) * dirs
+    return pts / np.linalg.norm(pts, axis=2, keepdims=True)
 
 
 def caps_disjoint(c1: SphericalCap, c2: SphericalCap, margin: float = 0.0) -> bool:
@@ -175,7 +194,9 @@ def fit_image_caps(imgs: np.ndarray, c_img: np.ndarray, fields,
     out_centers[rows] = nu
     out_thetas = np.empty(S)
     out_thetas[rows] = np.arctan2(r_c, h)
-    first = np.setdiff1d(np.arange(S), rows)
+    first = np.ones(S, dtype=bool)
+    first[rows] = False
+    first = np.flatnonzero(first)
     if first.size:
         out_thetas[first] = src_thetas[first] * mobius.deriv_sphere_rows(
             tuple(f[first] for f in fields), *unembed_rows(centers[first]))

@@ -36,10 +36,10 @@ EXIT_INVALID = 2
 EXIT_INCONCLUSIVE = 3
 
 # Peak RSS grows with --samples by about 100 bytes a sample for harmonic,
-# 140 for graph (its band heights take every sample at once) and 40 for
+# 190 for graph (its one heights call takes every sample at once) and 40 for
 # diagnose (the volume Monte-Carlo runs in lipgraph.VOLUME_BLOCK blocks):
-# from 44, 102 and 95 MB at 40k samples to 80, 153 and 108 MB at 400k and
-# 139, 283 and 133 MB at a million, on the reference file (graph: the
+# from 43, 71 and 64 MB at 40k samples to 79, 127 and 76 MB at 400k and
+# 138, 251 and 102 MB at a million, on the reference file (graph: the
 # loxodromic file; diagnose at --epsilon0 0.25 --depth 5).
 MAX_SAMPLES = 1_000_000
 
@@ -202,20 +202,22 @@ def cmd_graph(args, defn: GroupDefinition) -> tuple[dict, int]:
     fam = lipgraph_mod.DomeFamily(G, cloud, caps, max_len=depth, audit=500)
     U = uniform_sphere(np.random.default_rng(seed + 1), G.n, samples)
     U = U[region.contains(U)]
-    band = lipgraph_mod.graph_band(fam, U)
+    res = fam.heights(U)  # every diagnostic below reads rows of this one result
+    band = lipgraph_mod.graph_band(fam, U, res)
+    half = len(U) // 2
     try:
-        M_half = lipgraph_mod.lipschitz_estimate(fam, U[: len(U) // 2])
+        M_half = lipgraph_mod.lipschitz_estimate(U[:half], res[:half])
     except ValueError as exc:  # too few samples landed on covered directions
         report = {"depth": depth, "reason": f"budget too small: {exc}"}
         return report, EXIT_INCONCLUSIVE
-    M_full = lipgraph_mod.lipschitz_estimate(fam, U)
+    M_full = lipgraph_mod.lipschitz_estimate(U, res)
     inv = {}
     for i, g in enumerate(G.generators):
-        dev, cnt = lipgraph_mod.check_invariance(fam, g, U[:2000])
+        dev, cnt = lipgraph_mod.check_invariance(fam, g, U[:2000], res[:2000])
         inv[f"g{i + 1}"] = {"max_deviation": dev, "points": cnt}
     if args.out:
-        lipgraph_mod.export_graph_csv(fam, U, args.out)
-    bilip = lipgraph_mod.bilipschitz_ratios(fam, U[:1600])
+        lipgraph_mod.export_graph_csv(U, res, args.out)
+    bilip = lipgraph_mod.bilipschitz_ratios(fam, U[:1600], res[:1600])
     shape = {
         "min_ratio": fam.min_shape_ratio(),
         "max_ratio": fam.max_shape_ratio(),

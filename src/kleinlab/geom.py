@@ -14,6 +14,7 @@ the north pole e_{n+1} corresponds to infinity, the south pole to the origin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,10 +223,18 @@ def ball_gauge(x: BallPoint, y: BallPoint) -> float:
 # ---------------------------------------------------------------------------
 
 def sphere_area(n: int) -> float:
-    """Surface measure of the unit sphere S^n in R^{n+1}."""
-    from scipy.special import gamma
+    """Surface measure 2 pi^((n+1)/2) / Gamma((n+1)/2) of the unit sphere S^n
+    in R^{n+1}.
 
-    return float(2.0 * np.pi ** ((n + 1) / 2.0) / gamma((n + 1) / 2.0))
+    Gamma((n+1)/2) comes from Gamma(x + 1) = x Gamma(x), started at
+    Gamma(1) = 1 or Gamma(1/2) = sqrt(pi); for n <= 5 that gives the bits of
+    scipy.special.gamma, where math.gamma is an ulp off at n = 2 and 4.
+    """
+    x, gamma = (1.0, 1.0) if n % 2 else (0.5, math.sqrt(math.pi))
+    while x < (n + 1) / 2.0:
+        gamma *= x
+        x += 1.0
+    return float(2.0 * np.pi ** ((n + 1) / 2.0) / gamma)
 
 
 def uniform_sphere(rng: np.random.Generator, n: int, size: int) -> np.ndarray:

@@ -10,9 +10,9 @@ a (lower, upper) interval that downstream bounds propagate worst-case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-
 import numpy as np
 
 from . import mobius
@@ -29,77 +29,307 @@ class EmptyScaleWindow(RuntimeError):
     """No valid scales between the resolution and the cloud diameter."""
 
 
-def kdtree(points: np.ndarray):
-    """A cKDTree of the rows, for nearest-neighbour and mixed-radius queries.
-
-    The only import of scipy.spatial, made on the first call, so a run that
-    asks fixed-radius questions only never loads SciPy.
-    """
-    from scipy.spatial import cKDTree
-
-    return cKDTree(points)
-
-
-# Relative widening of a sweep window. A pair whose squared distance rounds
-# to at most r^2 differs along the axis by at most r (1 + 3u) (u = eps / 2),
-# and the window ends x -+ w are rounded once more; the absolute pad covers
-# that last rounding and r = 0. Every candidate is confirmed exactly.
+# Relative widening of a sweep window or column. A pair whose squared
+# distance rounds to at most r^2 differs along an axis by at most r (1 + 3u)
+# (u = eps / 2), and the window ends x -+ w, or the column coordinates, are
+# rounded once more; the absolute pad covers that rounding and r = 0. Every
+# candidate is confirmed exactly.
 _WINDOW_SLACK = 1e-9
+
+# Candidate pairs are confirmed, and nearest-neighbour candidates ranked,
+# about this many at a time.
+_CHUNK = 1 << 16
 
 
 def _sq_dist(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Row-wise sum((p - q)^2), summed in the order a kd-tree sums it."""
+    """Row-wise sum((p - q)^2), summed one coordinate column at a time, left
+    to right: the order a kd-tree sums it in."""
     d = P - Q
-    return np.add.reduce(d * d, axis=1)
+    d *= d
+    s = d[:, 0].copy()
+    for k in range(1, d.shape[1]):
+        s += d[:, k]
+    return s
 
 
-class _Sweep:
-    """Rows sorted along their coordinate of largest extent.
+def _sq_dist_at(P: np.ndarray, p, Q: np.ndarray, q) -> np.ndarray:
+    """_sq_dist(P[p], Q[q]) with the same bits, from one gather per column,
+    several times faster than gathering rows."""
+    d = P[:, 0][p] - Q[:, 0][q]
+    s = d * d
+    for k in range(1, P.shape[1]):
+        d = P[:, k][p] - Q[:, k][q]
+        d *= d
+        s += d
+    return s
 
-    window(x, r) gives, for values x on that axis, the sorted positions
-    [lo, hi) of the rows whose axis coordinate lies within about r of x:
-    every row within chordal distance r of a query is inside its window.
+
+def _windows(lo: np.ndarray, hi: np.ndarray):
+    """(query, position) arrays of every position in [lo[i], hi[i]) of every
+    query i, in chunks of whole windows of about _CHUNK pairs."""
+    counts = np.maximum(hi - lo, 0)
+    ends = np.cumsum(counts)
+    start = 0
+    while start < len(lo):
+        done = int(ends[start - 1]) if start else 0
+        stop = max(int(np.searchsorted(ends, done + _CHUNK, "right")),
+                   start + 1)
+        c = counts[start:stop]
+        i = np.repeat(np.arange(start, stop), c)
+        # pair k of the chunk is lo_i + k - (the chunk's first pair of i)
+        j = np.arange(i.size) + np.repeat(
+            lo[start:stop] - (ends[start:stop] - c - done), c)
+        yield i, j
+        start = stop
+
+
+def _run_starts(x: np.ndarray) -> np.ndarray:
+    """Positions where a sorted array of non-negative integers takes a new
+    value."""
+    return np.flatnonzero(np.diff(x, prepend=-1))
+
+
+class Sweep:
+    """Rows sorted along their coordinate of largest extent, in columns.
+
+    With side inf the rows form one column. With a finite side the other
+    coordinates are cut into square columns of at least that side (wider
+    where the int64 keys would overflow), and each row is entered in the
+    3^(m-1) columns around its own. Within a column the entries are sorted
+    along the sweep axis. window(X, r) gives, for query rows X, the sorted
+    positions [lo, hi) of the entries of the row's own column whose axis
+    coordinate lies within about r of the row's: for r up to the side, every
+    row within chordal distance r of a query is inside its window, once.
+    """
+
+    def __init__(self, points: np.ndarray, side: float = np.inf):
+        points = np.ascontiguousarray(points, dtype=float)
+        M, m = points.shape
+        self.axis = int(np.argmax(np.ptp(points, axis=0))) if M else 0
+        top = float(np.abs(points).max()) if M else 0.0
+        self._pad = 16.0 * np.finfo(float).eps * max(1.0, top)
+        self._across = [a for a in range(m) if a != self.axis]
+        shape = []
+        if np.isfinite(side) and M:
+            Y = points[:, self._across]
+            self._lo = Y.min(axis=0)
+            span = Y.max(axis=0) - self._lo
+            self._side = side * (1.0 + _WINDOW_SLACK) + self._pad
+            while True:
+                # columns 1 .. n-2 hold rows; 0 and n-1 are the margins around
+                shape = [int(s // self._side) + 3 for s in span]
+                if np.prod([float(n) for n in shape]) < 2.0 ** 42:
+                    break
+                self._side *= 2.0  # coarser columns, more candidates
+        self._shape = np.array(shape, dtype=np.int64)
+        self._strides = np.cumprod([1] + shape[:-1]).astype(np.int64)
+        # key = column * 2^bits + bin of the axis coordinate. A bin is a
+        # power of two, so the bins keep every distinction of x - x0 that fits
+        # in bits (52 keep all: the bins are then as fine as the floats)
+        bits = min(52, 62 - int(np.prod(shape, dtype=np.int64)).bit_length())
+        self._nx = 1 << bits
+        x = points[:, self.axis]
+        self._x0 = float(x.min()) if M else 0.0
+        span = float(x.max()) - self._x0 if M else 0.0
+        self._scale = 2.0 ** (bits - np.frexp(span)[1])  # 1 / bin
+        col = self._columns(points)
+        offsets = np.zeros(1, dtype=np.int64)
+        if shape:
+            grid = np.meshgrid(*[[-1, 0, 1]] * len(shape), indexing="ij")
+            offsets = sum(g.ravel() * s for g, s in zip(grid, self._strides))
+        keys = ((col[:, None] + offsets) * self._nx
+                + self._bins(x)[:, None]).ravel()
+        order = np.argsort(keys, kind="stable")
+        self.keys = keys[order]
+        self.ids = order // len(offsets)  # the row of each entry
+        self.points = points[self.ids]
+
+    def _columns(self, X: np.ndarray) -> np.ndarray:
+        """Key of each row's own column, -1 outside the columns."""
+        if not self._shape.size:
+            return np.zeros(len(X), dtype=np.int64)
+        c = np.floor((X[:, self._across] - self._lo) / self._side) + 1.0
+        inside = np.all((c >= 0.0) & (c < self._shape), axis=1)
+        c = c.astype(np.int64)
+        key = c[:, 0] * self._strides[0]
+        for a in range(1, len(self._strides)):
+            key += c[:, a] * self._strides[a]
+        key[~inside] = -1
+        return key
+
+    def _bins(self, x: np.ndarray) -> np.ndarray:
+        b = x - self._x0
+        b *= self._scale
+        np.clip(b, 0.0, self._nx - 1, out=b)
+        return np.floor(b, out=b).astype(np.int64)
+
+    def window(self, X: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+        w = r * (1.0 + _WINDOW_SLACK) + self._pad
+        x = X[:, self.axis]
+        lo, hi = self._bins(x - w), self._bins(x + w)
+        if not self._shape.size:
+            return (np.searchsorted(self.keys, lo, "left"),
+                    np.searchsorted(self.keys, hi, "right"))
+        col = self._columns(X)
+        lo += col * self._nx
+        hi += col * self._nx
+        # sorted needles make the binary searches several times cheaper
+        order = np.argsort(lo)
+        out = np.empty((2, len(X)), dtype=np.intp)
+        out[0, order] = np.searchsorted(self.keys, lo[order], "left")
+        out[1, order] = np.searchsorted(self.keys, hi[order], "right")
+        return out[0], np.where(col < 0, out[0], out[1])
+
+    def pairs(self, Q: np.ndarray, r: float, later: bool = False):
+        """(row of Q, sorted position, squared distance) arrays of every
+        candidate in the windows of the rows of Q, in chunks of whole
+        windows (_windows). With later, Q is self.points of one column and
+        each row is paired with the rows after it only.
+        """
+        lo, hi = self.window(Q, r)
+        if later:
+            lo = np.arange(1, len(Q) + 1)
+        for i, j in _windows(lo, hi):
+            yield i, j, _sq_dist_at(self.points, j, Q, i)
+
+
+# Most points in a leaf of a PointIndex, as in a kd-tree, and the rows a
+# nearest query descends it with at once.
+_LEAF = 16
+_ROWS = 4096
+
+
+class PointIndex:
+    """Nearest-neighbour queries on the rows of points: a kd-tree, searched
+    one level at a time for a whole block of rows.
+
+    Every node with more than _LEAF points is halved along the widest axis
+    of its box. A row first descends to one leaf through the nearer child at
+    every level; the k-th smallest distance to that leaf's points bounds its
+    k-th nearest distance. It then keeps, level by level, the nodes whose
+    box comes within the bound, and compares the points of the kept leaves.
+    Distances are sum((q - p)^2), summed as _sq_dist sums it, so they carry
+    a kd-tree's bits; ties go to the lower index.
     """
 
     def __init__(self, points: np.ndarray):
-        self.axis = int(np.argmax(np.ptp(points, axis=0))) if len(points) else 0
-        self.order = np.argsort(points[:, self.axis], kind="stable")
-        self.rank = np.empty_like(self.order)
-        self.rank[self.order] = np.arange(len(points))
-        self.points = points[self.order]
-        self.keys = np.ascontiguousarray(self.points[:, self.axis])
-        top = float(np.abs(self.keys).max()) if len(points) else 0.0
-        self._pad = 4.0 * np.finfo(float).eps * max(1.0, top)
+        P = np.ascontiguousarray(points, dtype=float)
+        M = len(P)
+        order = np.arange(M)
+        levels = [np.array([0, M] if M else [0])]
+        while True:
+            starts = levels[-1]
+            counts = np.diff(starts)
+            big = counts > _LEAF
+            if not big.any():
+                break
+            X = P[order]
+            lo = np.minimum.reduceat(X, starts[:-1])
+            axis = np.argmax(np.maximum.reduceat(X, starts[:-1]) - lo, axis=1)
+            node = np.repeat(np.arange(len(counts)), counts)
+            # sorting by node first keeps every node's block in place
+            order = order[np.lexsort((X[np.arange(M), axis[node]], node))]
+            levels.append(np.sort(np.append(
+                starts, (starts[:-1] + counts // 2)[big])))
+        self.points = P
+        self._order = order
+        self._sorted = P[order]
+        self._starts = levels
+        # box corners, one row per axis
+        self._boxes = [(np.minimum.reduceat(self._sorted, s[:-1]).T.copy(),
+                        np.maximum.reduceat(self._sorted, s[:-1]).T.copy())
+                       for s in levels] if M else []
+        # children of node i at the next level: first[i] .. first[i + 1] - 1
+        self._first = [np.searchsorted(b, a) for a, b in zip(levels, levels[1:])]
 
-    def window(self, x: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-        w = r * (1.0 + _WINDOW_SLACK) + self._pad
-        return (np.searchsorted(self.keys, x - w, "left"),
-                np.searchsorted(self.keys, x + w, "right"))
+    def __len__(self) -> int:
+        return len(self.points)
 
-    def pairs(self, Q: np.ndarray, r: float, later: bool = False,
-              budget: int = 1 << 20):
-        """(row of Q, sorted position, squared distance) arrays of every
-        candidate in the windows of the rows of Q, in chunks of whole windows
-        of about budget pairs. With later, Q is self.points and each row is
-        paired with the rows after it only.
+    def nearest(self, Q: np.ndarray, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """(distances, indices) of the k nearest points of each row of Q,
+        nearest first and ties to the lower index; shape (N,) for k = 1 and
+        (N, k) otherwise. Missing neighbours (fewer than k points) are inf
+        with index len(self).
         """
-        lo, hi = self.window(Q[:, self.axis], r)
-        if later:
-            lo = np.arange(1, len(Q) + 1)
-        counts = np.maximum(hi - lo, 0)
-        ends = np.cumsum(counts)
-        start = 0
-        while start < len(Q):
-            done = int(ends[start - 1]) if start else 0
-            stop = max(int(np.searchsorted(ends, done + budget, "right")),
-                       start + 1)
-            c = counts[start:stop]
-            i = np.repeat(np.arange(start, stop), c)
-            # pair k of the chunk is lo_i + k - (the chunk's first pair of i)
-            j = np.arange(i.size) + np.repeat(
-                lo[start:stop] - (ends[start:stop] - c - done), c)
-            yield i, j, _sq_dist(self.points[j], Q[i])
-            start = stop
+        Q = np.atleast_2d(np.asarray(Q, dtype=float))
+        N, M = len(Q), len(self)
+        d2 = np.full((N, k), np.inf)
+        idx = np.full((N, k), M)
+        kk = min(k, M)
+        QT = Q.T.copy()
+        for start in range(0, N if kk else 0, _ROWS):
+            r = np.arange(start, min(start + _ROWS, N))
+            # the leaf reached through the nearer child at every level gives
+            # each row its first k candidates, and their bound
+            leaf = np.zeros(r.size, dtype=np.intp)
+            for (lo, hi), first in zip(self._boxes[1:], self._first):
+                a, b = first[leaf], first[leaf + 1] - 1
+                leaf = np.where(_box_sq_near(QT, r, lo, hi, b)
+                                < _box_sq_near(QT, r, lo, hi, a), b, a)
+            self._compare(Q, r, leaf, d2, idx)
+            # the slack covers the rounding of the box and the exact sums
+            bound = d2[r, kk - 1] * (1.0 + _WINDOW_SLACK)
+            i, node = np.arange(r.size), np.zeros(r.size, dtype=np.intp)
+            for level, (lo, hi) in enumerate(self._boxes):
+                if level:
+                    first = self._first[level - 1]
+                    c = first[node + 1] - first[node]
+                    node = np.repeat(first[node], c) + (
+                        np.arange(c.sum()) - np.repeat(np.cumsum(c) - c, c))
+                    i = np.repeat(i, c)
+                keep = _box_sq_near(QT, r[i], lo, hi, node) <= bound[i]
+                i, node = i[keep], node[keep]
+            keep = node != leaf[i]
+            self._compare(Q, r[i[keep]], node[keep], d2, idx, bound[i[keep]])
+        d = np.sqrt(d2)
+        return (d[:, 0], idx[:, 0]) if k == 1 else (d, idx)
+
+    def _compare(self, Q, r, leaf, d2, idx, bound=None):
+        """Fold the points of the leaves into the rows r (nondecreasing),
+        those within bound only."""
+        s = self._starts[-1]
+        for i, j in _windows(s[leaf], s[leaf + 1]):
+            e = _sq_dist_at(self._sorted, j, Q, r[i])
+            ok = slice(None) if bound is None else e <= bound[i]
+            _fold(d2, idx, r[i][ok], e[ok], self._order[j[ok]], len(self))
+
+
+def _box_sq_near(QT, r, lo, hi, node):
+    """Squared distances from the rows r of Q to the boxes node, from the
+    transposes of Q and of the box corners lo and hi."""
+    near = np.zeros(r.size)
+    for q, a, b in zip(QT, lo, hi):
+        q = q[r]
+        g = np.maximum(np.maximum(a[node] - q, q - b[node]), 0.0)
+        near += g * g
+    return near
+
+
+def _fold(d2: np.ndarray, idx: np.ndarray, r: np.ndarray, e: np.ndarray,
+          j: np.ndarray, missing: int):
+    """Fold candidates (row r, squared distance e, point j), rows
+    nondecreasing and no pair twice, into the k best of each row held in d2
+    and idx, nearest first and ties to the lower point."""
+    if not r.size:
+        return
+    k = d2.shape[1]
+    starts = _run_starts(r)
+    u = r[starts]
+    counts = np.diff(np.append(starts, r.size))
+    # the k smallest (e, j) of each row among the candidates, one pass each,
+    # beside the k held ones
+    E = np.hstack([np.empty((u.size, k)), d2[u]])
+    J = np.hstack([np.empty((u.size, k), dtype=idx.dtype), idx[u]])
+    for t in range(k):
+        best = np.minimum.reduceat(e, starts)
+        at = e == np.repeat(best, counts)
+        first = np.minimum.reduceat(np.where(at, j, missing), starts)
+        first[np.isinf(best)] = missing
+        E[:, t], J[:, t] = best, first
+        e = np.where(j == np.repeat(first, counts), np.inf, e)
+    order = np.lexsort((J, E), axis=1)[:, :k]
+    d2[u] = np.take_along_axis(E, order, axis=1)
+    idx[u] = np.take_along_axis(J, order, axis=1)
 
 
 @dataclass(frozen=True)
@@ -110,7 +340,8 @@ class LimitSetCloud:
     carries no certificate); warnings records degeneracies such as elementary
     groups with fewer than three limit points. Fixed-radius queries go
     through the sweep, the samples sorted along one axis; nearest queries go
-    through a kd-tree. Both are built on first use.
+    through a PointIndex, a kd-tree of the samples. Both are built on first
+    use.
     """
 
     n: int
@@ -124,14 +355,14 @@ class LimitSetCloud:
         object.__setattr__(self, "points", pts)
 
     @cached_property
-    def tree(self):
-        """kd-tree of the samples (None for an empty cloud)."""
-        return kdtree(self.points) if self.size else None
+    def index(self) -> PointIndex:
+        """The samples' nearest-neighbour index."""
+        return PointIndex(self.points)
 
     @cached_property
-    def sweep(self) -> _Sweep:
+    def sweep(self) -> Sweep:
         """The samples sorted along one axis, for fixed-radius queries."""
-        return _Sweep(self.points)
+        return Sweep(self.points)
 
     @property
     def size(self) -> int:
@@ -168,7 +399,7 @@ class LimitSetCloud:
     def nearest(self, U: np.ndarray) -> np.ndarray:
         """Chordal distance from unit rows to the nearest sample."""
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        d, _ = self.tree.query(U)
+        d, _ = self.index.nearest(U)
         return d
 
 
@@ -314,11 +545,11 @@ def _sample_custom(G: GroupPresentation, depth: int,
 
 def _dedup_rows(pts: np.ndarray, tol: float) -> np.ndarray:
     """The rows without the later row of every pair within tol."""
-    sw = _Sweep(pts)
+    sw = Sweep(pts)
     drop = np.zeros(len(pts), dtype=bool)
     for s, t, d2 in sw.pairs(sw.points, tol, later=True):
         near = d2 <= tol * tol
-        drop[np.maximum(sw.order[s[near]], sw.order[t[near]])] = True
+        drop[np.maximum(sw.ids[s[near]], sw.ids[t[near]])] = True
     return pts[~drop]
 
 
@@ -333,13 +564,15 @@ def greedy_net_count(L: LimitSetCloud, scale: float) -> int:
     that covers every sample p with sum((p - q)^2) <= scale^2.
     """
     sw = L.sweep
-    lo, hi = (x.tolist() for x in sw.window(sw.keys, scale))
+    lo, hi = (x.tolist() for x in sw.window(sw.points, scale))
     r2 = scale * scale
     # by sorted position; a bytearray reads faster one item at a time
     covered = bytearray(L.size)
     cover = np.frombuffer(covered, dtype=bool)
     count = 0
-    for s in sw.rank.tolist():
+    rank = np.empty(L.size, dtype=np.intp)
+    rank[sw.ids] = np.arange(L.size)
+    for s in rank.tolist():
         if covered[s]:
             continue
         count += 1
@@ -357,7 +590,7 @@ def default_scale_grid(L: LimitSetCloud, levels: int = 24) -> np.ndarray:
     elif L.certified:
         lo = hi * 1e-3  # exact point cloud; counts saturate immediately
     else:
-        gaps, _ = L.tree.query(L.points, k=2)
+        gaps, _ = L.index.nearest(L.points, k=2)
         lo = 4.0 * float(np.quantile(gaps[:, 1], 0.95))
     if lo >= hi:
         raise EmptyScaleWindow(f"no scales between {lo} and {hi}")

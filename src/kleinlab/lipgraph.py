@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .caps import SphericalCap, cap_images_batch
+from .caps import SphericalCap, boundary_probes, cap_images_batch
 from .geom import (
     SpherePoint,
     angle_from_chord,
@@ -37,7 +37,7 @@ from .geom import (
 )
 from .group import (GroupPresentation, TAG_SCHOTTKY, WordLevel, enumerate_elements,
                     word_count)
-from .limitset import LimitSetCloud, dist_rows, kdtree
+from .limitset import LimitSetCloud, PointIndex, Sweep, dist_rows
 from .mobius import MobiusMap, inverse_rows, poincare_extend, sphere_action_stack
 
 SHAPE_RATIO_MAX = 0.5
@@ -248,7 +248,7 @@ class _CapIndex:
     """Candidate (row, ball) pairs for balls of mixed angular radii on S^n.
 
     Balls are grouped by the octave floor(log2 theta) of their radius, and
-    each octave has its own kd-tree queried at its own largest chord, so a
+    each octave has its own Sweep, in columns of its own largest chord, so a
     row meets only balls within a factor two of their reach. Every pair
     whose chord is within the ball's radius (with a 1e-7 relative slack,
     and at least _ROUNDING_CHORD) is returned; callers confirm each pair
@@ -257,20 +257,22 @@ class _CapIndex:
 
     def __init__(self, centers: np.ndarray, thetas: np.ndarray):
         octave = np.frexp(thetas)[1]
+        order = np.argsort(octave, kind="stable")
+        cuts = np.flatnonzero(np.diff(octave[order])) + 1
         self._buckets = []
-        for e in np.unique(octave):
-            idx = np.flatnonzero(octave == e)
+        for idx in np.split(order, cuts) if order.size else ():
             chord = max(float(chord_from_angle(thetas[idx].max()) * 1.0000001),
                         _ROUNDING_CHORD)
-            self._buckets.append((kdtree(centers[idx]), chord, idx))
+            self._buckets.append((Sweep(centers[idx], chord), chord, idx))
 
-    def pairs(self, rows) -> tuple[np.ndarray, np.ndarray]:
-        """(row of the tree, ball) index arrays, in no particular order."""
+    def pairs(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(row of U, ball) index arrays, in no particular order."""
         qi, bi = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
-        for tree, chord, idx in self._buckets:
-            m = rows.sparse_distance_matrix(tree, chord, output_type="ndarray")
-            qi.append(m["i"])
-            bi.append(idx[m["j"]])
+        for sweep, chord, idx in self._buckets:
+            for i, j, d2 in sweep.pairs(U, chord):
+                ok = d2 <= chord * chord
+                qi.append(i[ok])
+                bi.append(idx[sweep.ids[j[ok]]])
         return np.concatenate(qi), np.concatenate(bi)
 
 
@@ -279,6 +281,11 @@ class HeightResult:
     f: np.ndarray
     covered: np.ndarray
     theta: np.ndarray  # angular radius of the governing cap
+
+    def __getitem__(self, rows) -> HeightResult:
+        """The result on the selected rows; heights gives each row the same
+        values in any batch."""
+        return HeightResult(self.f[rows], self.covered[rows], self.theta[rows])
 
 
 @dataclass
@@ -345,18 +352,20 @@ class DomeFamily:
                     f"family of ~{count} caps exceeds the materialization "
                     "budget and the group is not schottky-factorable"
                 )
-        self._seed_centers = np.array([c.center for c in self.seed_caps])
+        m = G.n + 1
+        self._seed_centers = np.array([c.center for c in self.seed_caps]
+                                      ).reshape(-1, m)
         self._seed_thetas = np.array([c.theta for c in self.seed_caps])
-        for cap in self.seed_caps:
-            self._verify_shape(cap)
+        self._verify_seed_shapes()
         self.words = enumerate_elements(G, max_len)
         centers, thetas = [self._seed_centers], [self._seed_thetas]
         if not nested:
-            for w in self.words:
-                if len(w):
-                    nu, th = self._fit_images(w.map, slice(None), record=True)
-                    centers.append(nu)
-                    thetas.append(th)
+            fits = [self._fit_images(w.map, slice(None))
+                    for w in self.words if len(w)]
+            centers += [nu for nu, _, _ in fits]
+            thetas += [th for _, th, _ in fits]
+            if fits:
+                self._shape_check_batch(np.concatenate([p for _, _, p in fits]))
         self._centers = np.concatenate(centers)
         self._thetas = np.concatenate(thetas)
         self._cos = np.cos(self._thetas)
@@ -370,15 +379,14 @@ class DomeFamily:
 
     def _seed_probe_stack(self) -> np.ndarray:
         if not hasattr(self, "_seed_boundary"):
-            self._seed_boundary = np.stack(
-                [c.boundary_points(count=8) for c in self.seed_caps]
-            )
+            self._seed_boundary = boundary_probes(
+                self._seed_centers, self._seed_thetas, count=8)
         return self._seed_boundary
 
-    def _fit_images(self, g: MobiusMap, seeds, record: bool
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        """(centers, thetas) of the images under g of the seed caps indexed
-        by seeds, from their 8-point probe stacks; shape-checked if record."""
+    def _fit_images(self, g: MobiusMap, seeds
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(centers, thetas, mapped probe stacks) of the images under g of
+        the seed caps indexed by seeds, from their 8-point probe stacks."""
         nu, th, valid, probes = cap_images_batch(
             g, self._seed_probe_stack()[seeds], self._seed_centers[seeds],
             self._seed_thetas[seeds]
@@ -387,9 +395,7 @@ class DomeFamily:
             raise ShrinkEpsilon(
                 "a propagated cap reached a hemisphere; choose a smaller eps0"
             )
-        if record:
-            self._shape_check_batch(probes)
-        return nu, th
+        return nu, th, probes
 
     def _shape_check_batch(self, probes: np.ndarray):
         """Shape bound on stacks of exactly mapped cap probes, (S, k, m)."""
@@ -400,7 +406,7 @@ class DomeFamily:
             - 2.0 * np.einsum("ijk,ilk->ijl", probes, probes)
         )
         diam = np.sqrt(np.maximum(d2.max(axis=(1, 2)), 0.0))
-        near, _ = self.cloud.tree.query(probes.reshape(S * k, m))
+        near, _ = self.cloud.index.nearest(probes.reshape(S * k, m))
         near_min = near.reshape(S, k).min(axis=1)
         res = self.cloud.resolution or 0.0
         unresolved = (diam <= 8.0 * res) | (near_min <= 3.0 * res)
@@ -456,41 +462,49 @@ class DomeFamily:
 
     # -- cap bookkeeping ----------------------------------------------------
 
-    def _verify_shape(self, cap: SphericalCap):
-        diam = cap.chordal_diameter
-        # angle to the nearest sample through the chord, stable at small gaps
-        chord = float(np.linalg.norm(cap.center - _nearest_unit(self.cloud, cap.center)))
-        ang = float(angle_from_chord(chord))
-        gap = max(ang - cap.theta, 0.0)
-        dist_lo = max(float(chord_from_angle(gap)) - (self.cloud.resolution or 0.0), 0.0)
-        if dist_lo <= 0.0:
+    def _verify_seed_shapes(self):
+        """Shape bound on every seed cap, from one nearest-sample query."""
+        _, j = self.cloud.index.nearest(self._seed_centers)
+        d = self._seed_centers - self.cloud.points[j]
+        # the chord to the nearest sample, with the bits of np.linalg.norm
+        # of each row; the angle goes through it, stable at small gaps
+        chord = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+        gap = np.maximum(angle_from_chord(chord) - self._seed_thetas, 0.0)
+        dist_lo = np.maximum(
+            chord_from_angle(gap) - (self.cloud.resolution or 0.0), 0.0)
+        if np.any(dist_lo <= 0.0):
             raise ShrinkEpsilon("cap touches the limit-set resolution band")
-        ratio = diam / dist_lo
-        if ratio > SHAPE_RATIO_MAX:
-            self.shape_violations += 1
-        self.shape_ratios.append(ratio)
+        ratio = chord_from_angle(2.0 * self._seed_thetas) / dist_lo
+        self.shape_violations += int((ratio > SHAPE_RATIO_MAX).sum())
+        self.shape_ratios.extend(ratio.tolist())
 
     def _image_caps(self, lv: _WordLevel, w: np.ndarray, s: np.ndarray,
                     record: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """(centers, thetas) of the image caps of words w under seeds s.
 
         Caps not fitted before are fitted word by word, all of a word's new
-        seeds in one _fit_images call, and kept for later queries.
+        seeds in one _fit_images call, and kept for later queries; with
+        record, the new caps are shape-checked together.
         """
         S = len(self.seed_caps)
         key = w * S + s
-        new = np.setdiff1d(key, lv.keys)
+        new = np.sort(key)
+        new = new[np.diff(new, prepend=-1) != 0]  # distinct; keys are >= 0
+        if lv.keys.size:
+            known = np.searchsorted(lv.keys, new).clip(max=lv.keys.size - 1)
+            new = new[lv.keys[known] != new]
         if new.size:
             cuts = np.flatnonzero(np.diff(new // S)) + 1
-            fits = [self._fit_images(lv.words[int(ks[0]) // S].map, ks % S,
-                                     record)
+            fits = [self._fit_images(lv.words[int(ks[0]) // S].map, ks % S)
                     for ks in np.split(new, cuts)]
+            if record:
+                self._shape_check_batch(np.concatenate([p for _, _, p in fits]))
             order = np.argsort(np.concatenate([lv.keys, new]))
             lv.keys = np.concatenate([lv.keys, new])[order]
             lv.img_centers = np.concatenate(
-                [lv.img_centers] + [c for c, _ in fits])[order]
+                [lv.img_centers] + [c for c, _, _ in fits])[order]
             lv.img_thetas = np.concatenate(
-                [lv.img_thetas] + [t for _, t in fits])[order]
+                [lv.img_thetas] + [t for _, t, _ in fits])[order]
         pos = np.searchsorted(lv.keys, key)
         return lv.img_centers[pos], lv.img_thetas[pos]
 
@@ -514,14 +528,13 @@ class DomeFamily:
     def heights(self, U: np.ndarray) -> HeightResult:
         U = np.atleast_2d(np.asarray(U, dtype=float))
         N = U.shape[0]
-        tree = kdtree(U)
-        i, k = self._index.pairs(tree)
+        i, k = self._index.pairs(U)
         d = np.einsum("ij,ij->i", U[i], self._centers[k]) / self._cos[k]
         hit = d >= 1.0
         self.candidate_pairs += i.size
         self.hit_pairs += int(hit.sum())
         hits = [(i[hit], d[hit], k[hit], self._thetas[k[hit]])]
-        hits += [self._level_hits(lv, U, tree) for lv in self._levels]
+        hits += [self._level_hits(lv, U) for lv in self._levels]
         rows, d, key, thetas = (np.concatenate(a) for a in zip(*hits))
         f, first = _row_minima(N, rows, d - np.sqrt(d * d - 1.0), key)
         win = np.flatnonzero(key == first[rows])
@@ -531,23 +544,22 @@ class DomeFamily:
         f[~covered] = np.nan
         return HeightResult(f=f, covered=covered, theta=theta)
 
-    def _confirmed(self, index, tree, U, centers, cosines):
+    def _confirmed(self, index, U, centers, cosines):
         """(row, ball) pairs of the index whose row lies in the ball."""
-        r, b = index.pairs(tree)
+        r, b = index.pairs(U)
         hit = np.einsum("ij,ij->i", U[r], centers[b]) >= cosines[b]
         self.candidate_pairs += r.size
         self.hit_pairs += int(hit.sum())
         return r[hit], b[hit]
 
-    def _level_hits(self, lv: _WordLevel, U: np.ndarray, tree):
+    def _level_hits(self, lv: _WordLevel, U: np.ndarray):
         """(row, d, key, theta) of the rows of U meeting a cap of level lv."""
         # (row, word) pairs with the row inside the word's inflated nested
         # support cap, and the row's preimage under the word
-        i, w = self._confirmed(lv.index, tree, U, lv.centers, lv.support_cos)
+        i, w = self._confirmed(lv.index, U, lv.centers, lv.support_cos)
         Y = sphere_action_stack(tuple(f[w] for f in lv.inv_fields), U[i])
         # for a group with nested caps the build-fitted caps are the seeds
-        j, s = self._confirmed(self._index, kdtree(Y), Y, self._centers,
-                               self._cos)
+        j, s = self._confirmed(self._index, Y, self._centers, self._cos)
         i, w = i[j], w[j]
         centers, thetas = self._image_caps(lv, w, s)
         d = np.einsum("ij,ij->i", U[i], centers) / np.cos(thetas)
@@ -568,26 +580,21 @@ def _row_minima(N: int, rows: np.ndarray, t: np.ndarray, key: np.ndarray
     return best, first
 
 
-def _nearest_unit(cloud: LimitSetCloud, u: np.ndarray) -> np.ndarray:
-    _, idx = cloud.tree.query(u[None, :])
-    return cloud.points[int(idx[0])]
-
-
 # ---------------------------------------------------------------------------
 # diagnostics on the graph
 # ---------------------------------------------------------------------------
 
-def check_invariance(F: DomeFamily, gamma: MobiusMap, samples: np.ndarray
-                     ) -> tuple[float, int]:
+def check_invariance(F: DomeFamily, gamma: MobiusMap, samples: np.ndarray,
+                     res: HeightResult) -> tuple[float, int]:
     """Max radial deviation of mapped graph points from the graph.
 
     Pushes the graph point over each covered sample through the extension of
     gamma and measures how far (radially) the image sits from the graph at
-    the image direction. Exact invariance of a group-closed family makes this
-    zero up to roundoff on the matched-truncation region.
+    the image direction; res is F.heights(samples). Exact invariance of a
+    group-closed family makes this zero up to roundoff on the
+    matched-truncation region.
     """
     U = np.atleast_2d(samples)
-    res = F.heights(U)
     mask = res.covered
     if not mask.any():
         return 0.0, 0
@@ -602,11 +609,11 @@ def check_invariance(F: DomeFamily, gamma: MobiusMap, samples: np.ndarray
     return (float(dev.max()) if dev.size else 0.0), int(ok.sum())
 
 
-def lipschitz_estimate(F: DomeFamily, samples: np.ndarray,
+def lipschitz_estimate(samples: np.ndarray, res: HeightResult,
                        max_pairs: int = 200_000) -> float:
-    """Empirical Lipschitz constant sup |f(x)-f(y)| / q(x, y) over sample pairs."""
+    """Empirical Lipschitz constant sup |f(x)-f(y)| / q(x, y) over pairs of
+    the first covered samples; res holds the heights of the samples."""
     U = np.atleast_2d(samples)
-    res = F.heights(U)
     U = U[res.covered]
     fv = res.f[res.covered]
     m = U.shape[0]
@@ -762,11 +769,12 @@ def _tangent_gradient_sq(F: DomeFamily, U: np.ndarray, f: np.ndarray,
     return grad2
 
 
-def bilipschitz_ratios(F: DomeFamily, samples: np.ndarray,
+def bilipschitz_ratios(F: DomeFamily, samples: np.ndarray, res: HeightResult,
                        factor=None, max_pairs: int = 800) -> np.ndarray:
     """Two-sided distortion of u -> f(u) u against a conformal metric, sampled.
 
-    Pairs each covered sample with its nearest covered neighbour and compares
+    res is F.heights(samples). Pairs each covered sample with its nearest
+    covered neighbour and compares
     the hyperbolic distance of the two graph points with the conformal length
     e^u q(x, y). factor maps sample rows to e^u; by default the band
     surrogate 1/dist(x, cloud) stands in for the invariant factor (the two
@@ -775,15 +783,13 @@ def bilipschitz_ratios(F: DomeFamily, samples: np.ndarray,
     from .geom import hyperbolic_distance_rows
 
     U = np.atleast_2d(samples)
-    res = F.heights(U)
     U = U[res.covered]
     fv = res.f[res.covered]
     if U.shape[0] < 2:
         raise ValueError("need at least two covered samples")
     if U.shape[0] > 2 * max_pairs:
         U, fv = U[: 2 * max_pairs], fv[: 2 * max_pairs]
-    tree = kdtree(U)
-    d, j = tree.query(U, k=2)
+    d, j = PointIndex(U).nearest(U, k=2)
     q = d[:, 1]
     j = j[:, 1]
     keep = q > 1e-12
@@ -798,22 +804,23 @@ def bilipschitz_ratios(F: DomeFamily, samples: np.ndarray,
     return rho / conf
 
 
-def graph_band(F: DomeFamily, samples: np.ndarray) -> np.ndarray:
-    """(1 - f(x)) / dist(x, cloud) over covered samples (upper distances)."""
+def graph_band(F: DomeFamily, samples: np.ndarray, res: HeightResult
+               ) -> np.ndarray:
+    """(1 - f(x)) / dist(x, cloud) over covered samples (upper distances);
+    res is F.heights(samples)."""
     U = np.atleast_2d(samples)
-    res = F.heights(U)
     mask = res.covered
     _, upper = dist_rows(U[mask], F.cloud)
     good = upper > 0
     return (1.0 - res.f[mask][good]) / upper[good]
 
 
-def export_graph_csv(F: DomeFamily, samples: np.ndarray, path) -> None:
-    """CSV rows (direction vector, f) over covered samples."""
+def export_graph_csv(samples: np.ndarray, res: HeightResult, path) -> None:
+    """CSV rows (direction vector, f) over covered samples, with res the
+    heights of the samples."""
     import csv
 
     U = np.atleast_2d(samples)
-    res = F.heights(U)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{i}" for i in range(U.shape[1])] + ["f"])

@@ -189,10 +189,11 @@ def test_criterion_04_graph_band_and_lipschitz():
     U = uniform_sphere(rng, 2, 25_000)
     U = U[region.contains(U)][:10_000]
     assert len(U) == 10_000
-    band = lipgraph.graph_band(fam, U)
+    res = fam.heights(U)
+    band = lipgraph.graph_band(fam, U, res)
     C1, C2 = float(band.min()), float(band.max())
-    M_half = lipgraph.lipschitz_estimate(fam, U[:5000])
-    M_full = lipgraph.lipschitz_estimate(fam, U)
+    M_half = lipgraph.lipschitz_estimate(U[:5000], res[:5000])
+    M_full = lipgraph.lipschitz_estimate(U, res)
     stable = abs(M_full - M_half) <= 0.5 * max(M_full, M_half)
     elapsed = time.time() - t0
     assert C2 / C1 < 20.0
@@ -216,7 +217,8 @@ def test_criterion_05_graph_invariance():
     devs = []
     for depth in (1, 3, 5):
         fam = lipgraph.DomeFamily(G, cloud, caps, max_len=depth)
-        dev, cnt = lipgraph.check_invariance(fam, G.generators[0], dirs)
+        dev, cnt = lipgraph.check_invariance(fam, G.generators[0], dirs,
+                                             fam.heights(dirs))
         assert cnt > 500
         devs.append(dev)
     elapsed = time.time() - t0

@@ -11,7 +11,8 @@ import pytest
 from kleinlab import caps, geom, mobius
 from kleinlab.caps import SphericalCap, cap_image, cap_to_euclidean_ball
 
-from util import level_children, random_mobius, reference_schottky
+from util import (level_children, random_mobius, reference_schottky,
+                  scalar_boundary_points)
 
 RNG = np.random.default_rng(1234)
 
@@ -41,6 +42,20 @@ class TestCapBasics:
         pts = cap.boundary_points(count=16)
         ang = geom.angular_distance(pts, cap.center)
         assert np.allclose(ang, cap.theta, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_batched_probes_match_the_one_cap_path_bitwise(self, m):
+        rng = np.random.default_rng(m)
+        centers = geom.uniform_sphere(rng, m - 1, 500)
+        thetas = np.exp(rng.uniform(np.log(1e-10), np.log(1.5), 500))
+        cs = [SphericalCap(center=c, theta=t) for c, t in zip(centers, thetas)]
+        centers = np.array([c.center for c in cs])  # as the caps store them
+        for count in (None, 8):
+            ref = np.stack([scalar_boundary_points(c, count) for c in cs])
+            got = caps.boundary_probes(centers, thetas, count)
+            assert got.tobytes() == ref.tobytes()
+            one = np.stack([c.boundary_points(count) for c in cs])
+            assert one.tobytes() == ref.tobytes()
 
     def test_disjointness(self):
         c1 = SphericalCap(center=np.array([1.0, 0.0, 0.0]), theta=0.2)

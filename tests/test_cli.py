@@ -367,20 +367,23 @@ class TestCommands:
 
 
 _NO_SCIPY_RUN = """
-import sys
+import contextlib, io, sys
 from kleinlab import cli
 for path in sys.argv[1:]:
     for argv in (["validate"], ["limitset"], ["dimension"],
-                 ["harmonic", "--samples", "4000"]):
-        assert cli.main([*argv, "--file", path]) == 0, (argv, path)
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-assert not loaded, loaded
-assert cli.main(["graph", "--file", sys.argv[2], "--samples", "2000"]) == 0
-assert "scipy.spatial" in sys.modules
+                 ["harmonic", "--samples", "4000"],
+                 ["graph", "--samples", "2000", "--epsilon0", "0.25"],
+                 ["diagnose", "--samples", "2000", "--epsilon0", "0.25"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([*argv, "--file", path])
+        assert code == 0, (argv, path, code)
+loaded = sorted(m for m in sys.modules
+                if m.split(".")[0] == "scipy" or m.startswith("numpy.ma."))
+assert not loaded and "numpy.ma" not in sys.modules, loaded
 """
 
 
-def test_only_graph_and_diagnose_load_scipy():
+def test_no_command_loads_scipy_or_numpy_ma():
     # in a fresh interpreter, since pytest itself has imported SciPy
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -18,7 +18,7 @@ from kleinlab.limitset import (
     sullivan_lambda0,
 )
 
-from util import level_children, reference_schottky
+from util import brute_sq, level_children, reference_schottky
 
 RNG = np.random.default_rng(999)
 
@@ -81,7 +81,7 @@ class TestSampling:
     def test_schottky_points_distinct(self):
         G = reference_schottky()
         cloud = sample_limit_set(G, 4)
-        d, _ = cloud.tree.query(cloud.points, k=2)
+        d, _ = cKDTree(cloud.points).query(cloud.points, k=2)
         assert np.min(d[:, 1]) > 1e-12
 
     def test_custom_needs_seeds(self):
@@ -200,14 +200,19 @@ class TestSweep:
         assert_nets_match(cloud, [0.5, np.nextafter(0.5, 0.0)])
 
     def test_chunked_pairs_are_the_unchunked_pairs(self):
+        # enough rows for several chunks of whole windows: together they are
+        # every (row, position) of every window, in row order
         cloud = sample_limit_set(reference_schottky(), 5)
-        U = geom.uniform_sphere(np.random.default_rng(8), 2, 300)
-        whole = [np.concatenate(a) for a in zip(*cloud.sweep.pairs(U, 0.1))]
-        parts = [np.concatenate(a)
-                 for a in zip(*cloud.sweep.pairs(U, 0.1, budget=7))]
-        assert whole[0].size > 7
-        for a, b in zip(whole, parts):
-            assert np.array_equal(a, b)
+        U = geom.uniform_sphere(np.random.default_rng(8), 2, 4000)
+        chunks = list(cloud.sweep.pairs(U, 0.1))
+        assert len(chunks) > 1
+        i, j, d2 = (np.concatenate(a) for a in zip(*chunks))
+        lo, hi = cloud.sweep.window(U, 0.1)
+        assert np.array_equal(i, np.repeat(np.arange(len(U)), hi - lo))
+        assert np.array_equal(j, np.concatenate(
+            [np.arange(a, b) for a, b in zip(lo, hi)]))
+        P = cloud.sweep.points
+        assert np.array_equal(d2, np.sum((P[j] - U[i]) ** 2, axis=1))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_dedup_matches_query_pairs_on_a_chain(self, seed):
@@ -222,6 +227,167 @@ class TestSweep:
         kept = limitset._dedup_rows(pts, 1e-12)
         assert np.array_equal(kept, kdtree_dedup(pts, 1e-12))
         assert 200 < len(kept) < len(pts) - 6
+
+
+def brute_nearest(Q, P, k):
+    """(distances, indices) of the k nearest points by brute_sq, ties to the
+    lower index, inf and len(P) past the last point."""
+    s = brute_sq(Q, P)
+    order = np.argsort(s, axis=1, kind="stable")[:, :k]
+    d = np.sqrt(np.take_along_axis(s, order, axis=1))
+    pad = k - order.shape[1]
+    return (np.pad(d, ((0, 0), (0, pad)), constant_values=np.inf),
+            np.pad(order, ((0, 0), (0, pad)), constant_values=len(P)))
+
+
+def pair_set(i, j):
+    return set(zip(np.asarray(i).tolist(), np.asarray(j).tolist()))
+
+
+def sphere_rows(rng, m, size):
+    return geom.uniform_sphere(rng, m - 1, size)
+
+
+def sweep_pairs(P, Q, r, side=None):
+    """(row, point) pairs within r from a Sweep of P in columns of side
+    (r by default)."""
+    sweep = limitset.Sweep(P, r if side is None else side)
+    i, j = [np.empty(0, int)], [np.empty(0, int)]
+    for a, b, d2 in sweep.pairs(Q, r):
+        i.append(a[d2 <= r * r])
+        j.append(sweep.ids[b[d2 <= r * r]])
+    return np.concatenate(i), np.concatenate(j)
+
+
+class TestSweepColumns:
+    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("r", [1e-10, 1e-7, 1e-4, 0.05, 0.3, 1.0])
+    def test_pairs_match_brute_force(self, m, r):
+        rng = np.random.default_rng([m, int(-np.log10(r))])
+        P = sphere_rows(rng, m, 600)
+        # rows at and just past r from a point, and pairs closer than r
+        step = sphere_rows(rng, m, 60)
+        Q = np.vstack([sphere_rows(rng, m, 500), P[:60] + r * step,
+                       P[60:120] + 1.5 * r * step, P[120:180] + 0.5 * r * step])
+        i, j = sweep_pairs(P, Q, r)
+        s = brute_sq(Q, P)
+        assert len(i) == len(pair_set(i, j))
+        assert pair_set(i, j) == pair_set(*np.nonzero(s <= r * r))
+        if r <= 1e-4:
+            assert len(i) >= 60 * (r >= 1e-7)
+        tree = cKDTree(Q).sparse_distance_matrix(cKDTree(P), r,
+                                                 output_type="ndarray")
+        assert pair_set(i, j) == pair_set(tree["i"], tree["j"])
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_pairs_on_column_edges(self, m):
+        # lattice rows at multiples of a power-of-two radius: every
+        # coordinate is exact, rows sit on column edges and pairs lie at
+        # exactly r, r sqrt 2, ...
+        r = 2.0 ** -3
+        ticks = np.arange(-4, 5) * r
+        P = np.stack(np.meshgrid(*[ticks] * m, indexing="ij"), -1
+                     ).reshape(-1, m)[:: 3 if m == 4 else 1]
+        Q = np.vstack([P[::5], P[::11] + 0.5 * r])
+        for radius in (r, np.nextafter(r, 0.0), r * np.sqrt(2.0), 0.0):
+            i, j = sweep_pairs(P, Q, radius)
+            want = pair_set(*np.nonzero(brute_sq(Q, P) <= radius * radius))
+            assert len(i) == len(want)
+            assert pair_set(i, j) == want
+        assert len(sweep_pairs(P, Q, r)[0]) > len(
+            sweep_pairs(P, Q, np.nextafter(r, 0.0))[0])
+
+    def test_one_column_and_wide_columns_give_the_same_pairs(self):
+        rng = np.random.default_rng(4)
+        P, Q = sphere_rows(rng, 3, 400), sphere_rows(rng, 3, 300)
+        want = pair_set(*np.nonzero(brute_sq(Q, P) <= 0.04))
+        for side in (0.2, 0.7, np.inf):
+            i, j = sweep_pairs(P, Q, 0.2, side)
+            assert len(i) == len(want) and pair_set(i, j) == want
+
+    def test_rows_outside_the_columns_have_empty_windows(self):
+        P = sphere_rows(np.random.default_rng(5), 3, 50)
+        sweep = limitset.Sweep(P, 0.1)
+        far = np.full((4, 3), 5.0)
+        far[:, sweep.axis] = P[:4, sweep.axis]
+        lo, hi = sweep.window(far, 0.1)
+        assert np.all(lo == hi)
+
+    def test_empty_and_one_point_sets(self):
+        Q = sphere_rows(np.random.default_rng(6), 3, 5)
+        assert all(a.size == 0 for a in sweep_pairs(np.empty((0, 3)), Q, 1.0))
+        assert pair_set(*sweep_pairs(Q[:1], Q, 2.0)) == {(q, 0) for q in range(5)}
+        assert all(a.size == 0 for a in sweep_pairs(Q[:1], np.empty((0, 3)), 1.0))
+
+
+class TestPointIndex:
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_nearest_matches_brute_force_and_kdtree(self, m):
+        rng = np.random.default_rng(m)
+        P = sphere_rows(rng, m, 700)
+        # repeated points and points a few ulps apart tie with their originals
+        P = np.vstack([P, P[:50], P[50:100] * (1 + 1e-15)])
+        Q = np.vstack([sphere_rows(rng, m, 400), P[::7],
+                       P[:40] + 1e-9 * sphere_rows(rng, m, 40)])
+        index = limitset.PointIndex(P)
+        tree = cKDTree(P)
+        for k in (1, 2):
+            d, j = index.nearest(Q, k=k)
+            bd, bj = brute_nearest(Q, P, k)
+            if k == 1:
+                bd, bj = bd[:, 0], bj[:, 0]
+            assert np.array_equal(d, bd) and np.array_equal(j, bj)
+            td, _ = tree.query(Q, k=k)
+            assert np.array_equal(d, td)
+
+    def test_nearest_over_several_row_blocks(self):
+        # more rows than one descent takes, against a clustered cloud with
+        # leaves of tied points: every block matches brute force
+        rng = np.random.default_rng(9)
+        P = sample_limit_set(reference_schottky(), 5).points
+        P = np.vstack([P, P[:40]])
+        Q = np.vstack([sphere_rows(rng, 3, 2 * limitset._ROWS + 100), P[::3]])
+        index = limitset.PointIndex(P)
+        for k in (1, 2):
+            d, j = index.nearest(Q, k=k)
+            bd, bj = brute_nearest(Q, P, k)
+            assert np.array_equal(d, bd[:, 0] if k == 1 else bd)
+            assert np.array_equal(j, bj[:, 0] if k == 1 else bj)
+
+    def test_more_neighbours_than_a_leaf_holds(self):
+        rng = np.random.default_rng(11)
+        P, Q = sphere_rows(rng, 3, 300), sphere_rows(rng, 3, 50)
+        d, j = limitset.PointIndex(P).nearest(Q, k=limitset._LEAF + 5)
+        bd, bj = brute_nearest(Q, P, limitset._LEAF + 5)
+        assert np.array_equal(d, bd) and np.array_equal(j, bj)
+
+    def test_empty_and_one_point_sets(self):
+        Q = sphere_rows(np.random.default_rng(6), 3, 5)
+        empty = limitset.PointIndex(np.empty((0, 3)))
+        d, j = empty.nearest(Q)
+        assert np.all(np.isinf(d)) and np.all(j == 0)
+        one = limitset.PointIndex(Q[:1])
+        d, j = one.nearest(Q, k=2)
+        assert d.shape == j.shape == (5, 2)
+        assert d[0, 0] == 0.0 and np.all(np.isinf(d[:, 1])) and np.all(j[:, 1] == 1)
+        assert np.array_equal(d[:, 0], cKDTree(Q[:1]).query(Q)[0])
+        for k in (1, 2):
+            d, j = one.nearest(np.empty((0, 3)), k=k)
+            assert d.size == j.size == 0
+
+    @pytest.mark.parametrize("depth", [5, 6, 8])
+    def test_cloud_distances_match_kdtree(self, depth):
+        cloud = sample_limit_set(reference_schottky(), depth)
+        U = geom.uniform_sphere(np.random.default_rng(depth), 2, 3000)
+        d, j = cloud.index.nearest(U)
+        td, tj = cKDTree(cloud.points).query(U)
+        assert np.array_equal(d, td)
+        # the tree may name any of tied samples; the index names the lowest
+        P = cloud.points
+        a, b = U - P[j], U - P[tj]
+        assert np.array_equal(a[:, 0] ** 2 + a[:, 1] ** 2 + a[:, 2] ** 2,
+                              b[:, 0] ** 2 + b[:, 1] ** 2 + b[:, 2] ** 2)
+        assert np.all(j <= tj) and np.mean(j == tj) > 0.5
 
 
 class TestDistance:

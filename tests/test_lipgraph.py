@@ -4,6 +4,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from kleinlab import cli, limitset, lipgraph, mobius
 from kleinlab.caps import SphericalCap, cap_images_batch
@@ -25,7 +26,7 @@ from kleinlab.lipgraph import (
     strip_region,
 )
 
-from util import reference_schottky
+from util import brute_sq, reference_schottky, scalar_boundary_points
 
 RNG = np.random.default_rng(31415)
 GROUPS = pathlib.Path(__file__).resolve().parents[1] / "groups"
@@ -335,6 +336,25 @@ class TestFamily:
         assert not fam2.shape_bound_ok
         assert fam2.max_shape_ratio() > 0.5 > fam2.min_shape_ratio()
 
+    def test_batched_seed_probes_and_shapes_match_the_per_seed_path(self):
+        # the probe stacks and the seed shape ratios of the build, bit for
+        # bit against one cap and one kd-tree query at a time
+        G, cloud, caps = quarter_schottky_caps()
+        fam = DomeFamily(G, cloud, caps, max_len=1, audit=0)
+        probes = np.stack([scalar_boundary_points(c, 8) for c in caps])
+        assert fam._seed_probe_stack().tobytes() == probes.tobytes()
+        tree, res = cKDTree(cloud.points), cloud.resolution
+        ratios = []
+        for cap in caps:
+            _, j = tree.query(cap.center[None, :])
+            chord = float(np.linalg.norm(cap.center - cloud.points[int(j[0])]))
+            gap = max(float(lipgraph.angle_from_chord(chord)) - cap.theta, 0.0)
+            dist_lo = max(float(lipgraph.chord_from_angle(gap)) - res, 0.0)
+            ratios.append(cap.chordal_diameter / dist_lo)
+        assert len(caps) > 1000
+        assert fam.shape_ratios[:len(caps)] == ratios
+        assert fam.shape_violations == sum(r > 0.5 for r in fam.shape_ratios)
+
     def test_lazy_caps_match_direct_fits(self):
         # every image cap the family fits for its audit and a query, bit for
         # bit against a one-row cap_images_batch fit of the same (word, seed)
@@ -462,6 +482,48 @@ class TestHeightIndex:
         assert ref.theta[400] == 0.3 and ref.theta[402] == 0.07
         assert_same_heights(fam.heights(U), ref)
 
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_cap_index_pairs_match_the_octave_reference(self, m):
+        # radii from 1e-10 to 1: each ball is reached from every row within
+        # its octave's largest chord, times 1 + 1e-7 and at least the 1e-7
+        # rounding chord, and from no other row
+        rng = np.random.default_rng(m)
+        centers = uniform_sphere(rng, m - 1, 800)
+        thetas = np.exp(rng.uniform(np.log(1e-10), 0.0, 800))
+        rim = np.cos(thetas)[:, None] * centers + np.sin(thetas)[:, None] * (
+            uniform_sphere(rng, m - 1, 800))
+        U = np.vstack([uniform_sphere(rng, m - 1, 600), rim[::2],
+                       centers[::5] + 1e-8 * uniform_sphere(rng, m - 1, 160)])
+        octave = np.frexp(thetas)[1]
+        reach = np.empty(800)
+        for e in set(octave.tolist()):
+            at = octave == e
+            reach[at] = max(lipgraph.chord_from_angle(thetas[at].max())
+                            * 1.0000001, lipgraph._ROUNDING_CHORD)
+        want = set(zip(*np.nonzero(brute_sq(U, centers) <= reach * reach)))
+        i, b = lipgraph._CapIndex(centers, thetas).pairs(U)
+        assert len(i) == len(want) > 800
+        assert set(zip(i.tolist(), b.tolist())) == {
+            (int(r), int(c)) for r, c in want}
+
+    def test_rows_of_one_result_match_separate_calls(self):
+        # graph slices one heights result for all its diagnostics: on fresh
+        # families, which fit their lazy image caps in different orders,
+        # the rows of one call equal calls on the slices, bit for bit
+        G, cloud, caps = quarter_schottky_caps()
+        parts = DomeFamily(G, cloud, caps, max_len=3, audit=0)
+        U = np.vstack([uniform_sphere(np.random.default_rng(17), 2, 3000),
+                       mapped_seed_centers(parts, 3, np.random.default_rng(18))])
+        U = U[np.random.default_rng(19).permutation(len(U))]
+        whole = DomeFamily(G, cloud, caps, max_len=3, audit=0).heights(U)
+        assert whole.covered.sum() > 1000
+        for sl in (slice(None, len(U) // 2), slice(len(U) // 3, None),
+                   slice(None, 700)):
+            got, want = whole[sl], parts.heights(U[sl])
+            for a, b in ((got.f, want.f), (got.covered, want.covered),
+                         (got.theta, want.theta)):
+                assert a.tobytes() == b.tobytes()
+
     def test_empty_and_single_row(self):
         for fam in (file_family("cyclic_parabolic")[3],
                     small_schottky_family(max_len=2)[3]):
@@ -488,7 +550,8 @@ class TestInvariance:
     def test_identity_gives_zero(self):
         G, cloud, region, fam = small_schottky_family()
         U = uniform_sphere(np.random.default_rng(11), 2, 300)
-        dev, cnt = lipgraph.check_invariance(fam, mobius.identity(2), U)
+        dev, cnt = lipgraph.check_invariance(fam, mobius.identity(2), U,
+                                             fam.heights(U))
         assert dev < 1e-13 and cnt > 0
 
     def test_cyclic_matched_truncation_tiny(self):
@@ -496,7 +559,8 @@ class TestInvariance:
         rng = np.random.default_rng(12)
         U = uniform_sphere(rng, 2, 4000)
         U = U[region.contains(U)]
-        dev, cnt = lipgraph.check_invariance(fam, G.generators[0], U)
+        dev, cnt = lipgraph.check_invariance(fam, G.generators[0], U,
+                                             fam.heights(U))
         assert cnt > 100
         assert dev < 1e-9
 
@@ -507,7 +571,8 @@ class TestInvariance:
         for depth in (1, 3, 5):
             G, cloud, region, fam = cyclic_family(depth=depth)
             mask = region.contains(U)
-            dev, cnt = lipgraph.check_invariance(fam, G.generators[0], U[mask])
+            dev, cnt = lipgraph.check_invariance(fam, G.generators[0], U[mask],
+                                                 fam.heights(U[mask]))
             devs.append(dev)
         assert devs[1] <= devs[0] + 1e-9
         assert devs[2] <= devs[1] + 1e-9
@@ -545,19 +610,19 @@ class TestLipschitz:
         rng = np.random.default_rng(14)
         U = uniform_sphere(rng, 2, 3000)
         U = U[fam.heights(U).covered][:400]
-        M1 = lipgraph.lipschitz_estimate(fam, U)
+        M1 = lipgraph.lipschitz_estimate(U, fam.heights(U))
         th = 0.83
         R = np.array(
             [[np.cos(th), -np.sin(th), 0], [np.sin(th), np.cos(th), 0], [0, 0, 1.0]]
         )
-        M2 = lipgraph.lipschitz_estimate(fam, U @ R.T)
+        M2 = lipgraph.lipschitz_estimate(U @ R.T, fam.heights(U @ R.T))
         assert M1 == pytest.approx(M2, rel=1e-9)
 
     def test_reference_schottky_M_finite(self):
         G, cloud, region, fam = small_schottky_family(max_len=2)
         U = uniform_sphere(np.random.default_rng(15), 2, 2000)
         U = U[region.contains(U)]
-        M = lipgraph.lipschitz_estimate(fam, U)
+        M = lipgraph.lipschitz_estimate(U, fam.heights(U))
         assert np.isfinite(M) and 0 < M < 50
 
 
@@ -680,7 +745,7 @@ def _mesh_reach(mesh, cloud, eps0, U):
     """Largest chord from a row of U to its nearest mesh point, in units of
     the row's base-cap scale eps0 * lower."""
     lower, _ = limitset.dist_rows(U, cloud)
-    chord, _ = limitset.kdtree(mesh).query(U)
+    chord, _ = cKDTree(mesh).query(U)
     return float(np.max(chord / (eps0 * lower)))
 
 
@@ -725,7 +790,7 @@ class TestBilipschitz:
         rng = np.random.default_rng(27)
         U = uniform_sphere(rng, 2, 6000)
         U = U[region.contains(U)]
-        ratios = lipgraph.bilipschitz_ratios(fam, U)
+        ratios = lipgraph.bilipschitz_ratios(fam, U, fam.heights(U))
         assert ratios.size > 300
         assert np.all(np.isfinite(ratios)) and np.all(ratios > 0)
         # two-sided: the distortion band has a bounded spread
@@ -744,7 +809,8 @@ class TestBilipschitz:
                 equivariant_extend(lambda y: 1.0, G, row)[0] for row in rows
             ])
 
-        ratios = lipgraph.bilipschitz_ratios(fam, U, factor=factor)
+        ratios = lipgraph.bilipschitz_ratios(fam, U, fam.heights(U),
+                                             factor=factor)
         assert ratios.size > 50
         assert np.all(np.isfinite(ratios)) and np.all(ratios > 0)
 
@@ -753,7 +819,7 @@ def test_export_graph_csv(tmp_path):
     G, cloud, region, fam = small_schottky_family(stride=23)
     U = uniform_sphere(np.random.default_rng(23), 2, 100)
     path = tmp_path / "graph.csv"
-    lipgraph.export_graph_csv(fam, U, path)
+    lipgraph.export_graph_csv(U, fam.heights(U), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "x0,x1,x2,f"
     assert 1 < len(lines) <= 101

@@ -131,3 +131,31 @@ def extension_band(u0, G, cloud,
         val, _ = equivariant_extend(u0, G, row)
         vals.append(val * up)
     return np.array(vals)
+
+
+def brute_sq(Q, P):
+    """Every squared distance sum((q - p)^2), summed one column at a time
+    from the left, the reference order, shape (len(Q), len(P))."""
+    D = Q[:, None, :] - P[None, :, :]
+    s = D[..., 0] * D[..., 0]
+    for k in range(1, D.shape[2]):
+        s = s + D[..., k] * D[..., k]
+    return s
+
+
+def scalar_boundary_points(cap: SphericalCap, count=None) -> np.ndarray:
+    """The boundary probes of one cap by the one-cap path: the QR of
+    [c | I], then the frame directions and the negated first one, or count
+    points on a circle in the first two frame directions."""
+    m = cap.center.size
+    Q, _ = np.linalg.qr(np.concatenate([cap.center[:, None], np.eye(m)], axis=1))
+    frame = Q[:, 1:m].T
+    if count is None:
+        dirs = np.vstack([frame, -frame[0]])
+    elif frame.shape[0] == 1:
+        dirs = np.vstack([frame[0], -frame[0]])
+    else:
+        ts = np.linspace(0.0, 2 * np.pi, count, endpoint=False)
+        dirs = np.outer(np.cos(ts), frame[0]) + np.outer(np.sin(ts), frame[1])
+    pts = np.cos(cap.theta) * cap.center + np.sin(cap.theta) * dirs
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
