@@ -35,6 +35,10 @@ RUNS = {
                        ["graph", "--epsilon0", "0.25", "--seed", "7"]),
     "dimension-schottky": ("reference_schottky.json", {},
                            ["dimension", "--depth", "7", "--seed", "1000"]),
+    "limitset-schottky": ("reference_schottky.json", {},
+                          ["limitset", "--depth", "8"]),
+    "harmonic-schottky": ("reference_schottky.json", {},
+                          ["harmonic", "--samples", "40000", "--seed", "1000"]),
 }
 
 
