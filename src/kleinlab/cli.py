@@ -21,10 +21,8 @@ import time
 
 import numpy as np
 
+# limitset, lipgraph and harmonic are imported by the commands that run them
 from . import group as group_mod
-from . import harmonic as harmonic_mod
-from . import limitset as limitset_mod
-from . import lipgraph as lipgraph_mod
 from . import mobius
 from .caps import CapDegenerate
 from .files import GroupDefinition, ValidationError, load_group_file, render_report
@@ -35,12 +33,13 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_INCONCLUSIVE = 3
 
-# Peak RSS grows with --samples by about 100 bytes a sample for harmonic,
-# 190 for graph (its one heights call takes every sample at once) and 40 for
-# diagnose (the volume Monte-Carlo runs in lipgraph.VOLUME_BLOCK blocks):
-# from 43, 71 and 64 MB at 40k samples to 79, 127 and 76 MB at 400k and
-# 138, 251 and 102 MB at a million, on the reference file (graph: the
-# loxodromic file; diagnose at --epsilon0 0.25 --depth 5).
+# Peak RSS grows with --samples by about 15 bytes a sample for harmonic and
+# 10 for diagnose, whose Monte-Carlo runs draw and evaluate
+# geom.SAMPLE_BLOCK samples at a time, and 190 for graph (its one heights
+# call takes every sample at once): from 42, 63 and 71 MB at 40k samples to
+# 46, 67 and 127 MB at 400k and 56, 73 and 255 MB at a million, on the
+# reference file (diagnose at --epsilon0 0.25 --depth 5; graph on the
+# loxodromic file).
 MAX_SAMPLES = 1_000_000
 
 
@@ -96,10 +95,12 @@ def _check_flags(args):
 
 
 def _cloud_for(defn: GroupDefinition, depth: int):
+    from . import limitset as limitset_mod
     return limitset_mod.sample_limit_set(defn.presentation, depth)
 
 
 def _region_for(defn: GroupDefinition):
+    from . import lipgraph as lipgraph_mod
     G = defn.presentation
     if defn.kind == "schottky":
         return lipgraph_mod.schottky_region(G)
@@ -137,6 +138,7 @@ def cmd_validate(args, defn: GroupDefinition) -> tuple[dict, int]:
 
 
 def cmd_limitset(args, defn: GroupDefinition) -> tuple[dict, int]:
+    from . import limitset as limitset_mod
     depth = args.depth if args.depth is not None else defn.depths[-1]
     cloud = _cloud_for(defn, depth)
     if args.out:
@@ -153,6 +155,7 @@ def cmd_limitset(args, defn: GroupDefinition) -> tuple[dict, int]:
 
 
 def cmd_dimension(args, defn: GroupDefinition, cloud=None) -> tuple[dict, int]:
+    from . import limitset as limitset_mod
     G = defn.presentation
     depth = args.depth if args.depth is not None else defn.depths[-1]
     if cloud is None:
@@ -184,12 +187,14 @@ def cmd_dimension(args, defn: GroupDefinition, cloud=None) -> tuple[dict, int]:
 
 
 def _volume(fam, region, samples: int, seed: int) -> dict:
+    from . import lipgraph as lipgraph_mod
     est = lipgraph_mod.graph_volume(fam, region, samples, seed=seed)
     return {"depth": fam.max_len, "value": est.value, "stderr": est.stderr,
             "covered_fraction": est.covered_fraction}
 
 
 def cmd_graph(args, defn: GroupDefinition) -> tuple[dict, int]:
+    from . import lipgraph as lipgraph_mod
     G = defn.presentation
     depth = args.depth if args.depth is not None else defn.depths[-1]
     eps0 = args.epsilon0 if args.epsilon0 is not None else defn.epsilon0
@@ -242,6 +247,7 @@ def cmd_graph(args, defn: GroupDefinition) -> tuple[dict, int]:
 
 
 def cmd_harmonic(args, defn: GroupDefinition) -> tuple[dict, int]:
+    from . import harmonic as harmonic_mod
     G = defn.presentation
     depth = args.depth if args.depth is not None else defn.depths[-1]
     samples = args.samples if args.samples is not None else 200_000
@@ -285,6 +291,7 @@ def cmd_harmonic(args, defn: GroupDefinition) -> tuple[dict, int]:
 
 
 def cmd_diagnose(args, defn: GroupDefinition) -> tuple[dict, int]:
+    from . import lipgraph as lipgraph_mod
     G = defn.presentation
     depth = args.depth if args.depth is not None else defn.depths[-1]
     seed = args.seed if args.seed is not None else defn.seed
@@ -349,6 +356,13 @@ def _summarize(report: dict, stream):
         print(f"{key}: {value}", file=stream)
 
 
+def _inconclusive_errors() -> tuple:
+    """Errors that end a run as inconclusive; lipgraph's once it is loaded."""
+    lip = sys.modules.get(f"{__package__}.lipgraph")
+    extra = (lip.ShrinkEpsilon, lip.UncertifiedSample) if lip else ()
+    return (group_mod.WordBudgetExceeded, SampleBudgetExceeded, *extra)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     start = time.perf_counter()
@@ -361,8 +375,7 @@ def main(argv=None) -> int:
         body, code = {"valid": False, "error": str(exc)}, EXIT_INVALID
     except (group_mod.SchottkyCollision, CapDegenerate) as exc:
         body, code = {"error": f"bad configuration: {exc}"}, EXIT_INVALID
-    except (lipgraph_mod.ShrinkEpsilon, lipgraph_mod.UncertifiedSample,
-            group_mod.WordBudgetExceeded, SampleBudgetExceeded) as exc:
+    except _inconclusive_errors() as exc:
         body, code = {"error": str(exc)}, EXIT_INCONCLUSIVE
     report = {
         "command": args.command,

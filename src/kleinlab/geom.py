@@ -237,10 +237,36 @@ def sphere_area(n: int) -> float:
     return float(2.0 * np.pi ** ((n + 1) / 2.0) / gamma)
 
 
+# Rows per block of every Monte-Carlo: the volume and the harmonic estimates
+# draw, map and classify their samples this many at a time.
+SAMPLE_BLOCK = 16_384
+
+
+def normalize_rows(v: np.ndarray) -> np.ndarray:
+    """Scale the rows of v to unit length in place; returns v.
+
+    The squares are summed column by column, in the order np.linalg.norm
+    sums a row of at most 7 entries (S^n up to n = 6), so the bits are
+    those of v / np.linalg.norm(v, axis=1, keepdims=True).
+    """
+    s = v[:, 0] * v[:, 0]
+    for j in range(1, v.shape[1]):
+        s += v[:, j] * v[:, j]
+    v /= np.sqrt(s, out=s)[:, None]
+    return v
+
+
 def uniform_sphere(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
     """size uniform samples on S^n, returned as rows of unit vectors."""
-    v = rng.standard_normal((size, n + 1))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    return normalize_rows(rng.standard_normal((size, n + 1)))
+
+
+def uniform_sphere_blocks(rng: np.random.Generator, n: int, size: int):
+    """(start, rows) blocks of at most SAMPLE_BLOCK rows that stack to
+    uniform_sphere(rng, n, size) bit for bit, since the Generator draws its
+    normals in one sequence whatever the shapes asked of it."""
+    for start in range(0, size, SAMPLE_BLOCK):
+        yield start, uniform_sphere(rng, n, min(SAMPLE_BLOCK, size - start))
 
 
 def angular_distance(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -15,7 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .geom import BallPoint, ball_gauge, uniform_sphere
+from .geom import (BallPoint, ball_gauge, normalize_rows, uniform_sphere,
+                   uniform_sphere_blocks)
 from .group import GroupPresentation
 from .limitset import LimitSetCloud
 
@@ -79,23 +80,8 @@ def cloud_complement(L: LimitSetCloud) -> BoundaryIndicator:
 
 
 # ---------------------------------------------------------------------------
-# Poisson kernel and harmonic extension
+# harmonic extension
 # ---------------------------------------------------------------------------
-
-def poisson_kernel(x: BallPoint, y) -> float:
-    """k(x, y) = (1 - |x|^2) / |x - y|^2 for y on the boundary sphere."""
-    yv = np.asarray(y.vec if hasattr(y, "vec") else y, dtype=float)
-    num = 1.0 - float(x.vec @ x.vec)
-    den = float(np.sum((x.vec - yv) ** 2))
-    return num / den
-
-
-def poisson_kernel_rows(x: BallPoint, Y: np.ndarray) -> np.ndarray:
-    Y = np.atleast_2d(Y)
-    num = 1.0 - float(x.vec @ x.vec)
-    den = np.einsum("ij,ij->i", Y - x.vec, Y - x.vec)
-    return num / den
-
 
 def boundary_shift_rows(x: BallPoint, Z: np.ndarray) -> np.ndarray:
     """Boundary action of the ball isometry sending 0 to x, on unit rows.
@@ -108,8 +94,10 @@ def boundary_shift_rows(x: BallPoint, Z: np.ndarray) -> np.ndarray:
     x2 = float(xv @ xv)
     dots = Z @ xv
     denom = 1.0 + 2.0 * dots + x2
-    out = ((2.0 + 2.0 * dots)[:, None] * xv + (1.0 - x2) * Z) / denom[:, None]
-    return out / np.linalg.norm(out, axis=1, keepdims=True)
+    out = (2.0 + 2.0 * dots)[:, None] * xv
+    out += (1.0 - x2) * Z
+    out /= denom[:, None]
+    return normalize_rows(out)
 
 
 @dataclass(frozen=True)
@@ -129,19 +117,30 @@ def harmonic_extension(chi: BoundaryIndicator, x: BallPoint, n_samples: int,
     indicator; indeterminate rows count toward the reported fraction and are
     scored as outside.
     """
+    return _indicator_mean(chi, x.vec.size - 1, n_samples, seed, shift=x)
+
+
+def _indicator_mean(chi: BoundaryIndicator, n: int, n_samples: int, seed: int,
+                    shift: BallPoint | None = None) -> MCEstimate:
+    """Mean of the indicator over uniform samples of S^n, each pushed through
+    boundary_shift_rows(shift, .) when a shift is given.
+
+    The samples are drawn, shifted and classified SAMPLE_BLOCK at a time and
+    only their flags are kept; every row's flags are the same in any block,
+    so the mean and standard deviation over all of them are too.
+    """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    n = x.vec.size - 1
-    Z = uniform_sphere(rng, n, n_samples)
-    Y = boundary_shift_rows(x, Z)
-    member, indet_rows = chi.classify(Y)
+    member, indet = np.empty((2, n_samples), dtype=bool)
+    for start, Z in uniform_sphere_blocks(rng, n, n_samples):
+        rows = slice(start, start + Z.shape[0])
+        Y = Z if shift is None else boundary_shift_rows(shift, Z)
+        member[rows], indet[rows] = chi.classify(Y)
     vals = member.astype(float)
-    indet = float(indet_rows.mean())
-    value = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return MCEstimate(value=value, stderr=stderr, samples=n_samples,
-                      indeterminate_fraction=indet)
+    return MCEstimate(value=float(vals.mean()), stderr=stderr, samples=n_samples,
+                      indeterminate_fraction=float(indet.mean()))
 
 
 # ---------------------------------------------------------------------------
@@ -240,17 +239,7 @@ def harmonic_measure_identity(G: GroupPresentation, L: LimitSetCloud,
     chi = cloud_complement(L)
     origin = BallPoint(np.zeros(L.points.shape[1]))
     u0 = harmonic_extension(chi, origin, n_samples, seed=seed)
-    rng = np.random.default_rng(seed + 1)
-    U = uniform_sphere(rng, L.n, n_samples)
-    member, indet_rows = chi.classify(U)
-    inside = member.astype(float)
-    indet = float(indet_rows.mean())
-    area = MCEstimate(
-        value=float(inside.mean()),
-        stderr=float(inside.std(ddof=1) / np.sqrt(n_samples)),
-        samples=n_samples,
-        indeterminate_fraction=indet,
-    )
+    area = _indicator_mean(chi, L.n, n_samples, seed + 1)
     worst_indet = max(u0.indeterminate_fraction, area.indeterminate_fraction)
     if worst_indet > 0.10:
         raise CloudTooCoarse(

@@ -379,22 +379,21 @@ class LimitSetCloud:
         sub = self.points
         if self.size > 4000:
             sub = self.points[:: self.size // 4000 + 1]
-        # The Gram form |u|^2 + |v|^2 - 2 u.v, in 256-row blocks, is off the
+        # The Gram form |u|^2 + |v|^2 - 2 u.v, in 64-row blocks, is off the
         # squared distance by a few ulps of max |u|^2, far below tol, so the
         # farthest pair screens within tol of its block's maximum. The
-        # difference formula on those pairs gives the bits it gives on all.
+        # difference formula's maximum over screened pairs is its maximum.
         sq = np.einsum("ij,ij->i", sub, sub)
         tol = 4e-12 * sq.max()
-        pairs = []
-        for i in range(0, sub.shape[0], 256):
-            g = sub[i:i + 256] @ sub.T
+        best = 0.0
+        for i in range(0, sub.shape[0], 64):
+            g = sub[i:i + 64] @ sub.T
             g *= -2.0
             g += sq[None, :]
-            g += sq[i:i + 256, None]
+            g += sq[i:i + 64, None]
             rows, cols = np.nonzero(g >= g.max() - tol)
-            pairs.append((rows + i, cols))
-        u, v = (np.concatenate(ix) for ix in zip(*pairs))
-        return float(np.sqrt(np.max(np.sum((sub[u] - sub[v]) ** 2, axis=-1))))
+            best = max(best, np.sum((sub[rows + i] - sub[cols]) ** 2, axis=-1).max())
+        return float(np.sqrt(best))
 
     def nearest(self, U: np.ndarray) -> np.ndarray:
         """Chordal distance from unit rows to the nearest sample."""
@@ -656,5 +655,4 @@ def export_csv(L: LimitSetCloud, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{i}" for i in range(L.points.shape[1])])
-        for row in L.points:
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerows(L.points.tolist())  # str(float) is repr(float)

@@ -33,7 +33,7 @@ from .geom import (
     angle_from_chord,
     chord_from_angle,
     sphere_area,
-    uniform_sphere,
+    uniform_sphere_blocks,
 )
 from .group import (GroupPresentation, TAG_SCHOTTKY, WordLevel, enumerate_elements,
                     word_count)
@@ -214,24 +214,6 @@ def _face_rows(faces: np.ndarray, coords: np.ndarray) -> np.ndarray:
     others = np.arange(n + 1)[None, :] != axis[:, None]
     rows[others] = coords.ravel()
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
-
-
-# ---------------------------------------------------------------------------
-# domes
-# ---------------------------------------------------------------------------
-
-def dome_entry_radius(cap: SphericalCap, x) -> float | None:
-    """Radius where the ray through x first meets the dome over cap, else None.
-
-    The dome is the sphere of center c/cos(theta) and radius tan(theta); the
-    entry radius solves t^2 - 2 t d + 1 = 0 with d = (x . c)/cos(theta), so
-    t = d - sqrt(d^2 - 1) whenever d >= 1 (the ray through the closed cap).
-    """
-    u = x.vec if isinstance(x, SpherePoint) else np.asarray(x, float)
-    d = float(u @ cap.center) / np.cos(cap.theta)
-    if d < 1.0:
-        return None
-    return float(d - np.sqrt(d * d - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -691,11 +673,6 @@ def _geodesic_points(a: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:
     return c + R * (np.cos(phis)[:, None] * e1 + np.sin(phis)[:, None] * e2)
 
 
-# Samples per heights call of graph_volume: its peak memory grows with the
-# block, not with the sample count.
-VOLUME_BLOCK = 16_384
-
-
 @dataclass
 class VolumeEstimate:
     value: float
@@ -712,30 +689,25 @@ def graph_volume(F: DomeFamily, region: FundamentalRegion, n_samples: int,
     f^{n-1} sqrt(f^2 + |grad f|^2) dA(u); the hyperbolic element scales it by
     (2/(1-f^2))^n at radius f. The gradient uses central differences with an
     angular step proportional to the governing cap radius. The samples are
-    evaluated VOLUME_BLOCK at a time, and every row's value is the same
-    whatever the block it falls in.
+    drawn and evaluated SAMPLE_BLOCK at a time, and every row's value is the
+    same whatever the block it falls in.
     """
     rng = np.random.default_rng(seed)
     n = F.G.n
-    U = uniform_sphere(rng, n, n_samples)
-    vals, inside, covered = [], 0, 0
-    for start in range(0, n_samples, VOLUME_BLOCK):
-        block = U[start:start + VOLUME_BLOCK]
+    vals, inside, covered = np.zeros(n_samples), 0, 0
+    for start, block in uniform_sphere_blocks(rng, n, n_samples):
         idx = np.flatnonzero(region.contains(block))
         res = F.heights(block[idx])
         cov = res.covered
-        v = np.zeros(block.shape[0])
         if cov.any():
             fc = res.f[cov]
             step = grad_step * np.maximum(res.theta[cov], 1e-12)
             grad2 = _tangent_gradient_sq(F, block[idx[cov]], fc, step)
             area = fc ** (n - 1) * np.sqrt(fc**2 + grad2)
             hyp = (2.0 / (1.0 - fc**2)) ** n
-            v[idx[cov]] = area * hyp
-        vals.append(v)
+            vals[start + idx[cov]] = area * hyp
         inside += idx.size
         covered += int(cov.sum())
-    vals = np.concatenate(vals)
     A = sphere_area(n)
     value = A * float(vals.mean())
     stderr = A * float(vals.std(ddof=1) / np.sqrt(n_samples))
@@ -821,10 +793,8 @@ def export_graph_csv(samples: np.ndarray, res: HeightResult, path) -> None:
     import csv
 
     U = np.atleast_2d(samples)
+    rows = np.column_stack([U[res.covered], res.f[res.covered]])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{i}" for i in range(U.shape[1])] + ["f"])
-        for row, fv, cov in zip(U, res.f, res.covered):
-            if not cov:
-                continue
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(fv))])
+        writer.writerows(rows.tolist())  # str(float) is repr(float)

@@ -162,8 +162,9 @@ def sphere_action_stack(fields, U: np.ndarray) -> np.ndarray:
 
     Row i of the unit rows U goes through the map of row i of the stacked
     fields, or through their only map, to a unit row (the north pole plays
-    the role of infinity). One map takes one matmul of the rows, a stack
-    one per row, with the same bits.
+    the role of infinity). One map takes one matmul of all the rows, a stack
+    one small matmul per row. The two round differently: a map repeated in
+    a stack can move a row by an ulp from that map given once.
     """
     eps, a, r, A, b = fields
     U = np.atleast_2d(np.asarray(U, dtype=float))

@@ -392,3 +392,35 @@ def test_no_command_loads_scipy_or_numpy_ma():
         [sys.executable, "-c", _NO_SCIPY_RUN, SCHOTTKY, LOXODROMIC, PARABOLIC],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+
+_MODULES_RUN = """
+import contextlib, io, json, sys
+from kleinlab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+assert code == 0, code
+print(json.dumps([m for m in sys.modules if m.startswith("kleinlab.")]))
+"""
+
+
+@pytest.mark.parametrize("argv,unused", [
+    (["validate", "--file", SCHOTTKY], {"lipgraph", "harmonic", "limitset"}),
+    (["limitset", "--file", SCHOTTKY], {"lipgraph", "harmonic"}),
+    (["dimension", "--file", SCHOTTKY], {"lipgraph", "harmonic"}),
+    (["harmonic", "--file", SCHOTTKY, "--samples", "4000"], {"lipgraph"}),
+    (["graph", "--file", LOXODROMIC, "--samples", "2000"], {"harmonic"}),
+    (["diagnose", "--file", SCHOTTKY, "--samples", "2000", "--epsilon0", "0.25"],
+     {"harmonic"}),
+])
+def test_each_command_imports_only_the_modules_it_runs(argv, unused):
+    # in a fresh interpreter, since pytest has imported every module
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _MODULES_RUN, json.dumps(argv)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {m.split(".")[1] for m in json.loads(proc.stdout)}
+    assert "files" in loaded and not loaded & unused, loaded

@@ -155,3 +155,21 @@ def test_sphere_area_known_values():
     assert geom.sphere_area(1) == pytest.approx(2 * np.pi, rel=1e-12)
     assert geom.sphere_area(2) == pytest.approx(4 * np.pi, rel=1e-12)
     assert geom.sphere_area(3) == pytest.approx(2 * np.pi ** 2, rel=1e-12)
+
+
+class TestSphereSamples:
+    @pytest.mark.parametrize("width", range(1, 8))
+    def test_normalize_rows_has_the_bits_of_linalg_norm(self, width):
+        v = RNG.standard_normal((2000, width)) * RNG.uniform(1e-3, 1e3, (2000, 1))
+        want = v / np.linalg.norm(v, axis=1, keepdims=True)
+        assert np.array_equal(geom.normalize_rows(v), want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_blocks_stack_to_one_draw(self, n, monkeypatch):
+        monkeypatch.setattr(geom, "SAMPLE_BLOCK", 777)
+        one = geom.uniform_sphere(np.random.default_rng(n), n, 5000)
+        blocks = list(geom.uniform_sphere_blocks(np.random.default_rng(n), n, 5000))
+        assert [start for start, _ in blocks] == list(range(0, 5000, 777))
+        assert np.array_equal(np.vstack([b for _, b in blocks]), one)
+        v = np.random.default_rng(n).standard_normal((5000, n + 1))
+        assert np.array_equal(one, v / np.linalg.norm(v, axis=1, keepdims=True))

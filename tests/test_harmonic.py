@@ -1,5 +1,6 @@
 """Poisson kernel, harmonic extension, Green's functions, flux, measure identity."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,12 +8,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
-from kleinlab import harmonic, mobius
+from kleinlab import geom, harmonic, mobius
 from kleinlab.geom import BallPoint, uniform_sphere
 from kleinlab.group import enumerate_elements, make_cyclic
 from kleinlab.harmonic import (
     BoundaryIndicator,
     GreenPole,
+    MCEstimate,
     boundary_shift_rows,
     cloud_complement,
     flux_density_check,
@@ -21,12 +23,10 @@ from kleinlab.harmonic import (
     harmonic_extension,
     harmonic_measure_identity,
     hemisphere,
-    poisson_kernel,
-    poisson_kernel_rows,
 )
 from kleinlab.limitset import LimitSetCloud, sample_limit_set
 
-from util import random_mobius, reference_schottky
+from util import poisson_kernel, poisson_kernel_rows, random_mobius, reference_schottky
 
 RNG = np.random.default_rng(424242)
 
@@ -363,3 +363,79 @@ class TestMeasureIdentity:
         area = chi.classify(uniform_sphere(rng, 2, 200_000))[0].mean()
         assert abs(u.value - 0.5) < 3 * u.stderr
         assert abs(area - 0.5) < 0.005
+
+
+# ---------------------------------------------------------------------------
+# one-shot references: every sample drawn, shifted and classified at once
+# ---------------------------------------------------------------------------
+
+def one_shot_sphere(rng, n, size):
+    v = rng.standard_normal((size, n + 1))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def one_shot_shift(x, Z):
+    xv = x.vec
+    x2 = float(xv @ xv)
+    dots = Z @ xv
+    denom = 1.0 + 2.0 * dots + x2
+    out = ((2.0 + 2.0 * dots)[:, None] * xv + (1.0 - x2) * Z) / denom[:, None]
+    return out / np.linalg.norm(out, axis=1, keepdims=True)
+
+
+def one_shot_mean(chi, U):
+    member, indet = chi.classify(U)
+    vals = member.astype(float)
+    return MCEstimate(value=float(vals.mean()),
+                      stderr=float(vals.std(ddof=1) / np.sqrt(len(U))),
+                      samples=len(U), indeterminate_fraction=float(indet.mean()))
+
+
+def one_shot_extension(chi, x, n_samples, seed):
+    rng = np.random.default_rng(seed)
+    return one_shot_mean(chi, one_shot_shift(
+        x, one_shot_sphere(rng, x.vec.size - 1, n_samples)))
+
+
+def wide_band_cloud():
+    """The depth-4 reference cloud with a band of 0.1: some rows fall in it."""
+    cloud = sample_limit_set(reference_schottky(), 4)
+    return LimitSetCloud(n=2, points=cloud.points, depth=4, resolution=0.1)
+
+
+class TestSampleBlocks:
+    N = 5000  # not a multiple of the patched block
+
+    def test_extension_in_blocks_equals_one_draw(self, monkeypatch):
+        monkeypatch.setattr(geom, "SAMPLE_BLOCK", 777)
+        x = ball_point([0.3, 0.1, -0.4])
+        for chi in (hemisphere([0.3, -0.2, 1.0]), cloud_complement(wide_band_cloud())):
+            got = harmonic_extension(chi, x, self.N, seed=8)
+            assert got == one_shot_extension(chi, x, self.N, seed=8)
+            assert 0.0 < got.value < 1.0
+        assert got.indeterminate_fraction > 0.0
+
+    def test_identity_in_blocks_equals_one_draw(self, monkeypatch):
+        monkeypatch.setattr(geom, "SAMPLE_BLOCK", 777)
+        cloud = wide_band_cloud()
+        chi = cloud_complement(cloud)
+        rep = harmonic_measure_identity(None, cloud, self.N, seed=9)
+        u0 = one_shot_extension(chi, ball_point(np.zeros(3)), self.N, seed=9)
+        area = one_shot_mean(chi, one_shot_sphere(np.random.default_rng(10), 2, self.N))
+        assert rep["u_origin"] == u0 and rep["area_fraction"] == area
+        assert area.indeterminate_fraction > 0.0
+        assert rep["gap"] == abs(u0.value - area.value)
+        assert rep["budget"] == 3.0 * (u0.stderr + area.stderr) + max(
+            u0.indeterminate_fraction, area.indeterminate_fraction)
+
+    def test_peak_memory_is_bounded_by_the_block(self):
+        # the one-shot draw peaked at 42 MB here, the blocks at 7.5 MB
+        chi = cloud_complement(sample_limit_set(reference_schottky(), 6))
+        x = ball_point([0.2, -0.1, 0.3])
+        tracemalloc.start()
+        try:
+            harmonic_extension(chi, x, 400_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6

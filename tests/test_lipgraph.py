@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from kleinlab import cli, limitset, lipgraph, mobius
+from kleinlab import cli, geom, limitset, lipgraph, mobius
 from kleinlab.caps import SphericalCap, cap_images_batch
 from kleinlab.files import load_group_file
 from kleinlab.geom import embed_rows, uniform_sphere
@@ -18,7 +18,6 @@ from kleinlab.lipgraph import (
     UncertifiedSample,
     annulus_region,
     base_caps,
-    dome_entry_radius,
     graph_volume,
     region_mesh,
     schottky_region,
@@ -26,7 +25,8 @@ from kleinlab.lipgraph import (
     strip_region,
 )
 
-from util import brute_sq, reference_schottky, scalar_boundary_points
+from util import (brute_sq, dome_entry_radius, reference_schottky,
+                  scalar_boundary_points)
 
 RNG = np.random.default_rng(31415)
 GROUPS = pathlib.Path(__file__).resolve().parents[1] / "groups"
@@ -691,7 +691,7 @@ class TestVolume:
         # standard deviation are too
         G, cloud, region, fam = small_schottky_family(max_len=2)
         whole = graph_volume(fam, region, 5000, seed=4)
-        monkeypatch.setattr(lipgraph, "VOLUME_BLOCK", 777)
+        monkeypatch.setattr(geom, "SAMPLE_BLOCK", 777)
         assert graph_volume(fam, region, 5000, seed=4) == whole
 
     def test_region_monotonicity(self):

@@ -159,3 +159,32 @@ def scalar_boundary_points(cap: SphericalCap, count=None) -> np.ndarray:
         dirs = np.outer(np.cos(ts), frame[0]) + np.outer(np.sin(ts), frame[1])
     pts = np.cos(cap.theta) * cap.center + np.sin(cap.theta) * dirs
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def poisson_kernel(x, y) -> float:
+    """k(x, y) = (1 - |x|^2) / |x - y|^2 for y on the boundary sphere."""
+    yv = np.asarray(y.vec if hasattr(y, "vec") else y, dtype=float)
+    num = 1.0 - float(x.vec @ x.vec)
+    den = float(np.sum((x.vec - yv) ** 2))
+    return num / den
+
+
+def poisson_kernel_rows(x, Y: np.ndarray) -> np.ndarray:
+    Y = np.atleast_2d(Y)
+    num = 1.0 - float(x.vec @ x.vec)
+    den = np.einsum("ij,ij->i", Y - x.vec, Y - x.vec)
+    return num / den
+
+
+def dome_entry_radius(cap: SphericalCap, x):
+    """Radius where the ray through x first meets the dome over cap, else None.
+
+    The dome is the sphere of center c/cos(theta) and radius tan(theta); the
+    entry radius solves t^2 - 2 t d + 1 = 0 with d = (x . c)/cos(theta), so
+    t = d - sqrt(d^2 - 1) whenever d >= 1 (the ray through the closed cap).
+    """
+    u = x.vec if isinstance(x, SpherePoint) else np.asarray(x, float)
+    d = float(u @ cap.center) / np.cos(cap.theta)
+    if d < 1.0:
+        return None
+    return float(d - np.sqrt(d * d - 1.0))
