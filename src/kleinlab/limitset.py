@@ -650,9 +650,16 @@ def distortion_ratio(G: GroupPresentation, x: ExtPoint, g: mobius.MobiusMap,
 
 def export_csv(L: LimitSetCloud, path) -> None:
     """Unit-vector rows with a header, stable byte-for-byte for a fixed cloud."""
+    write_csv(path, [f"x{i}" for i in range(L.points.shape[1])], L.points)
+
+
+def write_csv(path, header: list[str], rows: np.ndarray) -> None:
+    """A header and float rows, each float written as its repr; the rows
+    become Python floats 4096 at a time, which bounds their memory."""
     import csv
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(L.points.shape[1])])
-        writer.writerows(L.points.tolist())  # str(float) is repr(float)
+        writer.writerow(header)
+        for i in range(0, len(rows), 4096):
+            writer.writerows(rows[i:i + 4096].tolist())  # str(float) is repr

@@ -37,7 +37,7 @@ from .geom import (
 )
 from .group import (GroupPresentation, TAG_SCHOTTKY, WordLevel, enumerate_elements,
                     word_count)
-from .limitset import LimitSetCloud, PointIndex, Sweep, dist_rows
+from .limitset import LimitSetCloud, PointIndex, Sweep, dist_rows, write_csv
 from .mobius import MobiusMap, inverse_rows, poincare_extend, sphere_action_stack
 
 SHAPE_RATIO_MAX = 0.5
@@ -790,11 +790,6 @@ def graph_band(F: DomeFamily, samples: np.ndarray, res: HeightResult
 def export_graph_csv(samples: np.ndarray, res: HeightResult, path) -> None:
     """CSV rows (direction vector, f) over covered samples, with res the
     heights of the samples."""
-    import csv
-
     U = np.atleast_2d(samples)
-    rows = np.column_stack([U[res.covered], res.f[res.covered]])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(U.shape[1])] + ["f"])
-        writer.writerows(rows.tolist())  # str(float) is repr(float)
+    write_csv(path, [f"x{i}" for i in range(U.shape[1])] + ["f"],
+              np.column_stack([U[res.covered], res.f[res.covered]]))
