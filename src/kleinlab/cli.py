@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-# limitset, lipgraph and harmonic are imported by the commands that run them
+# limitset, lipgraph and harmonic are imported where used, for a short start-up
 from . import group as group_mod
 from . import mobius
 from .caps import CapDegenerate

@@ -1,5 +1,6 @@
 """Limit-set clouds: sampling, distances, box dimension, distortion ratios."""
 
+import csv
 import tracemalloc
 
 import numpy as np
@@ -560,4 +561,22 @@ def test_csv_export_deterministic(tmp_path):
     header = p1.read_text().splitlines()[0]
     assert header == "x0,x1,x2"
     assert len(p1.read_text().splitlines()) == cloud.size + 1
+
+
+def test_write_csv_has_the_bytes_of_a_row_by_row_repr(tmp_path):
+    # more rows than one conversion block, with signed zeros, subnormals,
+    # huge and non-finite values
+    rng = np.random.default_rng(55)
+    rows = rng.standard_normal((9000, 3)) * 10.0 ** rng.integers(-300, 300, (9000, 3))
+    rows[:6] = [[0.0, -0.0, 5e-324], [np.inf, -np.inf, np.nan], [1.0, -1.0, 0.1],
+                [1e16, 1e-5, 123456789.0], [2.0 ** -1074, 1.7976931348623157e308, 3.0],
+                [-2.5, 1e22, 1e-7]]
+    path = tmp_path / "rows.csv"
+    limitset.write_csv(path, ["a", "b", "c"], rows)
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["a", "b", "c"])
+        for row in rows:
+            writer.writerow([repr(float(v)) for v in row])
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
