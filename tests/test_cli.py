@@ -394,7 +394,6 @@ def test_no_command_loads_scipy_or_numpy_ma():
     assert proc.returncode == 0, proc.stderr
 
 
-
 _MODULES_RUN = """
 import contextlib, io, json, sys
 from kleinlab import cli
