@@ -39,6 +39,15 @@ RUNS = {
                           ["limitset", "--depth", "8"]),
     "harmonic-schottky": ("reference_schottky.json", {},
                           ["harmonic", "--samples", "40000", "--seed", "1000"]),
+    "validate-schottky": ("reference_schottky.json", {}, ["validate"]),
+    "validate-loxodromic": ("cyclic_loxodromic.json", {}, ["validate"]),
+    "validate-parabolic": ("cyclic_parabolic.json", {}, ["validate"]),
+    "limitset-loxodromic": ("cyclic_loxodromic.json", {}, ["limitset"]),
+    "limitset-parabolic": ("cyclic_parabolic.json", {}, ["limitset"]),
+    "harmonic-loxodromic": ("cyclic_loxodromic.json", {},
+                            ["harmonic", "--samples", "40000", "--seed", "1000"]),
+    "harmonic-parabolic": ("cyclic_parabolic.json", {},
+                           ["harmonic", "--samples", "40000", "--seed", "1000"]),
 }
 
 
