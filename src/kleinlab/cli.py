@@ -9,8 +9,9 @@ the full JSON report with --json), writes CSV artifacts to --out where that
 applies, and exits 0 on success, 2 on validation failure (of the file or of
 a flag) or a bad configuration (a schottky word that duplicates another, a
 degenerate nested cap), 3 when the budget leaves the question inconclusive,
-the depth needs more words than group.MAX_WORDS, or the cloud is too coarse
-to certify the region's distance to the limit set.
+the depth needs more words than group.MAX_WORDS, the cloud is too coarse
+to certify the region's distance to the limit set, or a generator's type
+cannot be decided numerically (mobius.AmbiguousClassification).
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ EXIT_INVALID = 2
 EXIT_INCONCLUSIVE = 3
 
 # Peak RSS grows with --samples by about 15 bytes a sample for harmonic and
-# 10 for diagnose, whose Monte-Carlo runs draw and evaluate
-# geom.SAMPLE_BLOCK samples at a time, and 190 for graph (its one heights
-# call takes every sample at once): from 42, 63 and 71 MB at 40k samples to
-# 46, 67 and 127 MB at 400k and 56, 73 and 255 MB at a million, on the
+# 12 for diagnose, whose Monte-Carlo runs draw and evaluate
+# geom.SAMPLE_BLOCK samples at a time, and 200 for graph (its one heights
+# call takes every sample at once): from 42, 55 and 50 MB at 40k samples to
+# 46, 60 and 130 MB at 400k and 56, 67 and 252 MB at a million, on the
 # reference file (diagnose at --epsilon0 0.25 --depth 5; graph on the
-# loxodromic file).
+# loxodromic file), with one BLAS thread.
 MAX_SAMPLES = 1_000_000
 
 
@@ -375,6 +376,9 @@ def main(argv=None) -> int:
         body, code = {"valid": False, "error": str(exc)}, EXIT_INVALID
     except (group_mod.SchottkyCollision, CapDegenerate) as exc:
         body, code = {"error": f"bad configuration: {exc}"}, EXIT_INVALID
+    except mobius.AmbiguousClassification as exc:
+        body = {"error": f"ambiguous classification: {exc}"}
+        code = EXIT_INCONCLUSIVE
     except _inconclusive_errors() as exc:
         body, code = {"error": str(exc)}, EXIT_INCONCLUSIVE
     report = {

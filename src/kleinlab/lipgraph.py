@@ -262,12 +262,12 @@ class _CapIndex:
 class HeightResult:
     f: np.ndarray
     covered: np.ndarray
-    theta: np.ndarray  # angular radius of the governing cap
+    grad_sq: np.ndarray  # |grad f|^2 on the sphere, from the governing dome
 
     def __getitem__(self, rows) -> HeightResult:
         """The result on the selected rows; heights gives each row the same
         values in any batch."""
-        return HeightResult(self.f[rows], self.covered[rows], self.theta[rows])
+        return HeightResult(self.f[rows], self.covered[rows], self.grad_sq[rows])
 
 
 @dataclass
@@ -303,8 +303,9 @@ class DomeFamily:
 
     A row takes the smallest entry radius t = d - sqrt(d^2 - 1) over every
     cap it meets from both sources, in one _row_minima call; ties go to the
-    lowest key. candidate_pairs / hit_pairs count the index candidates and
-    the confirmed ones.
+    lowest key, and the gradient of f is that of the winning dome
+    (dome_gradient_sq). candidate_pairs / hit_pairs count the index
+    candidates and the confirmed ones.
 
     The family shape bound (diameter over distance-to-limit-set within
     (0, 1/2]) is measured on every cap fitted at build: the seeds, the
@@ -515,16 +516,29 @@ class DomeFamily:
         hit = d >= 1.0
         self.candidate_pairs += i.size
         self.hit_pairs += int(hit.sum())
-        hits = [(i[hit], d[hit], k[hit], self._thetas[k[hit]])]
+        hits = [(i[hit], d[hit], k[hit])]
         hits += [self._level_hits(lv, U) for lv in self._levels]
-        rows, d, key, thetas = (np.concatenate(a) for a in zip(*hits))
-        f, first = _row_minima(N, rows, d - np.sqrt(d * d - 1.0), key)
+        rows, d, key = (np.concatenate(a) for a in zip(*hits))
+        t = d - np.sqrt(d * d - 1.0)
+        f, first = _row_minima(N, rows, t, key)
         win = np.flatnonzero(key == first[rows])
-        theta = np.zeros(N)
-        theta[rows[win]] = thetas[win]
+        r, grad_sq = rows[win], np.zeros(N)
+        grad_sq[r] = dome_gradient_sq(U[r], *self._fitted(key[win]), d[win], t[win])
         covered = np.isfinite(f)
         f[~covered] = np.nan
-        return HeightResult(f=f, covered=covered, theta=theta)
+        return HeightResult(f=f, covered=covered, grad_sq=grad_sq)
+
+    def _fitted(self, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(centers, cos theta) of fitted caps by family key."""
+        level = np.searchsorted([lv.offset for lv in self._levels], key,
+                                side="right") - 1  # -1: fitted at build
+        built = np.where(level < 0, key, 0)  # the level caps are set below
+        centers, cos = self._centers[built], self._cos[built]
+        for j, lv in enumerate(self._levels):
+            at = level == j
+            pos = np.searchsorted(lv.keys, key[at] - lv.offset)
+            centers[at], cos[at] = lv.img_centers[pos], np.cos(lv.img_thetas[pos])
+        return centers, cos
 
     def _confirmed(self, index, U, centers, cosines):
         """(row, ball) pairs of the index whose row lies in the ball."""
@@ -535,7 +549,7 @@ class DomeFamily:
         return r[hit], b[hit]
 
     def _level_hits(self, lv: _WordLevel, U: np.ndarray):
-        """(row, d, key, theta) of the rows of U meeting a cap of level lv."""
+        """(row, d, key) of the rows of U meeting a cap of level lv."""
         # (row, word) pairs with the row inside the word's inflated nested
         # support cap, and the row's preimage under the word
         i, w = self._confirmed(lv.index, U, lv.centers, lv.support_cos)
@@ -547,7 +561,26 @@ class DomeFamily:
         d = np.einsum("ij,ij->i", U[i], centers) / np.cos(thetas)
         hit = d >= 1.0
         key = lv.offset + w * len(self.seed_caps) + s
-        return i[hit], d[hit], key[hit], thetas[hit]
+        return i[hit], d[hit], key[hit]
+
+
+def dome_gradient_sq(U: np.ndarray, centers: np.ndarray, cos: np.ndarray,
+                     d: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """|grad f|^2 on the sphere of the entry radius f = t(d(u)) of one dome.
+
+    Row u meets the cap of center c and cosine cos = cos(theta) at
+    d = (u . c) / cos(theta) and t = d - sqrt(d^2 - 1). dt/dd is
+    -t / sqrt(d^2 - 1) and |grad d| = sin(phi) / cos(theta), phi the angle
+    from u to c, so |grad f|^2 = t^2 sin^2(phi) / (cos^2(theta) (d^2 - 1)).
+    sin^2(phi) = q^2 (1 - q^2 / 4) comes from the chord q = |u - c|, which
+    keeps its bits near a small cap's center. The dome meets the sphere
+    orthogonally, so a row on the rim (d = 1) gets inf.
+    """
+    chord = U - centers
+    q2 = np.einsum("ij,ij->i", chord, chord)
+    den = cos * cos * (d * d - 1.0)
+    return np.divide(t * t * q2 * (1.0 - 0.25 * q2), den,
+                     out=np.full(t.size, np.inf), where=den > 0.0)
 
 
 def _row_minima(N: int, rows: np.ndarray, t: np.ndarray, key: np.ndarray
@@ -594,23 +627,22 @@ def check_invariance(F: DomeFamily, gamma: MobiusMap, samples: np.ndarray,
 def lipschitz_estimate(samples: np.ndarray, res: HeightResult,
                        max_pairs: int = 200_000) -> float:
     """Empirical Lipschitz constant sup |f(x)-f(y)| / q(x, y) over pairs of
-    the first covered samples; res holds the heights of the samples."""
+    the first covered samples; res holds the heights of the samples. Pairs
+    are taken one row at a time against the later rows, so no m x m array
+    is held."""
     U = np.atleast_2d(samples)
     U = U[res.covered]
     fv = res.f[res.covered]
-    m = U.shape[0]
-    if m < 2:
+    if U.shape[0] < 2:
         raise ValueError("need at least two covered samples")
     cap = int(np.sqrt(2 * max_pairs)) + 1
-    if m > cap:
-        U, fv = U[:cap], fv[:cap]
-        m = cap
-    diff = np.abs(fv[:, None] - fv[None, :])
-    q = np.linalg.norm(U[:, None, :] - U[None, :, :], axis=-1)
-    iu = np.triu_indices(m, k=1)
-    q_iu = q[iu]
-    good = q_iu > 1e-12
-    return float(np.max(diff[iu][good] / q_iu[good]))
+    U, fv = U[:cap], fv[:cap]
+    ratios = []
+    for i in range(U.shape[0] - 1):
+        q = np.linalg.norm(U[i + 1:] - U[i], axis=1)
+        good = q > 1e-12
+        ratios.append(np.abs(fv[i + 1:][good] - fv[i]) / q[good])
+    return float(np.max(np.concatenate(ratios)))
 
 
 @dataclass
@@ -682,15 +714,15 @@ class VolumeEstimate:
 
 
 def graph_volume(F: DomeFamily, region: FundamentalRegion, n_samples: int,
-                 seed: int = 0, grad_step: float = 1e-4) -> VolumeEstimate:
+                 seed: int = 0) -> VolumeEstimate:
     """Monte-Carlo hyperbolic n-volume of the graph over the region.
 
     The graph map u -> f(u) u has Euclidean area element
     f^{n-1} sqrt(f^2 + |grad f|^2) dA(u); the hyperbolic element scales it by
-    (2/(1-f^2))^n at radius f. The gradient uses central differences with an
-    angular step proportional to the governing cap radius. The samples are
-    drawn and evaluated SAMPLE_BLOCK at a time, and every row's value is the
-    same whatever the block it falls in.
+    (2/(1-f^2))^n at radius f. The gradient is the governing dome's
+    closed-form derivative (dome_gradient_sq), so each sample costs one
+    heights evaluation. The samples are drawn and evaluated SAMPLE_BLOCK at
+    a time, and every row's value is the same whatever the block it falls in.
     """
     rng = np.random.default_rng(seed)
     n = F.G.n
@@ -699,13 +731,9 @@ def graph_volume(F: DomeFamily, region: FundamentalRegion, n_samples: int,
         idx = np.flatnonzero(region.contains(block))
         res = F.heights(block[idx])
         cov = res.covered
-        if cov.any():
-            fc = res.f[cov]
-            step = grad_step * np.maximum(res.theta[cov], 1e-12)
-            grad2 = _tangent_gradient_sq(F, block[idx[cov]], fc, step)
-            area = fc ** (n - 1) * np.sqrt(fc**2 + grad2)
-            hyp = (2.0 / (1.0 - fc**2)) ** n
-            vals[start + idx[cov]] = area * hyp
+        fc = res.f[cov]
+        area = fc ** (n - 1) * np.sqrt(fc**2 + res.grad_sq[cov])
+        vals[start + idx[cov]] = area * (2.0 / (1.0 - fc**2)) ** n
         inside += idx.size
         covered += int(cov.sum())
     A = sphere_area(n)
@@ -713,32 +741,6 @@ def graph_volume(F: DomeFamily, region: FundamentalRegion, n_samples: int,
     stderr = A * float(vals.std(ddof=1) / np.sqrt(n_samples))
     return VolumeEstimate(value=value, stderr=stderr, samples=n_samples,
                           covered_fraction=covered / inside if inside else 0.0)
-
-
-def _tangent_gradient_sq(F: DomeFamily, U: np.ndarray, f: np.ndarray,
-                         step: np.ndarray) -> np.ndarray:
-    """|grad f|^2 by central differences in an orthonormal tangent frame."""
-    m = U.shape[1]
-    # frames: QR of [u | I] per row gives u plus an orthonormal complement
-    eye = np.broadcast_to(np.eye(m), (U.shape[0], m, m))
-    stacked = np.concatenate([U[:, :, None], eye], axis=2)
-    Q, _ = np.linalg.qr(stacked)
-    frames = Q[:, :, 1:m]  # (N, m, m-1)
-    grad2 = np.zeros(U.shape[0])
-    for k in range(m - 1):
-        e = frames[:, :, k]
-        plus = U + step[:, None] * e
-        minus = U - step[:, None] * e
-        plus /= np.linalg.norm(plus, axis=1, keepdims=True)
-        minus /= np.linalg.norm(minus, axis=1, keepdims=True)
-        rp = F.heights(plus)
-        rm = F.heights(minus)
-        ang = np.arccos(np.clip(np.einsum("ij,ij->i", plus, minus), -1, 1))
-        ok = rp.covered & rm.covered & (ang > 0)
-        d = np.zeros(U.shape[0])
-        d[ok] = (rp.f[ok] - rm.f[ok]) / ang[ok]
-        grad2 += d * d
-    return grad2
 
 
 def bilipschitz_ratios(F: DomeFamily, samples: np.ndarray, res: HeightResult,

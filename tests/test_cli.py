@@ -248,8 +248,8 @@ class TestCommands:
         assert results[0] == results[1]
 
     @pytest.mark.parametrize("path, value, stderr", [
-        (LOXODROMIC, 228.3398420177331, 1.8292216839184656),
-        (PARABOLIC, 202.5375047918898, 2.6586607775771602),
+        (LOXODROMIC, 228.3486284824704, 1.8293179618813482),
+        (PARABOLIC, 202.54034759682665, 2.658670766194537),
     ], ids=["loxodromic", "parabolic"])
     def test_graph_volume_from_its_one_family(self, path, value, stderr,
                                               monkeypatch, capsys):
@@ -357,6 +357,20 @@ class TestCommands:
         assert code == 2
         results = json.loads(capsys.readouterr().out)["results"]
         assert results["error"] == f"bad configuration: {error}"
+
+    @pytest.mark.parametrize("command", ["limitset", "graph"])
+    def test_ambiguous_classification_exits_3_with_message(self, command,
+                                                           monkeypatch, capsys):
+        # cyclic sampling classifies the generator to find its fixed points
+        def ambiguous(g):
+            raise mobius.AmbiguousClassification("sphere iteration does not settle")
+
+        monkeypatch.setattr(limitset.mobius, "classify", ambiguous)
+        code = cli.main([command, "--file", LOXODROMIC, "--json"])
+        assert code == 3
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results == {
+            "error": "ambiguous classification: sphere iteration does not settle"}
 
     def test_reports_carry_inputs_and_wall_time(self, capsys):
         cli.main(["validate", "--file", LOXODROMIC, "--json"])

@@ -1,6 +1,8 @@
 """Dome envelope: entry radii, families, heights, invariance, separation, volume."""
 
 import pathlib
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -90,6 +92,29 @@ def quarter_schottky_caps():
     return _FILE_CACHE["quarter"]
 
 
+@dataclass
+class Governed(HeightResult):
+    """Brute-force heights with the radius, center, cosine and d of each
+    row's governing cap (zeros where a row is not covered)."""
+    theta: np.ndarray
+    center: np.ndarray
+    cos: np.ndarray
+    d: np.ndarray
+
+
+def governed(U, f, theta, center, cos, d):
+    """The brute-force result from each row's smallest entry radius f (inf
+    where it meets no cap) and its governing cap; the gradient term is the
+    evaluator's closed form on that cap."""
+    covered = np.isfinite(f)
+    f = np.where(covered, f, np.nan)
+    grad_sq = np.zeros(U.shape[0])
+    grad_sq[covered] = lipgraph.dome_gradient_sq(
+        U[covered], center[covered], cos[covered], d[covered], f[covered])
+    return Governed(f=f, covered=covered, grad_sq=grad_sq, theta=theta,
+                    center=center, cos=cos, d=d)
+
+
 def brute_heights(U, centers, thetas):
     """Every row against every cap with the evaluator's formula.
 
@@ -97,18 +122,20 @@ def brute_heights(U, centers, thetas):
     t = d - sqrt(d^2 - 1); it takes the smallest t, and ties go to the
     lowest cap index.
     """
-    M = centers.shape[0]
+    M, R = centers.shape[0], U.shape[0]
     cos = np.cos(thetas)
-    f = np.full(U.shape[0], np.nan)
-    theta = np.zeros(U.shape[0])
-    for r in range(U.shape[0]):
+    f, dk = np.full(R, np.inf), np.zeros(R)
+    win = np.zeros(R, dtype=int)
+    for r in range(R):
         d = np.einsum("ij,ij->i", U[np.full(M, r)], centers) / cos
         hit = np.flatnonzero(d >= 1.0)
         if hit.size:
             t = d[hit] - np.sqrt(d[hit] * d[hit] - 1.0)
             k = int(np.argmin(t))
-            f[r], theta[r] = t[k], thetas[hit[k]]
-    return HeightResult(f=f, covered=np.isfinite(f), theta=theta)
+            f[r], dk[r], win[r] = t[k], d[hit[k]], hit[k]
+    on = np.isfinite(f)
+    return governed(U, f, np.where(on, thetas[win], 0.0),
+                    centers[win] * on[:, None], np.where(on, cos[win], 0.0), dk)
 
 
 def seed_arrays(fam):
@@ -130,7 +157,7 @@ def brute_factored_heights(fam, U):
     centers, thetas, probes = seed_arrays(fam)
     ref = brute_heights(U, centers, thetas)
     f = np.where(ref.covered, ref.f, np.inf)
-    theta = ref.theta
+    theta, center, cos, dk = ref.theta, ref.center, ref.cos, ref.d
     S, R = len(fam.seed_caps), U.shape[0]
     r, s = np.divmod(np.arange(R * S), S)  # every (row, seed), rows ascending
     for depth in range(1, fam.max_len + 1):
@@ -141,17 +168,19 @@ def brute_factored_heights(fam, U):
             img_c, img_th = np.zeros((S, U.shape[1])), np.zeros(S)
             img_c[need], img_th[need], _, _ = cap_images_batch(
                 word.map, probes[need], centers[need], thetas[need])
-            d = np.einsum("ij,ij->i", U[r], img_c[s]) / np.cos(img_th[s])
+            img_cos = np.cos(img_th[s])
+            d = np.einsum("ij,ij->i", U[r], img_c[s]) / img_cos
             hit = inside & (d >= 1.0)
             t = np.full(R * S, np.inf)
             t[hit] = d[hit] - np.sqrt(d[hit] * d[hit] - 1.0)
             k = np.argmin(t.reshape(R, S), axis=1)  # lowest seed on a tie
             tk = t.reshape(R, S)[np.arange(R), k]
             take = tk < f
-            f[take], theta[take] = tk[take], img_th[k[take]]
-    covered = np.isfinite(f)
-    f[~covered] = np.nan
-    return HeightResult(f=f, covered=covered, theta=theta)
+            pair = np.flatnonzero(take) * S + k[take]
+            f[take], theta[take], center[take] = (tk[take], img_th[k[take]],
+                                                  img_c[k[take]])
+            cos[take], dk[take] = img_cos[pair], d[pair]
+    return governed(U, f, theta, center, cos, dk)
 
 
 def mapped_seed_centers(fam, per_word, rng):
@@ -168,7 +197,7 @@ def mapped_seed_centers(fam, per_word, rng):
 def assert_same_heights(res, ref):
     assert res.f.tobytes() == ref.f.tobytes()
     assert res.covered.tobytes() == ref.covered.tobytes()
-    assert res.theta.tobytes() == ref.theta.tobytes()
+    assert res.grad_sq.tobytes() == ref.grad_sq.tobytes()
 
 
 class TestDomeEntry:
@@ -521,14 +550,14 @@ class TestHeightIndex:
                    slice(None, 700)):
             got, want = whole[sl], parts.heights(U[sl])
             for a, b in ((got.f, want.f), (got.covered, want.covered),
-                         (got.theta, want.theta)):
+                         (got.grad_sq, want.grad_sq)):
                 assert a.tobytes() == b.tobytes()
 
     def test_empty_and_single_row(self):
         for fam in (file_family("cyclic_parabolic")[3],
                     small_schottky_family(max_len=2)[3]):
             res = fam.heights(np.empty((0, 3)))
-            assert res.f.shape == res.covered.shape == res.theta.shape == (0,)
+            assert res.f.shape == res.covered.shape == res.grad_sq.shape == (0,)
             u = fam.seed_caps[0].center[None, :]
             ref = (brute_factored_heights(fam, u) if fam._levels
                    else brute_heights(u, fam._centers, fam._thetas))
@@ -674,6 +703,82 @@ class TestSeparation:
         assert rep.passed and rep.checked == 0
 
 
+class TestGradient:
+    @pytest.mark.parametrize("kind", ["cyclic", "schottky"])
+    def test_closed_form_matches_central_differences(self, kind):
+        # on rows whose +-step stencil keeps the row's governing cap, so the
+        # differences see one smooth dome
+        rng = np.random.default_rng(37)
+        if kind == "cyclic":
+            G, cloud, region, fam = file_family("cyclic_loxodromic")
+            brute = lambda U: brute_heights(U, fam._centers, fam._thetas)
+            U = uniform_sphere(rng, 2, 400)
+        else:
+            G, cloud, region, fam = small_schottky_family(max_len=2, stride=6)
+            brute = lambda U: brute_factored_heights(fam, U)
+            centers, thetas, probes = seed_arrays(fam)
+            inner = np.array([np.cos(c.theta / 2) * c.center + np.sin(c.theta / 2)
+                              * c.boundary_frame()[0] for c in fam.seed_caps])
+            U = uniform_sphere(rng, 2, 1000)
+            rows = [U[region.contains(U)][:200]]
+            for word in G.word_tree.level(1):
+                # inside the word's largest image caps (theta ~ 0.01): the
+                # differences of u . c resolve only caps well above 1e-4
+                th = cap_images_batch(word.map, probes, centers, thetas)[1]
+                rows.append(mobius.sphere_action_rows(
+                    word.map, inner[np.argsort(th)[-10:]]))
+            U = np.vstack(rows)
+        U = U[brute(U).covered]
+        ref = brute(U)
+        stencil_centers = []
+
+        def heights(rows):
+            res = brute(rows)
+            stencil_centers.append(res.center)
+            return res
+
+        fd = central_gradient_sq(heights, U, 1e-4 * ref.theta)
+        same = np.all([np.all(c == ref.center, axis=1)
+                       for c in stencil_centers], axis=0)
+        assert same.sum() > 0.9 * len(U) > 100
+        rel = np.abs(fd - ref.grad_sq) / ref.grad_sq
+        # the differences lose bits near a rim and on small caps
+        assert np.median(rel[same]) < 1e-5 and rel[same].max() < 1e-2
+        if kind == "schottky":  # rows governed by lazily fitted image caps
+            image = same & ~np.isin(ref.theta, fam._seed_thetas)
+            assert image.sum() > 20 and np.median(rel[image]) < 1e-3
+
+
+    def test_rim_row_of_a_losing_cap(self, monkeypatch):
+        # row u lies exactly on the rim of a small cap (d = 1) and inside a
+        # larger one, which governs it: no warning, a finite gradient term
+        # and a finite volume
+        G = make_cyclic(mobius.affine(2, r=2.0))
+        cloud = sample_limit_set(G, 2)
+        u = np.array([[1.0, 0.0, 0.0]])
+        small = SphericalCap(center=[np.cos(0.1), np.sin(0.1), 0.0], theta=0.1)
+        theta = float(np.arccos(small.center[0]))
+        while np.cos(np.array([0.3, theta]))[1] != small.center[0]:
+            theta = np.nextafter(theta, 1.0)
+        caps = [SphericalCap(center=[1.0, 0.0, 0.0], theta=0.3),
+                SphericalCap(center=small.center, theta=theta)]
+        fam = DomeFamily(G, cloud, caps, max_len=0)
+        assert u[0] @ fam._centers[1] / fam._cos[1] == 1.0
+        rows = np.vstack([u, uniform_sphere(np.random.default_rng(38), 2, 999)])
+        rows = rows[fam.heights(rows).covered]
+        monkeypatch.setattr(lipgraph, "uniform_sphere_blocks",
+                            lambda rng, n, size: iter([(0, rows)]))
+        everywhere = lipgraph.FundamentalRegion(
+            "annulus", lambda U: np.ones(len(U), dtype=bool))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fam.heights(u)
+            est = graph_volume(fam, everywhere, len(rows))
+        assert res.covered[0] and res.f[0] < 1.0
+        assert np.isfinite(res.grad_sq[0])
+        assert np.isfinite(est.value) and est.covered_fraction == 1.0
+
+
 class TestVolume:
     def test_translation_patch_matches_quadrature(self):
         G = make_cyclic(mobius.translation([1.0, 0.0]))
@@ -732,13 +837,36 @@ def _strip_quadrature(fam, q_floor, nx, ny):
     res = fam.heights(U)
     assert res.covered.all()
     f = res.f
-    step = 1e-4 * np.maximum(res.theta, 1e-12)
-    grad2 = lipgraph._tangent_gradient_sq(fam, U, f, step)
+    # 1 - f is about the governing cap's radius at its center, and shrinks
+    # toward its rim
+    grad2 = central_gradient_sq(fam.heights, U, 1e-4 * (1.0 - f))
     n = 2
     integrand = f ** (n - 1) * np.sqrt(f**2 + grad2) * (2.0 / (1.0 - f**2)) ** n
     conf = (2.0 / (1.0 + np.einsum("ij,ij->i", P, P))) ** 2
     cell = (1.0 / nx) * (2.0 * rmax / ny)
     return float(np.sum(integrand * conf) * cell)
+
+
+def central_gradient_sq(heights, U, step):
+    """|grad f|^2 of f = heights(rows).f by central differences at each row
+    u, over an orthonormal tangent frame from the QR of [u | I], with the
+    row's own angular step."""
+    m = U.shape[1]
+    eye = np.broadcast_to(np.eye(m), (U.shape[0], m, m))
+    Q, _ = np.linalg.qr(np.concatenate([U[:, :, None], eye], axis=2))
+    grad2 = np.zeros(U.shape[0])
+    for k in range(1, m):
+        plus = U + step[:, None] * Q[:, :, k]
+        minus = U - step[:, None] * Q[:, :, k]
+        plus /= np.linalg.norm(plus, axis=1, keepdims=True)
+        minus /= np.linalg.norm(minus, axis=1, keepdims=True)
+        rp, rm = heights(plus), heights(minus)
+        ang = np.arccos(np.clip(np.einsum("ij,ij->i", plus, minus), -1, 1))
+        ok = rp.covered & rm.covered & (ang > 0)
+        d = np.zeros(U.shape[0])
+        d[ok] = (rp.f[ok] - rm.f[ok]) / ang[ok]
+        grad2 += d * d
+    return grad2
 
 
 def _mesh_reach(mesh, cloud, eps0, U):
