@@ -647,6 +647,24 @@ class TestLipschitz:
         M2 = lipgraph.lipschitz_estimate(U @ R.T, fam.heights(U @ R.T))
         assert M1 == pytest.approx(M2, rel=1e-9)
 
+    def test_row_pairs_match_the_pair_matrix(self):
+        # the all-pairs form as the reference, bit for bit, over the first
+        # 633 covered rows; a repeated row gives a pair at q = 0
+        G, cloud, region, fam = file_family("cyclic_loxodromic")
+        U = uniform_sphere(np.random.default_rng(24), 2, 4000)
+        U = U[region.contains(U)]
+        U = np.vstack([U[:1], U])
+        res = fam.heights(U)
+        V, fv = U[res.covered][:633], res.f[res.covered][:633]
+        assert len(V) == 633 and res.covered.sum() > 633
+        diff = np.abs(fv[:, None] - fv[None, :])
+        q = np.linalg.norm(V[:, None, :] - V[None, :, :], axis=-1)
+        iu = np.triu_indices(len(V), k=1)
+        good = q[iu] > 1e-12
+        assert not good.all()
+        want = np.max(diff[iu][good] / q[iu][good])
+        assert lipgraph.lipschitz_estimate(U, res) == want
+
     def test_reference_schottky_M_finite(self):
         G, cloud, region, fam = small_schottky_family(max_len=2)
         U = uniform_sphere(np.random.default_rng(15), 2, 2000)
@@ -747,7 +765,6 @@ class TestGradient:
         if kind == "schottky":  # rows governed by lazily fitted image caps
             image = same & ~np.isin(ref.theta, fam._seed_thetas)
             assert image.sum() > 20 and np.median(rel[image]) < 1e-3
-
 
     def test_rim_row_of_a_losing_cap(self, monkeypatch):
         # row u lies exactly on the rim of a small cap (d = 1) and inside a
