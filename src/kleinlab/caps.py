@@ -1,11 +1,11 @@
 """Spherical caps on S^n and their images under conformal maps.
 
 A cap is stored by its unit-vector center and angular radius. Conformal maps
-send caps to caps. Every image cap comes from one batched fit,
-fit_image_caps: the mapped boundary probes of a cap (n+1 for cap_image, more
-where callers want a denser shape check) lie on an affine hyperplane of
-R^{n+1}, as the boundary of a cap is a round subsphere, and the mapped center
-decides the side.
+send caps to caps. Every image cap comes from cap_images, which maps cap i
+of a stack by map i of stacked fields and fits the whole stack at once: the
+mapped boundary probes of a cap (n+1 for cap_image, more for a denser shape
+check) lie on an affine hyperplane of R^{n+1}, as the boundary of a cap is a
+round subsphere, and the mapped center decides the side.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mobius
+from . import geom, mobius
 from .geom import chord_from_angle, unembed_rows
 
 CAP_MAX_ANGLE = np.pi / 2.0
@@ -109,13 +109,10 @@ def caps_disjoint(c1: SphericalCap, c2: SphericalCap, margin: float = 0.0) -> bo
 
 
 def cap_image(g: mobius.MobiusMap, cap: SphericalCap) -> SphericalCap:
-    """Image of a cap under the sphere action of g, again as a cap.
-
-    A one-row call of cap_images_batch on the cap's n+1 boundary probes.
-    """
-    nu, theta, valid, _ = cap_images_batch(
-        g, cap.boundary_points()[None], cap.center[None], np.array([cap.theta])
-    )
+    """Image of a cap under g, from a one-row call of cap_images."""
+    nu, theta, valid, _ = cap_images(
+        mobius.stack_fields([g]), cap.boundary_points()[None], cap.center[None],
+        np.array([cap.theta]))
     if not valid[0]:
         raise CapDegenerate(
             f"image cap has angular radius {theta[0]!r} or covers a hemisphere; "
@@ -124,24 +121,32 @@ def cap_image(g: mobius.MobiusMap, cap: SphericalCap) -> SphericalCap:
     return SphericalCap(center=nu[0], theta=theta[0])
 
 
-def cap_images_batch(g: mobius.MobiusMap, boundary: np.ndarray,
-                     centers: np.ndarray, src_thetas: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Image caps of many source caps under one map.
+def cap_images(fields, boundary: np.ndarray, centers: np.ndarray,
+               thetas: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Image caps of a stack of source caps, cap i under map i of fields.
 
-    boundary holds k >= n+1 boundary probes per cap, shape (S, k, m);
-    centers the cap centers (S, m). Returns (centers, thetas, valid, probes)
-    of the image caps as fit_image_caps gives them, where probes stacks the
-    exactly mapped boundary points and mapped center, shape (S, k+1, m), for
-    downstream shape checks.
+    boundary holds k >= n+1 boundary probes per cap, (S, k, m). Blocks of
+    at most SAMPLE_BLOCK probe rows map each cap's probes and center by its
+    repeated field row (sphere_action_stack, never one row) and are fitted
+    by fit_image_caps, so a cap gets the same bits in any stack or split.
+    Returns the fit's (centers, thetas, valid) and the mapped probes, then
+    the mapped center, (S, k + 1, m), for shape checks.
     """
     S, k, m = boundary.shape
-    imgs = mobius.sphere_action_rows(g, boundary.reshape(S * k, m)).reshape(S, k, m)
-    c_img = mobius.sphere_action_rows(g, centers)
-    fields = tuple(np.broadcast_to(f, (S,) + f.shape[1:])
-                   for f in mobius.stack_fields([g]))
-    nu, theta, valid = fit_image_caps(imgs, c_img, fields, centers, src_thetas)
-    return nu, theta, valid, np.concatenate([imgs, c_img[:, None, :]], axis=1)
+    out = (np.empty((S, m)), np.empty(S), np.empty(S, dtype=bool),
+           np.empty((S, k + 1, m)))
+    step = max(geom.SAMPLE_BLOCK // (k + 1), 1)
+    for lo in range(0, S, step):
+        at = slice(lo, lo + step)
+        block = tuple(f[at] for f in fields)
+        src = np.concatenate([boundary[at], centers[at, None]], axis=1)
+        rows = np.repeat(np.arange(len(src)), k + 1)
+        P = mobius.sphere_action_stack(tuple(f[rows] for f in block),
+                                       src.reshape(-1, m)).reshape(src.shape)
+        fit = fit_image_caps(P[:, :-1], P[:, -1], block, centers[at], thetas[at])
+        for a, b in zip(out, fit + (P,)):
+            a[at] = b
+    return out
 
 
 def fit_image_caps(imgs: np.ndarray, c_img: np.ndarray, fields,

@@ -17,8 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from . import mobius
-from .caps import (CapDegenerate, SphericalCap, cap_to_euclidean_ball,
-                   caps_disjoint, fit_image_caps)
+from .caps import (CapDegenerate, SphericalCap, cap_images, cap_to_euclidean_ball,
+                   caps_disjoint)
 from .geom import BallPoint, embed_rows
 from .mobius import MobiusMap, compose, inverse
 
@@ -300,7 +300,7 @@ class WordTree:
                                   np.zeros(1, np.int64),
                                   mobius.stack_fields([mobius.identity(G.n)]))]
         self._caps: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._targets: np.ndarray | None = None  # per letter: probes, center
+        self._targets: tuple | None = None  # per letter: probes, center, theta
         self._dedup: _MapDeduper | None = None
 
     def _check_budget(self, d: int):
@@ -338,29 +338,24 @@ class WordTree:
         The nested cap of the word w s is the image of G.letter_target_cap(s)
         under w.map, and its point the image of that cap's center. The rows
         of level d - 1, the only level composed for it, map the n+1 probes
-        and the center of each child's target cap in one sphere_action_stack
-        call, and the level is fitted in one fit_image_caps call.
+        and the center of each child's target cap, and the level is fitted,
+        in one cap_images call.
         """
         if d not in self._caps:
-            G, m = self.G, self.G.n + 1
             self._check_budget(d)
             if self._targets is None:
-                caps = [G.letter_target_cap(int(s)) for s in self._alphabet]
-                self._targets = np.stack(
-                    [np.vstack([c.boundary_points(), c.center]) for c in caps])
-                self._target_thetas = np.array([c.theta for c in caps])
+                caps = [self.G.letter_target_cap(int(s)) for s in self._alphabet]
+                self._targets = (np.stack([c.boundary_points() for c in caps]),
+                                 np.array([c.center for c in caps]),
+                                 np.array([c.theta for c in caps]))
             up = self.level(d - 1)
             parent, slot = self._children(up)
-            fields = _take(up.fields, parent)
-            imgs = mobius.sphere_action_stack(
-                _take(fields, np.repeat(np.arange(len(parent)), m + 1)),
-                self._targets[slot].reshape(-1, m)).reshape(len(parent), m + 1, m)
-            centers, thetas, valid = fit_image_caps(
-                imgs[:, :-1], imgs[:, -1], fields, self._targets[slot, -1],
-                self._target_thetas[slot])
+            boundary, centers, thetas = (t[slot] for t in self._targets)
+            centers, thetas, valid, probes = cap_images(
+                _take(up.fields, parent), boundary, centers, thetas)
             if not valid.all():
                 raise CapDegenerate("a nested cap is degenerate or covers a hemisphere")
-            self._caps[d] = (centers, thetas, imgs[:, -1].copy())
+            self._caps[d] = (centers, thetas, probes[:, -1].copy())
         return self._caps[d]
 
     def elements(self, max_len: int) -> list[Word]:

@@ -15,9 +15,10 @@ spatial index. Schottky families are evaluated through the group
 factorization: x lies in the image cap gamma(C) exactly when gamma^-1 x lies
 in the seed cap C, and gamma(C) is contained in the inflated nested cap of
 the word gamma, so candidate words come from a per-level spatial index of
-nested caps and only the touched image caps are ever fitted, word by word in
-one caps.cap_images_batch call on the seeds' 8-point probe stacks. Every
-cap a row meets, from either source, enters one minimum.
+nested caps and only the touched image caps are ever fitted: every new cap
+of a level in one caps.cap_images call on the seeds' 8-point probe stacks,
+stacked by word. Every cap a row meets, from either source, enters one
+minimum.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .caps import SphericalCap, boundary_probes, cap_images_batch
+from .caps import SphericalCap, boundary_probes, cap_images
 from .geom import (
     SpherePoint,
     angle_from_chord,
@@ -38,7 +39,8 @@ from .geom import (
 from .group import (GroupPresentation, TAG_SCHOTTKY, WordLevel, enumerate_elements,
                     word_count)
 from .limitset import LimitSetCloud, PointIndex, Sweep, dist_rows, write_csv
-from .mobius import MobiusMap, inverse_rows, poincare_extend, sphere_action_stack
+from .mobius import (MobiusMap, inverse_rows, poincare_extend, sphere_action_stack,
+                     stack_fields)
 
 SHAPE_RATIO_MAX = 0.5
 SUPPORT_INFLATION = 1.5
@@ -299,7 +301,8 @@ class DomeFamily:
       A row meets gamma(C) when it lies in the inflated nested support of
       gamma, its preimage gamma^-1 u lies in C, and d >= 1 on the fitted
       image cap. Caps are fitted when a query or the build audit first
-      touches them, per word in one batched call, and kept per level.
+      touches them, all of a level's new caps in one cap_images call, and
+      kept per level.
 
     A row takes the smallest entry radius t = d - sqrt(d^2 - 1) over every
     cap it meets from both sources, in one _row_minima call; ties go to the
@@ -310,9 +313,11 @@ class DomeFamily:
     The family shape bound (diameter over distance-to-limit-set within
     (0, 1/2]) is measured on every cap fitted at build: the seeds, the
     build-fitted image caps, and for schottky groups an audit sample of
-    the image caps drawn with a fixed seed. Violations are counted, not
-    raised, so the shape block of a family does not depend on which queries
-    ran. Any fitted cap that reaches a hemisphere raises ShrinkEpsilon.
+    the image caps drawn with a fixed seed. An image cap's diameter is the
+    largest distance between its mapped probes, taken from their
+    differences. Violations are counted, not raised, so the shape block of
+    a family does not depend on which queries ran. Any fitted cap that
+    reaches a hemisphere raises ShrinkEpsilon.
     """
 
     def __init__(self, G: GroupPresentation, cloud: LimitSetCloud,
@@ -339,16 +344,19 @@ class DomeFamily:
         self._seed_centers = np.array([c.center for c in self.seed_caps]
                                       ).reshape(-1, m)
         self._seed_thetas = np.array([c.theta for c in self.seed_caps])
+        self._seed_probes = boundary_probes(self._seed_centers, self._seed_thetas,
+                                            count=8)
         self._verify_seed_shapes()
         self.words = enumerate_elements(G, max_len)
         centers, thetas = [self._seed_centers], [self._seed_thetas]
-        if not nested:
-            fits = [self._fit_images(w.map, slice(None))
-                    for w in self.words if len(w)]
-            centers += [nu for nu, _, _ in fits]
-            thetas += [th for _, th, _ in fits]
-            if fits:
-                self._shape_check_batch(np.concatenate([p for _, _, p in fits]))
+        if not nested:  # every key past the seeds' in one fit
+            S = len(self.seed_caps)
+            w, s = np.divmod(np.arange(S, len(self.words) * S), S)
+            images = stack_fields([word.map for word in self.words])
+            nu, th, probes = self._seed_images(tuple(f[w] for f in images), s)
+            centers.append(nu)
+            thetas.append(th)
+            self._shape_check_batch(probes)
         self._centers = np.concatenate(centers)
         self._thetas = np.concatenate(thetas)
         self._cos = np.cos(self._thetas)
@@ -360,18 +368,12 @@ class DomeFamily:
 
     # -- construction ------------------------------------------------------
 
-    def _seed_probe_stack(self) -> np.ndarray:
-        if not hasattr(self, "_seed_boundary"):
-            self._seed_boundary = boundary_probes(
-                self._seed_centers, self._seed_thetas, count=8)
-        return self._seed_boundary
-
-    def _fit_images(self, g: MobiusMap, seeds
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(centers, thetas, mapped probe stacks) of the images under g of
-        the seed caps indexed by seeds, from their 8-point probe stacks."""
-        nu, th, valid, probes = cap_images_batch(
-            g, self._seed_probe_stack()[seeds], self._seed_centers[seeds],
+    def _seed_images(self, fields, seeds: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(centers, thetas, mapped probe stacks) of seed caps seeds[i] under
+        maps i of the stacked fields, from their 8-point probe stacks."""
+        nu, th, valid, probes = cap_images(
+            fields, self._seed_probes[seeds], self._seed_centers[seeds],
             self._seed_thetas[seeds]
         )
         if not valid.all():
@@ -381,14 +383,15 @@ class DomeFamily:
         return nu, th, probes
 
     def _shape_check_batch(self, probes: np.ndarray):
-        """Shape bound on stacks of exactly mapped cap probes, (S, k, m)."""
+        """Shape bound on stacks of exactly mapped cap probes, (S, k, m).
+        Diameters come from probe differences: |p|^2 + |q|^2 - 2 p . q
+        cancels to rounding noise on caps below theta ~ 1e-8."""
         S, k, m = probes.shape
-        d2 = (
-            np.einsum("ijk,ijk->ij", probes, probes)[:, :, None]
-            + np.einsum("ijk,ijk->ij", probes, probes)[:, None, :]
-            - 2.0 * np.einsum("ijk,ilk->ijl", probes, probes)
-        )
-        diam = np.sqrt(np.maximum(d2.max(axis=(1, 2)), 0.0))
+        d2 = np.zeros(S)
+        for j in range(1, k):  # probe j against the probes before it
+            diff = probes[:, :j] - probes[:, j:j + 1]
+            d2 = np.maximum(d2, np.einsum("ijk,ijk->ij", diff, diff).max(axis=1))
+        diam = np.sqrt(d2)
         near, _ = self.cloud.index.nearest(probes.reshape(S * k, m))
         near_min = near.reshape(S, k).min(axis=1)
         res = self.cloud.resolution or 0.0
@@ -429,8 +432,7 @@ class DomeFamily:
 
     def _audit_shape(self, count: int):
         rng = np.random.default_rng(0)
-        total_words = sum(len(lv.words) for lv in self._levels)
-        if total_words == 0 or not self.seed_caps:
+        if not self._levels or not self.seed_caps:
             return
         drawn: list[list[tuple[int, int]]] = [[] for _ in self._levels]
         for _ in range(count):
@@ -465,29 +467,24 @@ class DomeFamily:
                     record: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """(centers, thetas) of the image caps of words w under seeds s.
 
-        Caps not fitted before are fitted word by word, all of a word's new
-        seeds in one _fit_images call, and kept for later queries; with
-        record, the new caps are shape-checked together.
+        Caps not fitted before are fitted together, in one _seed_images
+        call, and kept for later queries; with record, the new caps are
+        shape-checked together.
         """
         S = len(self.seed_caps)
         key = w * S + s
         new = np.sort(key)
         new = new[np.diff(new, prepend=-1) != 0]  # distinct; keys are >= 0
-        if lv.keys.size:
-            known = np.searchsorted(lv.keys, new).clip(max=lv.keys.size - 1)
-            new = new[lv.keys[known] != new]
+        new = new[~np.isin(new, lv.keys, assume_unique=True)]
         if new.size:
-            cuts = np.flatnonzero(np.diff(new // S)) + 1
-            fits = [self._fit_images(lv.words[int(ks[0]) // S].map, ks % S)
-                    for ks in np.split(new, cuts)]
+            nu, th, probes = self._seed_images(
+                tuple(f[new // S] for f in lv.words.fields), new % S)
             if record:
-                self._shape_check_batch(np.concatenate([p for _, _, p in fits]))
+                self._shape_check_batch(probes)
             order = np.argsort(np.concatenate([lv.keys, new]))
             lv.keys = np.concatenate([lv.keys, new])[order]
-            lv.img_centers = np.concatenate(
-                [lv.img_centers] + [c for c, _, _ in fits])[order]
-            lv.img_thetas = np.concatenate(
-                [lv.img_thetas] + [t for _, t, _ in fits])[order]
+            lv.img_centers = np.concatenate([lv.img_centers, nu])[order]
+            lv.img_thetas = np.concatenate([lv.img_thetas, th])[order]
         pos = np.searchsorted(lv.keys, key)
         return lv.img_centers[pos], lv.img_thetas[pos]
 

@@ -184,7 +184,53 @@ def nested_probe_stacks(G, d):
             np.array([c.theta for c in src]))
 
 
+def nested_sources(G, d):
+    """(fields, boundary, centers, thetas) of the nested caps of level d: the
+    target cap of each word's last letter, under the map of the word's
+    parent."""
+    pairs = level_children(G.word_tree, d)
+    targets = {s: G.letter_target_cap(s) for s in {s for _, s in pairs}}
+    src = [targets[s] for _, s in pairs]
+    return (mobius.stack_fields([w.map for w, _ in pairs]),
+            np.stack([c.boundary_points() for c in src]),
+            np.array([c.center for c in src]), np.array([c.theta for c in src]))
+
+
 class TestBatchedImages:
+    def test_rows_keep_their_bits_in_any_stack_or_block(self, monkeypatch):
+        # levels 6 (fitted by QR) and 7 (first-order images, theta < 1e-16)
+        # of the reference group in one stack, then shuffled, split into
+        # blocks and taken one cap at a time
+        G = reference_schottky()
+        parts = [nested_sources(G, d) for d in (6, 7)]
+        fields = tuple(np.concatenate(f) for f in zip(*(p[0] for p in parts)))
+        boundary, centers, thetas = (np.concatenate(a) for a in
+                                     zip(*(p[1:] for p in parts)))
+        whole = caps.cap_images(fields, boundary, centers, thetas)
+        assert whole[2].all()
+        small = whole[1] < 1e-16
+        assert 0 < small.sum() < len(thetas)
+        # the tree's fits of the two levels are this fit of their rows
+        tree = [G.word_tree.nested_caps(d) for d in (6, 7)]
+        for i in (0, 1):  # centers, thetas
+            want = np.concatenate([t[i] for t in tree])
+            assert whole[i].tobytes() == want.tobytes()
+        order = np.random.default_rng(8).permutation(len(thetas))
+        args = (tuple(f[order] for f in fields), boundary[order],
+                centers[order], thetas[order])
+        for block in (1, 7, 777, 4 * len(thetas) - 1, geom.SAMPLE_BLOCK):
+            monkeypatch.setattr(geom, "SAMPLE_BLOCK", block)
+            got = caps.cap_images(*args)
+            for a, b in zip(got, whole):
+                assert a.tobytes() == b[order].tobytes()
+        rows = np.random.default_rng(9).choice(len(thetas), 40, replace=False)
+        for i in np.concatenate([rows, np.flatnonzero(small)[:5]]):
+            one = caps.cap_images(tuple(f[i:i + 1] for f in fields),
+                                  boundary[i:i + 1], centers[i:i + 1],
+                                  thetas[i:i + 1])
+            for a, b in zip(one, whole):
+                assert a[0].tobytes() == b[i].tobytes()
+
     @pytest.mark.parametrize("depth,bound", [(2, 1e-13), (3, 1e-13),
                                              (4, 1e-13), (5, 1e-9)])
     def test_nested_caps_match_exact_circumcircle(self, depth, bound):
@@ -226,10 +272,13 @@ class TestBatchedImages:
             assert alone[1][0] == theta[i]
 
     def test_cap_image_is_a_one_row_fit(self):
+        # the probes mapped through the map's field row repeated once per
+        # probe, as cap_images maps every stack
         cap = random_cap(RNG, theta_max=0.7)
         g = random_mobius(np.random.default_rng(5), 2)
-        P = mobius.sphere_action_rows(g, np.vstack([cap.boundary_points(),
-                                                     cap.center]))
+        P = mobius.sphere_action_stack(
+            tuple(np.repeat(f, 4, axis=0) for f in mobius.stack_fields([g])),
+            np.vstack([cap.boundary_points(), cap.center]))
         nu, theta, _ = caps.fit_image_caps(P[None, :-1], P[None, -1],
                                            mobius.stack_fields([g]),
                                            cap.center[None],

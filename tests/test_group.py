@@ -219,18 +219,18 @@ class TestWordTree:
 
         G = reference_schottky()
         composed, fits = [], []
-        compose_rows, fit_image_caps = mobius.compose_rows, group.fit_image_caps
+        compose_rows, cap_images = mobius.compose_rows, group.cap_images
 
         def counting_rows(f1, f2):
             composed.append(len(f1[0]))  # rows, alone or in a stack
             return compose_rows(f1, f2)
 
-        def counting_fit(imgs, *args):
-            fits.append(len(imgs))  # one per nested cap fitted
-            return fit_image_caps(imgs, *args)
+        def counting_fit(fields, boundary, *args):
+            fits.append(len(boundary))  # one per nested cap fitted
+            return cap_images(fields, boundary, *args)
 
         monkeypatch.setattr(mobius, "compose_rows", counting_rows)
-        monkeypatch.setattr(group, "fit_image_caps", counting_fit)
+        monkeypatch.setattr(group, "cap_images", counting_fit)
         cloud = limitset.sample_limit_set(G, 6)
         group.critical_exponent(G, 6)
         mesh = lipgraph.region_mesh(lipgraph.schottky_region(G), cloud,

@@ -9,7 +9,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from kleinlab import cli, geom, limitset, lipgraph, mobius
-from kleinlab.caps import SphericalCap, cap_images_batch
+from kleinlab.caps import SphericalCap, cap_images
 from kleinlab.files import load_group_file
 from kleinlab.geom import embed_rows, uniform_sphere
 from kleinlab.group import make_cyclic
@@ -145,15 +145,21 @@ def seed_arrays(fam):
             np.stack([c.boundary_points(count=8) for c in fam.seed_caps]))
 
 
+def word_images(word, probes, centers, thetas):
+    """cap_images of the given seed caps, each under the one word's map."""
+    fields = tuple(np.repeat(f, len(centers), axis=0)
+                   for f in mobius.stack_fields([word.map]))
+    return cap_images(fields, probes, centers, thetas)
+
+
 def brute_factored_heights(fam, U):
     """The seed caps as in brute_heights, then every image cap gamma(C) of
     every word and seed whose preimage gamma^-1 u lies in C, in (level, word,
     seed) order, each taken on a strict decrease of the entry radius.
 
     The membership and entry radius use the evaluator's formulas on every
-    (row, seed). Each word's image caps are fitted here, in one
-    cap_images_batch call on the 8-point probe stacks of the seeds some
-    preimage lies in."""
+    (row, seed). Each word's image caps are fitted here, in one word_images
+    call on the 8-point probe stacks of the seeds some preimage lies in."""
     centers, thetas, probes = seed_arrays(fam)
     ref = brute_heights(U, centers, thetas)
     f = np.where(ref.covered, ref.f, np.inf)
@@ -166,8 +172,8 @@ def brute_factored_heights(fam, U):
             inside = np.einsum("ij,ij->i", Y[r], centers[s]) >= np.cos(thetas[s])
             need = np.unique(s[inside])
             img_c, img_th = np.zeros((S, U.shape[1])), np.zeros(S)
-            img_c[need], img_th[need], _, _ = cap_images_batch(
-                word.map, probes[need], centers[need], thetas[need])
+            img_c[need], img_th[need], _, _ = word_images(
+                word, probes[need], centers[need], thetas[need])
             img_cos = np.cos(img_th[s])
             d = np.einsum("ij,ij->i", U[r], img_c[s]) / img_cos
             hit = inside & (d >= 1.0)
@@ -357,13 +363,31 @@ class TestFamily:
         # tiny eps0 stays inside the strict Prop-1.1 regime
         fam = DomeFamily(G, cloud, caps, max_len=2)
         assert fam.shape_bound_ok
-        # the pinned eps0 = 0.1 exceeds it for this group: the violations
-        # are recorded
-        mesh2 = region_mesh(region, cloud, 0.1)[::17]
-        caps2 = base_caps(mesh2, 0.1, cloud)
+        # eps0 = 0.25 exceeds it for this group, on every seed cap: the
+        # violations are recorded (eps0 = 0.1 stays within it, max 0.43)
+        mesh2 = region_mesh(region, cloud, 0.25)[::17]
+        caps2 = base_caps(mesh2, 0.25, cloud)
         fam2 = DomeFamily(G, cloud, caps2, max_len=3)
         assert not fam2.shape_bound_ok
         assert fam2.max_shape_ratio() > 0.5 > fam2.min_shape_ratio()
+
+    def test_audit_measures_tiny_image_caps(self):
+        # x -> 10 x maps a seed cap at |x| = 3 to caps down to theta ~ 1e-11
+        # next to the fixed points 0 and infinity, the whole cloud (of
+        # resolution 0); each audited ratio is chord(2 theta) over the
+        # distance from the cap's mapped probes to the cloud
+        G = make_cyclic(mobius.affine(2, r=10.0))
+        cloud = sample_limit_set(G, 2)
+        seeds = base_caps(embed_rows(np.array([[3.0, 0.0]])), 0.1, cloud)
+        fam = DomeFamily(G, cloud, seeds, max_len=10)
+        thetas = fam._thetas[1:]
+        assert thetas.min() < 1e-10 and len(fam.shape_ratios) == 21
+        centers, seed_thetas, probes = seed_arrays(fam)
+        for word, theta, ratio in zip(fam.words[1:], thetas, fam.shape_ratios[1:]):
+            P = word_images(word, probes, centers, seed_thetas)[3][0]
+            dist = np.linalg.norm(P[:, None] - cloud.points[None], axis=2).min()
+            want = lipgraph.chord_from_angle(2.0 * theta) / dist
+            assert ratio == pytest.approx(want, rel=1e-6)
 
     def test_batched_seed_probes_and_shapes_match_the_per_seed_path(self):
         # the probe stacks and the seed shape ratios of the build, bit for
@@ -371,7 +395,7 @@ class TestFamily:
         G, cloud, caps = quarter_schottky_caps()
         fam = DomeFamily(G, cloud, caps, max_len=1, audit=0)
         probes = np.stack([scalar_boundary_points(c, 8) for c in caps])
-        assert fam._seed_probe_stack().tobytes() == probes.tobytes()
+        assert fam._seed_probes.tobytes() == probes.tobytes()
         tree, res = cKDTree(cloud.points), cloud.resolution
         ratios = []
         for cap in caps:
@@ -386,7 +410,7 @@ class TestFamily:
 
     def test_lazy_caps_match_direct_fits(self):
         # every image cap the family fits for its audit and a query, bit for
-        # bit against a one-row cap_images_batch fit of the same (word, seed)
+        # bit against a one-row word_images fit of the same (word, seed)
         G, cloud, region, fam = small_schottky_family(max_len=3)
         fam.heights(mapped_seed_centers(fam, 4, np.random.default_rng(21)))
         centers, thetas, probes = seed_arrays(fam)
@@ -395,8 +419,8 @@ class TestFamily:
         for lv in fam._levels:
             for key, c, th in zip(lv.keys, lv.img_centers, lv.img_thetas):
                 w, s = divmod(int(key), S)
-                nu, t, _, _ = cap_images_batch(lv.words[w].map, probes[[s]],
-                                               centers[[s]], thetas[[s]])
+                nu, t, _, _ = word_images(lv.words[w], probes[[s]],
+                                          centers[[s]], thetas[[s]])
                 assert nu[0].tobytes() == c.tobytes() and t[0] == th
                 checked += 1
         assert checked > 300
@@ -742,7 +766,7 @@ class TestGradient:
             for word in G.word_tree.level(1):
                 # inside the word's largest image caps (theta ~ 0.01): the
                 # differences of u . c resolve only caps well above 1e-4
-                th = cap_images_batch(word.map, probes, centers, thetas)[1]
+                th = word_images(word, probes, centers, thetas)[1]
                 rows.append(mobius.sphere_action_rows(
                     word.map, inner[np.argsort(th)[-10:]]))
             U = np.vstack(rows)
