@@ -10,7 +10,7 @@ round subsphere, and the mapped center decides the side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -26,17 +26,22 @@ class CapDegenerate(ValueError):
 
 @dataclass(frozen=True)
 class SphericalCap:
-    """Cap {p in S^n : angle(p, center) <= theta} with 0 < theta < pi/2."""
+    """Cap {p in S^n : angle(p, center) <= theta} with 0 < theta < pi/2.
+
+    The center is scaled to unit norm, unless normalize is False: then it
+    keeps its bits.
+    """
 
     center: np.ndarray
     theta: float
+    normalize: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, normalize: bool):
         c = np.asarray(self.center, dtype=float)
         norm = np.linalg.norm(c)
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"cap center must be a unit vector, |c| = {norm!r}")
-        object.__setattr__(self, "center", c / norm)
+        object.__setattr__(self, "center", c / norm if normalize else c)
         object.__setattr__(self, "theta", float(self.theta))
         if not (0.0 < self.theta < CAP_MAX_ANGLE):
             raise CapDegenerate(f"angular radius {self.theta!r} outside (0, pi/2)")
@@ -64,6 +69,30 @@ class SphericalCap:
         """Points on the cap boundary; a one-row call of boundary_probes."""
         return boundary_probes(self.center[None], np.array([self.theta]),
                                count)[0]
+
+
+@dataclass(frozen=True)
+class CapStack:
+    """Caps as rows: unit centers (S, m) and angular radii (S,). A sequence
+    of SphericalCap; a cap is built, with its row's bits, only when the row
+    is indexed."""
+
+    centers: np.ndarray
+    thetas: np.ndarray
+
+    @staticmethod
+    def of(caps, m: int) -> CapStack:
+        """The stack of a sequence of caps of ambient dimension m."""
+        if isinstance(caps, CapStack):
+            return caps
+        return CapStack(np.array([c.center for c in caps]).reshape(-1, m),
+                        np.array([c.theta for c in caps], dtype=float))
+
+    def __len__(self) -> int:
+        return self.thetas.size
+
+    def __getitem__(self, i: int) -> SphericalCap:
+        return SphericalCap(self.centers[i], self.thetas[i], normalize=False)
 
 
 def boundary_frames(centers: np.ndarray) -> np.ndarray:
@@ -175,7 +204,7 @@ def fit_image_caps(imgs: np.ndarray, c_img: np.ndarray, fields,
     spread = imgs - mean[:, None, :]
     scale = np.linalg.norm(spread, axis=2).max(axis=1)
     rows = np.flatnonzero(scale >= 1e-14)
-    _, _, Vt = np.linalg.svd(spread[rows])
+    _, _, Vt = np.linalg.svd(spread[rows], full_matrices=False)
     nu = Vt[:, -1, :]
     nu[(c_img[rows] * nu).sum(axis=1) < 0] *= -1.0
     h = (imgs[rows] * nu[:, None, :]).sum(axis=2).mean(axis=1)

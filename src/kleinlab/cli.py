@@ -27,20 +27,21 @@ from . import group as group_mod
 from . import mobius
 from .caps import CapDegenerate
 from .files import GroupDefinition, ValidationError, load_group_file, render_report
-from .geom import BallPoint, uniform_sphere
+from .geom import BallPoint, uniform_sphere, uniform_sphere_blocks
 from .group import InsufficientRange
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_INCONCLUSIVE = 3
 
-# Peak RSS grows with --samples by about 15 bytes a sample for harmonic and
-# 12 for diagnose, whose Monte-Carlo runs draw and evaluate
-# geom.SAMPLE_BLOCK samples at a time, and 200 for graph (its one heights
-# call takes every sample at once): from 42, 55 and 50 MB at 40k samples to
-# 46, 60 and 130 MB at 400k and 56, 67 and 252 MB at a million, on the
-# reference file (diagnose at --epsilon0 0.25 --depth 5; graph on the
-# loxodromic file), with one BLAS thread.
+# Peak RSS grows with --samples by about 15 bytes a sample for harmonic, 16
+# for diagnose and 39 for graph. Every Monte-Carlo draws and evaluates
+# geom.SAMPLE_BLOCK samples at a time and heights takes geom.ROW_BLOCK rows
+# a pass; graph keeps its region rows, their heights and the per-sample
+# volume terms. From 42, 47 and 48 MB at 40k samples to 46, 52 and 59 MB at
+# 400k and 56, 62 and 85 MB at a million, on the reference file (diagnose
+# at --epsilon0 0.25 --depth 5; graph on the loxodromic file), with one
+# BLAS thread.
 MAX_SAMPLES = 1_000_000
 
 
@@ -117,6 +118,15 @@ def _region_for(defn: GroupDefinition):
     raise ValidationError(
         "$.kind", "graph analysis needs a schottky or cyclic presentation"
     )
+
+
+def _region_samples(region, rng: np.random.Generator, n: int, size: int
+                    ) -> np.ndarray:
+    """The rows of uniform_sphere(rng, n, size) that lie in the region, in
+    draw order and with the same bits, drawn one block at a time so the whole
+    draw is never held."""
+    return np.concatenate([np.empty((0, n + 1))] + [
+        U[region.contains(U)] for _, U in uniform_sphere_blocks(rng, n, size)])
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +216,7 @@ def cmd_graph(args, defn: GroupDefinition) -> tuple[dict, int]:
     mesh = lipgraph_mod.region_mesh(region, cloud, eps0)
     caps = lipgraph_mod.base_caps(mesh, eps0, cloud)
     fam = lipgraph_mod.DomeFamily(G, cloud, caps, max_len=depth, audit=500)
-    U = uniform_sphere(np.random.default_rng(seed + 1), G.n, samples)
-    U = U[region.contains(U)]
+    U = _region_samples(region, np.random.default_rng(seed + 1), G.n, samples)
     res = fam.heights(U)  # every diagnostic below reads rows of this one result
     band = lipgraph_mod.graph_band(fam, U, res)
     half = len(U) // 2

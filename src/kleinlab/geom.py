@@ -241,6 +241,10 @@ def sphere_area(n: int) -> float:
 # draw, map and classify their samples this many at a time.
 SAMPLE_BLOCK = 16_384
 
+# Rows per pass of the row-wise queries whose work arrays grow with the rows
+# (PointIndex.nearest, DomeFamily.heights) and per chunk of write_csv.
+ROW_BLOCK = 4096
+
 
 def normalize_rows(v: np.ndarray) -> np.ndarray:
     """Scale the rows of v to unit length in place; returns v.

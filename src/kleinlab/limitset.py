@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
 
-from . import mobius
+from . import geom, mobius
 from .geom import ExtPoint, SpherePoint, chord_from_angle, embed_ext
 from .group import FitResult, GroupPresentation, TAG_CYCLIC, TAG_SCHOTTKY, _slope_fit
 from .mobius import sphere_action_rows
@@ -193,15 +193,13 @@ class Sweep:
             yield i, j, _sq_dist_at(self.points, j, Q, i)
 
 
-# Most points in a leaf of a PointIndex, as in a kd-tree, and the rows a
-# nearest query descends it with at once.
+# Most points in a leaf of a PointIndex, as in a kd-tree.
 _LEAF = 16
-_ROWS = 4096
 
 
 class PointIndex:
     """Nearest-neighbour queries on the rows of points: a kd-tree, searched
-    one level at a time for a whole block of rows.
+    one level at a time for a block of geom.ROW_BLOCK rows.
 
     Every node with more than _LEAF points is halved along the widest axis
     of its box. A row first descends to one leaf through the nearer child at
@@ -257,8 +255,9 @@ class PointIndex:
         idx = np.full((N, k), M)
         kk = min(k, M)
         QT = Q.T.copy()
-        for start in range(0, N if kk else 0, _ROWS):
-            r = np.arange(start, min(start + _ROWS, N))
+        step = geom.ROW_BLOCK
+        for start in range(0, N if kk else 0, step):
+            r = np.arange(start, min(start + step, N))
             # the leaf reached through the nearer child at every level gives
             # each row its first k candidates, and their bound
             leaf = np.zeros(r.size, dtype=np.intp)
@@ -654,12 +653,13 @@ def export_csv(L: LimitSetCloud, path) -> None:
 
 
 def write_csv(path, header: list[str], rows: np.ndarray) -> None:
-    """A header and float rows, each float written as its repr; the rows
-    become Python floats 4096 at a time, which bounds their memory."""
-    import csv
-
+    """A header of plain names and float rows, each float written as its
+    repr, with the comma separators and CRLF line ends of csv.writer; the
+    rows become Python floats geom.ROW_BLOCK at a time, which bounds their
+    memory."""
+    step = geom.ROW_BLOCK
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(0, len(rows), 4096):
-            writer.writerows(rows[i:i + 4096].tolist())  # str(float) is repr
+        fh.write(",".join(header) + "\r\n")
+        for i in range(0, len(rows), step):
+            fh.write("".join(",".join(map(repr, row)) + "\r\n"
+                             for row in rows[i:i + step].tolist()))

@@ -28,7 +28,8 @@ from typing import Callable
 
 import numpy as np
 
-from .caps import SphericalCap, boundary_probes, cap_images
+from . import geom
+from .caps import CapStack, boundary_probes, cap_images
 from .geom import (
     SpherePoint,
     angle_from_chord,
@@ -121,22 +122,23 @@ def strip_region(shift: np.ndarray, q_floor: float = 0.25) -> FundamentalRegion:
 # base caps and region meshes
 # ---------------------------------------------------------------------------
 
-def base_caps(sample_points, eps0: float, L: LimitSetCloud) -> list[SphericalCap]:
+def base_caps(sample_points, eps0: float, L: LimitSetCloud) -> CapStack:
     """Caps B(x, eps0 * dist(x, L)) with the certified lower distance.
 
-    The chordal radius converts to the angular radius 2 asin(r/2).
+    The chordal radius converts to the angular radius 2 asin(r/2). Each
+    center is its row over the row's norm, from a stacked matmul with the
+    bits of np.linalg.norm of one row, so the caps are the ones SphericalCap
+    builds from the rows.
     """
     _check_scale(eps0, L)
     rows = _as_unit_rows(sample_points)
     lower, upper = dist_rows(rows, L)
-    out = []
-    for row, lo, up in zip(rows, lower, upper):
-        if lo <= 0.0 or up <= L.resolution:
-            raise UncertifiedSample(
-                "sample sits inside the resolution band of the cloud"
-            )
-        out.append(SphericalCap(center=row, theta=float(angle_from_chord(eps0 * lo))))
-    return out
+    if np.any((lower <= 0.0) | (upper <= L.resolution)):
+        raise UncertifiedSample("sample sits inside the resolution band of the cloud")
+    norm = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+    if np.any(np.abs(norm - 1.0) > 1e-9):
+        raise ValueError("cap centers must be unit vectors")
+    return CapStack(rows / norm[:, None], angle_from_chord(eps0 * lower))
 
 
 def _check_scale(eps0: float, L: LimitSetCloud):
@@ -289,7 +291,8 @@ class _WordLevel:
 class DomeFamily:
     """Truncated invariant ball family with a height evaluator.
 
-    The cap gamma(C) of a word gamma and seed cap C has the family key
+    The seed caps come as a CapStack or a sequence of caps. The cap
+    gamma(C) of a word gamma and seed cap C has the family key
     (index of gamma in self.words) * seed count + (index of C), so keys run
     in (level, word, seed) order with the seed caps first. Caps come from
     two sources:
@@ -307,8 +310,10 @@ class DomeFamily:
     A row takes the smallest entry radius t = d - sqrt(d^2 - 1) over every
     cap it meets from both sources, in one _row_minima call; ties go to the
     lowest key, and the gradient of f is that of the winning dome
-    (dome_gradient_sq). candidate_pairs / hit_pairs count the index
-    candidates and the confirmed ones.
+    (dome_gradient_sq). heights takes its rows geom.ROW_BLOCK at a time, so
+    the candidate pairs held grow with the block, not with the rows.
+    candidate_pairs / hit_pairs count the index candidates and the confirmed
+    ones, with the same totals in any split of the rows.
 
     The family shape bound (diameter over distance-to-limit-set within
     (0, 1/2]) is measured on every cap fitted at build: the seeds, the
@@ -321,11 +326,11 @@ class DomeFamily:
     """
 
     def __init__(self, G: GroupPresentation, cloud: LimitSetCloud,
-                 seed_caps: list[SphericalCap], max_len: int,
-                 audit: int = 1500):
+                 seed_caps: CapStack | list, max_len: int, audit: int = 1500):
+        m = G.n + 1
         self.G = G
         self.cloud = cloud
-        self.seed_caps = list(seed_caps)
+        self.seed_caps = CapStack.of(seed_caps, m)
         self.max_len = max_len
         self.shape_ratios: list[float] = []
         self.shape_unresolved = 0
@@ -340,10 +345,8 @@ class DomeFamily:
                     f"family of ~{count} caps exceeds the materialization "
                     "budget and the group is not schottky-factorable"
                 )
-        m = G.n + 1
-        self._seed_centers = np.array([c.center for c in self.seed_caps]
-                                      ).reshape(-1, m)
-        self._seed_thetas = np.array([c.theta for c in self.seed_caps])
+        self._seed_centers = self.seed_caps.centers
+        self._seed_thetas = self.seed_caps.thetas
         self._seed_probes = boundary_probes(self._seed_centers, self._seed_thetas,
                                             count=8)
         self._verify_seed_shapes()
@@ -506,7 +509,22 @@ class DomeFamily:
     # -- evaluation ---------------------------------------------------------
 
     def heights(self, U: np.ndarray) -> HeightResult:
+        """Heights of the unit rows of U, geom.ROW_BLOCK rows per pass, so
+        the candidate pairs of one block at most are held at once; a row gets
+        the same values in any batch."""
         U = np.atleast_2d(np.asarray(U, dtype=float))
+        N = U.shape[0]
+        out = HeightResult(f=np.empty(N), covered=np.empty(N, dtype=bool),
+                           grad_sq=np.empty(N))
+        step = geom.ROW_BLOCK
+        for lo in range(0, N, step):
+            at = slice(lo, lo + step)
+            out.f[at], out.covered[at], out.grad_sq[at] = self._block_heights(U[at])
+        return out
+
+    def _block_heights(self, U: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(f, covered, grad_sq) of the rows of U in one pass."""
         N = U.shape[0]
         i, k = self._index.pairs(U)
         d = np.einsum("ij,ij->i", U[i], self._centers[k]) / self._cos[k]
@@ -523,7 +541,7 @@ class DomeFamily:
         grad_sq[r] = dome_gradient_sq(U[r], *self._fitted(key[win]), d[win], t[win])
         covered = np.isfinite(f)
         f[~covered] = np.nan
-        return HeightResult(f=f, covered=covered, grad_sq=grad_sq)
+        return f, covered, grad_sq
 
     def _fitted(self, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(centers, cos theta) of fitted caps by family key."""

@@ -6,11 +6,12 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from kleinlab import cli, files, group, limitset, lipgraph, mobius
+from kleinlab import cli, files, geom, group, limitset, lipgraph, mobius
 from kleinlab.caps import CapDegenerate
 from kleinlab.files import (
     ValidationError,
@@ -190,6 +191,39 @@ class TestCommands:
         assert out.exists()
         header = out.read_text().splitlines()[0]
         assert header == "x0,x1,x2,f"
+
+    @pytest.mark.parametrize("path", [SCHOTTKY, LOXODROMIC, PARABOLIC],
+                             ids=["schottky", "loxodromic", "parabolic"])
+    def test_graph_draw_is_the_region_rows_of_one_draw(self, path, monkeypatch):
+        region = cli._region_for(load_group_file(path))
+        want = geom.uniform_sphere(np.random.default_rng(8), 2, 40_000)
+        want = want[region.contains(want)]
+        for block in (geom.SAMPLE_BLOCK, 777):
+            monkeypatch.setattr(geom, "SAMPLE_BLOCK", block)
+            got = cli._region_samples(region, np.random.default_rng(8), 2, 40_000)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_graph_csv_does_not_depend_on_the_sample_block(self, tmp_path,
+                                                           monkeypatch):
+        csvs = []
+        for block in (geom.SAMPLE_BLOCK, 777):
+            monkeypatch.setattr(geom, "SAMPLE_BLOCK", block)
+            csvs.append(tmp_path / f"graph{block}.csv")
+            assert cli.main(["graph", "--file", PARABOLIC, "--samples", "3000",
+                             "--out", str(csvs[-1])]) == 0
+        assert csvs[0].read_bytes() == csvs[1].read_bytes()
+
+    def test_graph_peak_memory_is_bounded(self, capsys):
+        # one draw of every sample and one heights pass over the region rows
+        # peaked at 43 MB here; drawing and evaluating in blocks, at 12 MB
+        tracemalloc.start()
+        try:
+            code = cli.main(["graph", "--file", LOXODROMIC, "--samples", "200000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 20e6
 
     def test_graph_rejects_custom_kind(self, tmp_path):
         doc = {

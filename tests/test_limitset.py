@@ -361,7 +361,7 @@ class TestPointIndex:
         rng = np.random.default_rng(9)
         P = sample_limit_set(reference_schottky(), 5).points
         P = np.vstack([P, P[:40]])
-        Q = np.vstack([sphere_rows(rng, 3, 2 * limitset._ROWS + 100), P[::3]])
+        Q = np.vstack([sphere_rows(rng, 3, 2 * geom.ROW_BLOCK + 100), P[::3]])
         index = limitset.PointIndex(P)
         for k in (1, 2):
             d, j = index.nearest(Q, k=k)

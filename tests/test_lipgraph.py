@@ -1,6 +1,7 @@
 """Dome envelope: entry radii, families, heights, invariance, separation, volume."""
 
 import pathlib
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 
@@ -11,7 +12,7 @@ from scipy.spatial import cKDTree
 from kleinlab import cli, geom, limitset, lipgraph, mobius
 from kleinlab.caps import SphericalCap, cap_images
 from kleinlab.files import load_group_file
-from kleinlab.geom import embed_rows, uniform_sphere
+from kleinlab.geom import angle_from_chord, embed_rows, uniform_sphere
 from kleinlab.group import make_cyclic
 from kleinlab.limitset import sample_limit_set
 from kleinlab.lipgraph import (
@@ -266,6 +267,22 @@ class TestBaseCaps:
             )
         small = base_caps(x[None, :], 1e-6, cloud)[0]
         assert small.theta < 1e-5
+
+    def test_stack_has_the_bits_of_one_cap_per_row(self):
+        # one SphericalCap per row renormalizes its center by the row's
+        # np.linalg.norm, which moves hundreds of these mesh rows by an ulp
+        G, cloud, caps = quarter_schottky_caps()
+        mesh = region_mesh(schottky_region(G), cloud, 0.25)
+        lower, _ = lipgraph.dist_rows(mesh, cloud)
+        ref = [SphericalCap(center=row, theta=float(angle_from_chord(0.25 * lo)))
+               for row, lo in zip(mesh, lower)]
+        assert len(caps) == len(ref) > 1000
+        assert (caps.centers != mesh).any(axis=1).sum() > 100
+        assert caps.centers.tobytes() == np.array([c.center for c in ref]).tobytes()
+        assert caps.thetas.tobytes() == np.array([c.theta for c in ref]).tobytes()
+        # indexing builds a cap that keeps the row's bits
+        assert [(c.center.tobytes(), c.theta) for c in caps] == [
+            (c.center.tobytes(), c.theta) for c in ref]
 
     def test_sample_on_cloud_rejected(self):
         G = make_cyclic(mobius.affine(2, r=2.0))
@@ -576,6 +593,47 @@ class TestHeightIndex:
             for a, b in ((got.f, want.f), (got.covered, want.covered),
                          (got.grad_sq, want.grad_sq)):
                 assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind", ["cyclic", "schottky"])
+    def test_counters_and_rows_are_the_same_in_any_block_split(self, kind,
+                                                                monkeypatch):
+        # fresh families per split, so the schottky ones fit their lazy image
+        # caps block by block in different orders
+        if kind == "cyclic":
+            G, cloud, region, fam = file_family("cyclic_parabolic")
+            make = lambda: DomeFamily(G, cloud, fam.seed_caps, max_len=fam.max_len)
+            U = uniform_sphere(np.random.default_rng(23), 2, 9000)
+        else:
+            G, cloud, caps = quarter_schottky_caps()
+            make = lambda: DomeFamily(G, cloud, caps, max_len=3, audit=0)
+            U = np.vstack([uniform_sphere(np.random.default_rng(24), 2, 4500),
+                           mapped_seed_centers(make(), 3, np.random.default_rng(25))])
+        assert len(U) > geom.ROW_BLOCK
+        runs = []
+        for block in (10**9, geom.ROW_BLOCK, 1777, 500):
+            monkeypatch.setattr(geom, "ROW_BLOCK", block)
+            f = make()
+            res = f.heights(U)
+            runs.append((f.candidate_pairs, f.hit_pairs, res))
+        (cand, hits, whole), *split = runs
+        assert 0 < hits <= cand and whole.covered.sum() > 1000
+        for c, h, res in split:
+            assert (c, h) == (cand, hits)
+            assert_same_heights(res, whole)
+
+    def test_peak_memory_is_bounded_by_the_row_block(self):
+        # the one-pass evaluator held every candidate pair of the 40k rows
+        # at once and peaked at 28 MB here, 4096-row passes at 4.8 MB
+        G, cloud, region, fam = file_family("cyclic_loxodromic")
+        U = uniform_sphere(np.random.default_rng(29), 2, 40_000)
+        tracemalloc.start()
+        try:
+            res = fam.heights(U)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.covered.sum() > 30_000
+        assert peak < 8e6
 
     def test_empty_and_single_row(self):
         for fam in (file_family("cyclic_parabolic")[3],
