@@ -10,7 +10,7 @@ round subsphere, and the mapped center decides the side.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,20 +28,18 @@ class CapDegenerate(ValueError):
 class SphericalCap:
     """Cap {p in S^n : angle(p, center) <= theta} with 0 < theta < pi/2.
 
-    The center is scaled to unit norm, unless normalize is False: then it
-    keeps its bits.
+    The center is scaled to unit norm.
     """
 
     center: np.ndarray
     theta: float
-    normalize: InitVar[bool] = True
 
-    def __post_init__(self, normalize: bool):
+    def __post_init__(self):
         c = np.asarray(self.center, dtype=float)
         norm = np.linalg.norm(c)
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"cap center must be a unit vector, |c| = {norm!r}")
-        object.__setattr__(self, "center", c / norm if normalize else c)
+        object.__setattr__(self, "center", c / norm)
         object.__setattr__(self, "theta", float(self.theta))
         if not (0.0 < self.theta < CAP_MAX_ANGLE):
             raise CapDegenerate(f"angular radius {self.theta!r} outside (0, pi/2)")
@@ -74,8 +72,7 @@ class SphericalCap:
 @dataclass(frozen=True)
 class CapStack:
     """Caps as rows: unit centers (S, m) and angular radii (S,). A sequence
-    of SphericalCap; a cap is built, with its row's bits, only when the row
-    is indexed."""
+    of SphericalCap; a cap is built only when its row is indexed."""
 
     centers: np.ndarray
     thetas: np.ndarray
@@ -92,7 +89,7 @@ class CapStack:
         return self.thetas.size
 
     def __getitem__(self, i: int) -> SphericalCap:
-        return SphericalCap(self.centers[i], self.thetas[i], normalize=False)
+        return SphericalCap(self.centers[i], self.thetas[i])
 
 
 def boundary_frames(centers: np.ndarray) -> np.ndarray:

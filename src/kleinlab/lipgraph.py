@@ -345,13 +345,11 @@ class DomeFamily:
                     f"family of ~{count} caps exceeds the materialization "
                     "budget and the group is not schottky-factorable"
                 )
-        self._seed_centers = self.seed_caps.centers
-        self._seed_thetas = self.seed_caps.thetas
-        self._seed_probes = boundary_probes(self._seed_centers, self._seed_thetas,
-                                            count=8)
+        self._seed_probes = boundary_probes(self.seed_caps.centers,
+                                            self.seed_caps.thetas, count=8)
         self._verify_seed_shapes()
         self.words = enumerate_elements(G, max_len)
-        centers, thetas = [self._seed_centers], [self._seed_thetas]
+        centers, thetas = [self.seed_caps.centers], [self.seed_caps.thetas]
         if not nested:  # every key past the seeds' in one fit
             S = len(self.seed_caps)
             w, s = np.divmod(np.arange(S, len(self.words) * S), S)
@@ -376,8 +374,8 @@ class DomeFamily:
         """(centers, thetas, mapped probe stacks) of seed caps seeds[i] under
         maps i of the stacked fields, from their 8-point probe stacks."""
         nu, th, valid, probes = cap_images(
-            fields, self._seed_probes[seeds], self._seed_centers[seeds],
-            self._seed_thetas[seeds]
+            fields, self._seed_probes[seeds], self.seed_caps.centers[seeds],
+            self.seed_caps.thetas[seeds]
         )
         if not valid.all():
             raise ShrinkEpsilon(
@@ -452,17 +450,17 @@ class DomeFamily:
 
     def _verify_seed_shapes(self):
         """Shape bound on every seed cap, from one nearest-sample query."""
-        _, j = self.cloud.index.nearest(self._seed_centers)
-        d = self._seed_centers - self.cloud.points[j]
+        _, j = self.cloud.index.nearest(self.seed_caps.centers)
+        d = self.seed_caps.centers - self.cloud.points[j]
         # the chord to the nearest sample, with the bits of np.linalg.norm
         # of each row; the angle goes through it, stable at small gaps
         chord = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
-        gap = np.maximum(angle_from_chord(chord) - self._seed_thetas, 0.0)
+        gap = np.maximum(angle_from_chord(chord) - self.seed_caps.thetas, 0.0)
         dist_lo = np.maximum(
             chord_from_angle(gap) - (self.cloud.resolution or 0.0), 0.0)
         if np.any(dist_lo <= 0.0):
             raise ShrinkEpsilon("cap touches the limit-set resolution band")
-        ratio = chord_from_angle(2.0 * self._seed_thetas) / dist_lo
+        ratio = chord_from_angle(2.0 * self.seed_caps.thetas) / dist_lo
         self.shape_violations += int((ratio > SHAPE_RATIO_MAX).sum())
         self.shape_ratios.extend(ratio.tolist())
 
