@@ -128,10 +128,10 @@ def boundary_probes(centers: np.ndarray, thetas: np.ndarray,
     return pts / np.linalg.norm(pts, axis=2, keepdims=True)
 
 
-def caps_disjoint(c1: SphericalCap, c2: SphericalCap, margin: float = 0.0) -> bool:
-    """Whether the closed caps are disjoint (with optional extra angular margin)."""
+def caps_disjoint(c1: SphericalCap, c2: SphericalCap) -> bool:
+    """Whether the closed caps are disjoint."""
     gap = float(np.arccos(np.clip(c1.center @ c2.center, -1.0, 1.0)))
-    return gap > c1.theta + c2.theta + margin
+    return gap > c1.theta + c2.theta
 
 
 def cap_image(g: mobius.MobiusMap, cap: SphericalCap) -> SphericalCap:

@@ -7,11 +7,11 @@ kleinlab <validate|limitset|dimension|graph|harmonic|diagnose>
 Every command reads a strict group-definition JSON file, prints a summary (or
 the full JSON report with --json), writes CSV artifacts to --out where that
 applies, and exits 0 on success, 2 on validation failure (of the file or of
-a flag) or a bad configuration (a schottky word that duplicates another, a
-degenerate nested cap), 3 when the budget leaves the question inconclusive,
-the depth needs more words than group.MAX_WORDS, the cloud is too coarse
-to certify the region's distance to the limit set, or a generator's type
-cannot be decided numerically (mobius.AmbiguousClassification).
+a flag) or a bad configuration (a degenerate nested cap), 3 when the budget
+leaves the question inconclusive, the depth needs more words than
+group.MAX_WORDS, the cloud is too coarse to certify the region's distance
+to the limit set, or a generator's type cannot be decided numerically
+(mobius.AmbiguousClassification).
 """
 
 from __future__ import annotations
@@ -383,7 +383,7 @@ def main(argv=None) -> int:
         body, code = handler(args, defn)
     except ValidationError as exc:
         body, code = {"valid": False, "error": str(exc)}, EXIT_INVALID
-    except (group_mod.SchottkyCollision, CapDegenerate) as exc:
+    except CapDegenerate as exc:
         body, code = {"error": f"bad configuration: {exc}"}, EXIT_INVALID
     except mobius.AmbiguousClassification as exc:
         body = {"error": f"ambiguous classification: {exc}"}

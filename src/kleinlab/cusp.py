@@ -129,8 +129,7 @@ def cusp_volume_mc(end: CuspEnd, samples: int, seed: int = 0
 # scalar curvature
 # ---------------------------------------------------------------------------
 
-def horn_scalar_curvature(p: np.ndarray, m: int, step_scale: float = 1e-4
-                          ) -> float:
+def horn_scalar_curvature(p: np.ndarray, m: int) -> float:
     """Scalar curvature of |x|^{-2} (flat) at p, by finite differences.
 
     Uses the conformal formula R = e^{-2w} (-2(n-1) lap w - (n-1)(n-2)
@@ -142,7 +141,7 @@ def horn_scalar_curvature(p: np.ndarray, m: int, step_scale: float = 1e-4
     n = p.size
     x = p[:m]
     r = float(np.linalg.norm(x))
-    h = step_scale * r
+    h = 1e-4 * r
     if r <= np.sqrt(m) * 2 * h or r == 0.0:
         raise SingularStencil("stencil would cross x = 0")
 

@@ -27,10 +27,6 @@ TAG_CYCLIC = "elementary-cyclic"
 TAG_CUSTOM = "custom"
 
 
-class SchottkyCollision(RuntimeError):
-    """Two distinct reduced words evaluated to the same map in a schottky group."""
-
-
 class BadSchottkyConfiguration(ValueError):
     """Defining balls overlap, touch, or reach the north pole."""
 
@@ -49,7 +45,10 @@ class GroupPresentation:
 
     ball_caps holds the 2k defining caps of a schottky presentation in source,
     target order per generator: generator i maps the exterior of cap 2i onto
-    the interior of cap 2i+1 (0-based pair layout).
+    the interior of cap 2i+1 (0-based pair layout). A schottky presentation
+    is checked here: its caps are pairwise disjoint and pass the sampled
+    ping-pong test, so it presents a free group and its reduced words are
+    distinct elements.
     """
 
     n: int
@@ -79,6 +78,7 @@ class GroupPresentation:
                         raise BadSchottkyConfiguration(
                             f"defining caps {i} and {j} have intersecting closures"
                         )
+            _check_ping_pong(self)
         object.__setattr__(self, "word_tree", WordTree(self))
 
     @property
@@ -101,11 +101,13 @@ class GroupPresentation:
         return self.ball_caps[2 * i + (0 if s > 0 else 1)]
 
 
-# A word holds 8 (n^2 + 2n + 6) bytes of level arrays (112 for n = 2), but
-# deduplication costs far more on strongly contracting groups, whose
-# candidate pairs grow faster than the words: dimension --depth 9 on the
-# reference file (39,365 words) peaks at 236 MB of RSS against 92 MB at
-# depth 7, about 3.7 kB a word. 2^16 words keep a run below ~0.5 GB.
+# A word holds 8 (n^2 + 2n + 6) bytes of level arrays (112 for n = 2), and
+# dimension --depth 9 on the reference file (39,365 words) peaks at 50 MB
+# of RSS. Deduplication, which every presentation but a schottky one runs,
+# costs far more on strongly contracting groups, whose candidate pairs grow
+# faster than the words: the reference generators as a custom presentation
+# peak at 200 MB for the exponent at depth 9 against 44 MB at depth 7,
+# about 4.5 kB a word. 2^16 words keep a run below ~0.5 GB.
 MAX_WORDS = 2**16
 
 
@@ -206,10 +208,11 @@ class _MapDeduper:
     compositions of up to 2^16 pairs; confirmed counts them.
     """
 
-    def __init__(self, n: int, tol: float = 1e-8):
+    tol = 1e-8
+
+    def __init__(self, n: int):
         rng = np.random.default_rng(2718281828)
         self._probes = rng.normal(0.0, 1.0, (3, n))
-        self.tol = tol
         self.confirmed = 0
         self._buckets: dict[int, list[int]] = {}
         # every map recorded, kept or not: fields, inverse fingerprints and
@@ -283,11 +286,14 @@ class WordTree:
     is composed.
 
     elements() is the deduplicated enumeration behind enumerate_elements.
-    While the deduper has dropped no word, which holds for every schottky
-    and free presentation, its levels are the level() arrays themselves.
-    After the first dropped word, each later length is composed from the
-    kept rows of the one before; these pruned levels stay out of level().
-    Its elements up to length d are the enumeration at depth d.
+    A schottky presentation is free (GroupPresentation checks its ping-pong),
+    so its elements are the level() words themselves and no deduper runs.
+    Other presentations pass each level through a _MapDeduper. While it has
+    dropped no word, which holds for every free presentation, the levels
+    are the level() arrays themselves; after the first dropped word, each
+    later length is composed from the kept rows of the one before, and
+    these pruned levels stay out of level(). The elements up to length d
+    are the enumeration at depth d.
     """
 
     def __init__(self, G: GroupPresentation):
@@ -301,6 +307,9 @@ class WordTree:
                                   mobius.stack_fields([mobius.identity(G.n)]))]
         self._caps: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._targets: tuple | None = None  # per letter: probes, center, theta
+        # _kept[d] holds the kept words of length d
+        self._kept, self._pruned = [self._levels[0]], False
+        self._elements = list(self._levels[0])
         self._dedup: _MapDeduper | None = None
 
     def _check_budget(self, d: int):
@@ -363,18 +372,8 @@ class WordTree:
         if max_len < 0:
             raise ValueError("max_len must be >= 0")
         self._check_budget(max_len)
-        if self._dedup is None:
-            self._dedup = _MapDeduper(self.G.n)
-            self._dedup.add(self._levels[0].fields)
-            # _kept[d] holds the kept words of length d
-            self._kept, self._pruned = [self._levels[0]], False
-            self._elements = list(self._levels[0])
-        try:
-            while len(self._kept) <= max_len:
-                self._extend()
-        except SchottkyCollision:
-            self._dedup = None  # the next call starts over and raises again
-            raise
+        while len(self._kept) <= max_len:
+            self._extend()
         return self._elements[:sum(map(len, self._kept[:max_len + 1]))]
 
     def element_fields(self, max_len: int) -> tuple[np.ndarray, ...]:
@@ -388,15 +387,15 @@ class WordTree:
             level = self._grow(self._kept[-1])
         else:
             level = self.level(len(self._kept))
-        keep = self._dedup.add(level.fields)
-        if not keep.all():
-            if self.G.tag == TAG_SCHOTTKY:
-                raise SchottkyCollision(
-                    f"word {level[int(np.argmin(keep))].letters} duplicates "
-                    "an earlier element")
-            level = WordLevel(level.up, level.parent[keep], level.letter[keep],
-                              _take(level.fields, keep))
-            self._pruned = True
+        if self.G.tag != TAG_SCHOTTKY:
+            if self._dedup is None:
+                self._dedup = _MapDeduper(self.G.n)
+                self._dedup.add(self._levels[0].fields)
+            keep = self._dedup.add(level.fields)
+            if not keep.all():
+                level = WordLevel(level.up, level.parent[keep],
+                                  level.letter[keep], _take(level.fields, keep))
+                self._pruned = True
         self._kept.append(level)
         self._elements.extend(level)
 
@@ -406,11 +405,10 @@ def enumerate_elements(G: GroupPresentation, max_len: int) -> list[Word]:
 
     Deterministic order: by length, then in the order of WordTree levels
     (lexicographic in the alphabet g1, g1^-1, g2, g2^-1, ... over the kept
-    words). Duplicate evaluations are dropped, except for schottky
-    presentations where they indicate a broken configuration and raise
-    SchottkyCollision, on this call and on every later one. The list is
-    fresh; the words in it are shared with the tree. The enumeration at
-    depth d is the first part of any deeper one.
+    words). Duplicate evaluations are dropped; a schottky presentation is
+    free, so its enumeration is every reduced word, with no deduplication.
+    The list is fresh; the words in it are shared with the tree. The
+    enumeration at depth d is the first part of any deeper one.
     """
     return G.word_tree.elements(max_len)
 
@@ -534,16 +532,9 @@ def make_schottky(ball_pairs: list[tuple[SphericalCap, SphericalCap]]
     Generator i is inversion in the stereographic image of the source cap
     followed by the similarity taking that ball onto the target ball, so it
     maps the exterior of the source cap onto the interior of the target cap.
+    GroupPresentation checks that the caps are disjoint and play ping-pong.
     """
-    caps_flat: list[SphericalCap] = []
-    for pair in ball_pairs:
-        caps_flat.extend(pair)
-    for i in range(len(caps_flat)):
-        for j in range(i + 1, len(caps_flat)):
-            if not caps_disjoint(caps_flat[i], caps_flat[j]):
-                raise BadSchottkyConfiguration(
-                    f"caps {i} and {j} have intersecting closures"
-                )
+    caps_flat = [cap for pair in ball_pairs for cap in pair]
     m = caps_flat[0].ambient_dim
     n = m - 1
     gens = []
@@ -558,17 +549,15 @@ def make_schottky(ball_pairs: list[tuple[SphericalCap, SphericalCap]]
         # b + r A iota(x - a) with a = b-field = source/target centers
         g = MobiusMap(n, 1, p1, r1 * r2, np.eye(n), p2)
         gens.append(g)
-    G = GroupPresentation(
+    return GroupPresentation(
         n=n, generators=tuple(gens), tag=TAG_SCHOTTKY, ball_caps=tuple(caps_flat)
     )
-    _check_ping_pong(G)
-    return G
 
 
 def _check_ping_pong(G: GroupPresentation):
     """Sampled ping-pong: images of every other cap boundary land in the target."""
-    for w in G.word_tree.level(1):
-        s, g = w.letters[0], w.map
+    for s in (t for i in range(1, G.rank + 1) for t in (i, -i)):
+        g = G.letter(s)
         target = G.letter_target_cap(s)
         source = G.letter_source_cap(s)
         for cap in G.ball_caps:

@@ -62,9 +62,9 @@ def cloud_complement(L: LimitSetCloud) -> BoundaryIndicator:
 
     A row is indeterminate when its chordal distance to the nearest sample
     is at most the band (the certified resolution, 0 without one) and a
-    member otherwise, as L.nearest(U) > band would decide: a row is
-    indeterminate exactly when some sample p in its sweep window has
-    sqrt(sum((u - p)^2)) <= band.
+    member otherwise, as the upper distance of limitset.dist_rows(U, L)
+    would decide: a row is indeterminate exactly when some sample p in its
+    sweep window has sqrt(sum((u - p)^2)) <= band.
     """
     band = L.resolution or 0.0
 
@@ -180,8 +180,7 @@ def green_ball(x: BallPoint, y: BallPoint) -> float:
 # flux density and the measure identity
 # ---------------------------------------------------------------------------
 
-def flux_density_check(n: int, radii=(0.3, 0.5, 0.7),
-                       fd_step: float = 1e-6) -> dict:
+def flux_density_check(n: int, radii=(0.3, 0.5, 0.7)) -> dict:
     """Radial flux density of g(0, .) against the two readings of the measure.
 
     The hyperbolic normal derivative of g at |y| = r is (1-r^2)^n / (2 r^n)
@@ -189,8 +188,9 @@ def flux_density_check(n: int, radii=(0.3, 0.5, 0.7),
     density 2^{n-1} per unit of Euclidean boundary-sphere measure, while the
     unit-sphere reading leaves a residual r^n. The constant-in-r reading is
     reported as selected. g(0, .) is radial, so one central difference per
-    radius cross-checks the closed-form derivative.
+    radius, of step 1e-6, cross-checks the closed-form derivative.
     """
+    step = 1e-6
     report: dict = {"n": n, "radii": list(radii)}
     ratios_unit = []
     ratios_bdry = []
@@ -201,8 +201,8 @@ def flux_density_check(n: int, radii=(0.3, 0.5, 0.7),
         measured = minus_dgdn * hyp_area_scale  # = 2^{n-1}, per unit sphere
         ratios_unit.append(measured / (2.0 ** (n - 1) / r**n))
         ratios_bdry.append(measured / (2.0 ** (n - 1) / r**n * r**n))
-        radial = (green_gauge(n, r + fd_step) - green_gauge(n, r - fd_step)
-                  ) / (2 * fd_step)
+        radial = (green_gauge(n, r + step) - green_gauge(n, r - step)
+                  ) / (2 * step)
         fd = -(1.0 - r * r) / 2.0 * radial
         fd_errs.append(float(abs(fd - minus_dgdn) / minus_dgdn))
     report["ratio_unit_sphere_measure"] = ratios_unit

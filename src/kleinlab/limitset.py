@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import geom, mobius
-from .geom import ExtPoint, SpherePoint, chord_from_angle, embed_ext
+from .geom import ExtPoint, chord_from_angle, embed_ext, embed_rows
 from .group import FitResult, GroupPresentation, TAG_CYCLIC, TAG_SCHOTTKY, _slope_fit
 from .mobius import sphere_action_rows
 
@@ -394,43 +394,16 @@ class LimitSetCloud:
             best = max(best, np.sum((sub[rows + i] - sub[cols]) ** 2, axis=-1).max())
         return float(np.sqrt(best))
 
-    def nearest(self, U: np.ndarray) -> np.ndarray:
-        """Chordal distance from unit rows to the nearest sample."""
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        d, _ = self.index.nearest(U)
-        return d
-
-
-@dataclass(frozen=True)
-class DistInterval:
-    lower: float
-    upper: float
-    certified: bool
-
-
-def dist_to_limit_set(x, L: LimitSetCloud) -> DistInterval:
-    """Chordal distance interval from x to the true limit set.
-
-    upper is the distance to the nearest sample; lower subtracts the
-    certified resolution (0 with an uncertified flag otherwise).
-    """
-    if L.size == 0:
-        raise ValueError("empty cloud")
-    if isinstance(x, ExtPoint):
-        v = embed_ext(x)
-    elif isinstance(x, SpherePoint):
-        v = x.vec
-    else:
-        v = np.asarray(x, dtype=float)
-    upper = float(L.nearest(v[None, :])[0])
-    if L.certified:
-        return DistInterval(max(0.0, upper - L.resolution), upper, True)
-    return DistInterval(0.0, upper, False)
-
 
 def dist_rows(U: np.ndarray, L: LimitSetCloud) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) distance arrays for unit rows."""
-    upper = L.nearest(U)
+    """(lower, upper) chordal distance arrays from unit rows to the true
+    limit set.
+
+    upper is the distance to the nearest sample, from one query of the
+    cloud's PointIndex, so a row gets the same bits in any split of the
+    rows; lower subtracts the certified resolution (0 without one).
+    """
+    upper, _ = L.index.nearest(U)
     if L.certified:
         return np.maximum(0.0, upper - L.resolution), upper
     return np.zeros_like(upper), upper
@@ -579,7 +552,9 @@ def greedy_net_count(L: LimitSetCloud, scale: float) -> int:
     return count
 
 
-def default_scale_grid(L: LimitSetCloud, levels: int = 24) -> np.ndarray:
+def default_scale_grid(L: LimitSetCloud) -> np.ndarray:
+    """24 scales, geometric from a quarter of the cloud's diameter down to
+    the smallest scale the cloud resolves."""
     hi = L.diameter() / 4.0
     if hi <= 0:
         raise EmptyScaleWindow("cloud has no extent")
@@ -592,20 +567,15 @@ def default_scale_grid(L: LimitSetCloud, levels: int = 24) -> np.ndarray:
         lo = 4.0 * float(np.quantile(gaps[:, 1], 0.95))
     if lo >= hi:
         raise EmptyScaleWindow(f"no scales between {lo} and {hi}")
-    return np.geomspace(hi, lo, levels)
+    return np.geomspace(hi, lo, 24)
 
 
-def box_dimension(L: LimitSetCloud, scale_grid: np.ndarray | None = None
-                  ) -> FitResult:
-    """Box-counting estimate: slope of log(net count) against log(1/scale)."""
+def box_dimension(L: LimitSetCloud) -> FitResult:
+    """Box-counting estimate: slope of log(net count) against log(1/scale)
+    over default_scale_grid(L)."""
     if L.size < 2:
         raise ValueError("need at least two distinct points")
-    if scale_grid is None:
-        scales = default_scale_grid(L)
-    else:
-        scales = np.asarray(scale_grid, dtype=float)
-        if scales.size == 0:
-            raise EmptyScaleWindow("empty scale grid")
+    scales = default_scale_grid(L)
     counts = np.array([greedy_net_count(L, s) for s in scales], dtype=float)
     slope, se = _slope_fit(np.log(1.0 / scales), np.log(counts))
     return FitResult(
@@ -633,18 +603,30 @@ def sullivan_lambda0(delta: float, n: int) -> float:
     return delta * (n - delta)
 
 
-def distortion_ratio(G: GroupPresentation, x: ExtPoint, g: mobius.MobiusMap,
-                     L: LimitSetCloud) -> float:
-    """|g'(x)|_s dist(x, L) / dist(g x, L), with sample-cloud distances."""
+def distortion_rows(fields, X: np.ndarray, L: LimitSetCloud) -> np.ndarray:
+    """|g_i'(x_i)|_s dist(x_i, L) / dist(g_i x_i, L) for finite rows X of R^n
+    and the rows of stacked fields, with upper sample-cloud distances.
+
+    The images come from the lift that mobius.deriv_sphere_rows evaluates
+    (a row at the pole of its map goes to the north pole), and X and its
+    images are embedded by embed_rows; every step works row by row, so a
+    row gets the same bits in any split of the rows. Raises
+    UncertifiedDistance when a row lies within the resolution band of the
+    cloud or an image on a sample.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
     band = L.resolution if L.certified else 0.0
-    d_x = dist_to_limit_set(x, L)
-    if d_x.upper <= band:
-        raise UncertifiedDistance("x sits inside the cloud resolution band")
-    gx = mobius.apply(g, x)
-    d_gx = dist_to_limit_set(gx, L)
-    if d_gx.upper <= 0.0:
-        raise UncertifiedDistance("g x collides with the cloud")
-    return float(mobius.deriv_sphere(g, x) * d_x.upper / d_gx.upper)
+    _, d_x = dist_rows(embed_rows(X), L)
+    if np.any(d_x <= band):
+        raise UncertifiedDistance("a row sits inside the cloud resolution band")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        U = embed_rows(mobius._lift(fields, X, 0.0)[0])
+    U[~np.isfinite(U).all(axis=1)] = np.eye(X.shape[1] + 1)[-1]
+    _, d_gx = dist_rows(U, L)
+    if np.any(d_gx <= 0.0):
+        raise UncertifiedDistance("an image row collides with the cloud")
+    at_inf = np.zeros(len(X), dtype=bool)
+    return mobius.deriv_sphere_rows(fields, X, at_inf) * d_x / d_gx
 
 
 def export_csv(L: LimitSetCloud, path) -> None:

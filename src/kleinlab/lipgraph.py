@@ -30,13 +30,7 @@ import numpy as np
 
 from . import geom
 from .caps import CapStack, boundary_probes, cap_images
-from .geom import (
-    SpherePoint,
-    angle_from_chord,
-    chord_from_angle,
-    sphere_area,
-    uniform_sphere_blocks,
-)
+from .geom import angle_from_chord, chord_from_angle, sphere_area, uniform_sphere_blocks
 from .group import (GroupPresentation, TAG_SCHOTTKY, WordLevel, enumerate_elements,
                     word_count)
 from .limitset import LimitSetCloud, PointIndex, Sweep, dist_rows, write_csv
@@ -122,7 +116,7 @@ def strip_region(shift: np.ndarray, q_floor: float = 0.25) -> FundamentalRegion:
 # base caps and region meshes
 # ---------------------------------------------------------------------------
 
-def base_caps(sample_points, eps0: float, L: LimitSetCloud) -> CapStack:
+def base_caps(sample_points: np.ndarray, eps0: float, L: LimitSetCloud) -> CapStack:
     """Caps B(x, eps0 * dist(x, L)) with the certified lower distance.
 
     The chordal radius converts to the angular radius 2 asin(r/2). Each
@@ -131,7 +125,7 @@ def base_caps(sample_points, eps0: float, L: LimitSetCloud) -> CapStack:
     builds from the rows.
     """
     _check_scale(eps0, L)
-    rows = _as_unit_rows(sample_points)
+    rows = np.atleast_2d(sample_points)
     lower, upper = dist_rows(rows, L)
     if np.any((lower <= 0.0) | (upper <= L.resolution)):
         raise UncertifiedSample("sample sits inside the resolution band of the cloud")
@@ -146,15 +140,6 @@ def _check_scale(eps0: float, L: LimitSetCloud):
         raise ValueError("eps0 must lie in (0, 1/2]")
     if not L.certified:
         raise UncertifiedSample("cloud carries no resolution certificate")
-
-
-def _as_unit_rows(points) -> np.ndarray:
-    if isinstance(points, np.ndarray):
-        return np.atleast_2d(points)
-    rows = []
-    for p in points:
-        rows.append(p.vec if isinstance(p, SpherePoint) else np.asarray(p, float))
-    return np.array(rows)
 
 
 def region_mesh(region: FundamentalRegion, L: LimitSetCloud, eps0: float
@@ -637,19 +622,17 @@ def check_invariance(F: DomeFamily, gamma: MobiusMap, samples: np.ndarray,
     return (float(dev.max()) if dev.size else 0.0), int(ok.sum())
 
 
-def lipschitz_estimate(samples: np.ndarray, res: HeightResult,
-                       max_pairs: int = 200_000) -> float:
-    """Empirical Lipschitz constant sup |f(x)-f(y)| / q(x, y) over pairs of
-    the first covered samples; res holds the heights of the samples. Pairs
-    are taken one row at a time against the later rows, so no m x m array
-    is held."""
+def lipschitz_estimate(samples: np.ndarray, res: HeightResult) -> float:
+    """Empirical Lipschitz constant sup |f(x)-f(y)| / q(x, y) over the pairs
+    of the first 633 covered samples (about 200,000 pairs); res holds the
+    heights of the samples. Pairs are taken one row at a time against the
+    later rows, so no m x m array is held."""
     U = np.atleast_2d(samples)
     U = U[res.covered]
     fv = res.f[res.covered]
     if U.shape[0] < 2:
         raise ValueError("need at least two covered samples")
-    cap = int(np.sqrt(2 * max_pairs)) + 1
-    U, fv = U[:cap], fv[:cap]
+    U, fv = U[:633], fv[:633]
     ratios = []
     for i in range(U.shape[0] - 1):
         q = np.linalg.norm(U[i + 1:] - U[i], axis=1)
@@ -666,14 +649,14 @@ class SeparationReport:
 
 
 def separation_check(F: DomeFamily, L: LimitSetCloud, trials: int,
-                     rng: np.random.Generator, tol: float | None = None,
-                     points_per_geodesic: int = 12) -> SeparationReport:
+                     rng: np.random.Generator, tol: float | None = None
+                     ) -> SeparationReport:
     """Sampled hull-side check: geodesics between limit points stay under the graph.
 
-    Every sampled point p on a geodesic joining two cloud points must satisfy
-    |p| <= f(p/|p|) + tol wherever the direction is covered. The points of
-    all trials are evaluated in one heights call; witnesses come in trial
-    order.
+    Each of 12 points sampled on a geodesic joining two cloud points must
+    satisfy |p| <= f(p/|p|) + tol wherever the direction is covered. The
+    points of all trials are evaluated in one heights call; witnesses come
+    in trial order.
     """
     if L.size < 2:
         return SeparationReport(passed=True, checked=0, witnesses=[])
@@ -683,8 +666,7 @@ def separation_check(F: DomeFamily, L: LimitSetCloud, trials: int,
     for _ in range(trials):
         i, j = rng.integers(0, L.size, 2)
         if i != j:
-            chunks.append(_geodesic_points(L.points[i], L.points[j],
-                                           points_per_geodesic))
+            chunks.append(_geodesic_points(L.points[i], L.points[j], 12))
     pts = np.concatenate(chunks)
     norms = np.linalg.norm(pts, axis=1)
     keep = norms > 1e-9
@@ -757,11 +739,11 @@ def graph_volume(F: DomeFamily, region: FundamentalRegion, n_samples: int,
 
 
 def bilipschitz_ratios(F: DomeFamily, samples: np.ndarray, res: HeightResult,
-                       factor=None, max_pairs: int = 800) -> np.ndarray:
+                       factor=None) -> np.ndarray:
     """Two-sided distortion of u -> f(u) u against a conformal metric, sampled.
 
-    res is F.heights(samples). Pairs each covered sample with its nearest
-    covered neighbour and compares
+    res is F.heights(samples). Pairs each of the first 1600 covered samples
+    with its nearest covered neighbour among them and compares
     the hyperbolic distance of the two graph points with the conformal length
     e^u q(x, y). factor maps sample rows to e^u; by default the band
     surrogate 1/dist(x, cloud) stands in for the invariant factor (the two
@@ -774,8 +756,7 @@ def bilipschitz_ratios(F: DomeFamily, samples: np.ndarray, res: HeightResult,
     fv = res.f[res.covered]
     if U.shape[0] < 2:
         raise ValueError("need at least two covered samples")
-    if U.shape[0] > 2 * max_pairs:
-        U, fv = U[: 2 * max_pairs], fv[: 2 * max_pairs]
+    U, fv = U[:1600], fv[:1600]
     d, j = PointIndex(U).nearest(U, k=2)
     q = d[:, 1]
     j = j[:, 1]

@@ -133,44 +133,42 @@ def test_criterion_03_distortion_band_stability():
     G = _Shared.group()
     rng = np.random.default_rng(33)
     words = [w for w in group.enumerate_elements(G, 4) if len(w) > 0]
-    pairs = []
-    for _ in range(4000):
-        w = words[rng.integers(0, len(words))]
-        x = ExtPoint.finite(rng.normal(0, 0.35, 2))
-        pairs.append((w, x))
+    maps, X = [], np.empty((4000, 2))
+    for k in range(4000):
+        maps.append(words[rng.integers(0, len(words))].map)
+        X[k] = rng.normal(0, 0.35, 2)
+    fields = mobius.stack_fields(maps)
     C_by_depth = {}
     for depth in (4, 5, 6):
         cloud = _Shared.cloud(depth)
         band = 4.0 * (cloud.resolution or 0.0)
-        ratios = []
-        for w, x in pairs:
-            d_x = limitset.dist_to_limit_set(x, cloud)
-            gx = mobius.apply(w.map, x)
-            d_gx = limitset.dist_to_limit_set(gx, cloud)
-            if d_x.upper <= band or d_gx.upper <= band:
-                continue  # distance not certified at this depth
-            r = limitset.distortion_ratio(G, x, w.map, cloud)
-            ratios.append(max(r, 1.0 / r))
-        C_by_depth[depth] = max(ratios)
+        _, d_x = limitset.dist_rows(geom.embed_rows(X), cloud)
+        _, d_gx = limitset.dist_rows(
+            mobius.sphere_action_stack(fields, geom.embed_rows(X)), cloud)
+        ok = (d_x > band) & (d_gx > band)  # distances certified at this depth
+        r = limitset.distortion_rows(tuple(f[ok] for f in fields), X[ok], cloud)
+        C_by_depth[depth] = float(np.max(np.maximum(r, 1.0 / r)))
     C6 = C_by_depth[6]
     drift = max(abs(C_by_depth[d] - C6) / C6 for d in (4, 5))
     # multiplicativity with length-1 factors at reduced junctions
     cloud = _Shared.cloud(5)
     letters = [w for w in group.enumerate_elements(G, 1) if len(w) == 1]
-    worst_mult = 0.0
-    checked = 0
+    first, second, X, g2X = [], [], [], []
     for _ in range(300):
         w1, w2 = rng.choice(letters, 2)
         if w1.letters[-1] == -w2.letters[0]:
             continue
         x = ExtPoint.finite(rng.normal(0, 0.2, 2))
-        g2x = mobius.apply(w2.map, x)
-        lhs = limitset.distortion_ratio(G, x, mobius.compose(w1.map, w2.map), cloud)
-        rhs = limitset.distortion_ratio(G, g2x, w1.map, cloud) * (
-            limitset.distortion_ratio(G, x, w2.map, cloud)
-        )
-        worst_mult = max(worst_mult, abs(lhs - rhs) / rhs)
-        checked += 1
+        first.append(w1.map)
+        second.append(w2.map)
+        X.append(x.coords)
+        g2X.append(mobius.apply(w2.map, x).coords)
+    f1, f2 = mobius.stack_fields(first), mobius.stack_fields(second)
+    lhs = limitset.distortion_rows(mobius.compose_rows(f1, f2), X, cloud)
+    rhs = (limitset.distortion_rows(f1, g2X, cloud)
+           * limitset.distortion_rows(f2, X, cloud))
+    worst_mult = float(np.max(np.abs(lhs - rhs) / rhs))
+    checked = len(X)
     elapsed = time.time() - t0
     assert drift <= 0.20
     assert worst_mult < 1e-8 and checked > 150

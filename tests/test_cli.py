@@ -1,6 +1,7 @@
 """Group-definition schema, report rendering, and the command-line surface."""
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -11,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kleinlab import cli, files, geom, group, limitset, lipgraph, mobius
+from kleinlab import cli, files, geom, limitset, lipgraph, mobius
 from kleinlab.caps import CapDegenerate
 from kleinlab.files import (
     ValidationError,
@@ -368,6 +369,20 @@ class TestCommands:
         error = json.loads(capsys.readouterr().out)["results"]["error"]
         assert "depth 30" in error and "budget" in error
 
+    def test_small_schottky_caps_run_at_the_default_depth(self, tmp_path,
+                                                         capsys):
+        # caps of chordal radius 0.01: distinct depth-6 words compose to
+        # maps within 1e-8 of each other, which a deduper would confuse
+        doc = schottky_doc()
+        for pair in doc["ball_pairs"]:
+            for cap in pair:
+                cap["theta"] = 2.0 * math.asin(0.005)
+        path = tmp_path / "small_caps.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["dimension", "--file", str(path), "--json"]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["depth"] == 6 and res["agreement"] < 0.01
+
     def test_long_cyclic_words_stay_within_the_budget(self, capsys):
         # 1 + 2 * 40 = 81 words
         code = cli.main(["dimension", "--file", LOXODROMIC, "--depth", "40",
@@ -377,7 +392,6 @@ class TestCommands:
             "estimate"] == 0.0
 
     @pytest.mark.parametrize("target,error", [
-        ("critical_exponent", group.SchottkyCollision("word (2,) duplicates")),
         ("sample_limit_set", CapDegenerate("a nested cap is degenerate")),
     ])
     def test_bad_configuration_exits_2_with_message(self, target, error,
@@ -385,8 +399,7 @@ class TestCommands:
         def broken(*args, **kwargs):
             raise error
 
-        module = group if target == "critical_exponent" else limitset
-        monkeypatch.setattr(module, target, broken)
+        monkeypatch.setattr(limitset, target, broken)
         code = cli.main(["dimension", "--file", SCHOTTKY, "--json"])
         assert code == 2
         results = json.loads(capsys.readouterr().out)["results"]

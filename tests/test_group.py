@@ -1,7 +1,6 @@
 """Word tree and enumeration, growth estimators, displacements, constructors."""
 
 import pathlib
-import re
 
 import numpy as np
 import pytest
@@ -68,11 +67,22 @@ class TestEnumeration:
 
     def test_deep_schottky_words_need_few_confirmations(self):
         # deep words share forward buckets: without the inverse-image
-        # prefilter, depth 7 confirms 81,174 bucket hits
-        G = reference_schottky()
+        # prefilter, depth 7 confirms 81,174 bucket hits. A schottky
+        # presentation skips the deduper, so the reference generators
+        # run through it as a custom one.
+        G = custom_copy(reference_schottky())
         words = enumerate_elements(G, 7)
         assert len(words) == 1 + 4 * (3**7 - 1) // 2
         assert 0 < G.word_tree._dedup.confirmed <= 2000
+
+    def test_small_caps_enumerate_every_reduced_word(self):
+        # caps of chordal radius 0.01: deep words come within the deduper's
+        # 1e-8 identity test of each other, so it would drop distinct words
+        G = reference_schottky(theta=float(2.0 * np.arcsin(0.005)))
+        words = enumerate_elements(G, 6)
+        assert len(words) == 1457 == group.word_count(2, 6)
+        assert len({w.letters for w in words}) == 1457
+        assert G.word_tree._dedup is None
 
     def test_free_group_counts_at_every_length(self):
         G = reference_schottky()
@@ -99,6 +109,11 @@ class TestEnumeration:
             for s in w.letters:
                 m = mobius.compose(m, G.letter(s))
             assert mobius.maps_close(m, w.map, tol=1e-9)
+
+
+def custom_copy(G):
+    """The generators of G as a custom presentation, which deduplicates."""
+    return GroupPresentation(n=G.n, generators=G.generators, tag=group.TAG_CUSTOM)
 
 
 def elliptic_order5():
@@ -239,31 +254,31 @@ class TestWordTree:
         for depth in (5, 6):
             fam = lipgraph.DomeFamily(G, cloud, caps, depth, audit=20)
             assert fam.cap_count_bound == len(caps) * (1 + 2 * (3**depth - 1))
-        # 4 + 12 + ... + 972 = 1456 words of length 1 to 6, besides the
-        # candidate pairs that the deduper confirms
-        assert 0 < sum(composed) - G.word_tree._dedup.confirmed <= 1456
+        # 4 + 12 + ... + 972 = 1456 words of length 1 to 6; a schottky
+        # presentation runs no deduper, so nothing else is composed
+        assert sum(composed) == 1456
         assert 0 < sum(fits) <= 1456
 
-    def test_schottky_collision_raises_on_every_call(self):
+    def test_repeated_generator_fails_ping_pong_at_construction(self):
         ref = reference_schottky()
         g = ref.generators[0]
-        G = GroupPresentation(n=2, generators=(g, g), tag=group.TAG_SCHOTTKY,
+        with pytest.raises(BadSchottkyConfiguration, match="ping-pong"):
+            GroupPresentation(n=2, generators=(g, g), tag=group.TAG_SCHOTTKY,
                               ball_caps=ref.ball_caps)
-        for _ in range(2):
-            with pytest.raises(group.SchottkyCollision, match=r"\(2,\)"):
-                enumerate_elements(G, 2)
 
     @pytest.mark.parametrize("source", ["same level", "earlier level"])
-    def test_forced_duplicate_in_a_level_raises(self, source):
-        G = reference_schottky()
+    def test_forced_duplicate_in_a_level_is_dropped(self, source):
+        G = custom_copy(reference_schottky())
         tree = G.word_tree
         lv = tree.level(3)
         copy = (lv, 7) if source == "same level" else (tree.level(1), 2)
         for f, g in zip(lv.fields, copy[0].fields):
             f[20] = g[copy[1]]  # row 20 now evaluates to the copied map
-        with pytest.raises(group.SchottkyCollision,
-                           match=re.escape(str(lv[20].letters))):
-            enumerate_elements(G, 3)
+        words = enumerate_elements(G, 4)
+        longest = [w.letters for w in words if len(w) == 3]
+        assert longest == [w.letters for i, w in enumerate(lv) if i != 20]
+        # the pruned level 4 grows from the 35 kept words of length 3
+        assert len(words) == 1 + 4 + 12 + 35 + 35 * 3
 
     def test_word_budget_refuses_before_composing(self):
         G = reference_schottky()

@@ -24,7 +24,7 @@ from kleinlab.harmonic import (
     harmonic_measure_identity,
     hemisphere,
 )
-from kleinlab.limitset import LimitSetCloud, sample_limit_set
+from kleinlab.limitset import LimitSetCloud, dist_rows, sample_limit_set
 
 from util import poisson_kernel, poisson_kernel_rows, random_mobius, reference_schottky
 
@@ -129,7 +129,7 @@ class TestHarmonicExtension:
         clouds.append(sample_limit_set(make_cyclic(mobius.affine(2, r=2.0)), 3))
         rows = uniform_sphere(np.random.default_rng(31), 2, 5000)
         # a band equal to the nearest distance of a few rows
-        d = clouds[0].nearest(rows)
+        _, d = dist_rows(rows, clouds[0])
         for k in (0, 1, 2):
             clouds.append(LimitSetCloud(n=2, points=clouds[0].points, depth=5,
                                         resolution=float(d[k])))
@@ -137,7 +137,7 @@ class TestHarmonicExtension:
             band = cloud.resolution or 0.0
             U = np.vstack([rows, cloud.points])
             member, indet = cloud_complement(cloud).classify(U)
-            expect = cloud.nearest(U) > band
+            expect = dist_rows(U, cloud)[1] > band
             assert np.array_equal(member, expect)
             assert np.array_equal(indet, ~expect)
             assert indet[len(rows):].all()

@@ -14,8 +14,8 @@ from kleinlab.limitset import (
     LimitSetCloud,
     box_dimension,
     default_scale_grid,
-    dist_to_limit_set,
-    distortion_ratio,
+    dist_rows,
+    distortion_rows,
     greedy_net_count,
     sample_limit_set,
     sullivan_lambda0,
@@ -105,7 +105,8 @@ class TestSampling:
         cloud = sample_limit_set(G, 5)
         for g in G.generators:
             # max distance from mapped samples back to the cloud
-            defect = np.max(cloud.nearest(mobius.sphere_action_rows(g, cloud.points)))
+            _, d = dist_rows(mobius.sphere_action_rows(g, cloud.points), cloud)
+            defect = np.max(d)
             assert defect <= coarse.resolution + cloud.resolution
 
 
@@ -409,23 +410,22 @@ class TestDistance:
     def test_point_on_cloud_gives_zero(self):
         G = make_cyclic(mobius.affine(2, r=2.0))
         cloud = sample_limit_set(G, 2)
-        d = dist_to_limit_set(ExtPoint.finite([0.0, 0.0]), cloud)
-        assert d.lower == 0.0 and d.upper == pytest.approx(0.0, abs=1e-15)
+        lower, upper = dist_rows(geom.embed_rows(np.zeros((1, 2))), cloud)
+        assert lower[0] == 0.0 and upper[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_equatorial_point_against_poles(self):
         G = make_cyclic(mobius.affine(2, r=2.0))
         cloud = sample_limit_set(G, 2)
-        d = dist_to_limit_set(ExtPoint.finite([1.0, 0.0]), cloud)
-        assert d.upper == pytest.approx(np.sqrt(2.0), abs=1e-12)
-        assert d.certified
+        _, upper = dist_rows(geom.embed_rows(np.array([[1.0, 0.0]])), cloud)
+        assert upper[0] == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        assert cloud.certified
 
     def test_interval_width_is_resolution(self):
         G = reference_schottky()
         cloud = sample_limit_set(G, 3)
-        for _ in range(50):
-            u = geom.uniform_sphere(RNG, 2, 1)
-            d = limitset.dist_rows(u, cloud)
-            assert d[1][0] - d[0][0] <= cloud.resolution + 1e-15
+        U = np.vstack([geom.uniform_sphere(RNG, 2, 1) for _ in range(50)])
+        lower, upper = dist_rows(U, cloud)
+        assert np.all(upper - lower <= cloud.resolution + 1e-15)
 
 
 class TestBoxDimension:
@@ -485,25 +485,30 @@ class TestSullivan:
             sullivan_lambda0(2.3, 2)
 
 
+def repeated(g, k):
+    """Stacked fields of g, once per row of a k-row block."""
+    return tuple(np.repeat(f, k, axis=0) for f in mobius.stack_fields([g]))
+
+
 class TestDistortion:
     def test_identity_ratio_is_one(self):
         G = reference_schottky()
         cloud = sample_limit_set(G, 4)
-        x = ExtPoint.finite([0.05, 0.07])
-        assert distortion_ratio(G, x, mobius.identity(2), cloud) == 1.0
+        X = np.array([[0.05, 0.07]])
+        assert distortion_rows(repeated(mobius.identity(2), 1), X, cloud)[0] == 1.0
 
     def test_translation_group_closed_form(self):
         # L = {infinity}: ratio = |g'(x)|_s q(x, inf)/q(gx, inf) = q(gx,inf)/q(x,inf)
         G = make_cyclic(mobius.translation([1.0, 0.0]))
         cloud = sample_limit_set(G, 2)
         g = G.generators[0]
-        for _ in range(30):
-            xv = RNG.normal(0, 2, 2)
-            x = ExtPoint.finite(xv)
-            gx = mobius.apply(g, x)
-            ratio = distortion_ratio(G, x, g, cloud)
-            inf2 = ExtPoint.infinity(2)
-            expected = geom.chordal_distance(gx, inf2) / geom.chordal_distance(x, inf2)
+        X = np.array([RNG.normal(0, 2, 2) for _ in range(30)])
+        ratios = distortion_rows(repeated(g, 30), X, cloud)
+        inf2 = ExtPoint.infinity(2)
+        for x, ratio in zip(X, ratios):
+            gx = mobius.apply(g, ExtPoint.finite(x))
+            expected = (geom.chordal_distance(gx, inf2)
+                        / geom.chordal_distance(ExtPoint.finite(x), inf2))
             assert ratio == pytest.approx(expected, rel=1e-12)
 
     def test_multiplicative_chain(self):
@@ -512,43 +517,66 @@ class TestDistortion:
         G = reference_schottky()
         cloud = sample_limit_set(G, 5)
         words = group.enumerate_elements(G, 1)
-        checked = 0
+        first, second, X, g2X = [], [], [], []
         for _ in range(80):
             w1, w2 = RNG.choice(words, 2)
             if w1.letters and w2.letters and w1.letters[-1] == -w2.letters[0]:
                 continue  # product reduces; that word comes from enumeration
             x = ExtPoint.finite(RNG.normal(0, 0.1, 2))  # near the south pole, off cloud
-            g2x = mobius.apply(w2.map, x)
-            lhs = distortion_ratio(G, x, mobius.compose(w1.map, w2.map), cloud)
-            rhs = distortion_ratio(G, g2x, w1.map, cloud) * distortion_ratio(
-                G, x, w2.map, cloud
-            )
-            assert lhs == pytest.approx(rhs, rel=1e-8)
-            checked += 1
-        assert checked > 40
+            first.append(w1.map)
+            second.append(w2.map)
+            X.append(x.coords)
+            g2X.append(mobius.apply(w2.map, x).coords)
+        f1, f2 = mobius.stack_fields(first), mobius.stack_fields(second)
+        lhs = distortion_rows(mobius.compose_rows(f1, f2), X, cloud)
+        rhs = distortion_rows(f1, g2X, cloud) * distortion_rows(f2, X, cloud)
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-8, atol=0.0)
+        assert len(X) > 40
 
     def test_two_sided_band_on_schottky(self):
         G = reference_schottky()
         cloud = sample_limit_set(G, 5)
         words = [w for w in group.enumerate_elements(G, 3) if len(w) > 0]
-        ratios = []
+        maps, X = [], []
         for _ in range(500):
-            w = RNG.choice(words)
-            x = ExtPoint.finite(RNG.normal(0, 0.25, 2))
-            d = dist_to_limit_set(x, cloud)
-            if d.upper <= 2 * (cloud.resolution or 0):
-                continue
-            r = distortion_ratio(G, x, w.map, cloud)
-            ratios.append(max(r, 1.0 / r))
-        C = max(ratios)
+            maps.append(RNG.choice(words).map)
+            X.append(RNG.normal(0, 0.25, 2))
+        X = np.array(X)
+        _, upper = dist_rows(geom.embed_rows(X), cloud)
+        ok = upper > 2 * (cloud.resolution or 0)
+        r = distortion_rows(mobius.stack_fields([m for m, k in zip(maps, ok) if k]),
+                            X[ok], cloud)
+        C = np.max(np.maximum(r, 1.0 / r))
         assert np.isfinite(C) and C > 1.0
+
+    def test_rows_keep_their_bits_alone_and_in_a_block(self):
+        G = reference_schottky()
+        cloud = sample_limit_set(G, 5)
+        words = [w for w in group.enumerate_elements(G, 4) if len(w) > 0]
+        rng = np.random.default_rng(71)
+        fields = mobius.stack_fields([words[i].map for i in
+                                      rng.integers(0, len(words), 300)])
+        X = rng.normal(0, 0.35, (300, 2))
+        _, d_x = dist_rows(geom.embed_rows(X), cloud)
+        ok = d_x > cloud.resolution
+        fields, X = tuple(f[ok] for f in fields), X[ok]
+        block = distortion_rows(fields, X, cloud)
+        assert len(block) > 100 and np.all(np.isfinite(block))
+        alone = np.concatenate([
+            distortion_rows(tuple(f[i:i + 1] for f in fields), X[i:i + 1], cloud)
+            for i in range(len(X))])
+        halves = np.concatenate([
+            distortion_rows(tuple(f[s] for f in fields), X[s], cloud)
+            for s in (slice(None, 77), slice(77, None))])
+        assert np.array_equal(alone, block) and np.array_equal(halves, block)
 
     def test_rejects_points_on_cloud(self):
         G = reference_schottky()
         cloud = sample_limit_set(G, 4)
         on_cloud = geom.stereo_project(geom.SpherePoint(cloud.points[0]))
         with pytest.raises(limitset.UncertifiedDistance):
-            distortion_ratio(G, on_cloud, G.generators[0], cloud)
+            distortion_rows(repeated(G.generators[0], 1), on_cloud.coords[None],
+                            cloud)
 
 
 def test_csv_export_deterministic(tmp_path):
