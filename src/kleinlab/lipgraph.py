@@ -743,8 +743,8 @@ def bilipschitz_ratios(F: DomeFamily, samples: np.ndarray, res: HeightResult,
     """Two-sided distortion of u -> f(u) u against a conformal metric, sampled.
 
     res is F.heights(samples). Pairs each of the first 1600 covered samples
-    with its nearest covered neighbour among them and compares
-    the hyperbolic distance of the two graph points with the conformal length
+    with its nearest covered neighbour among them and compares the
+    hyperbolic distance of the two graph points with the conformal length
     e^u q(x, y). factor maps sample rows to e^u; by default the band
     surrogate 1/dist(x, cloud) stands in for the invariant factor (the two
     agree up to the band constants). An empirical band, not a certificate.

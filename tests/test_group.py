@@ -263,8 +263,8 @@ class TestWordTree:
         ref = reference_schottky()
         g = ref.generators[0]
         with pytest.raises(BadSchottkyConfiguration, match="ping-pong"):
-            GroupPresentation(n=2, generators=(g, g), tag=group.TAG_SCHOTTKY,
-                              ball_caps=ref.ball_caps)
+            GroupPresentation(n=2, generators=(g, g),
+                              tag=group.TAG_SCHOTTKY, ball_caps=ref.ball_caps)
 
     @pytest.mark.parametrize("source", ["same level", "earlier level"])
     def test_forced_duplicate_in_a_level_is_dropped(self, source):
