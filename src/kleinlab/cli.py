@@ -34,12 +34,12 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_INCONCLUSIVE = 3
 
-# Peak RSS grows with --samples by about 15 bytes a sample for harmonic, 16
-# for diagnose and 39 for graph. Every Monte-Carlo draws and evaluates
+# Peak RSS grows with --samples by about 15 bytes a sample for harmonic, 14
+# for diagnose and 30 for graph. Every Monte-Carlo draws and evaluates
 # geom.SAMPLE_BLOCK samples at a time and heights takes geom.ROW_BLOCK rows
 # a pass; graph keeps its region rows, their heights and the per-sample
-# volume terms. From 42, 47 and 48 MB at 40k samples to 46, 52 and 59 MB at
-# 400k and 56, 62 and 85 MB at a million, on the reference file (diagnose
+# volume terms. From 41, 46 and 47 MB at 40k samples to 46, 52 and 55 MB at
+# 400k and 56, 60 and 76 MB at a million, on the reference file (diagnose
 # at --epsilon0 0.25 --depth 5; graph on the loxodromic file), with one
 # BLAS thread.
 MAX_SAMPLES = 1_000_000
@@ -98,6 +98,8 @@ def _check_flags(args):
 
 def _cloud_for(defn: GroupDefinition, depth: int):
     from . import limitset as limitset_mod
+    if defn.kind == "custom":  # the file format has no field for seed points
+        raise ValidationError("$.kind", "custom files have no limit-set seeds")
     return limitset_mod.sample_limit_set(defn.presentation, depth)
 
 

@@ -52,6 +52,22 @@ def _sq_dist(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return s
 
 
+def pair_blocks(P: np.ndarray):
+    """(a, s) blocks of about _CHUNK pairs, s[r, c] the squared distance of
+    rows a + r and a + c of P, every pair i < j in one block; columns are
+    summed left to right, as by _sq_dist and np.linalg.norm (<= 7 columns)."""
+    C = np.asarray(P, dtype=float).T.copy()  # contiguous columns
+    m = C.shape[1]
+    step = max(1, _CHUNK // max(m, 1))
+    for a in range(0, m - 1, step):
+        d = C[:, a:a + step, None] - C[:, None, a:]
+        d *= d
+        s = d[0]
+        for t in d[1:]:
+            s += t
+        yield a, s
+
+
 def _sq_dist_at(P: np.ndarray, p, Q: np.ndarray, q) -> np.ndarray:
     """_sq_dist(P[p], Q[q]) with the same bits, from one gather per column,
     several times faster than gathering rows."""
@@ -81,12 +97,6 @@ def _windows(lo: np.ndarray, hi: np.ndarray):
             lo[start:stop] - (ends[start:stop] - c - done), c)
         yield i, j
         start = stop
-
-
-def _run_starts(x: np.ndarray) -> np.ndarray:
-    """Positions where a sorted array of non-negative integers takes a new
-    value."""
-    return np.flatnonzero(np.diff(x, prepend=-1))
 
 
 class Sweep:
@@ -312,7 +322,7 @@ def _fold(d2: np.ndarray, idx: np.ndarray, r: np.ndarray, e: np.ndarray,
     if not r.size:
         return
     k = d2.shape[1]
-    starts = _run_starts(r)
+    starts = np.flatnonzero(np.diff(r, prepend=-1))  # where r takes a new value
     u = r[starts]
     counts = np.diff(np.append(starts, r.size))
     # the k smallest (e, j) of each row among the candidates, one pass each,
@@ -372,27 +382,12 @@ class LimitSetCloud:
         return self.resolution is not None
 
     def diameter(self) -> float:
-        if self.size < 2:
-            return 0.0
-        # exact for modest clouds; the hull extremes dominate anyway
+        """Largest chordal distance between two samples (0.0 below two), exact
+        over the pairs of every (size // 4000 + 1)-th sample past 4000."""
         sub = self.points
         if self.size > 4000:
             sub = self.points[:: self.size // 4000 + 1]
-        # The Gram form |u|^2 + |v|^2 - 2 u.v, in 64-row blocks, is off the
-        # squared distance by a few ulps of max |u|^2, far below tol, so the
-        # farthest pair screens within tol of its block's maximum. The
-        # difference formula's maximum over screened pairs is its maximum.
-        sq = np.einsum("ij,ij->i", sub, sub)
-        tol = 4e-12 * sq.max()
-        best = 0.0
-        for i in range(0, sub.shape[0], 64):
-            g = sub[i:i + 64] @ sub.T
-            g *= -2.0
-            g += sq[None, :]
-            g += sq[i:i + 64, None]
-            rows, cols = np.nonzero(g >= g.max() - tol)
-            best = max(best, np.sum((sub[rows + i] - sub[cols]) ** 2, axis=-1).max())
-        return float(np.sqrt(best))
+        return float(np.sqrt(max((s.max() for _, s in pair_blocks(sub)), default=0.0)))
 
 
 def dist_rows(U: np.ndarray, L: LimitSetCloud) -> tuple[np.ndarray, np.ndarray]:

@@ -236,6 +236,24 @@ class TestCommands:
         path.write_text(json.dumps(doc))
         assert cli.main(["graph", "--file", str(path)]) == 2
 
+    @pytest.mark.parametrize("command", ["validate", "limitset", "dimension",
+                                         "graph", "harmonic", "diagnose"])
+    def test_custom_file_is_refused_before_sampling(self, command, tmp_path,
+                                                    capsys):
+        # the file schema has no field for the seed points a custom cloud needs
+        G = files.load_group_file(SCHOTTKY).presentation
+        doc = {"format": 1, "dimension": 2, "kind": "custom",
+               "generators": [mobius_to_record(g) for g in G.generators]}
+        path = tmp_path / "custom.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main([command, "--file", str(path), "--json"])
+        rep = json.loads(capsys.readouterr().out)
+        if command == "validate":
+            assert code == 0 and rep["results"]["kind"] == "custom"
+        else:
+            assert code == 2 and rep["results"]["valid"] is False
+            assert rep["results"]["error"].startswith("$.kind: ")
+
     def test_harmonic_cyclic(self, capsys):
         code = cli.main(["harmonic", "--file", LOXODROMIC,
                          "--samples", "20000", "--json"])

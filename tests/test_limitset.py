@@ -21,7 +21,7 @@ from kleinlab.limitset import (
     sullivan_lambda0,
 )
 
-from util import brute_sq, level_children, reference_schottky
+from util import BLOCK_EDGES, brute_sq, level_children, reference_schottky
 
 RNG = np.random.default_rng(999)
 
@@ -142,6 +142,14 @@ class TestDiameter:
             tracemalloc.stop()
         assert peak < 6e6
 
+    @pytest.mark.parametrize("size", [2, 3, *BLOCK_EDGES])
+    def test_small_and_block_edge_clouds_match_brute_force_bitwise(self, size):
+        for seed in range(3):
+            pts = geom.uniform_sphere(np.random.default_rng([size, seed]), 2,
+                                      size)
+            cloud = LimitSetCloud(n=2, points=pts, depth=1, resolution=None)
+            assert cloud.diameter() == blocked_brute_diameter(pts)
+
     @pytest.mark.parametrize("size", [4, 130, 300, 2100])
     def test_tied_extreme_pairs_match_brute_force_bitwise(self, size):
         # antipodal pairs +-u tie at distance 2 up to the rounding of u, where
@@ -154,6 +162,21 @@ class TestDiameter:
             pts = pts[rng.permutation(len(pts))]
             cloud = LimitSetCloud(n=2, points=pts, depth=1, resolution=None)
             assert cloud.diameter() == blocked_brute_diameter(pts)
+
+
+class TestPairBlocks:
+    @pytest.mark.parametrize("size", [0, 1, 2, 3, *BLOCK_EDGES])
+    def test_every_pair_once_with_the_difference_formula_bits(self, size):
+        P = geom.uniform_sphere(np.random.default_rng(size), 2, size)
+        want = np.sum((P[:, None, :] - P[None, :, :]) ** 2, axis=-1)
+        seen = np.zeros((size, size), dtype=int)
+        for a, s in limitset.pair_blocks(P):
+            b = a + len(s)
+            assert s.shape == (b - a, size - a)
+            assert np.array_equal(s, want[a:b, a:])
+            seen[a:b, a:] += 1
+        assert np.array_equal(np.triu(seen, 1), np.triu(np.ones_like(seen), 1))
+        assert seen.max(initial=1) == 1
 
 
 def kdtree_net_count(points, scale):

@@ -28,7 +28,7 @@ from kleinlab.lipgraph import (
     strip_region,
 )
 
-from util import (brute_sq, dome_entry_radius, reference_schottky,
+from util import (BLOCK_EDGES, brute_sq, dome_entry_radius, reference_schottky,
                   scalar_boundary_points)
 
 RNG = np.random.default_rng(31415)
@@ -745,6 +745,64 @@ class TestLipschitz:
         assert not good.all()
         want = np.max(diff[iu][good] / q[iu][good])
         assert lipgraph.lipschitz_estimate(U, res) == want
+
+    @staticmethod
+    def all_pairs(V, fv):
+        """max |f_i - f_j| / q_ij over the pairs i < j with q > 1e-12, from
+        the whole pair matrix."""
+        diff = np.abs(fv[:, None] - fv[None, :])
+        q = np.linalg.norm(V[:, None, :] - V[None, :, :], axis=-1)
+        iu = np.triu_indices(len(V), k=1)
+        good = q[iu] > 1e-12
+        return np.max(diff[iu][good] / q[iu][good])
+
+    @pytest.mark.parametrize("covered", [2, 3, 200, *BLOCK_EDGES, 632, 633, 900])
+    def test_covered_rows_match_the_pair_matrix(self, covered):
+        # random heights on twice as many rows, some repeated and some moved
+        # by 1e-14 (under the q filter, with another height)
+        rng = np.random.default_rng(covered)
+        U = uniform_sphere(rng, 2, 2 * covered)
+        k = np.arange(1, len(U) - 2, 9)
+        U[k + 1], U[k + 2] = U[k], U[k] + 1e-14
+        mask = np.zeros(len(U), dtype=bool)
+        mask[np.sort(rng.permutation(len(U))[:covered])] = True
+        res = HeightResult(rng.uniform(0.5, 1.0, len(U)), mask,
+                           np.zeros(len(U)))
+        V, fv = U[mask][:633], res.f[mask][:633]
+        assert lipgraph.lipschitz_estimate(U, res) == self.all_pairs(V, fv)
+
+    @pytest.mark.parametrize("apart", [0.0, 1e-13])
+    def test_coincident_rows_raise(self, apart):
+        # 40 covered rows, none more than 1e-12 from another
+        U = np.repeat(uniform_sphere(np.random.default_rng(3), 2, 1), 40, axis=0)
+        U[1::2] += apart
+        res = HeightResult(np.linspace(0.5, 0.9, 40), np.ones(40, dtype=bool),
+                           np.zeros(40))
+        with pytest.raises(ValueError, match="over 1e-12 apart"):
+            lipgraph.lipschitz_estimate(U, res)
+
+    def test_one_covered_row_raises(self):
+        U = uniform_sphere(np.random.default_rng(4), 2, 5)
+        res = HeightResult(np.full(5, 0.7), np.arange(5) == 2, np.zeros(5))
+        with pytest.raises(ValueError, match="two covered"):
+            lipgraph.lipschitz_estimate(U, res)
+
+    def test_a_million_samples_are_not_copied(self):
+        # gathering every covered row (24 bytes each) before keeping 633
+        # peaked at 22 MB here
+        rng = np.random.default_rng(9)
+        U = uniform_sphere(rng, 2, 1_000_000)
+        res = HeightResult(rng.uniform(0.5, 1.0, len(U)),
+                           rng.uniform(size=len(U)) < 0.9, np.zeros(len(U)))
+        tracemalloc.start()
+        try:
+            M = lipgraph.lipschitz_estimate(U, res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        first = np.flatnonzero(res.covered)[:633]
+        assert M == self.all_pairs(U[first], res.f[first])
+        assert peak < 4e6
 
     def test_reference_schottky_M_finite(self):
         G, cloud, region, fam = small_schottky_family(max_len=2)

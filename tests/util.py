@@ -7,7 +7,7 @@ from kleinlab import mobius
 from kleinlab.caps import SphericalCap
 from kleinlab.geom import ExtPoint, SpherePoint, embed_ext, stereo_project
 from kleinlab.group import TAG_SCHOTTKY, make_schottky
-from kleinlab.limitset import dist_rows
+from kleinlab.limitset import _CHUNK, dist_rows
 from kleinlab.mobius import MobiusMap
 
 
@@ -28,6 +28,14 @@ def reference_schottky(theta=REFERENCE_THETA):
     ])
     c = [SphericalCap(center=v, theta=theta) for v in centers]
     return make_schottky([(c[0], c[1]), (c[2], c[3])])
+
+
+# row counts at the edges of limitset.pair_blocks, the first past one block
+# for each: with step = _CHUNK // m rows a block, m = k step (a full last
+# block), k step + 1 (the last row a column only), k step + 2, k step - 1
+BLOCK_EDGES = [next(m for m in range(257, 2000)
+                    if m % (_CHUNK // m) == r % (_CHUNK // m))
+               for r in (0, 1, 2, -1)]
 
 
 def level_children(tree, d):
