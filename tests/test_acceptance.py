@@ -191,6 +191,8 @@ def test_criterion_04_graph_band_and_lipschitz():
     res = fam.heights(U)
     band = lipgraph.graph_band(fam, U, res)
     C1, C2 = float(band.min()), float(band.max())
+    # both read the first 633 covered samples, which lie in the first 5000,
+    # so they are equal and `stable` holds whatever the graph
     M_half = lipgraph.lipschitz_estimate(U[:5000], res[:5000])
     M_full = lipgraph.lipschitz_estimate(U, res)
     stable = abs(M_full - M_half) <= 0.5 * max(M_full, M_half)

@@ -788,8 +788,8 @@ class TestLipschitz:
             lipgraph.lipschitz_estimate(U, res)
 
     def test_a_million_samples_are_not_copied(self):
-        # gathering every covered row (24 bytes each) before keeping 633
-        # peaked at 22 MB here
+        # gathering every covered row (24 bytes each) and its height before
+        # keeping 633 peaked at 32 MB here, the blocks of 633 rows at 3.6 MB
         rng = np.random.default_rng(9)
         U = uniform_sphere(rng, 2, 1_000_000)
         res = HeightResult(rng.uniform(0.5, 1.0, len(U)),
@@ -802,7 +802,7 @@ class TestLipschitz:
             tracemalloc.stop()
         first = np.flatnonzero(res.covered)[:633]
         assert M == self.all_pairs(U[first], res.f[first])
-        assert peak < 4e6
+        assert peak < 8e6
 
     def test_reference_schottky_M_finite(self):
         G, cloud, region, fam = small_schottky_family(max_len=2)
