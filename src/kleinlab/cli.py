@@ -98,8 +98,8 @@ def _check_flags(args):
 
 def _cloud_for(defn: GroupDefinition, depth: int):
     from . import limitset as limitset_mod
-    if defn.kind == "custom":  # the file format has no field for seed points
-        raise ValidationError("$.kind", "custom files have no limit-set seeds")
+    if defn.kind == "custom":
+        raise ValidationError("$.kind", "custom files are validate-only")
     return limitset_mod.sample_limit_set(defn.presentation, depth)
 
 
@@ -176,10 +176,11 @@ def cmd_dimension(args, defn: GroupDefinition, cloud=None) -> tuple[dict, int]:
     report: dict = {"depth": depth, "cloud_size": cloud.size}
     try:
         if cloud.size < 2:
-            # a single limit point has dimension zero by convention
+            # an empty or one-point limit set has dimension zero by convention
             box = group_mod.FitResult(estimate=0.0, stderr=0.0,
                                       diagnostics={"degenerate": True})
-            report["note"] = "limit set sampled as a single point"
+            report["note"] = (f"limit set sampled as {cloud.size} point"
+                              + "s" * (cloud.size != 1))
         else:
             box = limitset_mod.box_dimension(cloud)
         delta = group_mod.critical_exponent(G, depth)

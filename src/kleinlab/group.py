@@ -3,10 +3,12 @@
 Every presentation carries one WordTree, the only walker of its reduced
 words: each length is one WordLevel of arrays (parent row, last letter and
 the stacked fields of the maps, composed once per level in a fixed order),
-the nested caps of schottky words, and the deduplicated enumeration built
-on those levels. Word is a view of one row. On top of it: a least-squares
-estimator for the critical exponent, displacements, a word budget, and safe
-constructors for Schottky and elementary cyclic groups.
+the nested caps of schottky words, and the enumeration of distinct elements
+read off those levels: every word of a schottky presentation, the powers of
+a cyclic one up to its order. Word is a view of one row. On top of it: a
+least-squares estimator for the critical exponent, displacements, a word
+budget, and safe constructors for Schottky and elementary cyclic groups.
+A custom presentation is checked but not enumerated.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from . import mobius
 from .caps import (CapDegenerate, SphericalCap, cap_images, cap_to_euclidean_ball,
                    caps_disjoint)
-from .geom import BallPoint, embed_rows
+from .geom import BallPoint
 from .mobius import MobiusMap, compose, inverse
 
 TAG_SCHOTTKY = "schottky"
@@ -33,10 +35,6 @@ class BadSchottkyConfiguration(ValueError):
 
 class InsufficientRange(RuntimeError):
     """Too few usable radii for the growth-rate fit."""
-
-
-class NotNonelementary(ValueError):
-    """Operation requires a nonelementary group (or an explicit elementary tag)."""
 
 
 @dataclass(frozen=True)
@@ -103,11 +101,7 @@ class GroupPresentation:
 
 # A word holds 8 (n^2 + 2n + 6) bytes of level arrays (112 for n = 2), and
 # dimension --depth 9 on the reference file (39,365 words) peaks at 50 MB
-# of RSS. Deduplication, which every presentation but a schottky one runs,
-# costs far more on strongly contracting groups, whose candidate pairs grow
-# faster than the words: the reference generators as a custom presentation
-# peak at 200 MB for the exponent at depth 9 against 44 MB at depth 7,
-# about 4.5 kB a word. 2^16 words keep a run below ~0.5 GB.
+# of RSS; depth 10 (118,097 words) is over the budget.
 MAX_WORDS = 2**16
 
 
@@ -179,100 +173,6 @@ class WordLevel:
         return iter(self.words)
 
 
-class _MapDeduper:
-    """Near-duplicate detection for stacks of maps, one level at a time.
-
-    The forward fingerprint of g holds the images g(p) of three fixed probes,
-    embedded on S^n side by side, from one lift per probe. It is keyed on
-    two grids of cell 1e-8, the second shifted by half a cell; earlier maps
-    with the same key in either grid are the candidates. A duplicate whose
-    coordinates split across the grids is missed and kept as a new word.
-
-    A candidate pair (g, h) is confirmed, by compose(g^-1, h) within 1e-8 of
-    the identity, only when the inverse fingerprints g^-1(p) and h^-1(p)
-    agree within 1e-6 in every coordinate. That is necessary: g^-1 h within
-    1e-8 of the identity is affine with |r - 1|, A - I and b below 1e-8, so
-    its inverse moves every point chordally by at most (1 + n + 2 sqrt(n))
-    1e-8 to first order. The factor 100 leaves room for n up to 80.
-
-    Deep words contract the sphere far below 1e-8, so words sharing a prefix
-    share forward keys and words sharing a suffix inverse fingerprints:
-    either test alone passes pairs quadratic in the level. A map is filed
-    under a hash of its grid, forward key and the 1e-6 cell of the first
-    inverse coordinate, and looked up in that cell and its two neighbours;
-    keys and gaps are then tested in full, which removes hash collisions.
-
-    add() records every map of a stack and returns which are kept: a map is
-    dropped when it matches a kept map of an earlier stack or an earlier
-    kept row of its own. The candidates are confirmed in batched
-    compositions of up to 2^16 pairs; confirmed counts them.
-    """
-
-    tol = 1e-8
-
-    def __init__(self, n: int):
-        rng = np.random.default_rng(2718281828)
-        self._probes = rng.normal(0.0, 1.0, (3, n))
-        self.confirmed = 0
-        self._buckets: dict[int, list[int]] = {}
-        # every map recorded, kept or not: fields, inverse fingerprints and
-        # the forward keys of both grids
-        self._fields = _take(mobius.stack_fields([mobius.identity(n)]), slice(0))
-        self._inverse_fps = np.empty((0, 3 * (n + 1)))
-        self._keys = np.empty((2, 0, 3 * (n + 1)), dtype=np.int64)
-        self._kept = np.empty(0, dtype=bool)
-
-    def _fingerprints(self, fields) -> np.ndarray:
-        """The embedded probe images side by side; a pole maps to the north pole."""
-        n = self._probes.shape[1]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            Y = np.stack([mobius._lift(fields, p, 0.0)[0] for p in self._probes],
-                         axis=1)
-            out = embed_rows(Y.reshape(-1, n))
-        out[~np.isfinite(out).all(axis=1)] = np.eye(n + 1)[-1]
-        return out.reshape(len(Y), 3 * (n + 1))
-
-    def add(self, fields) -> np.ndarray:
-        """Keep mask of the stacked maps, in order."""
-        N, m = len(fields[0]), len(self._kept)
-        fp = self._fingerprints(fields)
-        inv = self._fingerprints(mobius.inverse_rows(fields))
-        keys = np.stack([np.floor(fp / self.tol + shift)
-                         for shift in (0.0, 0.5)]).astype(np.int64)
-        self._inverse_fps = np.concatenate([self._inverse_fps, inv])
-        self._keys = np.concatenate([self._keys, keys], axis=1)
-        self._fields = tuple(np.concatenate(f) for f in zip(self._fields, fields))
-        cells, keys = np.floor(inv[:, 0] / 1e-6).astype(int).tolist(), keys.tolist()
-        pi: list[int] = []
-        pj: list[int] = []
-        for r in range(N):
-            found: set[int] = set()
-            for grid in (0, 1):
-                key = keys[grid][r]
-                for cell in (cells[r] - 1, cells[r] + 1):
-                    found.update(self._buckets.get(hash((grid, cell, *key)), ()))
-                bucket = self._buckets.setdefault(hash((grid, cells[r], *key)), [])
-                found.update(bucket)
-                bucket.append(m + r)
-            pi += [m + r] * len(found)
-            pj += found
-        i, j = np.array(pi, dtype=np.intp), np.array(pj, dtype=np.intp)
-        k = self._keys
-        cand = ((k[0, i] == k[0, j]).all(axis=1) | (k[1, i] == k[1, j]).all(axis=1))
-        cand &= np.abs(self._inverse_fps[i] - self._inverse_fps[j]).max(axis=1) <= 1e-6
-        i, j = i[cand], j[cand]
-        same = np.concatenate([np.zeros(0, dtype=bool)] + [
-            mobius.is_identity_rows(mobius.compose_rows(
-                mobius.inverse_rows(_take(self._fields, j[lo:lo + 2**16])),
-                _take(self._fields, i[lo:lo + 2**16])), tol=self.tol)
-            for lo in range(0, i.size, 2**16)])  # bounds the temporaries
-        self.confirmed += i.size
-        self._kept = np.concatenate([self._kept, np.ones(N, dtype=bool)])
-        for row, other in zip(i[same], j[same]):  # rows ascend
-            self._kept[row] &= not self._kept[other]
-        return self._kept[m:].copy()
-
-
 class WordTree:
     """The freely reduced words of a presentation, built level by level.
 
@@ -285,15 +185,15 @@ class WordTree:
     request past MAX_WORDS words raises WordBudgetExceeded before anything
     is composed.
 
-    elements() is the deduplicated enumeration behind enumerate_elements.
-    A schottky presentation is free (GroupPresentation checks its ping-pong),
-    so its elements are the level() words themselves and no deduper runs.
-    Other presentations pass each level through a _MapDeduper. While it has
-    dropped no word, which holds for every free presentation, the levels
-    are the level() arrays themselves; after the first dropped word, each
-    later length is composed from the kept rows of the one before, and
-    these pruned levels stay out of level(). The elements up to length d
-    are the enumeration at depth d.
+    elements() is the enumeration behind enumerate_elements, read off the
+    levels without composing anything past them. A schottky presentation is
+    free (GroupPresentation checks its ping-pong), so its elements are every
+    level() word. A cyclic one's level d is (g^d, g^-d); these are all
+    distinct unless g has finite order m, found as the first power g^(2d-1)
+    or g^(2d) within 1e-8 of the identity, each composed from the first rows
+    of levels d - 1 and d as level d is reached. Then the elements are g^d
+    for 2d <= m and g^-d for 2d < m, and no deeper level is built. A custom
+    presentation has no enumeration: elements() raises ValueError.
     """
 
     def __init__(self, G: GroupPresentation):
@@ -307,10 +207,8 @@ class WordTree:
                                   mobius.stack_fields([mobius.identity(G.n)]))]
         self._caps: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._targets: tuple | None = None  # per letter: probes, center, theta
-        # _kept[d] holds the kept words of length d
-        self._kept, self._pruned = [self._levels[0]], False
-        self._elements = list(self._levels[0])
-        self._dedup: _MapDeduper | None = None
+        # cyclic only: the last level whose powers were tested, and the order
+        self._tested, self._order = 0, None
 
     def _check_budget(self, d: int):
         count = word_count(self.G.rank, d)
@@ -369,44 +267,45 @@ class WordTree:
 
     def elements(self, max_len: int) -> list[Word]:
         """Distinct elements of word length <= max_len (see enumerate_elements)."""
-        if max_len < 0:
-            raise ValueError("max_len must be >= 0")
-        self._check_budget(max_len)
-        while len(self._kept) <= max_len:
-            self._extend()
-        return self._elements[:sum(map(len, self._kept[:max_len + 1]))]
+        return [w for lv, k in self._element_rows(max_len) for w in lv.words[:k]]
 
     def element_fields(self, max_len: int) -> tuple[np.ndarray, ...]:
         """Stacked fields of elements(max_len), in the same order."""
-        self.elements(max_len)
-        return tuple(np.concatenate(f) for f in
-                     zip(*(lv.fields for lv in self._kept[:max_len + 1])))
+        return tuple(np.concatenate(f) for f in zip(
+            *(_take(lv.fields, slice(k)) for lv, k in self._element_rows(max_len))))
 
-    def _extend(self):
-        if self._pruned:
-            level = self._grow(self._kept[-1])
-        else:
-            level = self.level(len(self._kept))
-        if self.G.tag != TAG_SCHOTTKY:
-            if self._dedup is None:
-                self._dedup = _MapDeduper(self.G.n)
-                self._dedup.add(self._levels[0].fields)
-            keep = self._dedup.add(level.fields)
-            if not keep.all():
-                level = WordLevel(level.up, level.parent[keep],
-                                  level.letter[keep], _take(level.fields, keep))
-                self._pruned = True
-        self._kept.append(level)
-        self._elements.extend(level)
+    def _element_rows(self, max_len: int) -> list[tuple[WordLevel, int]]:
+        """(level d, count of its first rows that are elements) for each
+        length d <= max_len that holds an element."""
+        if max_len < 0:
+            raise ValueError("max_len must be >= 0")
+        if self.G.tag not in (TAG_SCHOTTKY, TAG_CYCLIC):
+            raise ValueError("a custom presentation is validate-only: its "
+                             "elements are not enumerated")
+        self._check_budget(max_len)
+        if self.G.tag == TAG_SCHOTTKY:
+            return [(lv, len(lv)) for lv in map(self.level, range(max_len + 1))]
+        while self._order is None and self._tested < max_len:
+            d = self._tested = self._tested + 1
+            up, lv = self.level(d - 1), self.level(d)
+            inner = tuple(np.concatenate([f[:1], g[:1]])
+                          for f, g in zip(up.fields, lv.fields))
+            powers = mobius.compose_rows(_take(lv.fields, [0, 0]), inner)
+            found = np.flatnonzero(mobius.is_identity_rows(powers, tol=1e-8))
+            if found.size:
+                self._order = 2 * d - 1 + int(found[0])
+        m = self._order or float("inf")
+        return [(self.level(d), 1 + (0 < 2 * d < m)) for d in range(max_len + 1)
+                if 2 * d <= m]
 
 
 def enumerate_elements(G: GroupPresentation, max_len: int) -> list[Word]:
     """All distinct elements of word length <= max_len, from G.word_tree.
 
     Deterministic order: by length, then in the order of WordTree levels
-    (lexicographic in the alphabet g1, g1^-1, g2, g2^-1, ... over the kept
-    words). Duplicate evaluations are dropped; a schottky presentation is
-    free, so its enumeration is every reduced word, with no deduplication.
+    (lexicographic in the alphabet g1, g1^-1, g2, g2^-1, ...). A schottky
+    presentation is free, so its enumeration is every reduced word; a cyclic
+    one stops at the order of its generator; a custom one raises ValueError.
     The list is fresh; the words in it are shared with the tree. The
     enumeration at depth d is the first part of any deeper one.
     """
@@ -446,32 +345,6 @@ def _slope_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(coef[0]), se
 
 
-def detect_nonelementary(G: GroupPresentation) -> bool:
-    """Two non-commuting loxodromic elements among short words."""
-    if G.tag == TAG_SCHOTTKY:
-        return True
-    if G.rank < 2:
-        return False
-    loxo = []
-    for w in enumerate_elements(G, 2):
-        if len(w) == 0:
-            continue
-        try:
-            if mobius.classify(w.map) == "loxodromic":
-                loxo.append(w.map)
-        except mobius.AmbiguousClassification:
-            continue
-        if len(loxo) >= 8:
-            break
-    for i in range(len(loxo)):
-        for j in range(i + 1, len(loxo)):
-            gh = compose(loxo[i], loxo[j])
-            hg = compose(loxo[j], loxo[i])
-            if not mobius.maps_close(gh, hg, tol=1e-8):
-                return True
-    return False
-
-
 def critical_exponent(G: GroupPresentation, max_len: int) -> FitResult:
     """Growth rate of log N(R) in R, fit by least squares over the reliable window.
 
@@ -481,10 +354,6 @@ def critical_exponent(G: GroupPresentation, max_len: int) -> FitResult:
     is still run for diagnostics when the window holds 5 radii, and skipped
     (fit_slope None) when not.
     """
-    if G.tag not in (TAG_CYCLIC, TAG_SCHOTTKY) and not detect_nonelementary(G):
-        raise NotNonelementary(
-            "need >= 2 non-commuting loxodromic elements (or an elementary tag)"
-        )
     words, ds = element_displacements(G, max_len)
     horizon = _truncation_horizon(words, ds, max_len)
     order = np.argsort(ds, kind="stable")

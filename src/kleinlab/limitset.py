@@ -190,16 +190,12 @@ class Sweep:
         out[1, order] = np.searchsorted(self.keys, hi[order], "right")
         return out[0], np.where(col < 0, out[0], out[1])
 
-    def pairs(self, Q: np.ndarray, r: float, later: bool = False):
+    def pairs(self, Q: np.ndarray, r: float):
         """(row of Q, sorted position, squared distance) arrays of every
         candidate in the windows of the rows of Q, in chunks of whole
-        windows (_windows). With later, Q is self.points of one column and
-        each row is paired with the rows after it only.
+        windows (_windows).
         """
-        lo, hi = self.window(Q, r)
-        if later:
-            lo = np.arange(1, len(Q) + 1)
-        for i, j in _windows(lo, hi):
+        for i, j in _windows(*self.window(Q, r)):
             yield i, j, _sq_dist_at(self.points, j, Q, i)
 
 
@@ -408,18 +404,17 @@ def dist_rows(U: np.ndarray, L: LimitSetCloud) -> tuple[np.ndarray, np.ndarray]:
 # sampling
 # ---------------------------------------------------------------------------
 
-def sample_limit_set(G: GroupPresentation, depth: int,
-                     seeds: tuple[ExtPoint, ...] = ()) -> LimitSetCloud:
-    """Point cloud approximating the limit set at the given word depth."""
+def sample_limit_set(G: GroupPresentation, depth: int) -> LimitSetCloud:
+    """Point cloud approximating the limit set at the given word depth
+    (schottky and cyclic presentations; a custom one raises ValueError)."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if G.tag == TAG_SCHOTTKY:
         return _sample_schottky(G, depth)
     if G.tag == TAG_CYCLIC:
         return _sample_cyclic(G, depth)
-    if not seeds:
-        raise ValueError("custom groups need at least one seed point")
-    return _sample_custom(G, depth, seeds)
+    raise ValueError("a custom presentation is validate-only: it has no "
+                     "limit-set sampler")
 
 
 def _sample_schottky(G: GroupPresentation, depth: int) -> LimitSetCloud:
@@ -495,28 +490,6 @@ def _sample_cyclic(G: GroupPresentation, depth: int) -> LimitSetCloud:
         resolution=0.0 if pts else None,
         warnings=warnings,
     )
-
-
-def _sample_custom(G: GroupPresentation, depth: int,
-                   seeds: tuple[ExtPoint, ...]) -> LimitSetCloud:
-    """Images of the seeds under every reduced word of length depth."""
-    seed_rows = np.array([embed_ext(p) for p in seeds])
-    level = G.word_tree.level(depth)
-    rows = np.repeat(np.arange(len(level)), len(seed_rows))
-    pts = mobius.sphere_action_stack(tuple(f[rows] for f in level.fields),
-                                     np.tile(seed_rows, (len(level), 1)))
-    pts = _dedup_rows(pts, 1e-12)
-    return LimitSetCloud(n=G.n, points=pts, depth=depth, resolution=None)
-
-
-def _dedup_rows(pts: np.ndarray, tol: float) -> np.ndarray:
-    """The rows without the later row of every pair within tol."""
-    sw = Sweep(pts)
-    drop = np.zeros(len(pts), dtype=bool)
-    for s, t, d2 in sw.pairs(sw.points, tol, later=True):
-        near = d2 <= tol * tol
-        drop[np.maximum(sw.ids[s[near]], sw.ids[t[near]])] = True
-    return pts[~drop]
 
 
 # ---------------------------------------------------------------------------

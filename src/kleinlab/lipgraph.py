@@ -9,8 +9,8 @@ is the sphere of Euclidean center c/cos(theta) and radius tan(theta), the
 unique sphere meeting S^n orthogonally along the cap boundary; the graph
 height f(x) is the smallest dome-entry radius along the ray through x.
 
-One evaluator serves every family. The seed caps, and for groups without
-nested caps (cyclic, custom) every image cap, are fitted at build into one
+One evaluator serves every family. The seed caps, and for a cyclic group
+(which has no nested caps) every image cap, are fitted at build into one
 spatial index. Schottky families are evaluated through the group
 factorization: x lies in the image cap gamma(C) exactly when gamma^-1 x lies
 in the seed cap C, and gamma(C) is contained in the inflated nested cap of
@@ -35,8 +35,7 @@ from .geom import angle_from_chord, chord_from_angle, sphere_area, uniform_spher
 from .group import (GroupPresentation, TAG_SCHOTTKY, WordLevel, enumerate_elements,
                     word_count)
 from .limitset import LimitSetCloud, PointIndex, Sweep, dist_rows, pair_blocks, write_csv
-from .mobius import (MobiusMap, inverse_rows, poincare_extend, sphere_action_stack,
-                     stack_fields)
+from .mobius import MobiusMap, inverse_rows, poincare_extend, sphere_action_stack
 
 SHAPE_RATIO_MAX = 0.5
 SUPPORT_INFLATION = 1.5
@@ -283,9 +282,9 @@ class DomeFamily:
     in (level, word, seed) order with the seed caps first. Caps come from
     two sources:
 
-    - fitted at build: the seed caps, and for a group without nested caps
-      (cyclic, custom) every image cap, in one _CapIndex; a row meets such
-      a cap when d = (u . c) / cos(theta) >= 1;
+    - fitted at build: the seed caps, and for a cyclic group (which has no
+      nested caps) every image cap, in one _CapIndex; a row meets such a
+      cap when d = (u . c) / cos(theta) >= 1;
     - fitted lazily: the image caps of a schottky group, level by level.
       A row meets gamma(C) when it lies in the inflated nested support of
       gamma, its preimage gamma^-1 u lies in C, and d >= 1 on the fitted
@@ -339,7 +338,7 @@ class DomeFamily:
         if not nested:  # every key past the seeds' in one fit
             S = len(self.seed_caps)
             w, s = np.divmod(np.arange(S, len(self.words) * S), S)
-            images = stack_fields([word.map for word in self.words])
+            images = G.word_tree.element_fields(max_len)
             nu, th, probes = self._seed_images(tuple(f[w] for f in images), s)
             centers.append(nu)
             thetas.append(th)

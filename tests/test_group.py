@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kleinlab import group, mobius
-from kleinlab.caps import SphericalCap
+from kleinlab.caps import SphericalCap, cap_image
 from kleinlab.files import load_group_file
 from kleinlab.geom import BallPoint, ExtPoint, embed_ext
 from kleinlab.group import (
@@ -33,22 +33,28 @@ def reference_depth7():
     return G
 
 
-def free_rank2_presentation():
-    """Two loxodromic maps with far-apart fixed points (a free group)."""
-    g1 = mobius.affine(2, r=4.0)
-    conj = mobius.sphere_inversion([5.0, 0.0], 1.0)
-    g2 = mobius.compose(conj, mobius.compose(g1, mobius.inverse(conj)))
-    return GroupPresentation(n=2, generators=(g1, g2), tag=group.TAG_CUSTOM)
+def rotation(th):
+    """The rotation of R^2 by th about the origin."""
+    A = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    return mobius.affine(2, A=A)
+
+
+def elliptic(order):
+    """Maker of the cyclic group of a rotation by 2 pi / order."""
+    def make():
+        return make_cyclic(rotation(2 * np.pi / order))
+    make.__name__ = f"elliptic_order{order}"
+    return make
 
 
 class TestEnumeration:
     def test_rank2_length2_gives_17(self):
-        G = free_rank2_presentation()
+        G = reference_schottky()
         words = enumerate_elements(G, 2)
         assert len(words) == 17  # 1 + 4 + 12
 
     def test_zero_length_is_identity_only(self):
-        G = free_rank2_presentation()
+        G = reference_schottky()
         words = enumerate_elements(G, 0)
         assert len(words) == 1
         assert mobius.is_identity(words[0].map)
@@ -58,31 +64,23 @@ class TestEnumeration:
         words = enumerate_elements(G, 5)
         assert len(words) == 11
 
+    def test_rotation_by_one_radian_keeps_every_power(self):
+        # no power up to 120 comes within 1e-8 of the identity
+        G = make_cyclic(rotation(1.0))
+        assert len(enumerate_elements(G, 60)) == 2 * 60 + 1
+
     def test_finite_order_elliptic_deduplicates(self):
-        th = 2 * np.pi / 5
-        A = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-        G = make_cyclic(mobius.affine(2, A=A))
+        G = elliptic(5)()
         words = enumerate_elements(G, 7)
         assert len(words) == 5
 
-    def test_deep_schottky_words_need_few_confirmations(self):
-        # deep words share forward buckets: without the inverse-image
-        # prefilter, depth 7 confirms 81,174 bucket hits. A schottky
-        # presentation skips the deduper, so the reference generators
-        # run through it as a custom one.
-        G = custom_copy(reference_schottky())
-        words = enumerate_elements(G, 7)
-        assert len(words) == 1 + 4 * (3**7 - 1) // 2
-        assert 0 < G.word_tree._dedup.confirmed <= 2000
-
     def test_small_caps_enumerate_every_reduced_word(self):
-        # caps of chordal radius 0.01: deep words come within the deduper's
-        # 1e-8 identity test of each other, so it would drop distinct words
+        # caps of chordal radius 0.01: deep words come within 1e-8 of each
+        # other as maps, and each is still an element of the free group
         G = reference_schottky(theta=float(2.0 * np.arcsin(0.005)))
         words = enumerate_elements(G, 6)
         assert len(words) == 1457 == group.word_count(2, 6)
         assert len({w.letters for w in words}) == 1457
-        assert G.word_tree._dedup is None
 
     def test_free_group_counts_at_every_length(self):
         G = reference_schottky()
@@ -95,7 +93,7 @@ class TestEnumeration:
             assert by_len[ell] == 4 * 3 ** (ell - 1)
 
     def test_deterministic_order(self):
-        G = free_rank2_presentation()
+        G = reference_schottky()
         a = [w.letters for w in enumerate_elements(G, 3)]
         b = [w.letters for w in enumerate_elements(G, 3)]
         assert a == b
@@ -103,7 +101,7 @@ class TestEnumeration:
         assert lengths == sorted(lengths)
 
     def test_word_maps_match_letterwise_composition(self):
-        G = free_rank2_presentation()
+        G = reference_schottky()
         for w in enumerate_elements(G, 3)[::7]:
             m = mobius.identity(2)
             for s in w.letters:
@@ -111,31 +109,12 @@ class TestEnumeration:
             assert mobius.maps_close(m, w.map, tol=1e-9)
 
 
-def custom_copy(G):
-    """The generators of G as a custom presentation, which deduplicates."""
-    return GroupPresentation(n=G.n, generators=G.generators, tag=group.TAG_CUSTOM)
-
-
-def elliptic_order5():
-    th = 2 * np.pi / 5
-    A = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    return make_cyclic(mobius.affine(2, A=A))
-
-
-def rotation_and_dilation():
-    """Z/3 x Z, conjugated by an inversion: an order-3 rotation and a
-    dilation that commutes with it, so many words share a map."""
-    th = 2 * np.pi / 3
-    A = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    conj = mobius.sphere_inversion([0.4, -0.3], 0.8)
-    gens = tuple(mobius.compose(conj, mobius.compose(g, mobius.inverse(conj)))
-                 for g in (mobius.affine(2, A=A), mobius.affine(2, r=2.0)))
-    return GroupPresentation(n=2, generators=gens, tag=group.TAG_CUSTOM)
-
-
 class ScalarDeduper:
-    """group._MapDeduper one map at a time: the same probes, grids, inverse
-    prefilter and keep-first order, each candidate confirmed by maps_close."""
+    """Near-duplicate detection one map at a time, the reference for the
+    enumeration: a map is dropped when maps_close (1e-8) confirms an earlier
+    kept map among the candidates that share a 1e-8 grid cell of three probe
+    images (in either of two grids offset by half a cell) and whose inverse
+    probe images agree within 1e-6."""
 
     def __init__(self, n, tol=1e-8):
         rng = np.random.default_rng(2718281828)
@@ -198,8 +177,11 @@ def same_words(got, want):
 
 
 class TestWordTree:
-    CASES = [(reference_schottky, 5), (free_rank2_presentation, 3),
-             (elliptic_order5, 7), (rotation_and_dilation, 5)]
+    # the order m of a rotation is met at level ceil(m / 2), so every order
+    # up to 7 stops by level 4; the even ones keep g^(m/2) and drop g^(-m/2),
+    # and for m = 7 the shallow call (depth 3) has not met the order yet
+    CASES = [(reference_schottky, 5), (elliptic(5), 7),
+             *((elliptic(m), 5) for m in (2, 3, 4, 6, 7))]
 
     @pytest.mark.parametrize("make,depth", CASES)
     def test_enumeration_matches_plain_bfs_bitwise(self, make, depth):
@@ -213,14 +195,8 @@ class TestWordTree:
                    [(w.letters, w.map) for w in shallow])
         same_words(shallow, want[:len(shallow)])
 
-    def test_relations_leave_one_word_per_element(self):
-        # Z/3 x Z: (i, j) has length |j|, plus 1 unless i = 0
-        words = enumerate_elements(rotation_and_dilation(), 5)
-        assert len(words) == 6 * 5 - 1
-        assert len(rotation_and_dilation().word_tree.level(5)) == 4 * 3**4
-
     def test_levels_are_not_deduplicated(self):
-        G = elliptic_order5()
+        G = elliptic(5)()
         assert len(enumerate_elements(G, 7)) == 5
         assert [len(G.word_tree.level(d)) for d in range(4)] == [1, 2, 2, 2]
         tree = reference_schottky().word_tree
@@ -255,7 +231,7 @@ class TestWordTree:
             fam = lipgraph.DomeFamily(G, cloud, caps, depth, audit=20)
             assert fam.cap_count_bound == len(caps) * (1 + 2 * (3**depth - 1))
         # 4 + 12 + ... + 972 = 1456 words of length 1 to 6; a schottky
-        # presentation runs no deduper, so nothing else is composed
+        # enumeration reads the levels, so nothing else is composed
         assert sum(composed) == 1456
         assert 0 < sum(fits) <= 1456
 
@@ -265,20 +241,6 @@ class TestWordTree:
         with pytest.raises(BadSchottkyConfiguration, match="ping-pong"):
             GroupPresentation(n=2, generators=(g, g),
                               tag=group.TAG_SCHOTTKY, ball_caps=ref.ball_caps)
-
-    @pytest.mark.parametrize("source", ["same level", "earlier level"])
-    def test_forced_duplicate_in_a_level_is_dropped(self, source):
-        G = custom_copy(reference_schottky())
-        tree = G.word_tree
-        lv = tree.level(3)
-        copy = (lv, 7) if source == "same level" else (tree.level(1), 2)
-        for f, g in zip(lv.fields, copy[0].fields):
-            f[20] = g[copy[1]]  # row 20 now evaluates to the copied map
-        words = enumerate_elements(G, 4)
-        longest = [w.letters for w in words if len(w) == 3]
-        assert longest == [w.letters for i, w in enumerate(lv) if i != 20]
-        # the pruned level 4 grows from the 35 kept words of length 3
-        assert len(words) == 1 + 4 + 12 + 35 + 35 * 3
 
     def test_word_budget_refuses_before_composing(self):
         G = reference_schottky()
@@ -320,7 +282,7 @@ def min_displacement(x, G, max_len):
 
 class TestCounting:
     def test_count_at_zero_is_identity(self):
-        G = free_rank2_presentation()
+        G = reference_schottky()
         assert orbit_count(G, 0.0, 3) == 1
 
     def test_cyclic_loxodromic_count_staircase(self):
@@ -428,7 +390,9 @@ class TestCriticalExponent:
             mobius.compose(conj, mobius.compose(g, mobius.inverse(conj)))
             for g in G.generators
         )
-        Gc = GroupPresentation(n=2, generators=gens, tag=group.TAG_CUSTOM)
+        Gc = GroupPresentation(n=2, generators=gens, tag=group.TAG_SCHOTTKY,
+                               ball_caps=tuple(cap_image(conj, c)
+                                               for c in G.ball_caps))
         fit_c = group.critical_exponent(Gc, 4)
         tol = 2 * (fit.stderr + fit_c.stderr) + 0.05
         assert abs(fit.estimate - fit_c.estimate) < tol
@@ -462,11 +426,17 @@ class TestCriticalExponent:
         group.critical_exponent(reference_depth7, 7)
         assert calls == []
 
-    def test_custom_elementary_rejected(self):
-        g = mobius.affine(2, r=2.0)
-        G = GroupPresentation(n=2, generators=(g,), tag=group.TAG_CUSTOM)
-        with pytest.raises(group.NotNonelementary):
-            group.critical_exponent(G, 4)
+    def test_custom_presentation_is_validate_only(self):
+        from kleinlab import limitset
+
+        G = GroupPresentation(n=2, generators=reference_schottky().generators,
+                              tag=group.TAG_CUSTOM)
+        for call in (G.word_tree.elements, G.word_tree.element_fields,
+                     lambda d: group.critical_exponent(G, d),
+                     lambda d: limitset.sample_limit_set(G, d)):
+            with pytest.raises(ValueError, match="validate-only"):
+                call(4)
+        assert not G.word_tree._caps and len(G.word_tree._levels) == 1
 
 
 @given(st.floats(0.0, 6.0), st.floats(0.0, 6.0))
@@ -542,7 +512,6 @@ class TestSchottky:
     def test_reference_is_free_and_nonelementary(self):
         G = reference_schottky()
         assert G.tag == group.TAG_SCHOTTKY
-        assert group.detect_nonelementary(G)
         assert len(enumerate_elements(G, 2)) == 17
 
     def test_tangent_balls_rejected(self):

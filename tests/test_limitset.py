@@ -87,16 +87,6 @@ class TestSampling:
         d, _ = cKDTree(cloud.points).query(cloud.points, k=2)
         assert np.min(d[:, 1]) > 1e-12
 
-    def test_custom_needs_seeds(self):
-        g1 = mobius.affine(2, r=4.0)
-        conj = mobius.sphere_inversion([5.0, 0.0], 1.0)
-        g2 = mobius.compose(conj, mobius.compose(g1, mobius.inverse(conj)))
-        G = group.GroupPresentation(n=2, generators=(g1, g2))
-        with pytest.raises(ValueError):
-            sample_limit_set(G, 2)
-        cloud = sample_limit_set(G, 2, seeds=(ExtPoint.finite([0.3, 0.8]),))
-        assert cloud.size > 0 and not cloud.certified
-
     def test_cloud_invariance_under_generators(self):
         # a mapped depth-d sample is a depth-(d-1) approximant of the limit
         # set, so the sampled Hausdorff defect is bounded by that resolution
@@ -192,13 +182,6 @@ def kdtree_net_count(points, scale):
     return count
 
 
-def kdtree_dedup(pts, tol):
-    """Rows without the later row of every kd-tree pair within tol."""
-    pairs = cKDTree(pts).query_pairs(tol, output_type="ndarray")
-    drop = set(pairs[:, 1].tolist()) if len(pairs) else set()
-    return pts[[i for i in range(len(pts)) if i not in drop]]
-
-
 def assert_nets_match(cloud, scales):
     counts = [greedy_net_count(cloud, s) for s in scales]
     assert counts == [kdtree_net_count(cloud.points, s) for s in scales]
@@ -252,20 +235,6 @@ class TestSweep:
             [np.arange(a, b) for a, b in zip(lo, hi)]))
         P = cloud.sweep.points
         assert np.array_equal(d2, np.sum((P[j] - U[i]) ** 2, axis=1))
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_dedup_matches_query_pairs_on_a_chain(self, seed):
-        # a chain of rows 0.6e-12 apart: neighbours lie within tol, rows two
-        # apart do not, and every later row of a pair goes
-        rng = np.random.default_rng(seed)
-        base = geom.uniform_sphere(rng, 2, 1)[0]
-        step = geom.uniform_sphere(rng, 2, 1)[0] * 0.6e-12
-        chain = base + np.arange(12)[:, None] * step
-        pts = np.vstack([chain, geom.uniform_sphere(rng, 2, 200), chain[::3]])
-        pts = pts[rng.permutation(len(pts))]
-        kept = limitset._dedup_rows(pts, 1e-12)
-        assert np.array_equal(kept, kdtree_dedup(pts, 1e-12))
-        assert 200 < len(kept) < len(pts) - 6
 
 
 def brute_nearest(Q, P, k):
