@@ -426,6 +426,12 @@ class TestCriticalExponent:
         group.critical_exponent(reference_depth7, 7)
         assert calls == []
 
+    def test_custom_elementary_rejected(self):
+        g = mobius.affine(2, r=2.0)
+        G = GroupPresentation(n=2, generators=(g,), tag=group.TAG_CUSTOM)
+        with pytest.raises(ValueError, match="validate-only"):
+            group.critical_exponent(G, 4)
+
     def test_custom_presentation_is_validate_only(self):
         from kleinlab import limitset
 

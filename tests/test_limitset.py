@@ -87,6 +87,17 @@ class TestSampling:
         d, _ = cKDTree(cloud.points).query(cloud.points, k=2)
         assert np.min(d[:, 1]) > 1e-12
 
+    def test_custom_needs_seeds(self):
+        # a custom presentation has no sampler, and no seed points rescue it
+        g1 = mobius.affine(2, r=4.0)
+        conj = mobius.sphere_inversion([5.0, 0.0], 1.0)
+        g2 = mobius.compose(conj, mobius.compose(g1, mobius.inverse(conj)))
+        G = group.GroupPresentation(n=2, generators=(g1, g2))
+        with pytest.raises(ValueError, match="validate-only"):
+            sample_limit_set(G, 2)
+        with pytest.raises(TypeError):
+            sample_limit_set(G, 2, seeds=(ExtPoint.finite([0.3, 0.8]),))
+
     def test_cloud_invariance_under_generators(self):
         # a mapped depth-d sample is a depth-(d-1) approximant of the limit
         # set, so the sampled Hausdorff defect is bounded by that resolution
