@@ -3,9 +3,9 @@
 A cap is stored by its unit-vector center and angular radius. Conformal maps
 send caps to caps. Every image cap comes from cap_images, which maps cap i
 of a stack by map i of stacked fields and fits the whole stack at once: the
-mapped boundary probes of a cap (n+1 for cap_image, more for a denser shape
-check) lie on an affine hyperplane of R^{n+1}, as the boundary of a cap is a
-round subsphere, and the mapped center decides the side.
+n+1 mapped boundary probes of a cap lie on an affine hyperplane of R^{n+1},
+as the boundary of a cap is a round subsphere, the image cap is centred on
+the direction of their circumcenter, and the mapped center decides the side.
 """
 
 from __future__ import annotations
@@ -63,10 +63,9 @@ class SphericalCap:
         """Orthonormal basis of the center's orthogonal complement."""
         return boundary_frames(self.center[None])[0]
 
-    def boundary_points(self, count: int | None = None) -> np.ndarray:
-        """Points on the cap boundary; a one-row call of boundary_probes."""
-        return boundary_probes(self.center[None], np.array([self.theta]),
-                               count)[0]
+    def boundary_points(self) -> np.ndarray:
+        """The n+1 boundary probes; a one-row call of boundary_probes."""
+        return boundary_probes(self.center[None], np.array([self.theta]))[0]
 
 
 @dataclass(frozen=True)
@@ -106,23 +105,13 @@ def boundary_frames(centers: np.ndarray) -> np.ndarray:
     return np.swapaxes(Q[:, :, 1:m], 1, 2)
 
 
-def boundary_probes(centers: np.ndarray, thetas: np.ndarray,
-                    count: int | None = None) -> np.ndarray:
-    """Points on the boundaries of the caps (centers, thetas), (S, k, m).
-
-    By default the n+1 probes used for images: the frame directions and the
-    negated first one. With count given, count points spread along a circle
-    in the first two frame directions (the two boundary points when n = 1).
+def boundary_probes(centers: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """The n+1 boundary probes of the caps (centers, thetas), (S, n+1, m):
+    the points at angle theta from the center toward the frame directions
+    and the negated first one. They span the boundary's hyperplane in any n.
     """
     frames = boundary_frames(centers)  # (S, m-1, m)
-    if count is None:
-        dirs = np.concatenate([frames, -frames[:, :1]], axis=1)
-    elif frames.shape[1] == 1:
-        dirs = np.concatenate([frames, -frames], axis=1)
-    else:
-        ts = np.linspace(0.0, 2 * np.pi, count, endpoint=False)[None, :, None]
-        dirs = (np.cos(ts) * frames[:, None, 0, :]
-                + np.sin(ts) * frames[:, None, 1, :])
+    dirs = np.concatenate([frames, -frames[:, :1]], axis=1)
     thetas = np.asarray(thetas, dtype=float)[:, None, None]
     pts = np.cos(thetas) * centers[:, None, :] + np.sin(thetas) * dirs
     return pts / np.linalg.norm(pts, axis=2, keepdims=True)
@@ -151,16 +140,16 @@ def cap_images(fields, boundary: np.ndarray, centers: np.ndarray,
                thetas: np.ndarray) -> tuple[np.ndarray, ...]:
     """Image caps of a stack of source caps, cap i under map i of fields.
 
-    boundary holds k >= n+1 boundary probes per cap, (S, k, m). Blocks of
-    at most SAMPLE_BLOCK probe rows map each cap's probes and center by its
-    repeated field row (sphere_action_stack, never one row) and are fitted
-    by fit_image_caps, so a cap gets the same bits in any stack or split.
-    Returns the fit's (centers, thetas, valid) and the mapped probes, then
-    the mapped center, (S, k + 1, m), for shape checks.
+    boundary holds k >= n+1 boundary probes per cap, (S, k, m), as
+    boundary_probes gives them. Blocks of at most SAMPLE_BLOCK probe rows
+    map each cap's probes and center by its repeated field row
+    (sphere_action_stack, never one row) and are fitted by fit_image_caps,
+    so a cap gets the same bits in any stack or split. Returns the fit's
+    (centers, thetas, valid), then the mapped source centers, (S, m).
     """
     S, k, m = boundary.shape
     out = (np.empty((S, m)), np.empty(S), np.empty(S, dtype=bool),
-           np.empty((S, k + 1, m)))
+           np.empty((S, m)))
     step = max(geom.SAMPLE_BLOCK // (k + 1), 1)
     for lo in range(0, S, step):
         at = slice(lo, lo + step)
@@ -170,7 +159,7 @@ def cap_images(fields, boundary: np.ndarray, centers: np.ndarray,
         P = mobius.sphere_action_stack(tuple(f[rows] for f in block),
                                        src.reshape(-1, m)).reshape(src.shape)
         fit = fit_image_caps(P[:, :-1], P[:, -1], block, centers[at], thetas[at])
-        for a, b in zip(out, fit + (P,)):
+        for a, b in zip(out, fit + (P[:, -1],)):
             a[at] = b
     return out
 
@@ -186,15 +175,16 @@ def fit_image_caps(imgs: np.ndarray, c_img: np.ndarray, fields,
     on its own, so a row gets the same bits in any stack. The image
     boundary is a round subsphere: the plane normal is the smallest
     principal direction of the mean-centred probes, oriented toward the
-    mapped center, and the circumcenter solves
-    the equal-distance equations with the plane constraint by a batched QR,
-    in coordinates scaled by a power of two near the probe spread, so tiny
-    images keep their relative accuracy. The angular radius is atan2 of
-    the circumradius and the plane offset. Rows whose probes spread less
-    than 1e-14, or whose system is rank-deficient, take the first-order
-    image: the mapped center, with the radius scaled by the derivative.
-    Returns (centers, thetas, valid); rows whose image is degenerate (at
-    least a hemisphere) are flagged invalid.
+    mapped center, and the circumcenter z solves the equal-distance
+    equations with the plane constraint by a batched QR, in coordinates
+    scaled by a power of two near the probe spread, so tiny images keep
+    their relative accuracy. The cap is centred on z / |z|, a direction
+    good to about an ulp (the normal's is good only to ulps over the
+    radius), and its angular radius is atan2 of the circumradius and the
+    plane offset along the normal. Rows whose probes spread less than 1e-14, or whose system is
+    rank-deficient, take the first-order image: the mapped center, with the
+    radius scaled by the derivative. Returns (centers, thetas, valid); rows
+    whose image is degenerate (at least a hemisphere) are flagged invalid.
     """
     S, k, m = imgs.shape
     mean = imgs.mean(axis=1)
@@ -221,8 +211,9 @@ def fit_image_caps(imgs: np.ndarray, c_img: np.ndarray, fields,
     for j in range(m - 1, -1, -1):  # back substitution in R x = Q^T b
         x[:, j] = (y[:, j] - (R[:, j, j + 1:] * x[:, j + 1:]).sum(axis=1)) / R[:, j, j]
     r_c = np.ldexp(np.linalg.norm(q - x[:, None, :], axis=2).mean(axis=1), e)
+    z = mean[rows] + np.ldexp(x, e[:, None])
     out_centers = c_img.copy()
-    out_centers[rows] = nu
+    out_centers[rows] = z / np.linalg.norm(z, axis=1, keepdims=True)
     out_thetas = np.empty(S)
     out_thetas[rows] = np.arctan2(r_c, h)
     first = np.ones(S, dtype=bool)

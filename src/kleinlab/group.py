@@ -19,9 +19,9 @@ from functools import cached_property
 import numpy as np
 
 from . import mobius
-from .caps import (CapDegenerate, SphericalCap, cap_images, cap_to_euclidean_ball,
-                   caps_disjoint)
-from .geom import BallPoint
+from .caps import (CapDegenerate, CapStack, SphericalCap, boundary_probes, cap_images,
+                   cap_to_euclidean_ball, caps_disjoint)
+from .geom import BallPoint, angle_from_chord
 from .mobius import MobiusMap, compose, inverse
 
 TAG_SCHOTTKY = "schottky"
@@ -44,9 +44,9 @@ class GroupPresentation:
     ball_caps holds the 2k defining caps of a schottky presentation in source,
     target order per generator: generator i maps the exterior of cap 2i onto
     the interior of cap 2i+1 (0-based pair layout). A schottky presentation
-    is checked here: its caps are pairwise disjoint and pass the sampled
-    ping-pong test, so it presents a free group and its reduced words are
-    distinct elements.
+    is checked here: its caps are pairwise disjoint and pass the ping-pong
+    check, so it presents a free group and its reduced words are distinct
+    elements.
     """
 
     n: int
@@ -258,11 +258,11 @@ class WordTree:
             up = self.level(d - 1)
             parent, slot = self._children(up)
             boundary, centers, thetas = (t[slot] for t in self._targets)
-            centers, thetas, valid, probes = cap_images(
+            centers, thetas, valid, points = cap_images(
                 _take(up.fields, parent), boundary, centers, thetas)
             if not valid.all():
                 raise CapDegenerate("a nested cap is degenerate or covers a hemisphere")
-            self._caps[d] = (centers, thetas, probes[:, -1].copy())
+            self._caps[d] = (centers, thetas, points)
         return self._caps[d]
 
     def elements(self, max_len: int) -> list[Word]:
@@ -322,9 +322,12 @@ def element_displacements(G: GroupPresentation, max_len: int
 
 
 def _truncation_horizon(words: list[Word], ds: np.ndarray, max_len: int) -> float:
+    """Displacement of the cheapest word of length max_len, below which N(R)
+    is exact; inf when no element has that length (a finite cyclic group's
+    enumeration ends before it), as the count is then exact at every radius."""
     full = np.array([len(w) == max_len for w in words])
     if not full.any():
-        return float("inf") if max_len == 0 else 0.0
+        return float("inf")
     return float(ds[full].min())
 
 
@@ -424,21 +427,25 @@ def make_schottky(ball_pairs: list[tuple[SphericalCap, SphericalCap]]
 
 
 def _check_ping_pong(G: GroupPresentation):
-    """Sampled ping-pong: images of every other cap boundary land in the target."""
-    for s in (t for i in range(1, G.rank + 1) for t in (i, -i)):
-        g = G.letter(s)
-        target = G.letter_target_cap(s)
-        source = G.letter_source_cap(s)
-        for cap in G.ball_caps:
-            if cap is source:
-                continue
-            bd = cap.boundary_points(count=8)
-            img = mobius.sphere_action_rows(g, bd)
-            if not target.contains(img, slack=1e-9).all():
-                raise BadSchottkyConfiguration(
-                    "ping-pong violation: a defining cap does not map into "
-                    "its partner"
-                )
+    """Ping-pong: each letter maps every cap but its source into its target.
+
+    The image of each such cap is fitted in one cap_images call and must lie
+    inside the target cap: angle(image center, target center) + image radius
+    <= target radius + 1e-9. Caps are convex, so this is the hypothesis of
+    the ping-pong lemma in any dimension, not a sample of it.
+    """
+    pairs = [(s, c) for i in range(1, G.rank + 1) for s in (i, -i)
+             for c in G.ball_caps if c is not G.letter_source_cap(s)]
+    src = CapStack.of([c for _, c in pairs], G.n + 1)
+    target = CapStack.of([G.letter_target_cap(s) for s, _ in pairs], G.n + 1)
+    nu, theta, valid, _ = cap_images(
+        mobius.stack_fields([G.letter(s) for s, _ in pairs]),
+        boundary_probes(src.centers, src.thetas), src.centers, src.thetas)
+    gap = angle_from_chord(np.linalg.norm(nu - target.centers, axis=1))
+    if not np.all(valid & (gap + theta <= target.thetas + 1e-9)):
+        raise BadSchottkyConfiguration(
+            "ping-pong violation: a defining cap does not map into its partner"
+        )
 
 
 def make_cyclic(g: MobiusMap) -> GroupPresentation:

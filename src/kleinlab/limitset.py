@@ -10,9 +10,9 @@ a (lower, upper) interval that downstream bounds propagate worst-case.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
+
 import numpy as np
 
 from . import geom, mobius

@@ -16,7 +16,7 @@ factorization: x lies in the image cap gamma(C) exactly when gamma^-1 x lies
 in the seed cap C, and gamma(C) is contained in the inflated nested cap of
 the word gamma, so candidate words come from a per-level spatial index of
 nested caps and only the touched image caps are ever fitted: every new cap
-of a level in one caps.cap_images call on the seeds' 8-point probe stacks,
+of a level in one caps.cap_images call on the seeds' n+1 boundary probes,
 stacked by word. Every cap a row meets, from either source, enters one
 minimum.
 """
@@ -301,13 +301,13 @@ class DomeFamily:
     ones, with the same totals in any split of the rows.
 
     The family shape bound (diameter over distance-to-limit-set within
-    (0, 1/2]) is measured on every cap fitted at build: the seeds, the
-    build-fitted image caps, and for schottky groups an audit sample of
-    the image caps drawn with a fixed seed. An image cap's diameter is the
-    largest distance between its mapped probes, taken from their
-    differences. Violations are counted, not raised, so the shape block of
-    a family does not depend on which queries ran. Any fitted cap that
-    reaches a hemisphere raises ShrinkEpsilon.
+    (0, 1/2]) is measured by _check_shapes on every cap fitted at build:
+    the seeds, the build-fitted image caps, and for schottky groups an
+    audit sample of the image caps drawn with a fixed seed. Every cap is
+    measured from its fitted center and radius alone. Violations are
+    counted, not raised, so the shape block of a family does not depend on
+    which queries ran. Any fitted cap that reaches a hemisphere raises
+    ShrinkEpsilon.
     """
 
     def __init__(self, G: GroupPresentation, cloud: LimitSetCloud,
@@ -331,20 +331,19 @@ class DomeFamily:
                     "budget and the group is not schottky-factorable"
                 )
         self._seed_probes = boundary_probes(self.seed_caps.centers,
-                                            self.seed_caps.thetas, count=8)
-        self._verify_seed_shapes()
+                                            self.seed_caps.thetas)
         self.words = enumerate_elements(G, max_len)
         centers, thetas = [self.seed_caps.centers], [self.seed_caps.thetas]
         if not nested:  # every key past the seeds' in one fit
             S = len(self.seed_caps)
             w, s = np.divmod(np.arange(S, len(self.words) * S), S)
             images = G.word_tree.element_fields(max_len)
-            nu, th, probes = self._seed_images(tuple(f[w] for f in images), s)
+            nu, th = self._seed_images(tuple(f[w] for f in images), s)
             centers.append(nu)
             thetas.append(th)
-            self._shape_check_batch(probes)
         self._centers = np.concatenate(centers)
         self._thetas = np.concatenate(thetas)
+        self._check_shapes(self._centers, self._thetas)
         self._cos = np.cos(self._thetas)
         self._index = _CapIndex(self._centers, self._thetas)
         self._levels: list[_WordLevel] = []
@@ -355,10 +354,10 @@ class DomeFamily:
     # -- construction ------------------------------------------------------
 
     def _seed_images(self, fields, seeds: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(centers, thetas, mapped probe stacks) of seed caps seeds[i] under
-        maps i of the stacked fields, from their 8-point probe stacks."""
-        nu, th, valid, probes = cap_images(
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """(centers, thetas) of seed caps seeds[i] under maps i of the
+        stacked fields, from their boundary probes."""
+        nu, th, valid, _ = cap_images(
             fields, self._seed_probes[seeds], self.seed_caps.centers[seeds],
             self.seed_caps.thetas[seeds]
         )
@@ -366,28 +365,31 @@ class DomeFamily:
             raise ShrinkEpsilon(
                 "a propagated cap reached a hemisphere; choose a smaller eps0"
             )
-        return nu, th, probes
+        return nu, th
 
-    def _shape_check_batch(self, probes: np.ndarray):
-        """Shape bound on stacks of exactly mapped cap probes, (S, k, m).
-        Diameters come from probe differences: |p|^2 + |q|^2 - 2 p . q
-        cancels to rounding noise on caps below theta ~ 1e-8."""
-        S, k, m = probes.shape
-        d2 = np.zeros(S)
-        for j in range(1, k):  # probe j against the probes before it
-            diff = probes[:, :j] - probes[:, j:j + 1]
-            d2 = np.maximum(d2, np.einsum("ijk,ijk->ij", diff, diff).max(axis=1))
-        diam = np.sqrt(d2)
-        near, _ = self.cloud.index.nearest(probes.reshape(S * k, m))
-        near_min = near.reshape(S, k).min(axis=1)
+    def _check_shapes(self, centers: np.ndarray, thetas: np.ndarray):
+        """Shape bound on fitted caps (centers, thetas), from one
+        nearest-sample query of their centers.
+
+        The diameter is chord(2 theta). The distance is the certified lower
+        bound chord(angle to the nearest sample - theta) - resolution. A cap
+        whose diameter is within 8 resolutions, or whose gap chord to the
+        cloud is within 3, is counted unresolved: the cloud cannot measure
+        its ratio.
+        """
+        _, j = self.cloud.index.nearest(centers)
+        d = centers - self.cloud.points[j]
+        # the chord to the nearest sample, with the bits of np.linalg.norm
+        # of each row; the angle goes through it, stable at small gaps
+        chord = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+        gap = chord_from_angle(np.maximum(angle_from_chord(chord) - thetas, 0.0))
+        diam = chord_from_angle(2.0 * thetas)
         res = self.cloud.resolution or 0.0
-        unresolved = (diam <= 8.0 * res) | (near_min <= 3.0 * res)
+        unresolved = (diam <= 8.0 * res) | (gap <= 3.0 * res)
         self.shape_unresolved += int(unresolved.sum())
-        meas = ~unresolved
-        if np.any(meas):
-            ratio = diam[meas] / (near_min[meas] - res)
-            self.shape_violations += int((ratio > SHAPE_RATIO_MAX).sum())
-            self.shape_ratios.extend(ratio.tolist())
+        ratio = diam[~unresolved] / (gap[~unresolved] - res)
+        self.shape_violations += int((ratio > SHAPE_RATIO_MAX).sum())
+        self.shape_ratios.extend(ratio.tolist())
 
     def _build_levels(self):
         """Per-level words and inflated nested supports from G.word_tree."""
@@ -433,22 +435,6 @@ class DomeFamily:
 
     # -- cap bookkeeping ----------------------------------------------------
 
-    def _verify_seed_shapes(self):
-        """Shape bound on every seed cap, from one nearest-sample query."""
-        _, j = self.cloud.index.nearest(self.seed_caps.centers)
-        d = self.seed_caps.centers - self.cloud.points[j]
-        # the chord to the nearest sample, with the bits of np.linalg.norm
-        # of each row; the angle goes through it, stable at small gaps
-        chord = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
-        gap = np.maximum(angle_from_chord(chord) - self.seed_caps.thetas, 0.0)
-        dist_lo = np.maximum(
-            chord_from_angle(gap) - (self.cloud.resolution or 0.0), 0.0)
-        if np.any(dist_lo <= 0.0):
-            raise ShrinkEpsilon("cap touches the limit-set resolution band")
-        ratio = chord_from_angle(2.0 * self.seed_caps.thetas) / dist_lo
-        self.shape_violations += int((ratio > SHAPE_RATIO_MAX).sum())
-        self.shape_ratios.extend(ratio.tolist())
-
     def _image_caps(self, lv: _WordLevel, w: np.ndarray, s: np.ndarray,
                     record: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """(centers, thetas) of the image caps of words w under seeds s.
@@ -463,10 +449,10 @@ class DomeFamily:
         new = new[np.diff(new, prepend=-1) != 0]  # distinct; keys are >= 0
         new = new[~np.isin(new, lv.keys, assume_unique=True)]
         if new.size:
-            nu, th, probes = self._seed_images(
+            nu, th = self._seed_images(
                 tuple(f[new // S] for f in lv.words.fields), new % S)
             if record:
-                self._shape_check_batch(probes)
+                self._check_shapes(nu, th)
             order = np.argsort(np.concatenate([lv.keys, new]))
             lv.keys = np.concatenate([lv.keys, new])[order]
             lv.img_centers = np.concatenate([lv.img_centers, nu])[order]

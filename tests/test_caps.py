@@ -11,7 +11,7 @@ import pytest
 from kleinlab import caps, geom, mobius
 from kleinlab.caps import SphericalCap, cap_image, cap_to_euclidean_ball
 
-from util import (level_children, random_mobius, reference_schottky,
+from util import (level_children, random_mobius, reference_schottky, rim_points,
                   scalar_boundary_points)
 
 RNG = np.random.default_rng(1234)
@@ -38,10 +38,14 @@ class TestCapBasics:
         assert not cap.contains(outside)[0]
 
     def test_boundary_points_on_boundary(self):
-        cap = random_cap(RNG)
-        pts = cap.boundary_points(count=16)
-        ang = geom.angular_distance(pts, cap.center)
-        assert np.allclose(ang, cap.theta, atol=1e-12)
+        # n+1 probes at angle theta that span the boundary's hyperplane
+        for m in (2, 3, 4):
+            cap = random_cap(RNG, m)
+            pts = cap.boundary_points()
+            assert pts.shape == (m, m)
+            ang = geom.angular_distance(pts, cap.center)
+            assert np.allclose(ang, cap.theta, atol=1e-12)
+            assert np.linalg.matrix_rank(pts[1:] - pts[0]) == m - 1
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_batched_probes_match_the_one_cap_path_bitwise(self, m):
@@ -50,12 +54,11 @@ class TestCapBasics:
         thetas = np.exp(rng.uniform(np.log(1e-10), np.log(1.5), 500))
         cs = [SphericalCap(center=c, theta=t) for c, t in zip(centers, thetas)]
         centers = np.array([c.center for c in cs])  # as the caps store them
-        for count in (None, 8):
-            ref = np.stack([scalar_boundary_points(c, count) for c in cs])
-            got = caps.boundary_probes(centers, thetas, count)
-            assert got.tobytes() == ref.tobytes()
-            one = np.stack([c.boundary_points(count) for c in cs])
-            assert one.tobytes() == ref.tobytes()
+        ref = np.stack([scalar_boundary_points(c) for c in cs])
+        got = caps.boundary_probes(centers, thetas)
+        assert got.tobytes() == ref.tobytes()
+        one = np.stack([c.boundary_points() for c in cs])
+        assert one.tobytes() == ref.tobytes()
 
     def test_disjointness(self):
         c1 = SphericalCap(center=np.array([1.0, 0.0, 0.0]), theta=0.2)
@@ -79,7 +82,7 @@ class TestStereographicBall:
             if geom.angular_distance(cap.center, north) - cap.theta < 0.05:
                 continue
             center, radius = cap_to_euclidean_ball(cap)
-            for p in cap.boundary_points(count=12):
+            for p in rim_points(cap, RNG, 12):
                 x = geom.stereo_project(geom.SpherePoint(p))
                 assert np.linalg.norm(x.coords - center) == pytest.approx(
                     radius, rel=1e-10
@@ -99,7 +102,7 @@ class TestCapImage:
         assert img.theta == pytest.approx(cap.theta, abs=1e-12)
 
     def test_boundary_of_image_is_image_of_boundary(self):
-        # 20 probe points, 1e-10 (oracle: pointwise mapped boundary)
+        # 20 random rim points, 1e-10 (oracle: pointwise mapped boundary)
         worst = 0.0
         for _ in range(50):
             cap = random_cap(RNG, theta_max=0.7)
@@ -108,7 +111,7 @@ class TestCapImage:
                 img = cap_image(g, cap)
             except caps.CapDegenerate:
                 continue
-            probes = cap.boundary_points(count=20)
+            probes = rim_points(cap, RNG, 20)
             mapped = mobius.sphere_action_rows(g, probes)
             ang = geom.angular_distance(mapped, img.center)
             worst = max(worst, float(np.max(np.abs(ang - img.theta))))
@@ -166,6 +169,33 @@ def exact_theta(P):
         r, h = (float((Decimal(q.numerator) / q.denominator).sqrt())
                 for q in (r2, h2))
     return math.atan2(r, h)
+
+
+def exact_center_offset(P, c):
+    """Angle from the float unit row c to the direction of the circumcenter
+    of three float points of R^3, in exact rational arithmetic: the
+    circumcenter p0 + ((|a|^2 b - |b|^2 a) x (a x b)) / (2 |a x b|^2), and
+    the sine of the angle from |c x o| / (|c| |o|), its square root taken in
+    60-digit decimals."""
+    p = [[Fraction(float(v)) for v in row] for row in P]
+    a = [p[1][i] - p[0][i] for i in range(3)]
+    b = [p[2][i] - p[0][i] for i in range(3)]
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    def cross(u, v):
+        return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                u[0] * v[1] - u[1] * v[0]]
+
+    n = cross(a, b)
+    w = cross([dot(a, a) * y - dot(b, b) * x for x, y in zip(a, b)], n)
+    o = [p[0][i] + w[i] / (2 * dot(n, n)) for i in range(3)]
+    c = [Fraction(float(v)) for v in c]
+    s2 = dot(cross(c, o), cross(c, o)) / (dot(c, c) * dot(o, o))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        return math.asin(float((Decimal(s2.numerator) / s2.denominator).sqrt()))
 
 
 def nested_probe_stacks(G, d):
@@ -234,16 +264,20 @@ class TestBatchedImages:
     @pytest.mark.parametrize("depth,bound", [(2, 1e-13), (3, 1e-13),
                                              (4, 1e-13), (5, 1e-9)])
     def test_nested_caps_match_exact_circumcircle(self, depth, bound):
-        # the circle through the same float probes, in exact arithmetic
+        # the circle through the same float probes, in exact arithmetic:
+        # its radius, and its center's direction to 1e-4 of the radius
         G = reference_schottky()
         imgs, c_img, maps, centers, thetas = nested_probe_stacks(G, depth)
-        _, theta, valid = caps.fit_image_caps(
+        nu, theta, valid = caps.fit_image_caps(
             imgs, c_img, mobius.stack_fields(maps), centers, thetas)
         assert valid.all()
         exact = np.array([exact_theta(P) for P in imgs])
         assert np.max(np.abs(theta - exact) / exact) <= bound
+        off = np.array([exact_center_offset(P, c) for P, c in zip(imgs, nu)])
+        assert np.max(off / theta) <= 1e-4
         # the tree's own fit of the level is the same fit
-        assert np.array_equal(G.word_tree.nested_caps(depth)[1], theta)
+        tree = G.word_tree.nested_caps(depth)
+        assert np.array_equal(tree[0], nu) and np.array_equal(tree[1], theta)
 
     def test_fallback_rows_in_a_mixed_stack(self):
         G = reference_schottky()

@@ -301,8 +301,8 @@ class TestCommands:
         assert results[0] == results[1]
 
     @pytest.mark.parametrize("path, value, stderr", [
-        (LOXODROMIC, 228.3486284824704, 1.8293179618813482),
-        (PARABOLIC, 202.54034759682665, 2.658670766194537),
+        (LOXODROMIC, 228.34862848247005, 1.8293179618813449),
+        (PARABOLIC, 202.54034759682668, 2.6586707661946196),
     ], ids=["loxodromic", "parabolic"])
     def test_graph_volume_from_its_one_family(self, path, value, stderr,
                                               monkeypatch, capsys):
@@ -400,6 +400,34 @@ class TestCommands:
         assert cli.main(["dimension", "--file", str(path), "--json"]) == 0
         res = json.loads(capsys.readouterr().out)["results"]
         assert res["depth"] == 6 and res["agreement"] < 0.01
+
+    def test_graph_and_diagnose_run_in_s3(self, tmp_path, capsys):
+        # the reference caps placed in R^4 (a zero third coordinate): the
+        # family's n+1 probes span each boundary 2-sphere, so graph and
+        # diagnose run, and the limit set is the S^2 one
+        doc = schottky_doc()
+        doc["dimension"] = 3
+        for pair in doc["ball_pairs"]:
+            for cap in pair:
+                cap["center"].insert(2, 0.0)
+        path = tmp_path / "s3.json"
+        path.write_text(json.dumps(doc))
+        flags = ["--epsilon0", "0.25", "--depth", "5", "--samples", "4000",
+                 "--json"]
+        results = {}
+        for command, file in (("graph", path), ("diagnose", path),
+                              ("diagnose", SCHOTTKY)):
+            code = cli.main([command, "--file", str(file), *flags])
+            assert code == 0
+            results[command, str(file)] = json.loads(capsys.readouterr().out)[
+                "results"]
+        inv = results["graph", str(path)]["invariance"]
+        assert len(inv) == 2
+        assert all(g["max_deviation"] <= 1e-9 for g in inv.values())
+        s3, s2 = (results["diagnose", f]["dimension_evidence"]
+                  for f in (str(path), SCHOTTKY))
+        assert s3["cloud_size"] == s2["cloud_size"] > 0
+        assert s3["delta"] == s2["delta"]
 
     def test_long_cyclic_words_stay_within_the_budget(self, capsys):
         # 1 + 2 * 40 = 81 words

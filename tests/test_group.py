@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kleinlab import group, mobius
-from kleinlab.caps import SphericalCap, cap_image
+from kleinlab.caps import SphericalCap, cap_image, cap_to_euclidean_ball
 from kleinlab.files import load_group_file
 from kleinlab.geom import BallPoint, ExtPoint, embed_ext
 from kleinlab.group import (
@@ -242,6 +242,48 @@ class TestWordTree:
             GroupPresentation(n=2, generators=(g, g),
                               tag=group.TAG_SCHOTTKY, ball_caps=ref.ball_caps)
 
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_ping_pong_is_exact_cap_containment(self, m):
+        # the reference caps (embedded in S^3 for m = 4), with g1's target
+        # cap shrunk about its center. Euclidean oracle: g1 maps x to
+        # p2 + k (x - p1) / |x - p1|^2, so the plane ball B(c, rho) of each
+        # other cap goes to B(p2 + k (c - p1) / D, k rho / D), D = |c - p1|^2
+        # - rho^2, and must lie in the plane ball of the shrunk cap. The
+        # smallest radius theta* that holds all three is found by bisection;
+        # the check accepts theta* + 1e-7 and refuses theta* - 1e-7.
+        ref = reference_schottky().ball_caps
+        caps = [SphericalCap(np.insert(c.center, 2, [0.0] * (m - 3)), c.theta)
+                for c in ref]
+        G = make_schottky([(caps[0], caps[1]), (caps[2], caps[3])])
+        g = G.generators[0]
+        k, p1, p2 = g.r, g.a, g.b
+        images = []
+        for cap in caps[1:]:
+            c, rho = cap_to_euclidean_ball(cap)
+            D = (c - p1) @ (c - p1) - rho * rho
+            images.append((p2 + k * (c - p1) / D, k * rho / D))
+
+        def holds(theta):
+            c, rho = cap_to_euclidean_ball(SphericalCap(caps[1].center, theta))
+            return all(np.linalg.norm(ci - c) + ri <= rho for ci, ri in images)
+
+        lo, hi = 1e-3, caps[1].theta
+        assert holds(hi) and not holds(lo)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+        assert hi < caps[1].theta - 1e-3  # a margin to shrink into
+        for theta, ok in ((hi + 1e-7, True), (hi - 1e-7, False)):
+            shrunk = (caps[0], SphericalCap(caps[1].center, theta), *caps[2:])
+            make = lambda: GroupPresentation(n=m - 1, generators=G.generators,
+                                             tag=group.TAG_SCHOTTKY,
+                                             ball_caps=shrunk)
+            if ok:
+                make()
+            else:
+                with pytest.raises(BadSchottkyConfiguration, match="ping-pong"):
+                    make()
+
     def test_word_budget_refuses_before_composing(self):
         G = reference_schottky()
         tree = G.word_tree
@@ -376,6 +418,16 @@ class TestCriticalExponent:
             assert fit.diagnostics["usable_points"] < 5
             assert fit.diagnostics["fit_slope"] is None
             assert fit.diagnostics["horizon"] > 0
+
+    def test_finite_cyclic_horizon_is_unbounded(self):
+        # a rotation by 2 pi / 4 has 4 elements, all of length <= 2: the
+        # count is exact at every radius, so past depth 2 the horizon is inf
+        G = elliptic(4)()
+        assert horizon(G, 2) < np.inf
+        for depth in (3, 6):
+            assert horizon(G, depth) == np.inf
+            fit = group.critical_exponent(G, depth)
+            assert fit.estimate == 0.0 and fit.diagnostics["horizon"] == np.inf
 
     def test_schottky_in_range(self):
         G = reference_schottky()

@@ -151,22 +151,24 @@ def brute_sq(Q, P):
     return s
 
 
-def scalar_boundary_points(cap: SphericalCap, count=None) -> np.ndarray:
+def scalar_boundary_points(cap: SphericalCap) -> np.ndarray:
     """The boundary probes of one cap by the one-cap path: the QR of
-    [c | I], then the frame directions and the negated first one, or count
-    points on a circle in the first two frame directions."""
+    [c | I], then the frame directions and the negated first one."""
     m = cap.center.size
     Q, _ = np.linalg.qr(np.concatenate([cap.center[:, None], np.eye(m)], axis=1))
     frame = Q[:, 1:m].T
-    if count is None:
-        dirs = np.vstack([frame, -frame[0]])
-    elif frame.shape[0] == 1:
-        dirs = np.vstack([frame[0], -frame[0]])
-    else:
-        ts = np.linspace(0.0, 2 * np.pi, count, endpoint=False)
-        dirs = np.outer(np.cos(ts), frame[0]) + np.outer(np.sin(ts), frame[1])
+    dirs = np.vstack([frame, -frame[0]])
     pts = np.cos(cap.theta) * cap.center + np.sin(cap.theta) * dirs
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def rim_points(cap: SphericalCap, rng, count: int) -> np.ndarray:
+    """count random points on the boundary subsphere of a cap, in any n:
+    angle theta from the center toward random unit directions of the
+    center's complement."""
+    dirs = rng.standard_normal((count, cap.center.size - 1)) @ cap.boundary_frame()
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return np.cos(cap.theta) * cap.center + np.sin(cap.theta) * dirs
 
 
 def poisson_kernel(x, y) -> float:
