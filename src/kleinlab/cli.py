@@ -17,6 +17,7 @@ to the limit set, or a generator's type cannot be decided numerically
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -94,6 +95,11 @@ def _check_flags(args):
                                    f"budget of {MAX_SAMPLES}")
     if args.seed is not None and args.seed < 0:
         raise ValidationError("--seed", "must be >= 0")
+    if args.out is not None and args.command in ("limitset", "graph"):
+        if os.path.isdir(args.out):
+            raise ValidationError("--out", "is a directory")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise ValidationError("--out", "parent directory does not exist")
 
 
 def _cloud_for(defn: GroupDefinition, depth: int):
@@ -131,6 +137,14 @@ def _region_samples(region, rng: np.random.Generator, n: int, size: int
         U[region.contains(U)] for _, U in uniform_sphere_blocks(rng, n, size)])
 
 
+def _write_out(export, *data, path: str):
+    """export(*data, path), a write that fails after all as a bad --out."""
+    try:
+        export(*data, path)
+    except OSError as exc:
+        raise ValidationError("--out", str(exc)) from exc
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -155,7 +169,7 @@ def cmd_limitset(args, defn: GroupDefinition) -> tuple[dict, int]:
     depth = args.depth if args.depth is not None else defn.depths[-1]
     cloud = _cloud_for(defn, depth)
     if args.out:
-        limitset_mod.export_csv(cloud, args.out)
+        _write_out(limitset_mod.export_csv, cloud, path=args.out)
     report = {
         "size": cloud.size,
         "depth": depth,
@@ -234,7 +248,7 @@ def cmd_graph(args, defn: GroupDefinition) -> tuple[dict, int]:
         dev, cnt = lipgraph_mod.check_invariance(fam, g, U[:2000], res[:2000])
         inv[f"g{i + 1}"] = {"max_deviation": dev, "points": cnt}
     if args.out:
-        lipgraph_mod.export_graph_csv(U, res, args.out)
+        _write_out(lipgraph_mod.export_graph_csv, U, res, path=args.out)
     bilip = lipgraph_mod.bilipschitz_ratios(fam, U[:1600], res[:1600])
     shape = {
         "min_ratio": fam.min_shape_ratio(),

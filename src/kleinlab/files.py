@@ -193,8 +193,8 @@ def parse_group_document(doc: dict) -> GroupDefinition:
         for i, rec in enumerate(doc.get("cusp_ends", []))
     )
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ValidationError("$.seed", "must be an integer")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValidationError("$.seed", "must be a non-negative integer")
     depths = tuple(doc.get("depths", (4, 5, 6)))
     if not depths or not all(isinstance(d, int) and d >= 1 for d in depths):
         raise ValidationError("$.depths", "must be positive integers")
@@ -214,10 +214,12 @@ def parse_group_document(doc: dict) -> GroupDefinition:
 
 def load_group_file(path) -> GroupDefinition:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError("$", f"invalid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError("--file", str(exc)) from exc
     return parse_group_document(doc)
 
 

@@ -64,15 +64,20 @@ def cloud_complement(L: LimitSetCloud) -> BoundaryIndicator:
     is at most the band (the certified resolution, 0 without one) and a
     member otherwise, as the upper distance of limitset.dist_rows(U, L)
     would decide: a row is indeterminate exactly when some sample p in its
-    sweep window has sqrt(sum((u - p)^2)) <= band.
+    sweep window has sqrt(sum((u - p)^2)) <= band. The sweep's screen,
+    built once here, passes on only the rows in an axis cell next to a
+    sample's, a superset of those within the band, so the flags are those
+    of the whole sweep; the other rows cost one gather each.
     """
     band = L.resolution or 0.0
+    near = L.sweep.screen(band)
 
     def classify(U):
         U = np.atleast_2d(np.asarray(U, dtype=float))
         indet = np.zeros(U.shape[0], dtype=bool)
-        for i, _, d2 in L.sweep.pairs(U, band):
-            indet[i[np.sqrt(d2) <= band]] = True
+        rows = np.flatnonzero(near(U))
+        for i, _, d2 in L.sweep.pairs(U[rows], band):
+            indet[rows[i[np.sqrt(d2) <= band]]] = True
         return ~indet, indet
 
     return BoundaryIndicator(kind="complement-of-cloud", classify=classify)
@@ -86,16 +91,23 @@ def boundary_shift_rows(x: BallPoint, Z: np.ndarray) -> np.ndarray:
     """Boundary action of the ball isometry sending 0 to x, on unit rows.
 
     Restriction of the Mobius gyro-translation to |z| = 1; pushes the uniform
-    measure forward to the harmonic measure seen from x.
+    measure forward to the harmonic measure seen from x. The affine part
+    ((2 + 2 z.x) x + (1 - |x|^2) z) / (1 + 2 z.x + |x|^2) is formed one
+    coordinate column at a time, with no N x (n+1) temporaries; each entry
+    takes the same operations in the same order, so the same bits.
     """
     Z = np.atleast_2d(Z)
     xv = x.vec
     x2 = float(xv @ xv)
     dots = Z @ xv
     denom = 1.0 + 2.0 * dots + x2
-    out = (2.0 + 2.0 * dots)[:, None] * xv
-    out += (1.0 - x2) * Z
-    out /= denom[:, None]
+    a = 2.0 + 2.0 * dots
+    out = np.empty(Z.shape)
+    for k in range(Z.shape[1]):
+        col = out[:, k]
+        np.multiply(a, xv[k], out=col)
+        col += (1.0 - x2) * Z[:, k]
+        col /= denom
     return normalize_rows(out)
 
 

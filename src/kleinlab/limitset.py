@@ -198,6 +198,37 @@ class Sweep:
         for i, j in _windows(*self.window(Q, r)):
             yield i, j, _sq_dist_at(self.points, j, Q, i)
 
+    def screen(self, r: float):
+        """near(X): True for every row of X with an entry within chordal
+        distance r, and for some rows without one; one gather a row.
+
+        The axis is cut into cells at least twice the window half-width w
+        wide, at most min(2^16, 4M + 16) of them, and each entry marks its
+        own cell and both neighbours. A row within w of an entry along the
+        axis lies in a cell next to the entry's, so pairs(X[near(X)], r)
+        yields every pair that pairs(X, r) yields within distance r.
+        """
+        w = r * (1.0 + _WINDOW_SLACK) + self._pad
+        x = self.points[:, self.axis]
+        span = float(x.max()) - self._x0 if len(x) else 0.0
+        width = max(2.0 * w, span / min(2 ** 16, 4 * len(x) + 16))
+        last = int(span / width) + 2  # cells 2 .. last hold the entries
+
+        def cells(v):
+            # every row beyond the cells next to the entries' goes to the
+            # unmarked end cells 0 and last + 2
+            c = v - self._x0
+            c /= width
+            np.clip(c, -2.0, last, out=c)
+            return np.floor(c, out=c).astype(np.intp) + 2
+
+        marked = np.zeros(last + 3, dtype=bool)
+        own = cells(x)
+        for step in (-1, 0, 1):
+            marked[own + step] = True
+        # mode="clip" keeps the cast of a NaN row inside the array
+        return lambda X: marked.take(cells(X[:, self.axis]), mode="clip")
+
 
 # Most points in a leaf of a PointIndex, as in a kd-tree.
 _LEAF = 16

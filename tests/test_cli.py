@@ -99,6 +99,13 @@ class TestSchema:
         with pytest.raises(ValidationError, match="format"):
             parse_group_document(doc)
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, "7"])
+    def test_bad_seed_rejected(self, seed):
+        doc = schottky_doc()
+        doc["seed"] = seed
+        with pytest.raises(ValidationError, match=r"\$\.seed"):
+            parse_group_document(doc)
+
     def test_cusp_record_parsed(self):
         spec = load_group_file(PARABOLIC)
         assert len(spec.cusp_ends) == 1
@@ -464,6 +471,59 @@ class TestCommands:
         results = json.loads(capsys.readouterr().out)["results"]
         assert results == {
             "error": "ambiguous classification: sphere iteration does not settle"}
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_file_exits_2_with_message(self, kind, tmp_path, capsys):
+        path = {"missing": tmp_path / "none.json", "directory": tmp_path,
+                "not-utf8": tmp_path / "latin1.json"}[kind]
+        if kind == "not-utf8":
+            path.write_bytes(b'{"format": 1, "kind": "\xe9"}')
+        code = cli.main(["validate", "--file", str(path), "--json"])
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert code == 2 and results["valid"] is False
+        assert results["error"].startswith("--file: ")
+
+    @pytest.mark.parametrize("command", ["harmonic", "graph", "diagnose"])
+    def test_negative_file_seed_exits_2_with_message(self, command, tmp_path,
+                                                     capsys):
+        doc = schottky_doc()
+        doc["seed"] = -1
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main([command, "--file", str(path), "--json"])
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert code == 2 and results["error"].startswith("$.seed: ")
+
+    @pytest.mark.parametrize("command", ["limitset", "graph"])
+    def test_unwritable_out_exits_2_before_sampling(self, command, tmp_path,
+                                                    monkeypatch, capsys):
+        def unreached(*args, **kwargs):
+            raise AssertionError("sampled before checking --out")
+
+        monkeypatch.setattr(limitset, "sample_limit_set", unreached)
+        for out, error in [(tmp_path, "is a directory"),
+                           (tmp_path / "none" / "x.csv",
+                            "parent directory does not exist")]:
+            code = cli.main([command, "--file", LOXODROMIC, "--out", str(out),
+                             "--json"])
+            results = json.loads(capsys.readouterr().out)["results"]
+            assert code == 2 and results["error"] == f"--out: {error}"
+
+    @pytest.mark.parametrize("command, module, export", [
+        ("limitset", limitset, "export_csv"),
+        ("graph", lipgraph, "export_graph_csv"),
+    ])
+    def test_failed_write_exits_2_with_message(self, command, module, export,
+                                               tmp_path, monkeypatch, capsys):
+        def full(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(module, export, full)
+        code = cli.main([command, "--file", LOXODROMIC, "--samples", "2000",
+                         "--out", str(tmp_path / "x.csv"), "--json"])
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert code == 2
+        assert results["error"] == "--out: [Errno 28] No space left on device"
 
     def test_reports_carry_inputs_and_wall_time(self, capsys):
         cli.main(["validate", "--file", LOXODROMIC, "--json"])

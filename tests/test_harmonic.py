@@ -402,6 +402,61 @@ def wide_band_cloud():
     return LimitSetCloud(n=2, points=cloud.points, depth=4, resolution=0.1)
 
 
+def unscreened_flags(cloud, U):
+    """cloud_complement's indeterminate flags from every row's whole sweep
+    window, without the screen."""
+    band = cloud.resolution or 0.0
+    indet = np.zeros(len(U), dtype=bool)
+    for i, _, d2 in cloud.sweep.pairs(U, band):
+        indet[i[np.sqrt(d2) <= band]] = True
+    return indet
+
+
+class TestScreen:
+    """cloud_complement sends only the rows its screen passes through the
+    sweep; the flags are those of every row's whole window."""
+
+    @staticmethod
+    def assert_flags_unchanged(cloud, U):
+        member, indet = cloud_complement(cloud).classify(U)
+        want = unscreened_flags(cloud, U)
+        assert np.array_equal(indet, want) and np.array_equal(member, ~want)
+        return indet
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6, "wide"])
+    def test_flags_match_the_whole_sweep(self, depth):
+        cloud = (wide_band_cloud() if depth == "wide"
+                 else sample_limit_set(reference_schottky(), depth))
+        band = cloud.resolution
+        rng = np.random.default_rng(17)
+        P = cloud.points[rng.integers(0, cloud.size, 2000)]
+        axis = np.eye(3)[cloud.sweep.axis]
+        # rows on samples, within 0.7 band of them, a band from them along
+        # the sweep axis, and harmonic samples seen from an off-centre point
+        U = np.vstack([P, P + 0.7 * band * uniform_sphere(rng, 2, len(P)),
+                       P + band * axis, P - band * axis,
+                       boundary_shift_rows(ball_point([0.2, -0.1, 0.3]),
+                                           uniform_sphere(rng, 2, 20_000))])
+        indet = self.assert_flags_unchanged(cloud, U)
+        assert indet[:4000].all()
+        if depth == 6:  # the screen keeps nearly every row out of the sweep
+            assert cloud.sweep.screen(band)(U[8000:]).mean() < 0.01
+
+    @pytest.mark.parametrize("g, size", [
+        (mobius.affine(2, r=2.0), 2),  # loxodromic: band 0
+        (mobius.translation([2.5, 0.0]), 1),  # parabolic
+        (mobius.affine(2, A=np.array([[0.0, -1.0], [1.0, 0.0]])), 0),  # order 4
+    ])
+    def test_cyclic_empty_and_one_point_clouds(self, g, size):
+        cloud = sample_limit_set(make_cyclic(g), 3)
+        assert cloud.size == size and not cloud.resolution
+        rng = np.random.default_rng(size)
+        U = np.vstack([cloud.points, np.nextafter(cloud.points, 2.0),
+                       uniform_sphere(rng, 2, 5000)])
+        indet = self.assert_flags_unchanged(cloud, U)
+        assert indet.sum() == size and indet[:size].all()
+
+
 class TestSampleBlocks:
     N = 5000  # not a multiple of the patched block
 

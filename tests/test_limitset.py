@@ -247,6 +247,32 @@ class TestSweep:
         P = cloud.sweep.points
         assert np.array_equal(d2, np.sum((P[j] - U[i]) ** 2, axis=1))
 
+    @pytest.mark.parametrize("side", [np.inf, 0.05])
+    @pytest.mark.parametrize("r", [0.0, 1e-12, 1e-6, 1e-3, 0.05, 0.5, 3.0])
+    def test_screen_passes_every_row_within_r(self, side, r):
+        rng = np.random.default_rng([int(-np.log10(r)) if r else 99, 7])
+        P = geom.uniform_sphere(rng, 2, 300)
+        sweep = limitset.Sweep(P, side)
+        step = geom.uniform_sphere(rng, 2, 300)
+        e = np.eye(3)[sweep.axis]
+        # rows on the points, within r of them, exactly r from them along
+        # the sweep axis, and anywhere
+        Q = np.vstack([P, P + 0.7 * r * step, P + r * e, P - r * e,
+                       geom.uniform_sphere(rng, 2, 3000)])
+        within = np.any(brute_sq(Q, P) <= r * r, axis=1)
+        near = sweep.screen(r)(Q)
+        assert near.dtype == bool and near.shape == (len(Q),)
+        assert near[within].all() and near[:300].all()
+        if r <= 1e-6:  # cells of 2 / 1216 keep out most rows
+            assert near[1200:].mean() < 0.7
+
+    def test_screen_of_empty_and_one_point_sets(self):
+        Q = geom.uniform_sphere(np.random.default_rng(9), 2, 50)
+        assert not limitset.Sweep(np.empty((0, 3))).screen(1.0)(Q).any()
+        near = limitset.Sweep(Q[:1]).screen(0.0)(Q)
+        assert near[0] and near.sum() == 1  # the cells are 2^-50 wide
+        assert limitset.Sweep(Q[:1]).screen(2.0)(Q).all()
+
 
 def brute_nearest(Q, P, k):
     """(distances, indices) of the k nearest points by brute_sq, ties to the
