@@ -1,17 +1,21 @@
 """Command-line surface for group analysis runs.
 
-kleinlab <validate|limitset|dimension|graph|harmonic|diagnose>
-    --file F [--depth D] [--epsilon0 E] [--samples N] [--seed S]
-    [--out PATH] [--json]
+kleinlab validate  --file F [--seed S] [--json]
+kleinlab limitset  --file F [--depth D] [--seed S] [--out PATH] [--json]
+kleinlab dimension --file F [--depth D] [--seed S] [--json]
+kleinlab graph     --file F [--depth D] [--epsilon0 E] [--samples N]
+                   [--seed S] [--out PATH] [--json]
+kleinlab harmonic  --file F [--depth D] [--samples N] [--seed S] [--json]
+kleinlab diagnose  --file F [--depth D] [--seed S] [--json]
 
 Every command reads a strict group-definition JSON file, prints a summary (or
 the full JSON report with --json), writes CSV artifacts to --out where that
 applies, and exits 0 on success, 2 on validation failure (of the file or of
-a flag) or a bad configuration (a degenerate nested cap), 3 when the budget
-leaves the question inconclusive, the depth needs more words than
-group.MAX_WORDS, the cloud is too coarse to certify the region's distance
-to the limit set, or a generator's type cannot be decided numerically
-(mobius.AmbiguousClassification).
+a flag, an unknown flag included) or a bad configuration (a degenerate
+nested cap), 3 when the budget leaves the question inconclusive, the depth
+needs more words than group.MAX_WORDS, the cloud is too coarse to certify
+the region's distance to the limit set, or a generator's type cannot be
+decided numerically (mobius.AmbiguousClassification).
 """
 
 from __future__ import annotations
@@ -35,19 +39,43 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_INCONCLUSIVE = 3
 
-# Peak RSS grows with --samples by about 15 bytes a sample for harmonic, 14
-# for diagnose and 30 for graph. Every Monte-Carlo draws and evaluates
-# geom.SAMPLE_BLOCK samples at a time and heights takes geom.ROW_BLOCK rows
-# a pass; graph keeps its region rows, their heights and the per-sample
-# volume terms. From 41, 46 and 47 MB at 40k samples to 46, 52 and 55 MB at
-# 400k and 56, 60 and 76 MB at a million, on the reference file (diagnose
-# at --epsilon0 0.25 --depth 5; graph on the loxodromic file), with one
-# BLAS thread.
+# Peak RSS grows with --samples by about 15 bytes a sample for harmonic and
+# 30 for graph. Every Monte-Carlo draws and evaluates geom.SAMPLE_BLOCK
+# samples at a time and heights takes geom.ROW_BLOCK rows a pass; graph keeps
+# its region rows, their heights and the per-sample volume terms. From 41
+# and 47 MB at 40k samples to 46 and 55 MB at 400k and 56 and 76 MB at a
+# million (harmonic on the reference file, graph on the loxodromic file),
+# with one BLAS thread.
 MAX_SAMPLES = 1_000_000
 
 
 class SampleBudgetExceeded(RuntimeError):
     """--samples asks for more than MAX_SAMPLES."""
+
+
+# the flags that not every command takes: dest -> add_argument keywords
+_FLAGS = {
+    "depth": dict(type=int, help="word-length truncation override"),
+    "epsilon0": dict(type=float, help="base-cap scale override"),
+    "samples": dict(type=int, help="Monte-Carlo sample budget"),
+    "out": dict(help="CSV output path"),
+}
+
+# command -> (help, the flags of _FLAGS it reads); every command also takes
+# --file, --seed and --json
+_COMMAND_FLAGS = {
+    "validate": ("parse and check a group-definition file", ()),
+    "limitset": ("sample the limit set and export the point cloud",
+                 ("depth", "out")),
+    "dimension": ("box-counting dimension, growth exponent, spectral bottom",
+                  ("depth",)),
+    "graph": ("dome-envelope graph: band, Lipschitz, invariance, volume",
+              ("depth", "epsilon0", "samples", "out")),
+    "harmonic": ("harmonic measure at the origin and invariance residuals",
+                 ("depth", "samples")),
+    "diagnose": ("geometric-finiteness grading of the dimension evidence",
+                 ("depth",)),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,27 +84,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Numerical exploration of Kleinian groups on S^n",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("validate", "parse and check a group-definition file"),
-        ("limitset", "sample the limit set and export the point cloud"),
-        ("dimension", "box-counting dimension, growth exponent, spectral bottom"),
-        ("graph", "dome-envelope graph: band, Lipschitz, invariance, volume"),
-        ("harmonic", "harmonic measure at the origin and invariance residuals"),
-        ("diagnose", "geometric-finiteness evidence grading"),
-    ]:
+    for name, (help_text, flags) in _COMMAND_FLAGS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--file", required=True, help="group-definition JSON")
-        cmd.add_argument("--depth", type=int, default=None,
-                         help="word-length truncation override")
-        cmd.add_argument("--epsilon0", type=float, default=None,
-                         help="base-cap scale override")
-        cmd.add_argument("--samples", type=int, default=None,
-                         help="Monte-Carlo sample budget")
+        for dest in flags:
+            cmd.add_argument(f"--{dest}", default=None, **_FLAGS[dest])
         cmd.add_argument("--seed", type=int, default=None,
                          help="random seed override")
-        cmd.add_argument("--out", default=None, help="CSV output path")
         cmd.add_argument("--json", action="store_true",
                          help="print the full JSON report")
+        # a flag the command does not take reads None, as in its report
+        cmd.set_defaults(**{dest: None for dest in _FLAGS if dest not in flags})
     return parser
 
 
@@ -95,7 +113,7 @@ def _check_flags(args):
                                    f"budget of {MAX_SAMPLES}")
     if args.seed is not None and args.seed < 0:
         raise ValidationError("--seed", "must be >= 0")
-    if args.out is not None and args.command in ("limitset", "graph"):
+    if args.out is not None:
         if os.path.isdir(args.out):
             raise ValidationError("--out", "is a directory")
         if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
@@ -181,12 +199,11 @@ def cmd_limitset(args, defn: GroupDefinition) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def cmd_dimension(args, defn: GroupDefinition, cloud=None) -> tuple[dict, int]:
+def cmd_dimension(args, defn: GroupDefinition) -> tuple[dict, int]:
     from . import limitset as limitset_mod
     G = defn.presentation
     depth = args.depth if args.depth is not None else defn.depths[-1]
-    if cloud is None:
-        cloud = _cloud_for(defn, depth)
+    cloud = _cloud_for(defn, depth)
     report: dict = {"depth": depth, "cloud_size": cloud.size}
     try:
         if cloud.size < 2:
@@ -214,13 +231,6 @@ def cmd_dimension(args, defn: GroupDefinition, cloud=None) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def _volume(fam, region, samples: int, seed: int) -> dict:
-    from . import lipgraph as lipgraph_mod
-    est = lipgraph_mod.graph_volume(fam, region, samples, seed=seed)
-    return {"depth": fam.max_len, "value": est.value, "stderr": est.stderr,
-            "covered_fraction": est.covered_fraction}
-
-
 def cmd_graph(args, defn: GroupDefinition) -> tuple[dict, int]:
     from . import lipgraph as lipgraph_mod
     G = defn.presentation
@@ -236,13 +246,11 @@ def cmd_graph(args, defn: GroupDefinition) -> tuple[dict, int]:
     U = _region_samples(region, np.random.default_rng(seed + 1), G.n, samples)
     res = fam.heights(U)  # every diagnostic below reads rows of this one result
     band = lipgraph_mod.graph_band(fam, U, res)
-    half = len(U) // 2
     try:
-        M_half = lipgraph_mod.lipschitz_estimate(U[:half], res[:half])
+        M = lipgraph_mod.lipschitz_estimate(U, res)
     except ValueError as exc:  # too few samples landed on covered directions
         report = {"depth": depth, "reason": f"budget too small: {exc}"}
         return report, EXIT_INCONCLUSIVE
-    M_full = lipgraph_mod.lipschitz_estimate(U, res)
     inv = {}
     for i, g in enumerate(G.generators):
         dev, cnt = lipgraph_mod.check_invariance(fam, g, U[:2000], res[:2000])
@@ -257,6 +265,7 @@ def cmd_graph(args, defn: GroupDefinition) -> tuple[dict, int]:
         "unresolved": fam.shape_unresolved,
         "bound_ok": fam.shape_bound_ok,
     }
+    vol = lipgraph_mod.graph_volume(fam, region, samples, seed=seed)
     report = {
         "depth": depth,
         "epsilon0": eps0,
@@ -264,9 +273,10 @@ def cmd_graph(args, defn: GroupDefinition) -> tuple[dict, int]:
         "band": {"C1": float(band.min()), "C2": float(band.max()),
                  "ratio": float(band.max() / band.min())},
         "bilipschitz": {"min": float(bilip.min()), "max": float(bilip.max())},
-        "lipschitz": {"M": M_full, "M_half_sample": M_half},
+        "lipschitz": {"M": M},
         "invariance": inv,
-        "volume": _volume(fam, region, samples, seed),
+        "volume": {"depth": depth, "value": vol.value, "stderr": vol.stderr,
+                   "covered_fraction": vol.covered_fraction},
         "shape": shape,
         "csv": args.out,
     }
@@ -310,21 +320,15 @@ def cmd_harmonic(args, defn: GroupDefinition) -> tuple[dict, int]:
         "indeterminate_fraction": identity_rep["u_origin"].indeterminate_fraction,
         "identity_agrees": identity_rep["agree"],
         "invariance_residuals": residuals,
-        "flux_convention": harmonic_mod.flux_density_check(G.n)[
-            "selected_convention"
-        ],
     }
     return report, EXIT_OK
 
 
 def cmd_diagnose(args, defn: GroupDefinition) -> tuple[dict, int]:
-    from . import lipgraph as lipgraph_mod
-    G = defn.presentation
+    """Grade the dimension evidence: a conformally finite group is
+    geometrically finite unless its limit set has dimension n."""
+    n = defn.presentation.n
     depth = args.depth if args.depth is not None else defn.depths[-1]
-    seed = args.seed if args.seed is not None else defn.seed
-    samples = args.samples if args.samples is not None else 10_000
-    eps0 = args.epsilon0 if args.epsilon0 is not None else defn.epsilon0
-    n = G.n
     report: dict = {"depth": depth, "dimension": n, "kind": defn.kind}
     if defn.kind == "schottky":
         report["conformal_finiteness"] = "holds by construction (schottky)"
@@ -332,8 +336,7 @@ def cmd_diagnose(args, defn: GroupDefinition) -> tuple[dict, int]:
         report["verdict"] = "inconclusive"
         report["reason"] = "depth budget below 2 words"
         return report, EXIT_INCONCLUSIVE
-    cloud = _cloud_for(defn, depth)
-    dim_report, code = cmd_dimension(args, defn, cloud)
+    dim_report, code = cmd_dimension(args, defn)
     report["dimension_evidence"] = dim_report
     if code != EXIT_OK:
         report["verdict"] = "inconclusive"
@@ -341,20 +344,6 @@ def cmd_diagnose(args, defn: GroupDefinition) -> tuple[dict, int]:
         return report, EXIT_INCONCLUSIVE
     box = dim_report["box_dimension"]["estimate"]
     delta = dim_report["delta"]["estimate"]
-    if defn.kind == "schottky":
-        region = _region_for(defn)
-        mesh = lipgraph_mod.region_mesh(region, cloud, eps0)
-        caps = lipgraph_mod.base_caps(mesh, eps0, cloud)
-        fam = lipgraph_mod.DomeFamily(G, cloud, caps, max_len=depth, audit=200)
-        report["volume_evidence"] = {
-            **_volume(fam, region, samples, seed),
-            "note": "the region is compact and away from the limit set, so "
-                    "the volume is finite by construction: reported, not gated",
-        }
-    else:
-        report["volume_evidence"] = (
-            "skipped: elementary presentation is geometrically finite by type"
-        )
     if max(box, delta) < n - 0.3:
         verdict, code = "consistent-with-geometrically-finite", EXIT_OK
     elif min(box, delta) > n - 0.1:

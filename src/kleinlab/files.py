@@ -43,6 +43,11 @@ def _require_fields(obj: dict, allowed: set, required: set, path: str):
         raise ValidationError(path, f"missing fields {sorted(missing)}")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: True and False are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _finite_floats(value, path: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -193,14 +198,16 @@ def parse_group_document(doc: dict) -> GroupDefinition:
         for i, rec in enumerate(doc.get("cusp_ends", []))
     )
     seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ValidationError("$.seed", "must be a non-negative integer")
-    depths = tuple(doc.get("depths", (4, 5, 6)))
-    if not depths or not all(isinstance(d, int) and d >= 1 for d in depths):
-        raise ValidationError("$.depths", "must be positive integers")
-    eps0 = float(doc.get("epsilon0", 0.1))
-    if not 0.0 < eps0 <= 0.5:
-        raise ValidationError("$.epsilon0", "must lie in (0, 1/2]")
+    depths = doc.get("depths", [4, 5, 6])
+    if not isinstance(depths, list) or not depths or not all(
+            _is_int(d) and d >= 1 for d in depths):
+        raise ValidationError("$.depths", "must be a list of positive integers")
+    eps0 = doc.get("epsilon0", 0.1)
+    if isinstance(eps0, bool) or not isinstance(eps0, (int, float)) or not (
+            0.0 < eps0 <= 0.5):
+        raise ValidationError("$.epsilon0", "must be a number in (0, 1/2]")
     tol = doc.get("tolerances", {})
     if not isinstance(tol, dict) or not all(
         isinstance(v, (int, float)) and np.isfinite(v) for v in tol.values()
@@ -208,7 +215,7 @@ def parse_group_document(doc: dict) -> GroupDefinition:
         raise ValidationError("$.tolerances", "must be a flat object of finite numbers")
     return GroupDefinition(
         presentation=G, cusp_ends=cusps, seed=seed, depths=tuple(sorted(depths)),
-        epsilon0=eps0, tolerances=dict(tol), kind=kind,
+        epsilon0=float(eps0), tolerances=dict(tol), kind=kind,
     )
 
 

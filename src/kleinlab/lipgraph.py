@@ -611,10 +611,9 @@ def check_invariance(F: DomeFamily, gamma: MobiusMap, samples: np.ndarray,
 def lipschitz_estimate(samples: np.ndarray, res: HeightResult) -> float:
     """Empirical Lipschitz constant max |f(x)-f(y)| / q(x, y) over the pairs
     with q > 1e-12 of the first 633 covered samples (about 200,000 pairs,
-    from limitset.pair_blocks); res holds the heights of the samples. Every
-    prefix with 633 covered samples gives the same value, so a half-sample
-    estimate over one equals the full estimate. Raises ValueError without a
-    pair."""
+    from limitset.pair_blocks); res holds the heights of the samples, and
+    every prefix with 633 covered samples gives the same value. Raises
+    ValueError without a pair."""
     first = np.fromiter(islice(compress(count(), res.covered), 633), np.intp)
     U, fv = np.atleast_2d(samples)[first], res.f[first]
     best = -1.0  # ratios are >= 0; the pairs the filter drops read -1

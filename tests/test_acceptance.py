@@ -179,7 +179,8 @@ def test_criterion_03_distortion_band_stability():
 
 
 def test_criterion_04_graph_band_and_lipschitz():
-    """(1-f)/dist band with C2/C1 < 20 at eps0 = 0.1; M stable under doubling."""
+    """(1-f)/dist band with C2/C1 < 20 at eps0 = 0.1; M stable under doubling
+    (the estimates over the two disjoint halves of the samples agree)."""
     budget, t0 = 120.0, time.time()
     G = _Shared.group()
     fam = _Shared.family(3)
@@ -191,18 +192,17 @@ def test_criterion_04_graph_band_and_lipschitz():
     res = fam.heights(U)
     band = lipgraph.graph_band(fam, U, res)
     C1, C2 = float(band.min()), float(band.max())
-    # both read the first 633 covered samples, which lie in the first 5000,
-    # so they are equal and `stable` holds whatever the graph
-    M_half = lipgraph.lipschitz_estimate(U[:5000], res[:5000])
-    M_full = lipgraph.lipschitz_estimate(U, res)
-    stable = abs(M_full - M_half) <= 0.5 * max(M_full, M_half)
+    # each estimate reads the first 633 covered samples of its half
+    M_first = lipgraph.lipschitz_estimate(U[:5000], res[:5000])
+    M_second = lipgraph.lipschitz_estimate(U[5000:], res[5000:])
+    stable = abs(M_first - M_second) <= 0.5 * max(M_first, M_second)
     elapsed = time.time() - t0
     assert C2 / C1 < 20.0
-    assert np.isfinite(M_full) and stable
+    assert np.isfinite([M_first, M_second]).all() and stable
     assert elapsed < budget
     _report(4, budget, elapsed,
             f"band [{C1:.4f}, {C2:.4f}] ratio {C2 / C1:.2f}, "
-            f"M {M_full:.3f} (half-sample {M_half:.3f})")
+            f"M {M_first:.3f} (other half {M_second:.3f})")
 
 
 def test_criterion_05_graph_invariance():
@@ -350,24 +350,28 @@ def test_criterion_09_dimension_pipeline():
 
 
 def test_criterion_10_diagnose_end_to_end(capsys):
-    """Reference file diagnoses as consistent; depth-1 run is inconclusive."""
+    """Reference file diagnoses as consistent; depth-1 run is inconclusive;
+    the graph volume over its fundamental region is finite."""
     budget, t0 = 400.0, time.time()
     code = cli.main(["diagnose", "--file", SCHOTTKY_FILE, "--json"])
     out = json.loads(capsys.readouterr().out)
     res = out["results"]
     assert code == 0
     assert res["verdict"] == "consistent-with-geometrically-finite"
-    vol = res["volume_evidence"]
-    assert vol["depth"] == 6
-    assert np.isfinite(vol["value"]) and vol["value"] > 0
-    assert vol["stderr"] > 0
-    assert vol["covered_fraction"] == 1
 
     code1 = cli.main(["diagnose", "--file", SCHOTTKY_FILE, "--depth", "1",
                       "--json"])
     out1 = json.loads(capsys.readouterr().out)
     assert code1 == 3
     assert out1["results"]["verdict"] == "inconclusive"
+
+    code2 = cli.main(["graph", "--file", SCHOTTKY_FILE, "--json"])
+    vol = json.loads(capsys.readouterr().out)["results"]["volume"]
+    assert code2 == 0
+    assert vol["depth"] == 6
+    assert np.isfinite(vol["value"]) and vol["value"] > 0
+    assert vol["stderr"] > 0
+    assert vol["covered_fraction"] == 1
     elapsed = time.time() - t0
     assert elapsed < budget
     _report(10, budget, elapsed,

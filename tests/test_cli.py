@@ -33,6 +33,18 @@ def schottky_doc():
     return json.loads(pathlib.Path(SCHOTTKY).read_text())
 
 
+def s3_file(tmp_path) -> str:
+    """The reference caps placed in R^4, with a zero third coordinate."""
+    doc = schottky_doc()
+    doc["dimension"] = 3
+    for pair in doc["ball_pairs"]:
+        for cap in pair:
+            cap["center"].insert(2, 0.0)
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def _count_families(monkeypatch) -> list:
     """Record every lipgraph.DomeFamily built while the test runs."""
     built = []
@@ -44,6 +56,19 @@ def _count_families(monkeypatch) -> list:
 
     monkeypatch.setattr(lipgraph, "DomeFamily", counting)
     return built
+
+
+# the flags each command takes besides --file, --seed and --json
+_OPTIONAL_FLAGS = {
+    "validate": (),
+    "limitset": ("--depth", "--out"),
+    "dimension": ("--depth",),
+    "graph": ("--depth", "--epsilon0", "--samples", "--out"),
+    "harmonic": ("--depth", "--samples"),
+    "diagnose": ("--depth",),
+}
+_FLAG_VALUES = {"--depth": "3", "--epsilon0": "0.25", "--samples": "10",
+                "--out": "x.csv"}
 
 
 class TestSchema:
@@ -269,7 +294,6 @@ class TestCommands:
         res = rep["results"]
         assert res["identity_agrees"] is True
         assert res["u_origin"] == pytest.approx(1.0, abs=1e-3)
-        assert res["flux_convention"] == "boundary-sphere-measure"
 
     def test_diagnose_depth_one_inconclusive(self, capsys):
         code = cli.main(["diagnose", "--file", SCHOTTKY, "--depth", "1",
@@ -285,27 +309,23 @@ class TestCommands:
         rep = json.loads(capsys.readouterr().out)
         res = rep["results"]
         assert res["verdict"] == "consistent-with-geometrically-finite"
-        assert "skipped" in res["volume_evidence"]
+        assert "volume_evidence" not in res
 
-    def test_diagnose_honours_epsilon0_flag(self, tmp_path, monkeypatch,
-                                            capsys):
-        doc = schottky_doc()
-        doc["epsilon0"] = 0.25
-        path = tmp_path / "eps.json"
-        path.write_text(json.dumps(doc))
-        families = _count_families(monkeypatch)
-        results = []
-        for argv in (["--file", SCHOTTKY, "--epsilon0", "0.25"],
-                     ["--file", str(path)]):
-            code = cli.main(["diagnose", *argv, "--depth", "4", "--json"])
+    def test_diagnose_builds_no_mesh_or_family(self, tmp_path, monkeypatch,
+                                               capsys):
+        # the verdict rests on the dimension evidence alone
+        for name in ("region_mesh", "base_caps", "DomeFamily", "graph_volume"):
+            def unreached(*args, name=name, **kwargs):
+                raise AssertionError(f"diagnose called lipgraph.{name}")
+
+            monkeypatch.setattr(lipgraph, name, unreached)
+        for path in (SCHOTTKY, s3_file(tmp_path)):
+            code = cli.main(["diagnose", "--file", path, "--depth", "4",
+                             "--json"])
+            res = json.loads(capsys.readouterr().out)["results"]
             assert code == 0
-            results.append(json.loads(capsys.readouterr().out)["results"])
-        assert len(families) == 2
-        # the verdict rests on the dimension evidence alone, so it does not
-        # need two of the file's depths at or below --depth
-        assert results[0]["verdict"] == "consistent-with-geometrically-finite"
-        assert results[0]["volume_evidence"]["depth"] == 4
-        assert results[0] == results[1]
+            assert res["verdict"] == "consistent-with-geometrically-finite"
+            assert "volume_evidence" not in res
 
     @pytest.mark.parametrize("path, value, stderr", [
         (LOXODROMIC, 228.34862848247005, 1.8293179618813449),
@@ -365,12 +385,13 @@ class TestCommands:
         assert f"error: {argv[1]}: must" in capsys.readouterr().out
 
     def test_graph_with_too_few_covered_samples_inconclusive(self, capsys):
+        # at the smallest budget no two covered samples land in the region
         code = cli.main(["graph", "--file", LOXODROMIC, "--depth", "3",
-                         "--samples", "8"])
+                         "--samples", "4"])
         assert code == 3
         assert "budget too small" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", ["harmonic", "graph", "diagnose"])
+    @pytest.mark.parametrize("command", ["harmonic", "graph"])
     def test_samples_over_the_budget_exit_3_before_work(self, command, capsys):
         start = time.perf_counter()
         code = cli.main([command, "--file", SCHOTTKY, "--samples",
@@ -409,30 +430,23 @@ class TestCommands:
         assert res["depth"] == 6 and res["agreement"] < 0.01
 
     def test_graph_and_diagnose_run_in_s3(self, tmp_path, capsys):
-        # the reference caps placed in R^4 (a zero third coordinate): the
-        # family's n+1 probes span each boundary 2-sphere, so graph and
-        # diagnose run, and the limit set is the S^2 one
-        doc = schottky_doc()
-        doc["dimension"] = 3
-        for pair in doc["ball_pairs"]:
-            for cap in pair:
-                cap["center"].insert(2, 0.0)
-        path = tmp_path / "s3.json"
-        path.write_text(json.dumps(doc))
-        flags = ["--epsilon0", "0.25", "--depth", "5", "--samples", "4000",
-                 "--json"]
+        # the family's n+1 probes span each boundary 2-sphere, so graph runs,
+        # and the limit set is the S^2 one
+        path = s3_file(tmp_path)
         results = {}
-        for command, file in (("graph", path), ("diagnose", path),
-                              ("diagnose", SCHOTTKY)):
-            code = cli.main([command, "--file", str(file), *flags])
+        for command, file, flags in (
+                ("graph", path, ["--epsilon0", "0.25", "--samples", "4000"]),
+                ("diagnose", path, []), ("diagnose", SCHOTTKY, [])):
+            code = cli.main([command, "--file", file, "--depth", "5", *flags,
+                             "--json"])
             assert code == 0
-            results[command, str(file)] = json.loads(capsys.readouterr().out)[
+            results[command, file] = json.loads(capsys.readouterr().out)[
                 "results"]
-        inv = results["graph", str(path)]["invariance"]
+        inv = results["graph", path]["invariance"]
         assert len(inv) == 2
         assert all(g["max_deviation"] <= 1e-9 for g in inv.values())
         s3, s2 = (results["diagnose", f]["dimension_evidence"]
-                  for f in (str(path), SCHOTTKY))
+                  for f in (path, SCHOTTKY))
         assert s3["cloud_size"] == s2["cloud_size"] > 0
         assert s3["delta"] == s2["delta"]
 
@@ -519,17 +533,47 @@ class TestCommands:
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(module, export, full)
-        code = cli.main([command, "--file", LOXODROMIC, "--samples", "2000",
+        flags = ["--samples", "2000"] if command == "graph" else []
+        code = cli.main([command, "--file", LOXODROMIC, *flags,
                          "--out", str(tmp_path / "x.csv"), "--json"])
         results = json.loads(capsys.readouterr().out)["results"]
         assert code == 2
         assert results["error"] == "--out: [Errno 28] No space left on device"
 
+    @pytest.mark.parametrize("field, value", [
+        ("depths", 5), ("epsilon0", "abc"), ("depths", [True]),
+    ], ids=["depths-not-a-list", "epsilon0-not-a-number", "depth-boolean"])
+    @pytest.mark.parametrize("command", ["validate", "limitset"])
+    def test_malformed_file_field_exits_2_with_message(self, command, field,
+                                                       value, tmp_path, capsys):
+        doc = schottky_doc()
+        doc[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main([command, "--file", str(path), "--json"])
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert code == 2 and results["valid"] is False
+        assert results["error"].startswith(f"$.{field}: ")
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in _OPTIONAL_FLAGS.items()
+        for flag in _FLAG_VALUES if flag not in flags])
+    def test_flag_the_command_does_not_read_exits_2(self, command, flag,
+                                                    tmp_path, capsys):
+        value = str(tmp_path / "x.csv") if flag == "--out" else _FLAG_VALUES[flag]
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([command, "--file", SCHOTTKY, flag, value])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err and not captured.out
+        assert not list(tmp_path.iterdir())
+
     def test_reports_carry_inputs_and_wall_time(self, capsys):
         cli.main(["validate", "--file", LOXODROMIC, "--json"])
         rep = json.loads(capsys.readouterr().out)
         assert rep["command"] == "validate"
-        assert rep["inputs"]["file"] == LOXODROMIC
+        assert rep["inputs"] == {"file": LOXODROMIC, "depth": None,
+                                 "epsilon0": None, "samples": None, "seed": None}
         assert rep["wall_time_s"] >= 0.0
 
 
@@ -540,7 +584,7 @@ for path in sys.argv[1:]:
     for argv in (["validate"], ["limitset"], ["dimension"],
                  ["harmonic", "--samples", "4000"],
                  ["graph", "--samples", "2000", "--epsilon0", "0.25"],
-                 ["diagnose", "--samples", "2000", "--epsilon0", "0.25"]):
+                 ["diagnose"]):
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main([*argv, "--file", path])
         assert code == 0, (argv, path, code)
@@ -577,8 +621,7 @@ print(json.dumps([m for m in sys.modules if m.startswith("kleinlab.")]))
     (["dimension", "--file", SCHOTTKY], {"lipgraph", "harmonic"}),
     (["harmonic", "--file", SCHOTTKY, "--samples", "4000"], {"lipgraph"}),
     (["graph", "--file", LOXODROMIC, "--samples", "2000"], {"harmonic"}),
-    (["diagnose", "--file", SCHOTTKY, "--samples", "2000", "--epsilon0", "0.25"],
-     {"harmonic"}),
+    (["diagnose", "--file", SCHOTTKY], {"lipgraph", "harmonic"}),
 ])
 def test_each_command_imports_only_the_modules_it_runs(argv, unused):
     # in a fresh interpreter, since pytest has imported every module
