@@ -39,13 +39,13 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_INCONCLUSIVE = 3
 
-# Peak RSS grows with --samples by about 15 bytes a sample for harmonic and
-# 30 for graph. Every Monte-Carlo draws and evaluates geom.SAMPLE_BLOCK
-# samples at a time and heights takes geom.ROW_BLOCK rows a pass; graph keeps
-# its region rows, their heights and the per-sample volume terms. From 41
-# and 47 MB at 40k samples to 46 and 55 MB at 400k and 56 and 76 MB at a
-# million (harmonic on the reference file, graph on the loxodromic file),
-# with one BLAS thread.
+# Every Monte-Carlo draws and evaluates geom.SAMPLE_BLOCK samples at a time
+# and heights takes geom.ROW_BLOCK rows a pass. harmonic keeps two counts per
+# Monte-Carlo, so its peak RSS does not grow with --samples: 39.6, 40.0 and
+# 40.0 MB at 40k, 400k and a million samples on the reference file. graph
+# keeps its region rows, their heights and the per-sample volume terms, about
+# 30 bytes a sample: 47, 55 and 76 MB on the loxodromic file. Peak RSS from
+# os.wait4, with one BLAS thread.
 MAX_SAMPLES = 1_000_000
 
 
@@ -78,12 +78,25 @@ _COMMAND_FLAGS = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: refuses a flag the command does not take with the
+    command's own usage, where argparse would pass it up to the top-level
+    parser and print that one's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error("unrecognized arguments: " + " ".join(extra))
+        return args, extra
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kleinlab",
         description="Numerical exploration of Kleinian groups on S^n",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_CommandParser)
     for name, (help_text, flags) in _COMMAND_FLAGS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--file", required=True, help="group-definition JSON")

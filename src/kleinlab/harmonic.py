@@ -10,11 +10,12 @@ are unbiased sample means with kernel-free weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, sqrt
 from typing import Callable
 
 import numpy as np
 
+from . import geom
 from .geom import BallPoint, ball_gauge, normalize_rows, uniform_sphere_blocks
 from .group import GroupPresentation
 from .limitset import LimitSetCloud
@@ -67,7 +68,10 @@ def cloud_complement(L: LimitSetCloud) -> BoundaryIndicator:
     sweep window has sqrt(sum((u - p)^2)) <= band. The sweep's screen,
     built once here, passes on only the rows in an axis cell next to a
     sample's, a superset of those within the band, so the flags are those
-    of the whole sweep; the other rows cost one gather each.
+    of the whole sweep; the other rows cost one gather each. The rows it
+    passes go through the sweep geom.ROW_BLOCK at a time, so a block that
+    nearly all passes, as one drawn next to an end of the sweep axis does,
+    holds the sweep's work arrays for ROW_BLOCK rows, not for the block.
     """
     band = L.resolution or 0.0
     near = L.sweep.screen(band)
@@ -75,9 +79,11 @@ def cloud_complement(L: LimitSetCloud) -> BoundaryIndicator:
     def classify(U):
         U = np.atleast_2d(np.asarray(U, dtype=float))
         indet = np.zeros(U.shape[0], dtype=bool)
-        rows = np.flatnonzero(near(U))
-        for i, _, d2 in L.sweep.pairs(U[rows], band):
-            indet[rows[i[np.sqrt(d2) <= band]]] = True
+        passed = np.flatnonzero(near(U))
+        for start in range(0, passed.size, geom.ROW_BLOCK):
+            rows = passed[start:start + geom.ROW_BLOCK]
+            for i, _, d2 in L.sweep.pairs(U[rows], band):
+                indet[rows[i[np.sqrt(d2) <= band]]] = True
         return ~indet, indet
 
     return BoundaryIndicator(kind="complement-of-cloud", classify=classify)
@@ -137,21 +143,34 @@ def _indicator_mean(chi: BoundaryIndicator, n: int, n_samples: int, seed: int,
     boundary_shift_rows(shift, .) when a shift is given.
 
     The samples are drawn, shifted and classified SAMPLE_BLOCK at a time and
-    only their flags are kept; every row's flags are the same in any block,
-    so the mean and standard deviation over all of them are too.
+    only two counts are kept, of members and of indeterminate rows, so the
+    memory does not grow with n_samples. Every row's flags are the same in
+    any block, so the counts are too; the mean and fraction are the counts
+    over n_samples, as NumPy's mean of the flags gives them, and the stderr
+    is bernoulli_stderr of the member count.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    member, indet = np.empty((2, n_samples), dtype=bool)
-    for start, Z in uniform_sphere_blocks(rng, n, n_samples):
-        rows = slice(start, start + Z.shape[0])
-        Y = Z if shift is None else boundary_shift_rows(shift, Z)
-        member[rows], indet[rows] = chi.classify(Y)
-    vals = member.astype(float)
-    stderr = float(vals.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return MCEstimate(value=float(vals.mean()), stderr=stderr, samples=n_samples,
-                      indeterminate_fraction=float(indet.mean()))
+    hits = indet = 0
+    for _, Z in uniform_sphere_blocks(rng, n, n_samples):
+        member, undecided = chi.classify(Z if shift is None
+                                         else boundary_shift_rows(shift, Z))
+        hits += int(np.count_nonzero(member))
+        indet += int(np.count_nonzero(undecided))
+    return MCEstimate(value=hits / n_samples,
+                      stderr=bernoulli_stderr(hits, n_samples),
+                      samples=n_samples,
+                      indeterminate_fraction=indet / n_samples)
+
+
+def bernoulli_stderr(k: int, N: int) -> float:
+    """Standard error of the mean of N flags of which k are set: the ddof=1
+    deviation sqrt(k (N - k) / (N (N - 1))) over sqrt(N), from one correctly
+    rounded quotient of integers and one square root (within 2 ulp of NumPy's
+    std(ddof=1) / sqrt(N) of the flags); exactly 0 at k = 0 or k = N, and
+    0 for one sample."""
+    return sqrt(k * (N - k) / (N * N * (N - 1))) if N > 1 else 0.0
 
 
 # ---------------------------------------------------------------------------

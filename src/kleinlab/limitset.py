@@ -140,7 +140,8 @@ class Sweep:
         self._nx = 1 << bits
         x = points[:, self.axis]
         self._x0 = float(x.min()) if M else 0.0
-        span = float(x.max()) - self._x0 if M else 0.0
+        self._x1 = float(x.max()) if M else 0.0
+        span = self._x1 - self._x0
         self._scale = 2.0 ** (bits - np.frexp(span)[1])  # 1 / bin
         col = self._columns(points)
         offsets = np.zeros(1, dtype=np.int64)
@@ -174,13 +175,20 @@ class Sweep:
         return np.floor(b, out=b).astype(np.int64)
 
     def window(self, X: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted positions [lo, hi) of the entries in each row's window;
+        an empty one (hi == lo) for a row outside the columns or whose axis
+        coordinate lies more than w (about r) beyond the entries' range,
+        where the clipped end bin would give it every entry tied at that
+        end of the axis."""
         w = r * (1.0 + _WINDOW_SLACK) + self._pad
-        x = X[:, self.axis]
-        lo, hi = self._bins(x - w), self._bins(x + w)
+        below, above = X[:, self.axis] - w, X[:, self.axis] + w
+        lo, hi = self._bins(below), self._bins(above)
+        beyond = (above < self._x0) | (below > self._x1)
         if not self._shape.size:
-            return (np.searchsorted(self.keys, lo, "left"),
-                    np.searchsorted(self.keys, hi, "right"))
+            lo = np.searchsorted(self.keys, lo, "left")
+            return lo, np.where(beyond, lo, np.searchsorted(self.keys, hi, "right"))
         col = self._columns(X)
+        col[beyond] = -1
         lo += col * self._nx
         hi += col * self._nx
         # sorted needles make the binary searches several times cheaper

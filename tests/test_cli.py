@@ -566,6 +566,10 @@ class TestCommands:
         assert exit_.value.code == 2
         captured = capsys.readouterr()
         assert "unrecognized arguments" in captured.err and not captured.out
+        # the command's own usage, which lists the flags it does take
+        assert captured.err.startswith(f"usage: kleinlab {command} [-h]")
+        assert f"kleinlab {command}: error: unrecognized arguments: {flag}" \
+            in captured.err
         assert not list(tmp_path.iterdir())
 
     def test_reports_carry_inputs_and_wall_time(self, capsys):

@@ -15,6 +15,7 @@ from kleinlab.harmonic import (
     BoundaryIndicator,
     GreenPole,
     MCEstimate,
+    bernoulli_stderr,
     boundary_shift_rows,
     cloud_complement,
     flux_density_check,
@@ -383,10 +384,11 @@ def one_shot_shift(x, Z):
 
 
 def one_shot_mean(chi, U):
+    """The estimate from one classify of every row; the stderr is the closed
+    form of the flags' std(ddof=1) / sqrt(N), checked in TestBernoulliStderr."""
     member, indet = chi.classify(U)
-    vals = member.astype(float)
-    return MCEstimate(value=float(vals.mean()),
-                      stderr=float(vals.std(ddof=1) / np.sqrt(len(U))),
+    return MCEstimate(value=float(member.astype(float).mean()),
+                      stderr=bernoulli_stderr(int(member.sum()), len(U)),
                       samples=len(U), indeterminate_fraction=float(indet.mean()))
 
 
@@ -442,6 +444,28 @@ class TestScreen:
         if depth == 6:  # the screen keeps nearly every row out of the sweep
             assert cloud.sweep.screen(band)(U[8000:]).mean() < 0.01
 
+    @pytest.mark.parametrize("cloud", ["depth6", "wide"])
+    @pytest.mark.parametrize("end", [-1.0, 1.0])
+    def test_block_drawn_next_to_an_end_of_the_sweep_axis(self, cloud, end):
+        # seen from 0.996 e toward an end of the axis, nearly every row is
+        # passed by the screen. At depth 6 most lie more than the band beyond
+        # the samples' range along the axis and get empty windows; with the
+        # wide band most lie within it of the end samples and are flagged
+        wide = cloud == "wide"
+        cloud = wide_band_cloud() if wide else sample_limit_set(reference_schottky(), 6)
+        band, axis = cloud.resolution, cloud.sweep.axis
+        x = ball_point(0.996 * end * np.eye(3)[axis])
+        U = boundary_shift_rows(x, uniform_sphere(np.random.default_rng(31), 2,
+                                                  geom.SAMPLE_BLOCK))
+        assert cloud.sweep.screen(band)(U).mean() > 0.99
+        indet = self.assert_flags_unchanged(cloud, U)
+        assert np.array_equal(indet, cKDTree(cloud.points).query(U)[0] <= band)
+        lo, hi = cloud.sweep.window(U, band)
+        xs = cloud.points[:, axis]
+        beyond = (U[:, axis] < xs.min() - band) | (U[:, axis] > xs.max() + band)
+        assert np.all(hi[beyond] <= lo[beyond])
+        assert (indet if wide else beyond).mean() > 0.5
+
     @pytest.mark.parametrize("g, size", [
         (mobius.affine(2, r=2.0), 2),  # loxodromic: band 0
         (mobius.translation([2.5, 0.0]), 1),  # parabolic
@@ -482,14 +506,46 @@ class TestSampleBlocks:
         assert rep["budget"] == 3.0 * (u0.stderr + area.stderr) + max(
             u0.indeterminate_fraction, area.indeterminate_fraction)
 
-    def test_peak_memory_is_bounded_by_the_block(self):
-        # the one-shot draw peaked at 42 MB here, the blocks at 7.5 MB
-        chi = cloud_complement(sample_limit_set(reference_schottky(), 6))
-        x = ball_point([0.2, -0.1, 0.3])
+    @staticmethod
+    def traced_peak(chi, x, n_samples):
         tracemalloc.start()
         try:
-            harmonic_extension(chi, x, 400_000, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
+            harmonic_extension(chi, x, n_samples, seed=1)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12e6
+
+    def test_peak_memory_is_bounded_by_the_block(self):
+        # the one-shot draw peaked at 42 MB here, the blocks with every flag
+        # held at 7.5 MB, the blocks with two counts at 1.5 MB
+        chi = cloud_complement(sample_limit_set(reference_schottky(), 6))
+        x = ball_point([0.2, -0.1, 0.3])
+        harmonic_extension(chi, x, 1000, seed=1)  # first-call allocations
+        assert self.traced_peak(chi, x, 400_000) < 3e6
+
+    def test_peak_memory_does_not_grow_with_the_samples(self):
+        chi = cloud_complement(sample_limit_set(reference_schottky(), 6))
+        x = ball_point([0.2, -0.1, 0.3])
+        harmonic_extension(chi, x, 1000, seed=1)  # first-call allocations
+        small = self.traced_peak(chi, x, 100_000)
+        assert abs(self.traced_peak(chi, x, 1_600_000) - small) < 1e6
+
+
+class TestBernoulliStderr:
+    """The closed-form stderr of N flags with k set against NumPy's
+    std(ddof=1) / sqrt(N) of the flags themselves."""
+
+    @pytest.mark.parametrize("N", [2, 3, 5000])
+    def test_within_4_ulp_of_the_flags_std(self, N):
+        rng = np.random.default_rng(N)
+        for k in sorted({0, 1, N - 1, N, *rng.integers(0, N + 1, 5).tolist()}):
+            flags = np.zeros(N)
+            flags[rng.choice(N, k, replace=False)] = 1.0
+            want = float(flags.std(ddof=1) / np.sqrt(N))
+            got = bernoulli_stderr(k, N)
+            assert abs(got - want) <= 4 * np.spacing(want), (k, got, want)
+            if k in (0, N):
+                assert got == 0.0
+
+    def test_one_sample_has_no_spread(self):
+        assert bernoulli_stderr(0, 1) == bernoulli_stderr(1, 1) == 0.0

@@ -358,6 +358,29 @@ class TestSweepColumns:
         lo, hi = sweep.window(far, 0.1)
         assert np.all(lo == hi)
 
+    @pytest.mark.parametrize("side", [np.inf, "cap-index"])
+    def test_rows_beyond_the_ends_of_the_axis_have_empty_windows(self, side):
+        # points with ties at both ends of the sweep axis; query rows just
+        # over r beyond either end, just within r of it, and on it
+        rng = np.random.default_rng(12)
+        P = 0.5 * sphere_rows(rng, 3, 200)
+        P[:5, 0], P[5:10, 0] = -0.9, 0.9  # axis 0: the widest coordinate
+        r = 0.01
+        if side == "cap-index":  # columns of the bucket's chord, as _CapIndex
+            side = r * 1.0000001
+        sweep = limitset.Sweep(P, side)
+        assert sweep.axis == 0
+        Q = np.repeat(P[:10], 5, axis=0)
+        sign = np.where(Q[:, 0] < 0.0, -1.0, 1.0)
+        Q[:, 0] += sign * np.tile([1.01 * r, 2 * r, 0.5, 0.99 * r, 0.0], 10)
+        lo, hi = sweep.window(Q, r)
+        beyond = np.tile([True, True, True, False, False], 10)
+        assert np.all(hi[beyond] <= lo[beyond])
+        assert np.all(hi[~beyond] > lo[~beyond])  # each row's own point
+        i, j = sweep_pairs(P, Q, r, side)
+        want = pair_set(*np.nonzero(brute_sq(Q, P) <= r * r))
+        assert len(i) == len(want) and pair_set(i, j) == want
+
     def test_empty_and_one_point_sets(self):
         Q = sphere_rows(np.random.default_rng(6), 3, 5)
         assert all(a.size == 0 for a in sweep_pairs(np.empty((0, 3)), Q, 1.0))
