@@ -48,8 +48,18 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _list_field(doc: dict, key: str) -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise ValidationError(f"$.{key}", "must be a list")
+    return value
+
+
 def _finite_floats(value, path: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(path, "entries must be numbers") from exc
     if not np.all(np.isfinite(arr)):
         raise ValidationError(path, "non-finite numeric entries")
     return arr
@@ -151,7 +161,7 @@ def parse_group_document(doc: dict) -> GroupDefinition:
         raise ValidationError("$.kind", "must be schottky, cyclic, or custom")
 
     if kind == "schottky":
-        pairs_doc = doc.get("ball_pairs")
+        pairs_doc = _list_field(doc, "ball_pairs")
         if not pairs_doc:
             raise ValidationError("$.ball_pairs", "schottky files need ball_pairs")
         if "generators" in doc:
@@ -169,7 +179,7 @@ def parse_group_document(doc: dict) -> GroupDefinition:
         except Exception as exc:
             raise ValidationError("$.ball_pairs", str(exc)) from exc
     else:
-        gens_doc = doc.get("generators")
+        gens_doc = _list_field(doc, "generators")
         if not gens_doc:
             raise ValidationError("$.generators", f"{kind} files need generators")
         if "ball_pairs" in doc:
@@ -195,7 +205,7 @@ def parse_group_document(doc: dict) -> GroupDefinition:
 
     cusps = tuple(
         cusp_from_record(rec, f"$.cusp_ends[{i}]")
-        for i, rec in enumerate(doc.get("cusp_ends", []))
+        for i, rec in enumerate(_list_field(doc, "cusp_ends"))
     )
     seed = doc.get("seed", 0)
     if not _is_int(seed) or seed < 0:

@@ -172,6 +172,14 @@ class WordLevel:
     def __iter__(self):
         return iter(self.words)
 
+    def child_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(position in rows, row of this level) of every child of the rows
+        of `up`; WordTree._grow lays each word's children out contiguously,
+        the same count for every word."""
+        c = len(self) // len(self.up)
+        pos = np.repeat(np.arange(len(rows)), c)
+        return pos, rows[pos] * c + np.tile(np.arange(c), len(rows))
+
 
 class WordTree:
     """The freely reduced words of a presentation, built level by level.

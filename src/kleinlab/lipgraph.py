@@ -13,12 +13,12 @@ One evaluator serves every family. The seed caps, and for a cyclic group
 (which has no nested caps) every image cap, are fitted at build into one
 spatial index. Schottky families are evaluated through the group
 factorization: x lies in the image cap gamma(C) exactly when gamma^-1 x lies
-in the seed cap C, and gamma(C) is contained in the inflated nested cap of
-the word gamma, so candidate words come from a per-level spatial index of
-nested caps and only the touched image caps are ever fitted: every new cap
-of a level in one caps.cap_images call on the seeds' n+1 boundary probes,
-stacked by word. Every cap a row meets, from either source, enters one
-minimum.
+in the seed cap C, and gamma(C) lies in the inflated nested cap of the word
+gamma. These supports nest, so a row is tested only against the children of
+the words whose supports it met one level up the word tree, and only the
+touched image caps are ever fitted: every new cap of a level in one
+caps.cap_images call on the seeds' n+1 boundary probes, stacked by word.
+Every cap a row meets, from either source, enters one minimum.
 """
 
 from __future__ import annotations
@@ -31,7 +31,9 @@ import numpy as np
 
 from . import geom
 from .caps import CapStack, boundary_probes, cap_images
-from .geom import angle_from_chord, chord_from_angle, sphere_area, uniform_sphere_blocks
+from .geom import (angle_from_chord, chord_from_angle, chordal_to_infinity,
+                   hyperbolic_distance_rows, sphere_area, uniform_sphere_blocks,
+                   unembed_rows)
 from .group import (GroupPresentation, TAG_SCHOTTKY, WordLevel, enumerate_elements,
                     word_count)
 from .limitset import LimitSetCloud, PointIndex, Sweep, dist_rows, pair_blocks, write_csv
@@ -64,14 +66,8 @@ class FundamentalRegion:
 
 def schottky_region(G: GroupPresentation) -> FundamentalRegion:
     """Complement of the defining caps."""
-    caps = G.ball_caps
-
     def contains(U: np.ndarray) -> np.ndarray:
-        U = np.atleast_2d(U)
-        out = np.ones(U.shape[0], dtype=bool)
-        for cap in caps:
-            out &= ~cap.contains(U)
-        return out
+        return ~np.any([cap.contains(U) for cap in G.ball_caps], axis=0)
 
     return FundamentalRegion(kind="schottky-cap-complement", contains=contains)
 
@@ -82,8 +78,6 @@ def annulus_region(scale: float) -> FundamentalRegion:
         raise ValueError("annulus needs scale > 1")
 
     def contains(U: np.ndarray) -> np.ndarray:
-        from .geom import unembed_rows
-
         coords, at_inf = unembed_rows(np.atleast_2d(U))
         r = np.linalg.norm(coords, axis=1)
         return (~at_inf) & (r >= 1.0) & (r < scale)
@@ -101,8 +95,6 @@ def strip_region(shift: np.ndarray, q_floor: float = 0.25) -> FundamentalRegion:
     s2 = float(shift @ shift)
 
     def contains(U: np.ndarray) -> np.ndarray:
-        from .geom import chordal_to_infinity, unembed_rows
-
         U = np.atleast_2d(U)
         coords, at_inf = unembed_rows(U)
         t = (coords @ shift) / s2
@@ -263,9 +255,9 @@ class HeightResult:
 class _WordLevel:
     words: WordLevel
     inv_fields: tuple[np.ndarray, ...]  # stacked inverses of the words
+    # inflated nested supports, each inside its parent word's
     centers: np.ndarray
-    support_cos: np.ndarray  # cos of inflated support angles
-    index: _CapIndex
+    support_cos: np.ndarray  # cos of the support angles
     offset: int  # family key of the level's first cap
     # fitted image caps, sorted by key word index * seed count + seed index
     keys: np.ndarray
@@ -288,17 +280,19 @@ class DomeFamily:
     - fitted lazily: the image caps of a schottky group, level by level.
       A row meets gamma(C) when it lies in the inflated nested support of
       gamma, its preimage gamma^-1 u lies in C, and d >= 1 on the fitted
-      image cap. Caps are fitted when a query or the build audit first
-      touches them, all of a level's new caps in one cap_images call, and
-      kept per level.
+      image cap. A word's support lies in its parent's, so a row is tested
+      only against the children (WordLevel.child_rows) of the words whose
+      supports it met one level up. Caps are fitted when a query or the
+      build audit first touches them, all of a level's new caps in one
+      cap_images call, and kept per level.
 
     A row takes the smallest entry radius t = d - sqrt(d^2 - 1) over every
     cap it meets from both sources, in one _row_minima call; ties go to the
     lowest key, and the gradient of f is that of the winning dome
     (dome_gradient_sq). heights takes its rows geom.ROW_BLOCK at a time, so
     the candidate pairs held grow with the block, not with the rows.
-    candidate_pairs / hit_pairs count the index candidates and the confirmed
-    ones, with the same totals in any split of the rows.
+    candidate_pairs / hit_pairs count the (row, cap) pairs tested and the
+    confirmed ones, with the same totals in any split of the rows.
 
     The family shape bound (diameter over distance-to-limit-set within
     (0, 1/2]) is measured by _check_shapes on every cap fitted at build:
@@ -393,29 +387,18 @@ class DomeFamily:
 
     def _build_levels(self):
         """Per-level words and inflated nested supports from G.word_tree."""
-        tree = self.G.word_tree
-        m = self.G.n + 1
         offset = len(self.seed_caps)  # the identity's caps are the seeds
         for d in range(1, self.max_len + 1):
-            words = tree.level(d)
-            centers, thetas, _ = tree.nested_caps(d)
+            words = self.G.word_tree.level(d)
+            centers, thetas, _ = self.G.word_tree.nested_caps(d)
             # every row that the tests of an image cap can accept
-            support_angles = np.minimum(
-                thetas * SUPPORT_INFLATION + _ROUNDING_CHORD, np.pi / 2 - 1e-9
-            )
-            self._levels.append(
-                _WordLevel(
-                    words=words,
-                    inv_fields=inverse_rows(words.fields),
-                    centers=centers,
-                    support_cos=np.cos(support_angles),
-                    index=_CapIndex(centers, support_angles),
-                    offset=offset,
-                    keys=np.empty(0, dtype=np.int64),
-                    img_centers=np.empty((0, m)),
-                    img_thetas=np.empty(0),
-                )
-            )
+            support = np.minimum(thetas * SUPPORT_INFLATION + _ROUNDING_CHORD,
+                                 np.pi / 2 - 1e-9)
+            self._levels.append(_WordLevel(
+                words=words, inv_fields=inverse_rows(words.fields),
+                centers=centers, support_cos=np.cos(support), offset=offset,
+                keys=np.empty(0, np.int64), img_centers=np.empty((0, self.G.n + 1)),
+                img_thetas=np.empty(0)))
             offset += len(words) * len(self.seed_caps)
 
     def _audit_shape(self, count: int):
@@ -501,7 +484,11 @@ class DomeFamily:
         self.candidate_pairs += i.size
         self.hit_pairs += int(hit.sum())
         hits = [(i[hit], d[hit], k[hit])]
-        hits += [self._level_hits(lv, U) for lv in self._levels]
+        i, w = np.arange(N), np.zeros(N, np.intp)  # level 0: the identity
+        for lv in self._levels:
+            pos, child = lv.words.child_rows(w)
+            i, w = self._confirmed(U, i[pos], child, lv.centers, lv.support_cos)
+            hits.append(self._level_hits(lv, U, i, w))
         rows, d, key = (np.concatenate(a) for a in zip(*hits))
         t = d - np.sqrt(d * d - 1.0)
         f, first = _row_minima(N, rows, t, key)
@@ -524,22 +511,19 @@ class DomeFamily:
             centers[at], cos[at] = lv.img_centers[pos], np.cos(lv.img_thetas[pos])
         return centers, cos
 
-    def _confirmed(self, index, U, centers, cosines):
-        """(row, ball) pairs of the index whose row lies in the ball."""
-        r, b = index.pairs(U)
+    def _confirmed(self, U, r, b, centers, cosines):
+        """The candidate (row, ball) pairs r, b whose row lies in the ball."""
         hit = np.einsum("ij,ij->i", U[r], centers[b]) >= cosines[b]
         self.candidate_pairs += r.size
         self.hit_pairs += int(hit.sum())
         return r[hit], b[hit]
 
-    def _level_hits(self, lv: _WordLevel, U: np.ndarray):
-        """(row, d, key) of the rows of U meeting a cap of level lv."""
-        # (row, word) pairs with the row inside the word's inflated nested
-        # support cap, and the row's preimage under the word
-        i, w = self._confirmed(lv.index, U, lv.centers, lv.support_cos)
+    def _level_hits(self, lv: _WordLevel, U, i, w):
+        """(row, d, key) of the rows of U meeting a cap of level lv, from
+        the (row, word) pairs i, w with the row in the word's support."""
         Y = sphere_action_stack(tuple(f[w] for f in lv.inv_fields), U[i])
         # for a group with nested caps the build-fitted caps are the seeds
-        j, s = self._confirmed(self._index, Y, self._centers, self._cos)
+        j, s = self._confirmed(Y, *self._index.pairs(Y), self._centers, self._cos)
         i, w = i[j], w[j]
         centers, thetas = self._image_caps(lv, w, s)
         d = np.einsum("ij,ij->i", U[i], centers) / np.cos(thetas)
@@ -735,8 +719,6 @@ def bilipschitz_ratios(F: DomeFamily, samples: np.ndarray, res: HeightResult,
     surrogate 1/dist(x, cloud) stands in for the invariant factor (the two
     agree up to the band constants). An empirical band, not a certificate.
     """
-    from .geom import hyperbolic_distance_rows
-
     U = np.atleast_2d(samples)
     U = U[res.covered]
     fv = res.f[res.covered]

@@ -555,6 +555,30 @@ class TestCommands:
         assert code == 2 and results["valid"] is False
         assert results["error"].startswith(f"$.{field}: ")
 
+    @pytest.mark.parametrize("source, keys, value, field", [
+        (SCHOTTKY, ["ball_pairs"], True, "$.ball_pairs"),
+        (LOXODROMIC, ["generators"], True, "$.generators"),
+        (PARABOLIC, ["cusp_ends"], None, "$.cusp_ends"),
+        (PARABOLIC, ["cusp_ends"], 3, "$.cusp_ends"),
+        (SCHOTTKY, ["ball_pairs", 0, 1, "center"], "x", "$.ball_pairs[0][1].center"),
+        (SCHOTTKY, ["ball_pairs", 1, 0, "theta"], "x", "$.ball_pairs[1][0].theta"),
+    ], ids=["ball-pairs-true", "generators-true", "cusp-ends-null",
+            "cusp-ends-number", "center-string", "theta-string"])
+    def test_wrong_field_type_exits_2_with_its_path(self, source, keys, value,
+                                                    field, tmp_path, capsys):
+        doc = json.loads(pathlib.Path(source).read_text())
+        *outer, last = keys
+        target = doc
+        for key in outer:
+            target = target[key]
+        target[last] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["validate", "--file", str(path), "--json"])
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert code == 2 and results["valid"] is False
+        assert results["error"].startswith(f"{field}: ")
+
     @pytest.mark.parametrize("command, flag", [
         (command, flag) for command, flags in _OPTIONAL_FLAGS.items()
         for flag in _FLAG_VALUES if flag not in flags])

@@ -205,6 +205,23 @@ class TestWordTree:
             ((1,), 1), ((1,), 2), ((1,), -2)]
         assert [w.letters for w in tree.level(2)][:3] == [(1, 1), (1, 2), (1, -2)]
 
+    @pytest.mark.parametrize("make", [reference_schottky, elliptic(5)])
+    def test_child_rows_invert_the_parent_rows(self, make):
+        tree = make().word_tree
+        rng = np.random.default_rng(8)
+        for d in range(1, 6):
+            lv = tree.level(d)
+            rows = np.arange(len(lv.up))
+            pos, child = lv.child_rows(rows)
+            assert sorted(child.tolist()) == list(range(len(lv)))
+            assert np.array_equal(lv.parent[child], rows[pos])
+            # any rows, repeated and out of order, by position
+            rows = rng.integers(0, len(lv.up), 7)
+            pos, child = lv.child_rows(rows)
+            assert np.array_equal(lv.parent[child], rows[pos])
+            assert np.array_equal(np.bincount(pos, minlength=7),
+                                  np.bincount(lv.parent)[rows])
+
     def test_one_pipeline_composes_and_fits_each_word_once(self, monkeypatch):
         from kleinlab import limitset, lipgraph
 

@@ -462,6 +462,33 @@ class TestFamily:
             off = angle_from_chord(np.linalg.norm(centers - mapped, axis=1))
             assert np.all(off <= thetas)
 
+    @pytest.mark.parametrize("source", ["reference_schottky", "quarter"])
+    def test_caps_lie_in_the_support_of_the_parent_word(self, source):
+        # heights descends the word tree: a row meets the supports of level
+        # d only through their parent words' supports at level d - 1. Every
+        # support, and every image cap fitted by the audit and a query, lies
+        # in its parent word's support (angles as _build_levels sets them)
+        if source == "quarter":
+            G, cloud, caps = quarter_schottky_caps()
+            fam = DomeFamily(G, cloud, caps, max_len=6, audit=1500)
+        else:
+            G, cloud, region, fam = file_family(source)
+        fam.heights(mapped_seed_centers(fam, 2, np.random.default_rng(31)))
+        S, tree, checked = len(fam.seed_caps), G.word_tree, 0
+        support = [np.minimum(tree.nested_caps(d)[1] * lipgraph.SUPPORT_INFLATION
+                              + lipgraph._ROUNDING_CHORD, np.pi / 2 - 1e-9)
+                   for d in range(1, 7)]
+        for d in range(2, 7):
+            up, lv = fam._levels[d - 2], fam._levels[d - 1]
+            p = lv.words.parent
+            gap = angle_from_chord(np.linalg.norm(lv.centers - up.centers[p], axis=1))
+            assert np.all(gap + support[d - 1] <= support[d - 2][p])
+            p = p[lv.keys // S]
+            gap = angle_from_chord(np.linalg.norm(lv.img_centers - up.centers[p], axis=1))
+            assert np.all(gap + lv.img_thetas <= support[d - 2][p])
+            checked += lv.keys.size
+        assert checked > 5000
+
     def test_shape_block_is_fixed_at_build(self):
         # caps fitted for height queries refuse a hemisphere but add no
         # shape counts, so the block reads the same before and after them
