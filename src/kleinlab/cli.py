@@ -32,7 +32,7 @@ from . import group as group_mod
 from . import mobius
 from .caps import CapDegenerate
 from .files import GroupDefinition, ValidationError, load_group_file, render_report
-from .geom import BallPoint, uniform_sphere, uniform_sphere_blocks
+from .geom import BallPoint, uniform_sphere
 from .group import InsufficientRange
 
 EXIT_OK = 0
@@ -41,10 +41,10 @@ EXIT_INCONCLUSIVE = 3
 
 # Every Monte-Carlo draws and evaluates geom.SAMPLE_BLOCK samples at a time
 # and heights takes geom.ROW_BLOCK rows a pass. harmonic keeps two counts per
-# Monte-Carlo, so its peak RSS does not grow with --samples: 39.6, 40.0 and
-# 40.0 MB at 40k, 400k and a million samples on the reference file. graph
-# keeps its region rows, their heights and the per-sample volume terms, about
-# 30 bytes a sample: 47, 55 and 76 MB on the loxodromic file. Peak RSS from
+# Monte-Carlo, graph the first rows its statistics read and running sums, so
+# neither holds a draw. Peak RSS at 40k, 400k and a million samples: harmonic
+# 39.6, 40.0 and 40.0 MB on the reference file; graph 45.7, 46.1 and 46.3 MB
+# on the loxodromic file, 50.2, 52.0 and 53.2 MB on the reference file. From
 # os.wait4, with one BLAS thread.
 MAX_SAMPLES = 1_000_000
 
@@ -159,19 +159,10 @@ def _region_for(defn: GroupDefinition):
     )
 
 
-def _region_samples(region, rng: np.random.Generator, n: int, size: int
-                    ) -> np.ndarray:
-    """The rows of uniform_sphere(rng, n, size) that lie in the region, in
-    draw order and with the same bits, drawn one block at a time so the whole
-    draw is never held."""
-    return np.concatenate([np.empty((0, n + 1))] + [
-        U[region.contains(U)] for _, U in uniform_sphere_blocks(rng, n, size)])
-
-
-def _write_out(export, *data, path: str):
-    """export(*data, path), a write that fails after all as a bad --out."""
+def _at_out(call, *args, **kwargs):
+    """call(*args, **kwargs), an OSError of which is a bad --out."""
     try:
-        export(*data, path)
+        return call(*args, **kwargs)
     except OSError as exc:
         raise ValidationError("--out", str(exc)) from exc
 
@@ -200,7 +191,7 @@ def cmd_limitset(args, defn: GroupDefinition) -> tuple[dict, int]:
     depth = args.depth if args.depth is not None else defn.depths[-1]
     cloud = _cloud_for(defn, depth)
     if args.out:
-        _write_out(limitset_mod.export_csv, cloud, path=args.out)
+        _at_out(limitset_mod.export_csv, cloud, args.out)
     report = {
         "size": cloud.size,
         "depth": depth,
@@ -245,6 +236,22 @@ def cmd_dimension(args, defn: GroupDefinition) -> tuple[dict, int]:
 
 
 def cmd_graph(args, defn: GroupDefinition) -> tuple[dict, int]:
+    """The graph report. --out is opened before any work, written block by
+    block and removed again unless the run exits 0."""
+    out, ok = args.out and _at_out(open, args.out, "w", newline=""), False
+    try:
+        report, code = _graph(args, defn, out)
+        if out:
+            _at_out(out.close)  # its last write can fail too
+        ok = code == EXIT_OK
+        return report, code
+    finally:
+        if out and not ok:
+            out.close()
+            os.remove(args.out)
+
+
+def _graph(args, defn: GroupDefinition, out) -> tuple[dict, int]:
     from . import lipgraph as lipgraph_mod
     G = defn.presentation
     depth = args.depth if args.depth is not None else defn.depths[-1]
@@ -256,44 +263,51 @@ def cmd_graph(args, defn: GroupDefinition) -> tuple[dict, int]:
     mesh = lipgraph_mod.region_mesh(region, cloud, eps0)
     caps = lipgraph_mod.base_caps(mesh, eps0, cloud)
     fam = lipgraph_mod.DomeFamily(G, cloud, caps, max_len=depth, audit=500)
-    U = _region_samples(region, np.random.default_rng(seed + 1), G.n, samples)
-    res = fam.heights(U)  # every diagnostic below reads rows of this one result
-    band = lipgraph_mod.graph_band(fam, U, res)
+    # one draw and one heights pass: each block of region rows feeds every
+    # statistic below and is dropped
+    head = lipgraph_mod.RowHead(2000)  # invariance; its first 1600 bi-Lipschitz
+    first = lipgraph_mod.RowHead(lipgraph_mod.LIPSCHITZ_ROWS, covered=True)
+    sums, C1, C2 = lipgraph_mod.VolumeSums(G.n, samples), np.inf, -np.inf
+    rng = np.random.default_rng(seed + 1)
+    for k, U in enumerate(region.blocks(rng, G.n, samples)):
+        res = fam.heights(U)
+        band = lipgraph_mod.graph_band(fam, U, res)
+        C1, C2 = band.min(initial=C1), band.max(initial=C2)
+        head.add(U, res)
+        first.add(U, res)
+        sums.add(res)
+        if out:
+            _at_out(lipgraph_mod.export_graph_csv, U, res, out, k == 0)
     try:
-        M = lipgraph_mod.lipschitz_estimate(U, res)
+        M = lipgraph_mod.lipschitz_estimate(*first.rows(),
+                                            lipgraph_mod.LIPSCHITZ_MIN_COVERED)
     except ValueError as exc:  # too few samples landed on covered directions
-        report = {"depth": depth, "reason": f"budget too small: {exc}"}
-        return report, EXIT_INCONCLUSIVE
+        return ({"depth": depth, "reason": f"budget too small: {exc}"},
+                EXIT_INCONCLUSIVE)
+    U, res = head.rows()
     inv = {}
     for i, g in enumerate(G.generators):
-        dev, cnt = lipgraph_mod.check_invariance(fam, g, U[:2000], res[:2000])
+        dev, cnt = lipgraph_mod.check_invariance(fam, g, U, res)
         inv[f"g{i + 1}"] = {"max_deviation": dev, "points": cnt}
-    if args.out:
-        _write_out(lipgraph_mod.export_graph_csv, U, res, path=args.out)
     bilip = lipgraph_mod.bilipschitz_ratios(fam, U[:1600], res[:1600])
-    shape = {
-        "min_ratio": fam.min_shape_ratio(),
-        "max_ratio": fam.max_shape_ratio(),
-        "violations": fam.shape_violations,
-        "unresolved": fam.shape_unresolved,
-        "bound_ok": fam.shape_bound_ok,
-    }
-    vol = lipgraph_mod.graph_volume(fam, region, samples, seed=seed)
-    report = {
+    vol = lipgraph_mod.graph_volume(sums)
+    return {
         "depth": depth,
         "epsilon0": eps0,
         "seeds": len(caps),
-        "band": {"C1": float(band.min()), "C2": float(band.max()),
-                 "ratio": float(band.max() / band.min())},
+        "band": {"C1": float(C1), "C2": float(C2), "ratio": float(C2 / C1)},
         "bilipschitz": {"min": float(bilip.min()), "max": float(bilip.max())},
         "lipschitz": {"M": M},
         "invariance": inv,
         "volume": {"depth": depth, "value": vol.value, "stderr": vol.stderr,
                    "covered_fraction": vol.covered_fraction},
-        "shape": shape,
+        "shape": {"min_ratio": fam.min_shape_ratio(),
+                  "max_ratio": fam.max_shape_ratio(),
+                  "violations": fam.shape_violations,
+                  "unresolved": fam.shape_unresolved,
+                  "bound_ok": fam.shape_bound_ok},
         "csv": args.out,
-    }
-    return report, EXIT_OK
+    }, EXIT_OK
 
 
 def cmd_harmonic(args, defn: GroupDefinition) -> tuple[dict, int]:

@@ -65,6 +65,13 @@ def _finite_floats(value, path: str) -> np.ndarray:
     return arr
 
 
+def _finite_float(value, path: str) -> float:
+    arr = _finite_floats(value, path)
+    if arr.ndim:
+        raise ValidationError(path, "must be a number")
+    return float(arr)
+
+
 @dataclass(frozen=True)
 class GroupDefinition:
     """Parsed group definition with run defaults."""
@@ -101,7 +108,7 @@ def mobius_from_record(rec: dict, path: str) -> MobiusMap:
     a = _finite_floats(rec["a"], f"{path}.a")
     b = _finite_floats(rec["b"], f"{path}.b")
     A = _finite_floats(rec["A"], f"{path}.A")
-    r = float(_finite_floats(rec["r"], f"{path}.r"))
+    r = _finite_float(rec["r"], f"{path}.r")
     if a.size != n or b.size != n or A.size != n * n:
         raise ValidationError(path, "field sizes inconsistent with n")
     if r <= 0:
@@ -121,7 +128,7 @@ def cap_from_record(rec: dict, dimension: int, path: str) -> SphericalCap:
         raise ValidationError(
             f"{path}.center", f"need {dimension + 1} components on S^{dimension}"
         )
-    theta = float(_finite_floats(rec["theta"], f"{path}.theta"))
+    theta = _finite_float(rec["theta"], f"{path}.theta")
     try:
         return SphericalCap(center=center, theta=theta)
     except Exception as exc:

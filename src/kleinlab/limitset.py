@@ -10,6 +10,7 @@ a (lower, upper) interval that downstream bounds propagate worst-case.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -641,14 +642,20 @@ def export_csv(L: LimitSetCloud, path) -> None:
     write_csv(path, [f"x{i}" for i in range(L.points.shape[1])], L.points)
 
 
-def write_csv(path, header: list[str], rows: np.ndarray) -> None:
-    """A header of plain names and float rows, each float written as its
-    repr, with the comma separators and CRLF line ends of csv.writer; the
-    rows become Python floats geom.ROW_BLOCK at a time, which bounds their
+def write_csv(out, header: list[str] | None, rows: np.ndarray) -> None:
+    """A header of plain names (none for header None) and float rows, each
+    float written as its repr, with the comma separators and CRLF line ends
+    of csv.writer. out is a path, written whole, or a text file opened with
+    newline="", which the lines are appended to, so blocks of rows written
+    one after another give the bytes of one write of their stack. The rows
+    become Python floats geom.ROW_BLOCK at a time, which bounds their
     memory."""
+    if isinstance(out, (str, os.PathLike)):
+        with open(out, "w", newline="") as fh:
+            return write_csv(fh, header, rows)
+    if header is not None:
+        out.write(",".join(header) + "\r\n")
     step = geom.ROW_BLOCK
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for i in range(0, len(rows), step):
-            fh.write("".join(",".join(map(repr, row)) + "\r\n"
-                             for row in rows[i:i + step].tolist()))
+    for i in range(0, len(rows), step):
+        out.write("".join(",".join(map(repr, row)) + "\r\n"
+                          for row in rows[i:i + step].tolist()))

@@ -23,6 +23,7 @@ Every cap a row meets, from either source, enters one minimum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import compress, count, islice
 from typing import Callable
@@ -42,6 +43,12 @@ from .mobius import MobiusMap, inverse_rows, poincare_extend, sphere_action_stac
 SHAPE_RATIO_MAX = 0.5
 SUPPORT_INFLATION = 1.5
 MATERIALIZE_BUDGET = 400_000
+# lipschitz_estimate reads the pairs of the first LIPSCHITZ_ROWS covered
+# samples; graph asks it for LIPSCHITZ_MIN_COVERED of them at the least
+LIPSCHITZ_ROWS = 633
+LIPSCHITZ_MIN_COVERED = 100
+# covered terms per exactly rounded partial sum of VolumeSums
+VOLUME_CHUNK = 4096
 
 
 class ShrinkEpsilon(RuntimeError):
@@ -62,6 +69,13 @@ class FundamentalRegion:
 
     kind: str
     contains: Callable[[np.ndarray], np.ndarray]
+
+    def blocks(self, rng: np.random.Generator, n: int, size: int):
+        """The region rows of each block of uniform_sphere_blocks(rng, n,
+        size); they stack to those of uniform_sphere(rng, n, size), bit for
+        bit, and the whole draw is never held."""
+        for _, U in uniform_sphere_blocks(rng, n, size):
+            yield U[self.contains(U)]
 
 
 def schottky_region(G: GroupPresentation) -> FundamentalRegion:
@@ -249,6 +263,32 @@ class HeightResult:
         """The result on the selected rows; heights gives each row the same
         values in any batch."""
         return HeightResult(self.f[rows], self.covered[rows], self.grad_sq[rows])
+
+
+class RowHead:
+    """The first `size` rows of a stream of (rows, heights) blocks, or with
+    covered the first `size` covered rows, copied out of the blocks so that
+    none of them is kept."""
+
+    def __init__(self, size: int, covered: bool = False):
+        self.size, self.covered = size, covered
+        self._blocks: list[tuple[np.ndarray, HeightResult]] = []
+        self._count = 0
+
+    def add(self, U: np.ndarray, res: HeightResult):
+        take = self.size - self._count
+        if take > 0:
+            at = (np.flatnonzero(res.covered) if self.covered
+                  else np.arange(len(U)))[:take]
+            self._blocks.append((U[at], res[at]))
+            self._count += at.size
+
+    def rows(self) -> tuple[np.ndarray, HeightResult]:
+        """(rows, heights) of the head, after at least one add."""
+        U, res = zip(*self._blocks)
+        return np.concatenate(U), HeightResult(*(
+            np.concatenate([getattr(r, k) for r in res])
+            for k in ("f", "covered", "grad_sq")))
 
 
 @dataclass
@@ -592,13 +632,24 @@ def check_invariance(F: DomeFamily, gamma: MobiusMap, samples: np.ndarray,
     return (float(dev.max()) if dev.size else 0.0), int(ok.sum())
 
 
-def lipschitz_estimate(samples: np.ndarray, res: HeightResult) -> float:
+def lipschitz_estimate(samples: np.ndarray, res: HeightResult,
+                       min_covered: int = 0) -> float:
     """Empirical Lipschitz constant max |f(x)-f(y)| / q(x, y) over the pairs
-    with q > 1e-12 of the first 633 covered samples (about 200,000 pairs,
-    from limitset.pair_blocks); res holds the heights of the samples, and
-    every prefix with 633 covered samples gives the same value. Raises
-    ValueError without a pair."""
-    first = np.fromiter(islice(compress(count(), res.covered), 633), np.intp)
+    with q > 1e-12 of the first LIPSCHITZ_ROWS (633) covered samples (about
+    200,000 pairs, from limitset.pair_blocks); res holds the heights of the
+    samples, and every prefix with 633 covered samples gives the same value.
+
+    Raises ValueError with fewer than min_covered covered samples, or
+    without a pair. graph asks for LIPSCHITZ_MIN_COVERED (100) covered
+    samples, 4,950 pairs: the maximum grows with the pairs, and on the
+    shipped files at their default flags, over graph's draws for seeds 1-3,
+    it read 40-85 % of its 633-sample value at 100 samples but 8-31 % at 10.
+    """
+    first = np.fromiter(islice(compress(count(), res.covered), LIPSCHITZ_ROWS),
+                        np.intp)
+    if first.size < min_covered:
+        raise ValueError(f"{first.size} covered samples, under the "
+                         f"{min_covered} that M needs")
     U, fv = np.atleast_2d(samples)[first], res.f[first]
     best = -1.0  # ratios are >= 0; the pairs the filter drops read -1
     for a, s in pair_blocks(U):
@@ -678,34 +729,79 @@ class VolumeEstimate:
     covered_fraction: float
 
 
-def graph_volume(F: DomeFamily, region: FundamentalRegion, n_samples: int,
-                 seed: int = 0) -> VolumeEstimate:
-    """Monte-Carlo hyperbolic n-volume of the graph over the region.
+class VolumeSums:
+    """Running sums of the volume Monte-Carlo over `draws` uniform draws on
+    S^n, fed the heights of the draws that land in the region, block by
+    block in draw order.
+
+    Each draw contributes one term: the graph's hyperbolic area element
+    f^{n-1} sqrt(f^2 + |grad f|^2) (2/(1-f^2))^n at a covered region row, 0
+    elsewhere. The covered terms are summed VOLUME_CHUNK at a time in draw
+    order, each chunk with math.fsum, and so are their squares about a
+    shift, the mean of the first chunk; the chunks are fixed runs of terms,
+    so the sums are the same however the draw was split into blocks.
+    """
+
+    def __init__(self, n: int, draws: int):
+        self.n, self.draws = n, draws
+        self.inside = self.covered = 0
+        self.total = self.shifted_sq = 0.0
+        self.shift: float | None = None
+        self._pending = np.empty(0)
+
+    def add(self, res: HeightResult):
+        """Fold in the heights of one block's region rows."""
+        n, cov = self.n, res.covered
+        fc = res.f[cov]
+        area = fc ** (n - 1) * np.sqrt(fc**2 + res.grad_sq[cov])
+        terms = np.concatenate([self._pending, area * (2.0 / (1.0 - fc**2)) ** n])
+        self.inside += cov.size
+        self.covered += fc.size
+        whole = terms.size - terms.size % VOLUME_CHUNK
+        for chunk in terms[:whole].reshape(-1, VOLUME_CHUNK):
+            self._fold(chunk)
+        self._pending = terms[whole:].copy()
+
+    def flush(self):
+        """Fold in the terms short of a whole chunk."""
+        if self._pending.size:
+            self._fold(self._pending)
+            self._pending = np.empty(0)
+
+    def _fold(self, chunk: np.ndarray):
+        total = math.fsum(chunk.tolist())
+        if self.shift is None:
+            self.shift = total / chunk.size
+        self.total += total
+        self.shifted_sq += math.fsum(((chunk - self.shift) ** 2).tolist())
+
+
+def graph_volume(sums: VolumeSums) -> VolumeEstimate:
+    """Monte-Carlo hyperbolic n-volume of the graph over the region, reduced
+    from the sums of its draws; it draws nothing itself.
 
     The graph map u -> f(u) u has Euclidean area element
     f^{n-1} sqrt(f^2 + |grad f|^2) dA(u); the hyperbolic element scales it by
-    (2/(1-f^2))^n at radius f. The gradient is the governing dome's
-    closed-form derivative (dome_gradient_sq), so each sample costs one
-    heights evaluation. The samples are drawn and evaluated SAMPLE_BLOCK at
-    a time, and every row's value is the same whatever the block it falls in.
+    (2/(1-f^2))^n at radius f, and the gradient is the governing dome's
+    closed-form derivative (dome_gradient_sq). With A the area of S^n and v
+    the N = sums.draws terms of VolumeSums, the value is A sum(v) / N and
+    the stderr A std(v, ddof=1) / sqrt(N). The squared deviations of v are
+    summed in three parts, none of which cancels: those of the c covered
+    terms about their mean t (the shifted sum less c (t - shift)^2), c times
+    the squared gap from t to the mean m of v, and (N - c) m^2 for the zero
+    terms.
     """
-    rng = np.random.default_rng(seed)
-    n = F.G.n
-    vals, inside, covered = np.zeros(n_samples), 0, 0
-    for start, block in uniform_sphere_blocks(rng, n, n_samples):
-        idx = np.flatnonzero(region.contains(block))
-        res = F.heights(block[idx])
-        cov = res.covered
-        fc = res.f[cov]
-        area = fc ** (n - 1) * np.sqrt(fc**2 + res.grad_sq[cov])
-        vals[start + idx[cov]] = area * (2.0 / (1.0 - fc**2)) ** n
-        inside += idx.size
-        covered += int(cov.sum())
-    A = sphere_area(n)
-    value = A * float(vals.mean())
-    stderr = A * float(vals.std(ddof=1) / np.sqrt(n_samples))
-    return VolumeEstimate(value=value, stderr=stderr, samples=n_samples,
-                          covered_fraction=covered / inside if inside else 0.0)
+    sums.flush()
+    N, c = sums.draws, sums.covered
+    m = sums.total / N
+    sq = (N - c) * m * m
+    if c:
+        t = sums.total / c
+        sq += max(sums.shifted_sq - c * (t - sums.shift) ** 2, 0.0) + c * (t - m) ** 2
+    A = sphere_area(sums.n)
+    return VolumeEstimate(
+        value=A * m, stderr=A * math.sqrt(sq / (N - 1)) / math.sqrt(N),
+        samples=N, covered_fraction=c / sums.inside if sums.inside else 0.0)
 
 
 def bilipschitz_ratios(F: DomeFamily, samples: np.ndarray, res: HeightResult,
@@ -751,9 +847,13 @@ def graph_band(F: DomeFamily, samples: np.ndarray, res: HeightResult
     return (1.0 - res.f[mask][good]) / upper[good]
 
 
-def export_graph_csv(samples: np.ndarray, res: HeightResult, path) -> None:
+def export_graph_csv(samples: np.ndarray, res: HeightResult, out,
+                     header: bool = True) -> None:
     """CSV rows (direction vector, f) over covered samples, with res the
-    heights of the samples."""
+    heights of the samples. out is a path or an open text file
+    (limitset.write_csv); with header False the rows alone are appended,
+    so a CSV can be written block by block."""
     U = np.atleast_2d(samples)
-    write_csv(path, [f"x{i}" for i in range(U.shape[1])] + ["f"],
+    names = [f"x{i}" for i in range(U.shape[1])] + ["f"]
+    write_csv(out, names if header else None,
               np.column_stack([U[res.covered], res.f[res.covered]]))

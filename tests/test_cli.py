@@ -233,18 +233,104 @@ class TestCommands:
         want = want[region.contains(want)]
         for block in (geom.SAMPLE_BLOCK, 777):
             monkeypatch.setattr(geom, "SAMPLE_BLOCK", block)
-            got = cli._region_samples(region, np.random.default_rng(8), 2, 40_000)
+            got = np.concatenate(list(region.blocks(
+                np.random.default_rng(8), 2, 40_000)))
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_graph_csv_does_not_depend_on_the_sample_block(self, tmp_path,
-                                                           monkeypatch):
-        csvs = []
-        for block in (geom.SAMPLE_BLOCK, 777):
-            monkeypatch.setattr(geom, "SAMPLE_BLOCK", block)
-            csvs.append(tmp_path / f"graph{block}.csv")
-            assert cli.main(["graph", "--file", PARABOLIC, "--samples", "3000",
-                             "--out", str(csvs[-1])]) == 0
-        assert csvs[0].read_bytes() == csvs[1].read_bytes()
+                                                           monkeypatch, capsys):
+        # every statistic is read from the blocks of one draw: the results
+        # and the CSV keep their bits whatever the block size
+        for path in (LOXODROMIC, PARABOLIC):
+            runs = []
+            out = tmp_path / "graph.csv"
+            for block in (geom.SAMPLE_BLOCK, 777):
+                monkeypatch.setattr(geom, "SAMPLE_BLOCK", block)
+                assert cli.main(["graph", "--file", path, "--samples", "20000",
+                                 "--out", str(out), "--json"]) == 0
+                results = json.loads(capsys.readouterr().out)["results"]
+                runs.append((json.dumps(results), out.read_bytes()))
+            assert runs[0] == runs[1]
+
+    def test_graph_takes_each_region_row_through_heights_once(self, monkeypatch,
+                                                              capsys):
+        # one draw of --samples directions; heights sees its region rows once
+        # and then the images of the covered ones among the first 2000
+        drawn, seen, families = [], [], []
+        real_sphere, real_family = geom.uniform_sphere, lipgraph.DomeFamily
+
+        def counting_sphere(rng, n, size):
+            drawn.append(size)
+            return real_sphere(rng, n, size)
+
+        class CountingFamily(real_family):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                families.append(self)
+
+            def heights(self, U):
+                seen.append(len(U))
+                return super().heights(U)
+
+        monkeypatch.setattr(geom, "uniform_sphere", counting_sphere)
+        monkeypatch.setattr(lipgraph, "DomeFamily", CountingFamily)
+        defn = load_group_file(LOXODROMIC)
+        region = cli._region_for(defn)
+        assert cli.main(["graph", "--file", LOXODROMIC, "--samples", "40000",
+                         "--seed", "5", "--json"]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert sum(drawn) == 40_000
+        blocks = list(region.blocks(np.random.default_rng(6), 2, 40_000))
+        assert seen[:len(blocks)] == [len(U) for U in blocks]
+        # then, per generator, the images of the covered rows among the first
+        # 2000 region rows
+        head = np.concatenate(blocks)[:2000]
+        covered = int(real_family.heights(families[0], head).covered.sum())
+        assert covered > 0 and len(families) == 1
+        assert seen[len(blocks):] == [covered] * len(res["invariance"])
+
+    def test_graph_peak_memory_does_not_grow_with_samples(self, capsys):
+        # what graph keeps of its draw is bounded: the first rows of the
+        # invariance, bi-Lipschitz and M statistics, and running sums
+        peaks = []
+        for samples in ("40000", "400000"):
+            tracemalloc.start()
+            try:
+                code = cli.main(["graph", "--file", LOXODROMIC, "--samples",
+                                 samples])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks[1] < peaks[0] + 1e6
+
+    def test_graph_below_the_covered_floor_exits_3_and_leaves_no_csv(
+            self, tmp_path, capsys):
+        # 7 samples gave M from a single pair; M needs LIPSCHITZ_MIN_COVERED
+        out = tmp_path / "graph.csv"
+        code = cli.main(["graph", "--file", LOXODROMIC, "--depth", "3",
+                         "--samples", "7", "--out", str(out), "--json"])
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert code == 3 and results["reason"].startswith("budget too small")
+        assert f"under the {lipgraph.LIPSCHITZ_MIN_COVERED}" in results["reason"]
+        assert not out.exists()
+
+    def test_graph_unopenable_out_exits_2_before_the_draw(self, tmp_path,
+                                                          monkeypatch, capsys):
+        def unreached(*args, **kwargs):
+            raise AssertionError("sampled before opening --out")
+
+        def refused(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(limitset, "sample_limit_set", unreached)
+        monkeypatch.setattr(geom, "uniform_sphere", unreached)
+        monkeypatch.setattr(cli, "open", refused, raising=False)
+        out = str(tmp_path / "x.csv")
+        code = cli.main(["graph", "--file", LOXODROMIC, "--out", out, "--json"])
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert code == 2
+        assert results["error"] == f"--out: [Errno 13] Permission denied: {out!r}"
 
     def test_graph_peak_memory_is_bounded(self, capsys):
         # one draw of every sample and one heights pass over the region rows
@@ -328,8 +414,8 @@ class TestCommands:
             assert "volume_evidence" not in res
 
     @pytest.mark.parametrize("path, value, stderr", [
-        (LOXODROMIC, 228.34862848247005, 1.8293179618813449),
-        (PARABOLIC, 202.54034759682668, 2.6586707661946196),
+        (LOXODROMIC, 229.29627170228912, 1.8305465225550106),
+        (PARABOLIC, 203.61629659647696, 2.813389504435824),
     ], ids=["loxodromic", "parabolic"])
     def test_graph_volume_from_its_one_family(self, path, value, stderr,
                                               monkeypatch, capsys):
@@ -562,8 +648,12 @@ class TestCommands:
         (PARABOLIC, ["cusp_ends"], 3, "$.cusp_ends"),
         (SCHOTTKY, ["ball_pairs", 0, 1, "center"], "x", "$.ball_pairs[0][1].center"),
         (SCHOTTKY, ["ball_pairs", 1, 0, "theta"], "x", "$.ball_pairs[1][0].theta"),
+        (SCHOTTKY, ["ball_pairs", 1, 0, "theta"], [0.1, 0.2],
+         "$.ball_pairs[1][0].theta"),
+        (LOXODROMIC, ["generators", 0, "r"], [1.0, 2.0], "$.generators[0].r"),
     ], ids=["ball-pairs-true", "generators-true", "cusp-ends-null",
-            "cusp-ends-number", "center-string", "theta-string"])
+            "cusp-ends-number", "center-string", "theta-string", "theta-list",
+            "r-list"])
     def test_wrong_field_type_exits_2_with_its_path(self, source, keys, value,
                                                     field, tmp_path, capsys):
         doc = json.loads(pathlib.Path(source).read_text())

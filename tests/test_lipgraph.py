@@ -53,6 +53,15 @@ def small_schottky_family(max_len=2, eps0=0.1, stride=17):
     return _SCHOTTKY_CACHE[key]
 
 
+def monte_carlo_volume(fam, region, n_samples, seed=0):
+    """graph_volume over the region rows of one seeded draw of n_samples
+    directions, whose heights reach VolumeSums block by block as in graph."""
+    sums = lipgraph.VolumeSums(fam.G.n, n_samples)
+    for U in region.blocks(np.random.default_rng(seed), fam.G.n, n_samples):
+        sums.add(fam.heights(U))
+    return graph_volume(sums)
+
+
 def cyclic_family(depth, eps0=0.12):
     if eps0 not in _CYCLIC_CACHE:
         G = make_cyclic(mobius.affine(2, r=2.0))
@@ -497,7 +506,7 @@ class TestFamily:
         before = (list(fam.shape_ratios), fam.shape_violations,
                   fam.shape_unresolved)
         fitted = sum(lv.keys.size for lv in fam._levels)
-        graph_volume(fam, schottky_region(G), 10_000, seed=7)
+        monte_carlo_volume(fam, schottky_region(G), 10_000, seed=7)
         assert sum(lv.keys.size for lv in fam._levels) > fitted
         assert (fam.shape_ratios, fam.shape_violations,
                 fam.shape_unresolved) == before
@@ -953,7 +962,7 @@ class TestGradient:
             image = same & ~np.isin(ref.theta, fam.seed_caps.thetas)
             assert image.sum() > 20 and np.median(rel[image]) < 1e-3
 
-    def test_rim_row_of_a_losing_cap(self, monkeypatch):
+    def test_rim_row_of_a_losing_cap(self):
         # row u lies exactly on the rim of a small cap (d = 1) and inside a
         # larger one, which governs it: no warning, a finite gradient term
         # and a finite volume
@@ -970,14 +979,12 @@ class TestGradient:
         assert u[0] @ fam._centers[1] / fam._cos[1] == 1.0
         rows = np.vstack([u, uniform_sphere(np.random.default_rng(38), 2, 999)])
         rows = rows[fam.heights(rows).covered]
-        monkeypatch.setattr(lipgraph, "uniform_sphere_blocks",
-                            lambda rng, n, size: iter([(0, rows)]))
-        everywhere = lipgraph.FundamentalRegion(
-            "annulus", lambda U: np.ones(len(U), dtype=bool))
+        sums = lipgraph.VolumeSums(2, len(rows))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = fam.heights(u)
-            est = graph_volume(fam, everywhere, len(rows))
+            sums.add(fam.heights(rows))
+            est = graph_volume(sums)
         assert res.covered[0] and res.f[0] < 1.0
         assert np.isfinite(res.grad_sq[0])
         assert np.isfinite(est.value) and est.covered_fraction == 1.0
@@ -990,25 +997,51 @@ class TestVolume:
         region = strip_region(np.array([1.0, 0.0]), q_floor=1.0)
         mesh = region_mesh(region, cloud, 0.15)
         fam = DomeFamily(G, cloud, base_caps(mesh, 0.15, cloud), max_len=3)
-        est = graph_volume(fam, region, 30_000, seed=7)
+        est = monte_carlo_volume(fam, region, 30_000, seed=7)
         oracle = _strip_quadrature(fam, q_floor=1.0, nx=120, ny=320)
         assert est.covered_fraction > 0.999
         assert abs(est.value - oracle) < 2 * est.stderr + 0.02 * oracle
 
     def test_blocks_do_not_move_the_estimate(self, monkeypatch):
-        # every row's value is the same in any block, so the one mean and
-        # standard deviation are too
+        # every row's term is the same in any block, and VolumeSums sums the
+        # terms in fixed chunks, so the value and stderr keep their bits
         G, cloud, region, fam = small_schottky_family(max_len=2)
-        whole = graph_volume(fam, region, 5000, seed=4)
+        whole = monte_carlo_volume(fam, region, 5000, seed=4)
         monkeypatch.setattr(geom, "SAMPLE_BLOCK", 777)
-        assert graph_volume(fam, region, 5000, seed=4) == whole
+        assert monte_carlo_volume(fam, region, 5000, seed=4) == whole
+
+    @pytest.mark.parametrize("chunk", [lipgraph.VOLUME_CHUNK, 100])
+    def test_sums_match_the_two_pass_formula(self, chunk, monkeypatch):
+        # the streamed value and stderr against mean and std(ddof=1) of the
+        # per-draw terms, zeros included, within 1e-13 and 1e-12 relative;
+        # the two round differently, and differed by under 1e-15 over six
+        # seeds
+        monkeypatch.setattr(lipgraph, "VOLUME_CHUNK", chunk)
+        G, cloud, region, fam = small_schottky_family(max_len=2)
+        U = uniform_sphere(np.random.default_rng(12), 2, 30_000)
+        inside = np.flatnonzero(region.contains(U))
+        res = fam.heights(U[inside])
+        f, g = res.f[res.covered], res.grad_sq[res.covered]
+        terms = np.zeros(len(U))
+        terms[inside[res.covered]] = f * np.sqrt(f**2 + g) * (2 / (1 - f**2)) ** 2
+        assert res.covered.sum() > lipgraph.VOLUME_CHUNK
+        sums = lipgraph.VolumeSums(2, len(U))
+        for rows in np.array_split(np.arange(inside.size), 7):
+            sums.add(res[rows])
+        est = graph_volume(sums)
+        A = geom.sphere_area(2)
+        assert est.value == pytest.approx(A * terms.mean(), rel=1e-13, abs=0)
+        assert est.stderr == pytest.approx(
+            A * terms.std(ddof=1) / np.sqrt(len(U)), rel=1e-12, abs=0)
+        assert est.samples == len(U)
+        assert est.covered_fraction == res.covered.mean()
 
     def test_region_monotonicity(self):
         G, cloud, region, fam = small_schottky_family(max_len=2, stride=6)
         sub = lipgraph.FundamentalRegion(  # southern half only
             region.kind, lambda U: region.contains(U) & (U[:, 2] < 0.0))
-        full = graph_volume(fam, region, 20_000, seed=3)
-        part = graph_volume(fam, sub, 20_000, seed=3)
+        full = monte_carlo_volume(fam, region, 20_000, seed=3)
+        part = monte_carlo_volume(fam, sub, 20_000, seed=3)
         assert part.value < full.value
 
     def test_depth_stability_on_schottky(self):
@@ -1020,7 +1053,7 @@ class TestVolume:
         vols = []
         for depth in (3, 4):
             fam = DomeFamily(G, cloud, caps, max_len=depth, audit=50)
-            vols.append(graph_volume(fam, region, 15_000, seed=5).value)
+            vols.append(monte_carlo_volume(fam, region, 15_000, seed=5).value)
         assert abs(vols[1] - vols[0]) <= 0.05 * abs(vols[1])
 
 
