@@ -236,19 +236,18 @@ def cmd_dimension(args, defn: GroupDefinition) -> tuple[dict, int]:
 
 
 def cmd_graph(args, defn: GroupDefinition) -> tuple[dict, int]:
-    """The graph report. --out is opened before any work, written block by
-    block and removed again unless the run exits 0."""
-    out, ok = args.out and _at_out(open, args.out, "w", newline=""), False
+    """The graph report. The CSV goes block by block to a file beside --out,
+    opened before any work, which takes the place of --out on exit 0."""
+    from .limitset import PendingFile
+    out = args.out and _at_out(PendingFile, args.out)
     try:
-        report, code = _graph(args, defn, out)
-        if out:
-            _at_out(out.close)  # its last write can fail too
-        ok = code == EXIT_OK
+        report, code = _graph(args, defn, out and out.file)
+        if out and code == EXIT_OK:
+            _at_out(out.commit)  # its last write can fail too
         return report, code
     finally:
-        if out and not ok:
-            out.close()
-            os.remove(args.out)
+        if out:
+            out.discard()
 
 
 def _graph(args, defn: GroupDefinition, out) -> tuple[dict, int]:
@@ -279,8 +278,10 @@ def _graph(args, defn: GroupDefinition, out) -> tuple[dict, int]:
         if out:
             _at_out(lipgraph_mod.export_graph_csv, U, res, out, k == 0)
     try:
-        M = lipgraph_mod.lipschitz_estimate(*first.rows(),
-                                            lipgraph_mod.LIPSCHITZ_MIN_COVERED)
+        if len(first) < lipgraph_mod.LIPSCHITZ_MIN_COVERED:
+            raise ValueError(f"{len(first)} covered samples, under the "
+                             f"{lipgraph_mod.LIPSCHITZ_MIN_COVERED} that M needs")
+        M = lipgraph_mod.lipschitz_estimate(*first.rows())
     except ValueError as exc:  # too few samples landed on covered directions
         return ({"depth": depth, "reason": f"budget too small: {exc}"},
                 EXIT_INCONCLUSIVE)

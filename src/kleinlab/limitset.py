@@ -11,6 +11,7 @@ a (lower, upper) interval that downstream bounds propagate worst-case.
 from __future__ import annotations
 
 import os
+import shutil
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -639,23 +640,54 @@ def distortion_rows(fields, X: np.ndarray, L: LimitSetCloud) -> np.ndarray:
 
 def export_csv(L: LimitSetCloud, path) -> None:
     """Unit-vector rows with a header, stable byte-for-byte for a fixed cloud."""
-    write_csv(path, [f"x{i}" for i in range(L.points.shape[1])], L.points)
+    with open(path, "w", newline="") as fh:
+        write_csv(fh, [f"x{i}" for i in range(L.points.shape[1])], L.points)
 
 
 def write_csv(out, header: list[str] | None, rows: np.ndarray) -> None:
     """A header of plain names (none for header None) and float rows, each
     float written as its repr, with the comma separators and CRLF line ends
-    of csv.writer. out is a path, written whole, or a text file opened with
-    newline="", which the lines are appended to, so blocks of rows written
-    one after another give the bytes of one write of their stack. The rows
-    become Python floats geom.ROW_BLOCK at a time, which bounds their
-    memory."""
-    if isinstance(out, (str, os.PathLike)):
-        with open(out, "w", newline="") as fh:
-            return write_csv(fh, header, rows)
+    of csv.writer, appended to out, a text file opened with newline="".
+    Blocks of rows written one after another give the bytes of one write of
+    their stack. The rows become Python floats geom.ROW_BLOCK at a time,
+    which bounds their memory."""
     if header is not None:
         out.write(",".join(header) + "\r\n")
     step = geom.ROW_BLOCK
     for i in range(0, len(rows), step):
         out.write("".join(",".join(map(repr, row)) + "\r\n"
                           for row in rows[i:i + step].tolist()))
+
+
+class PendingFile:
+    """A text file for write_csv, opened with newline="" beside path, that
+    takes the place of path on commit and is removed on discard, which
+    leaves path as it was. A path that exists and is no regular file (a
+    device, a pipe) is written in place and never removed."""
+
+    def __init__(self, path):
+        self.target = os.path.realpath(path)
+        self.name = None
+        if os.path.exists(self.target) and not os.path.isfile(self.target):
+            self.file = open(self.target, "w", newline="")
+            return
+        head, tail = os.path.split(self.target)
+        name = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.part")
+        self.file = open(name, "x", newline="")
+        self.name = name
+
+    def commit(self):
+        """Close the file and put it in place of path, with path's mode."""
+        self.file.close()
+        if self.name:
+            if os.path.isfile(self.target):
+                shutil.copymode(self.target, self.name)
+            os.replace(self.name, self.target)
+            self.name = None
+
+    def discard(self):
+        """Close the file and remove it unless committed."""
+        self.file.close()
+        if self.name:
+            os.remove(self.name)
+            self.name = None

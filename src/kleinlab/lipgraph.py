@@ -44,7 +44,11 @@ SHAPE_RATIO_MAX = 0.5
 SUPPORT_INFLATION = 1.5
 MATERIALIZE_BUDGET = 400_000
 # lipschitz_estimate reads the pairs of the first LIPSCHITZ_ROWS covered
-# samples; graph asks it for LIPSCHITZ_MIN_COVERED of them at the least
+# samples. graph reports M only from LIPSCHITZ_MIN_COVERED (100) covered
+# samples up, 4,950 pairs, and exits 3 below: the maximum grows with the
+# pairs, and on the shipped files at their default flags, over graph's
+# draws for seeds 1-3, it read 40-85 % of its 633-sample value at 100
+# samples but 8-31 % at 10.
 LIPSCHITZ_ROWS = 633
 LIPSCHITZ_MIN_COVERED = 100
 # covered terms per exactly rounded partial sum of VolumeSums
@@ -268,7 +272,7 @@ class HeightResult:
 class RowHead:
     """The first `size` rows of a stream of (rows, heights) blocks, or with
     covered the first `size` covered rows, copied out of the blocks so that
-    none of them is kept."""
+    none of them is kept; len is the number of rows held."""
 
     def __init__(self, size: int, covered: bool = False):
         self.size, self.covered = size, covered
@@ -282,6 +286,9 @@ class RowHead:
                   else np.arange(len(U)))[:take]
             self._blocks.append((U[at], res[at]))
             self._count += at.size
+
+    def __len__(self) -> int:
+        return self._count
 
     def rows(self) -> tuple[np.ndarray, HeightResult]:
         """(rows, heights) of the head, after at least one add."""
@@ -632,24 +639,14 @@ def check_invariance(F: DomeFamily, gamma: MobiusMap, samples: np.ndarray,
     return (float(dev.max()) if dev.size else 0.0), int(ok.sum())
 
 
-def lipschitz_estimate(samples: np.ndarray, res: HeightResult,
-                       min_covered: int = 0) -> float:
+def lipschitz_estimate(samples: np.ndarray, res: HeightResult) -> float:
     """Empirical Lipschitz constant max |f(x)-f(y)| / q(x, y) over the pairs
     with q > 1e-12 of the first LIPSCHITZ_ROWS (633) covered samples (about
     200,000 pairs, from limitset.pair_blocks); res holds the heights of the
     samples, and every prefix with 633 covered samples gives the same value.
-
-    Raises ValueError with fewer than min_covered covered samples, or
-    without a pair. graph asks for LIPSCHITZ_MIN_COVERED (100) covered
-    samples, 4,950 pairs: the maximum grows with the pairs, and on the
-    shipped files at their default flags, over graph's draws for seeds 1-3,
-    it read 40-85 % of its 633-sample value at 100 samples but 8-31 % at 10.
-    """
+    Raises ValueError without a pair."""
     first = np.fromiter(islice(compress(count(), res.covered), LIPSCHITZ_ROWS),
                         np.intp)
-    if first.size < min_covered:
-        raise ValueError(f"{first.size} covered samples, under the "
-                         f"{min_covered} that M needs")
     U, fv = np.atleast_2d(samples)[first], res.f[first]
     best = -1.0  # ratios are >= 0; the pairs the filter drops read -1
     for a, s in pair_blocks(U):
@@ -850,9 +847,9 @@ def graph_band(F: DomeFamily, samples: np.ndarray, res: HeightResult
 def export_graph_csv(samples: np.ndarray, res: HeightResult, out,
                      header: bool = True) -> None:
     """CSV rows (direction vector, f) over covered samples, with res the
-    heights of the samples. out is a path or an open text file
-    (limitset.write_csv); with header False the rows alone are appended,
-    so a CSV can be written block by block."""
+    heights of the samples, appended to out, a text file opened with
+    newline="" (limitset.write_csv); with header False the rows alone, so a
+    CSV can be written block by block."""
     U = np.atleast_2d(samples)
     names = [f"x{i}" for i in range(U.shape[1])] + ["f"]
     write_csv(out, names if header else None,

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -313,7 +314,41 @@ class TestCommands:
         results = json.loads(capsys.readouterr().out)["results"]
         assert code == 3 and results["reason"].startswith("budget too small")
         assert f"under the {lipgraph.LIPSCHITZ_MIN_COVERED}" in results["reason"]
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_graph_exit_3_leaves_an_existing_out_as_it_was(self, tmp_path,
+                                                           capsys):
+        out = tmp_path / "graph.csv"
+        out.write_bytes(b"kept\r\n")
+        out.chmod(0o640)
+        code = cli.main(["graph", "--file", LOXODROMIC, "--depth", "3",
+                         "--samples", "7", "--out", str(out), "--json"])
+        assert code == 3
+        assert out.read_bytes() == b"kept\r\n"
+        # an exit-0 run replaces it and keeps its mode
+        code = cli.main(["graph", "--file", LOXODROMIC, "--depth", "3",
+                         "--samples", "1500", "--out", str(out), "--json"])
+        assert code == 0 and out.read_text().startswith("x0,x1,x2,f\n")
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("samples, want", [("7", 3), ("1500", 0)])
+    def test_graph_writes_a_pipe_out_in_place(self, samples, want, tmp_path,
+                                              capsys):
+        # a device or a pipe at --out is written as the blocks come, never
+        # replaced or removed
+        out = tmp_path / "pipe"
+        os.mkfifo(out)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(out.read_bytes()))
+        reader.start()
+        code = cli.main(["graph", "--file", LOXODROMIC, "--depth", "3",
+                         "--samples", samples, "--out", str(out), "--json"])
+        reader.join(timeout=60)
+        assert code == want and out.is_fifo()
+        assert list(tmp_path.iterdir()) == [out]
+        assert got[0].startswith(b"x0,x1,x2,f\r\n")
 
     def test_graph_unopenable_out_exits_2_before_the_draw(self, tmp_path,
                                                           monkeypatch, capsys):
@@ -325,12 +360,12 @@ class TestCommands:
 
         monkeypatch.setattr(limitset, "sample_limit_set", unreached)
         monkeypatch.setattr(geom, "uniform_sphere", unreached)
-        monkeypatch.setattr(cli, "open", refused, raising=False)
+        monkeypatch.setattr(limitset, "open", refused, raising=False)
         out = str(tmp_path / "x.csv")
         code = cli.main(["graph", "--file", LOXODROMIC, "--out", out, "--json"])
         results = json.loads(capsys.readouterr().out)["results"]
         assert code == 2
-        assert results["error"] == f"--out: [Errno 13] Permission denied: {out!r}"
+        assert results["error"].startswith("--out: [Errno 13] Permission denied")
 
     def test_graph_peak_memory_is_bounded(self, capsys):
         # one draw of every sample and one heights pass over the region rows
@@ -625,6 +660,7 @@ class TestCommands:
         results = json.loads(capsys.readouterr().out)["results"]
         assert code == 2
         assert results["error"] == "--out: [Errno 28] No space left on device"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("field, value", [
         ("depths", 5), ("epsilon0", "abc"), ("depths", [True]),

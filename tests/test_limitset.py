@@ -652,7 +652,8 @@ def test_write_csv_has_the_bytes_of_a_row_by_row_repr(tmp_path):
                 [1e16, 1e-5, 123456789.0], [2.0 ** -1074, 1.7976931348623157e308, 3.0],
                 [-2.5, 1e22, 1e-7]]
     path = tmp_path / "rows.csv"
-    limitset.write_csv(path, ["a", "b", "c"], rows)
+    with open(path, "w", newline="") as fh:
+        limitset.write_csv(fh, ["a", "b", "c"], rows)
     with open(tmp_path / "ref.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["a", "b", "c"])

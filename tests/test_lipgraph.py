@@ -1184,7 +1184,8 @@ def test_export_graph_csv(tmp_path):
     G, cloud, region, fam = small_schottky_family(stride=23)
     U = uniform_sphere(np.random.default_rng(23), 2, 100)
     path = tmp_path / "graph.csv"
-    lipgraph.export_graph_csv(U, fam.heights(U), path)
+    with open(path, "w", newline="") as fh:
+        lipgraph.export_graph_csv(U, fam.heights(U), fh)
     lines = path.read_text().splitlines()
     assert lines[0] == "x0,x1,x2,f"
     assert 1 < len(lines) <= 101
