@@ -43,8 +43,8 @@ EXIT_INCONCLUSIVE = 3
 # and heights takes geom.ROW_BLOCK rows a pass. harmonic keeps two counts per
 # Monte-Carlo, graph the first rows its statistics read and running sums, so
 # neither holds a draw. Peak RSS at 40k, 400k and a million samples: harmonic
-# 39.6, 40.0 and 40.0 MB on the reference file; graph 45.7, 46.1 and 46.3 MB
-# on the loxodromic file, 50.2, 52.0 and 53.2 MB on the reference file. From
+# 39.6, 40.0 and 40.0 MB on the reference file; graph 45.7, 46.2 and 46.4 MB
+# on the loxodromic file, 50.6, 51.7 and 52.6 MB on the reference file. From
 # os.wait4, with one BLAS thread.
 MAX_SAMPLES = 1_000_000
 
