@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import mobius
-from .caps import (CapDegenerate, CapStack, SphericalCap, boundary_probes, cap_images,
+from .caps import (CapDegenerate, CapStack, SphericalCap, cap_images,
                    cap_to_euclidean_ball, caps_disjoint)
 from .geom import BallPoint, angle_from_chord
 from .mobius import MobiusMap, compose, inverse
@@ -214,7 +214,7 @@ class WordTree:
                                   np.zeros(1, np.int64),
                                   mobius.stack_fields([mobius.identity(G.n)]))]
         self._caps: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._targets: tuple | None = None  # per letter: probes, center, theta
+        self._targets: CapStack | None = None  # the target cap of each letter
         # cyclic only: the last level whose powers were tested, and the order
         self._tested, self._order = 0, None
 
@@ -252,22 +252,20 @@ class WordTree:
 
         The nested cap of the word w s is the image of G.letter_target_cap(s)
         under w.map, and its point the image of that cap's center. The rows
-        of level d - 1, the only level composed for it, map the n+1 probes
-        and the center of each child's target cap, and the level is fitted,
-        in one cap_images call.
+        of level d - 1, the only level composed for it, map each child's
+        target cap and its center in one closed-form cap_images call.
         """
         if d not in self._caps:
             self._check_budget(d)
             if self._targets is None:
-                caps = [self.G.letter_target_cap(int(s)) for s in self._alphabet]
-                self._targets = (np.stack([c.boundary_points() for c in caps]),
-                                 np.array([c.center for c in caps]),
-                                 np.array([c.theta for c in caps]))
+                self._targets = CapStack.of(
+                    [self.G.letter_target_cap(int(s)) for s in self._alphabet],
+                    self.G.n + 1)
             up = self.level(d - 1)
             parent, slot = self._children(up)
-            boundary, centers, thetas = (t[slot] for t in self._targets)
             centers, thetas, valid, points = cap_images(
-                _take(up.fields, parent), boundary, centers, thetas)
+                _take(up.fields, parent), self._targets.centers[slot],
+                self._targets.thetas[slot])
             if not valid.all():
                 raise CapDegenerate("a nested cap is degenerate or covers a hemisphere")
             self._caps[d] = (centers, thetas, points)
@@ -437,9 +435,9 @@ def make_schottky(ball_pairs: list[tuple[SphericalCap, SphericalCap]]
 def _check_ping_pong(G: GroupPresentation):
     """Ping-pong: each letter maps every cap but its source into its target.
 
-    The image of each such cap is fitted in one cap_images call and must lie
-    inside the target cap: angle(image center, target center) + image radius
-    <= target radius + 1e-9. Caps are convex, so this is the hypothesis of
+    The image of each such cap comes from one closed-form cap_images call
+    and must lie inside the target cap: angle(image center, target center)
+    + image radius <= target radius + 1e-9. Caps are convex, so this is the hypothesis of
     the ping-pong lemma in any dimension, not a sample of it.
     """
     pairs = [(s, c) for i in range(1, G.rank + 1) for s in (i, -i)
@@ -447,8 +445,8 @@ def _check_ping_pong(G: GroupPresentation):
     src = CapStack.of([c for _, c in pairs], G.n + 1)
     target = CapStack.of([G.letter_target_cap(s) for s, _ in pairs], G.n + 1)
     nu, theta, valid, _ = cap_images(
-        mobius.stack_fields([G.letter(s) for s, _ in pairs]),
-        boundary_probes(src.centers, src.thetas), src.centers, src.thetas)
+        mobius.stack_fields([G.letter(s) for s, _ in pairs]), src.centers,
+        src.thetas)
     gap = angle_from_chord(np.linalg.norm(nu - target.centers, axis=1))
     if not np.all(valid & (gap + theta <= target.thetas + 1e-9)):
         raise BadSchottkyConfiguration(

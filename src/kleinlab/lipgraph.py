@@ -10,14 +10,14 @@ unique sphere meeting S^n orthogonally along the cap boundary; the graph
 height f(x) is the smallest dome-entry radius along the ray through x.
 
 One evaluator serves every family. The seed caps, and for a cyclic group
-(which has no nested caps) every image cap, are fitted at build into one
+(which has no nested caps) every image cap, are placed at build into one
 spatial index. Schottky families are evaluated through the group
 factorization: x lies in the image cap gamma(C) exactly when gamma^-1 x lies
 in the seed cap C, and gamma(C) lies in the inflated nested cap of the word
 gamma. These supports nest, so a row is tested only against the children of
 the words whose supports it met one level up the word tree, and only the
-touched image caps are ever fitted: every new cap of a level in one
-caps.cap_images call on the seeds' n+1 boundary probes, stacked by word.
+touched image caps are ever mapped: every new cap of a level in one
+closed-form caps.cap_images call on the seed caps, stacked by word.
 Every cap a row meets, from either source, enters one minimum.
 """
 
@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import geom
-from .caps import CapStack, boundary_probes, cap_images
+from .caps import CapStack, cap_images
 from .geom import (angle_from_chord, chord_from_angle, chordal_to_infinity,
                    hyperbolic_distance_rows, sphere_area, uniform_sphere_blocks,
                    unembed_rows)
@@ -371,11 +371,9 @@ class DomeFamily:
                     f"family of ~{count} caps exceeds the materialization "
                     "budget and the group is not schottky-factorable"
                 )
-        self._seed_probes = boundary_probes(self.seed_caps.centers,
-                                            self.seed_caps.thetas)
         self.words = enumerate_elements(G, max_len)
         centers, thetas = [self.seed_caps.centers], [self.seed_caps.thetas]
-        if not nested:  # every key past the seeds' in one fit
+        if not nested:  # every key past the seeds' in one cap_images call
             S = len(self.seed_caps)
             w, s = np.divmod(np.arange(S, len(self.words) * S), S)
             images = G.word_tree.element_fields(max_len)
@@ -397,11 +395,9 @@ class DomeFamily:
     def _seed_images(self, fields, seeds: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:
         """(centers, thetas) of seed caps seeds[i] under maps i of the
-        stacked fields, from their boundary probes."""
-        nu, th, valid, _ = cap_images(
-            fields, self._seed_probes[seeds], self.seed_caps.centers[seeds],
-            self.seed_caps.thetas[seeds]
-        )
+        stacked fields."""
+        nu, th, valid, _ = cap_images(fields, self.seed_caps.centers[seeds],
+                                      self.seed_caps.thetas[seeds])
         if not valid.all():
             raise ShrinkEpsilon(
                 "a propagated cap reached a hemisphere; choose a smaller eps0"

@@ -3,16 +3,16 @@
 import decimal
 import math
 from decimal import Decimal
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from kleinlab import caps, geom, mobius
+from kleinlab.geom import angle_from_chord
 from kleinlab.caps import SphericalCap, cap_image, cap_to_euclidean_ball
 
-from util import (level_children, random_mobius, reference_schottky, rim_points,
-                  scalar_boundary_points)
+from util import (boundary_frame, level_children, random_mobius,
+                  reference_schottky, rim_points, scalar_boundary_points)
 
 RNG = np.random.default_rng(1234)
 
@@ -36,29 +36,6 @@ class TestCapBasics:
         outside = np.array([[np.sin(0.5), 0.0, -np.cos(0.5)]])
         assert cap.contains(inside)[0]
         assert not cap.contains(outside)[0]
-
-    def test_boundary_points_on_boundary(self):
-        # n+1 probes at angle theta that span the boundary's hyperplane
-        for m in (2, 3, 4):
-            cap = random_cap(RNG, m)
-            pts = cap.boundary_points()
-            assert pts.shape == (m, m)
-            ang = geom.angular_distance(pts, cap.center)
-            assert np.allclose(ang, cap.theta, atol=1e-12)
-            assert np.linalg.matrix_rank(pts[1:] - pts[0]) == m - 1
-
-    @pytest.mark.parametrize("m", [2, 3, 4])
-    def test_batched_probes_match_the_one_cap_path_bitwise(self, m):
-        rng = np.random.default_rng(m)
-        centers = geom.uniform_sphere(rng, m - 1, 500)
-        thetas = np.exp(rng.uniform(np.log(1e-10), np.log(1.5), 500))
-        cs = [SphericalCap(center=c, theta=t) for c, t in zip(centers, thetas)]
-        centers = np.array([c.center for c in cs])  # as the caps store them
-        ref = np.stack([scalar_boundary_points(c) for c in cs])
-        got = caps.boundary_probes(centers, thetas)
-        assert got.tobytes() == ref.tobytes()
-        one = np.stack([c.boundary_points() for c in cs])
-        assert one.tobytes() == ref.tobytes()
 
     def test_disjointness(self):
         c1 = SphericalCap(center=np.array([1.0, 0.0, 0.0]), theta=0.2)
@@ -126,7 +103,7 @@ class TestCapImage:
             except caps.CapDegenerate:
                 continue
             # sample interior points of the source cap
-            dirs = cap.boundary_frame()
+            dirs = boundary_frame(cap)
             ts = RNG.uniform(0, cap.theta, 10)
             phis = RNG.uniform(0, 2 * np.pi, 10)
             pts = np.array([
@@ -141,182 +118,235 @@ class TestCapImage:
         cap = SphericalCap(center=geom.uniform_sphere(RNG, 3, 1)[0], theta=0.3)
         g = random_mobius(RNG, 3)
         img = cap_image(g, cap)
-        probes = cap.boundary_points()
+        probes = scalar_boundary_points(cap)
         mapped = mobius.sphere_action_rows(g, probes)
         ang = geom.angular_distance(mapped, img.center)
         assert np.allclose(ang, img.theta, atol=1e-10)
 
 
-def exact_theta(P):
-    """Angular radius of the circle through three float points of R^3, in
-    exact rational arithmetic: atan2 of the circumradius and the distance of
-    their plane from the origin, with the two square roots taken in 60-digit
-    decimals."""
-    p = [[Fraction(float(v)) for v in row] for row in P]
-    a = [p[1][i] - p[0][i] for i in range(3)]
-    b = [p[2][i] - p[0][i] for i in range(3)]
-    c = [a[i] - b[i] for i in range(3)]
+def _sin_cos(x):
+    """(sin x, cos x) of a Decimal, by their Taylor series to the context's
+    precision."""
+    total = [Decimal(0), Decimal(0)]  # cos, sin
+    term, i = Decimal(1), 0  # x^i / i!
+    tiny = Decimal(10) ** -(decimal.getcontext().prec + 5)
+    while abs(term) > tiny:
+        total[i % 2] += term if i % 4 < 2 else -term
+        i += 1
+        term = term * x / i
+    return total[1], total[0]
 
+
+def _solve(M, y):
+    """x with M x = y, by Gaussian elimination with partial pivoting."""
+    n = len(y)
+    M = [row + [v] for row, v in zip(M, y)]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(M[i][k]))
+        M[k], M[p] = M[p], M[k]
+        for i in range(k + 1, n):
+            f = M[i][k] / M[k][k]
+            M[i] = [x - f * z for x, z in zip(M[i], M[k])]
+    x = [Decimal(0)] * n
+    for k in reversed(range(n)):
+        x[k] = (M[k][n] - sum(M[k][j] * x[j] for j in range(k + 1, n))) / M[k][k]
+    return x
+
+
+def exact_image(fields, i, center, theta):
+    """Image of the cap (center, theta) under row i of the stacked fields,
+    as (angular radius, unit center) in floats, or None if it reaches a
+    hemisphere. Decimal arithmetic of 100 digits on the stored floats, by
+    another route than cap_images: m boundary points of the cap, at angle
+    theta from its normalized center toward a Gram-Schmidt frame, are
+    mapped point by point; their images span the plane w . u = 1 of the
+    image boundary, and the image cap is {u . w >= 1}, of radius
+    atan(sqrt(|w|^2 - 1)), when it holds the mapped center."""
     def dot(u, v):
         return sum(x * y for x, y in zip(u, v))
 
-    n = [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-         a[0] * b[1] - a[1] * b[0]]
-    r2 = dot(a, a) * dot(b, b) * dot(c, c) / (4 * dot(n, n))
-    h2 = dot(n, p[0]) ** 2 / dot(n, n)
     with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        r, h = (float((Decimal(q.numerator) / q.denominator).sqrt())
-                for q in (r2, h2))
-    return math.atan2(r, h)
+        ctx.prec = 100
+        eps, a, r, A, b = (f[i] for f in fields)
+        a, b, r = [Decimal(v) for v in a], [Decimal(v) for v in b], Decimal(r)
+        A = [[Decimal(v) for v in row] for row in A]
+        c = [Decimal(v) for v in center]
+        c = [v / dot(c, c).sqrt() for v in c]
+        m, frame = len(c), []
+        for j in np.argsort(np.abs(center))[:len(c) - 1]:  # axes least along c
+            e = [Decimal(int(k == j)) for k in range(m)]
+            for f in [c] + frame:
+                d = dot(e, f)
+                e = [x - d * y for x, y in zip(e, f)]
+            frame.append([x / dot(e, e).sqrt() for x in e])
+        sin, cos = _sin_cos(Decimal(float(theta)))
+        rim = [[cos * x + sin * y for x, y in zip(c, f)]
+               for f in frame + [[-v for v in frame[0]]]]
 
+        def act(u):
+            v = [x / (1 - u[-1]) - p for x, p in zip(u[:-1], a)]
+            if eps == 1:
+                s = dot(v, v)
+                v = [x / s for x in v]
+            y = [q + r * dot(row, v) for q, row in zip(b, A)]
+            s = dot(y, y)
+            return [2 * x / (1 + s) for x in y] + [(s - 1) / (s + 1)]
 
-def exact_center_offset(P, c):
-    """Angle from the float unit row c to the direction of the circumcenter
-    of three float points of R^3, in exact rational arithmetic: the
-    circumcenter p0 + ((|a|^2 b - |b|^2 a) x (a x b)) / (2 |a x b|^2), and
-    the sine of the angle from |c x o| / (|c| |o|), its square root taken in
-    60-digit decimals."""
-    p = [[Fraction(float(v)) for v in row] for row in P]
-    a = [p[1][i] - p[0][i] for i in range(3)]
-    b = [p[2][i] - p[0][i] for i in range(3)]
-
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
-
-    def cross(u, v):
-        return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
-                u[0] * v[1] - u[1] * v[0]]
-
-    n = cross(a, b)
-    w = cross([dot(a, a) * y - dot(b, b) * x for x, y in zip(a, b)], n)
-    o = [p[0][i] + w[i] / (2 * dot(n, n)) for i in range(3)]
-    c = [Fraction(float(v)) for v in c]
-    s2 = dot(cross(c, o), cross(c, o)) / (dot(c, c) * dot(o, o))
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        return math.asin(float((Decimal(s2.numerator) / s2.denominator).sqrt()))
-
-
-def nested_probe_stacks(G, d):
-    """The mapped target-cap probes and centers of every word of level d,
-    with the source caps and maps, as WordTree.nested_caps maps them."""
-    tree = G.word_tree
-    rows, maps, src = [], [], []
-    for w, s in level_children(tree, d):
-        cap = G.letter_target_cap(s)
-        rows.append(mobius.sphere_action_rows(
-            w.map, np.vstack([cap.boundary_points(), cap.center])))
-        maps.append(w.map)
-        src.append(cap)
-    P = np.array(rows)
-    return (P[:, :-1], P[:, -1], maps, np.array([c.center for c in src]),
-            np.array([c.theta for c in src]))
+        w = _solve([act(u) for u in rim], [Decimal(1)] * m)
+        ww = dot(w, w)
+        if dot(act(c), w) <= 1:
+            return None
+        return (math.atan(float((ww - 1).sqrt())),
+                np.array([float(x / ww.sqrt()) for x in w]))
 
 
 def nested_sources(G, d):
-    """(fields, boundary, centers, thetas) of the nested caps of level d: the
-    target cap of each word's last letter, under the map of the word's
-    parent."""
+    """(fields, centers, thetas) of the nested caps of level d: the target
+    cap of each word's last letter, under the map of the word's parent."""
     pairs = level_children(G.word_tree, d)
-    targets = {s: G.letter_target_cap(s) for s in {s for _, s in pairs}}
-    src = [targets[s] for _, s in pairs]
+    src = [G.letter_target_cap(s) for _, s in pairs]
     return (mobius.stack_fields([w.map for w, _ in pairs]),
-            np.stack([c.boundary_points() for c in src]),
             np.array([c.center for c in src]), np.array([c.theta for c in src]))
 
 
+def assert_exact(fields, centers, thetas, got, rows, bound, center_bound):
+    """Rows of cap_images output got against exact_image: the validity, the
+    radius to a relative bound and the center to an angle."""
+    for i in rows:
+        want = exact_image(fields, i, centers[i], thetas[i])
+        assert got[2][i] == (want is not None)
+        if want is not None:
+            assert abs(got[1][i] - want[0]) <= bound * want[0]
+            assert angle_from_chord(np.linalg.norm(got[0][i] - want[1])
+                                    ) <= center_bound
+
+
 class TestBatchedImages:
-    def test_rows_keep_their_bits_in_any_stack_or_block(self, monkeypatch):
-        # levels 6 (fitted by QR) and 7 (first-order images, theta < 1e-16)
-        # of the reference group in one stack, then shuffled, split into
-        # blocks and taken one cap at a time
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_nested_caps_match_the_exact_image(self, depth):
+        # 60 words of the level (every word up to level 2), theta down to
+        # ~1e-19 at level 8, against the exact image of the stored maps
         G = reference_schottky()
-        parts = [nested_sources(G, d) for d in (6, 7)]
+        fields, centers, thetas = nested_sources(G, depth)
+        got = caps.cap_images(fields, centers, thetas)
+        rows = np.random.default_rng(depth).permutation(len(thetas))[:60]
+        assert_exact(fields, centers, thetas, got, rows, 1e-14, 1e-15)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_random_caps_and_maps_match_the_exact_image(self, m):
+        # random caps and maps; caps that hold the north pole; inverting
+        # maps whose pole lies in the cap's ball, whose images hold the
+        # north pole; small caps next to it; images past a hemisphere
+        rng = np.random.default_rng(m)
+        centers = geom.uniform_sphere(rng, m - 1, 120)
+        thetas = rng.uniform(0.01, 1.5, 120)
+        centers[:30] = geom.normalize_rows(
+            np.eye(m)[-1] + rng.uniform(-0.3, 0.3, (30, m)))  # near the pole
+        # small caps next to the pole, where cos(theta) - c_m cancels
+        centers[60:90] = geom.normalize_rows(
+            np.eye(m)[-1] + rng.uniform(-1e-3, 1e-3, (30, m)))
+        thetas[60:90] = 0.5 * geom.angular_distance(centers[60:90], np.eye(m)[-1])
+        maps = [random_mobius(rng, m - 1) for _ in range(120)]
+        for i in range(30, 60):  # the pole of the map inside the cap
+            x, _ = geom.unembed_rows(geom.normalize_rows(
+                centers[i] + 0.01 * thetas[i] * rng.standard_normal((1, m))))
+            maps[i] = mobius.MobiusMap(m - 1, 1, x[0], 5.0, maps[i].A, maps[i].b)
+        fields = mobius.stack_fields(maps)
+        got = caps.cap_images(fields, centers, thetas)
+        assert_exact(fields, centers, thetas, got, range(120), 1e-12, 1e-13)
+        north = np.eye(m)[-1]
+        holds = geom.angular_distance(centers, north) < thetas
+        img_holds = geom.angular_distance(got[0], north) < got[1]
+        assert holds[:30].sum() > 5 and (got[2] & img_holds)[30:60].sum() > 5
+        assert 10 < (~got[2]).sum() < 60
+
+    def test_validity_near_and_past_a_hemisphere(self):
+        # a dilation x -> k x sends the south cap of radius t to the south
+        # cap of radius 2 atan(k tan(t / 2)): valid below pi/2 only
+        south = np.array([[0.0, 0.0, -1.0]])
+        t = 0.5
+        for target, ok in ((np.pi / 2 - 1e-6, True), (np.pi / 2 + 1e-6, False),
+                           (3.0, False)):
+            g = mobius.affine(2, r=np.tan(target / 2) / np.tan(t / 2))
+            nu, theta, valid, _ = caps.cap_images(mobius.stack_fields([g]),
+                                                  south, np.array([t]))
+            assert valid[0] == ok
+            if ok:
+                assert theta[0] == pytest.approx(target, rel=1e-12)
+                assert np.array_equal(nu[0], south[0])
+            else:
+                with pytest.raises(caps.CapDegenerate):
+                    cap_image(g, SphericalCap(south[0], t))
+        # a hemisphere under the identity, to rounding
+        _, theta, _, _ = caps.cap_images(mobius.stack_fields(
+            [mobius.identity(2)]), south, np.array([np.pi / 2]))
+        assert abs(theta[0] - np.pi / 2) <= 4 * np.spacing(np.pi / 2)
+
+    def test_rows_keep_their_bits_in_any_stack_or_block(self):
+        # levels 5 to 7 of the reference group in one stack, with caps below
+        # TINY_THETA, then shuffled, split into blocks and taken one at a time
+        G = reference_schottky()
+        parts = [nested_sources(G, d) for d in (5, 6, 7)]
         fields = tuple(np.concatenate(f) for f in zip(*(p[0] for p in parts)))
-        boundary, centers, thetas = (np.concatenate(a) for a in
-                                     zip(*(p[1:] for p in parts)))
-        whole = caps.cap_images(fields, boundary, centers, thetas)
+        centers, thetas = (np.concatenate(a) for a in zip(*(p[1:] for p in parts)))
+        whole = caps.cap_images(fields, centers, thetas)
         assert whole[2].all()
-        small = whole[1] < 1e-16
-        assert 0 < small.sum() < len(thetas)
-        # the tree's fits of the two levels are this fit of their rows
-        tree = [G.word_tree.nested_caps(d) for d in (6, 7)]
-        for i in (0, 1):  # centers, thetas
-            want = np.concatenate([t[i] for t in tree])
-            assert whole[i].tobytes() == want.tobytes()
+        tiny = whole[1] < caps.TINY_THETA
+        assert 0 < tiny.sum() < len(thetas)
         order = np.random.default_rng(8).permutation(len(thetas))
-        args = (tuple(f[order] for f in fields), boundary[order],
-                centers[order], thetas[order])
-        for block in (1, 7, 777, 4 * len(thetas) - 1, geom.SAMPLE_BLOCK):
-            monkeypatch.setattr(geom, "SAMPLE_BLOCK", block)
-            got = caps.cap_images(*args)
-            for a, b in zip(got, whole):
-                assert a.tobytes() == b[order].tobytes()
+        shuffled = caps.cap_images(tuple(f[order] for f in fields),
+                                   centers[order], thetas[order])
+        for a, b in zip(shuffled, whole):
+            assert a.tobytes() == b[order].tobytes()
+        for block in (7, 777):
+            for lo in range(0, len(thetas), block):
+                at = slice(lo, lo + block)
+                got = caps.cap_images(tuple(f[at] for f in fields),
+                                      centers[at], thetas[at])
+                for a, b in zip(got, whole):
+                    assert a.tobytes() == b[at].tobytes()
         rows = np.random.default_rng(9).choice(len(thetas), 40, replace=False)
-        for i in np.concatenate([rows, np.flatnonzero(small)[:5]]):
+        for i in np.concatenate([rows, np.flatnonzero(tiny)[:5]]):
             one = caps.cap_images(tuple(f[i:i + 1] for f in fields),
-                                  boundary[i:i + 1], centers[i:i + 1],
-                                  thetas[i:i + 1])
+                                  centers[i:i + 1], thetas[i:i + 1])
             for a, b in zip(one, whole):
                 assert a[0].tobytes() == b[i].tobytes()
 
-    @pytest.mark.parametrize("depth,bound", [(2, 1e-13), (3, 1e-13),
-                                             (4, 1e-13), (5, 1e-9)])
-    def test_nested_caps_match_exact_circumcircle(self, depth, bound):
-        # the circle through the same float probes, in exact arithmetic:
-        # its radius, and its center's direction to 1e-4 of the radius
-        G = reference_schottky()
-        imgs, c_img, maps, centers, thetas = nested_probe_stacks(G, depth)
-        nu, theta, valid = caps.fit_image_caps(
-            imgs, c_img, mobius.stack_fields(maps), centers, thetas)
-        assert valid.all()
-        exact = np.array([exact_theta(P) for P in imgs])
-        assert np.max(np.abs(theta - exact) / exact) <= bound
-        off = np.array([exact_center_offset(P, c) for P, c in zip(imgs, nu)])
-        assert np.max(off / theta) <= 1e-4
-        # the tree's own fit of the level is the same fit
-        tree = G.word_tree.nested_caps(depth)
-        assert np.array_equal(tree[0], nu) and np.array_equal(tree[1], theta)
-
     def test_fallback_rows_in_a_mixed_stack(self):
+        # caps below TINY_THETA are centred on their mapped source centers,
+        # the mapped centers of every row are sphere_action_stack's, and the
+        # other rows are centred by the closed form
         G = reference_schottky()
-        imgs, c_img, maps, centers, thetas = nested_probe_stacks(G, 3)
-        imgs, c_img = imgs[:8].copy(), c_img[:8].copy()
-        maps, centers, thetas = maps[:8], centers[:8], thetas[:8]
-        imgs[2, 1] = imgs[2, 0]  # two coincident probes: rank-deficient
-        # probes spread below 1e-14 around the mapped center
-        imgs[5] = c_img[5] + 3e-15 * np.array([[1.0, 0, 0], [0, 1, 0], [-1, 0, 0]])
-        nu, theta, valid = caps.fit_image_caps(
-            imgs, c_img, mobius.stack_fields(maps), centers, thetas)
-        assert valid.all()
-        for i in (2, 5):  # first-order image: mapped center, scaled radius
-            assert np.array_equal(nu[i], c_img[i])
-            x = geom.stereo_project(geom.SpherePoint(centers[i]))
-            want = thetas[i] * mobius.deriv_sphere(maps[i], x)
-            assert theta[i] == want
-        # to first order in the radius, near the fit of the intact probes
-        assert theta[2] == pytest.approx(G.word_tree.nested_caps(3)[1][2],
-                                         rel=1e-2)
-        for i in (0, 1, 3, 4, 6, 7):  # ordinary rows: the bits of a lone fit
-            alone = caps.fit_image_caps(imgs[i:i + 1], c_img[i:i + 1],
-                                        mobius.stack_fields(maps[i:i + 1]),
-                                        centers[i:i + 1], thetas[i:i + 1])
-            assert np.array_equal(alone[0][0], nu[i])
-            assert alone[1][0] == theta[i]
+        parts = [nested_sources(G, d) for d in (5, 7)]
+        fields = tuple(np.concatenate(f) for f in zip(*(p[0] for p in parts)))
+        centers, thetas = (np.concatenate(a) for a in zip(*(p[1:] for p in parts)))
+        nu, theta, valid, mapped = caps.cap_images(fields, centers, thetas)
+        assert mapped.tobytes() == mobius.sphere_action_stack(
+            fields, centers).tobytes()
+        tiny = theta < caps.TINY_THETA
+        assert 0 < tiny.sum() < len(theta)
+        assert np.array_equal(nu[tiny], mapped[tiny])
+        assert (nu[~tiny] != mapped[~tiny]).any(axis=1).mean() > 0.5
+        # the mapped source center lies in its image cap
+        off = angle_from_chord(np.linalg.norm(nu - mapped, axis=1))
+        assert np.all(off[~tiny] <= theta[~tiny])
+
+    def test_nested_caps_are_cap_images_of_their_rows(self):
+        G = reference_schottky()
+        for d in range(1, 6):
+            got = caps.cap_images(*nested_sources(G, d))
+            tree = G.word_tree.nested_caps(d)
+            assert got[0].tobytes() == tree[0].tobytes()
+            assert got[1].tobytes() == tree[1].tobytes()
+            assert got[3].tobytes() == tree[2].tobytes()
 
     def test_cap_image_is_a_one_row_fit(self):
-        # the probes mapped through the map's field row repeated once per
-        # probe, as cap_images maps every stack
+        # cap_image is a one-row cap_images call; SphericalCap renormalizes
+        # the center
         cap = random_cap(RNG, theta_max=0.7)
         g = random_mobius(np.random.default_rng(5), 2)
-        P = mobius.sphere_action_stack(
-            tuple(np.repeat(f, 4, axis=0) for f in mobius.stack_fields([g])),
-            np.vstack([cap.boundary_points(), cap.center]))
-        nu, theta, _ = caps.fit_image_caps(P[None, :-1], P[None, -1],
-                                           mobius.stack_fields([g]),
-                                           cap.center[None],
-                                           np.array([cap.theta]))
+        nu, theta, _, _ = caps.cap_images(mobius.stack_fields([g]),
+                                          cap.center[None], np.array([cap.theta]))
         img = cap_image(g, cap)
         assert img.theta == theta[0]
         assert np.allclose(img.center, nu[0], rtol=0, atol=1e-15)

@@ -449,8 +449,8 @@ class TestCommands:
             assert "volume_evidence" not in res
 
     @pytest.mark.parametrize("path, value, stderr", [
-        (LOXODROMIC, 229.29627170228912, 1.8305465225550106),
-        (PARABOLIC, 203.61629659647696, 2.813389504435824),
+        (LOXODROMIC, 229.2962717022893, 1.830546522555012),
+        (PARABOLIC, 203.61629659647738, 2.813389504435875),
     ], ids=["loxodromic", "parabolic"])
     def test_graph_volume_from_its_one_family(self, path, value, stderr,
                                               monkeypatch, capsys):
@@ -551,7 +551,7 @@ class TestCommands:
         assert res["depth"] == 6 and res["agreement"] < 0.01
 
     def test_graph_and_diagnose_run_in_s3(self, tmp_path, capsys):
-        # the family's n+1 probes span each boundary 2-sphere, so graph runs,
+        # cap images are closed-form in any dimension, so graph runs,
         # and the limit set is the S^2 one
         path = s3_file(tmp_path)
         results = {}

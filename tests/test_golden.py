@@ -3,7 +3,9 @@
 Integers, strings, booleans and verdicts must match exactly, floats to a
 relative 1e-12. A change to tests/golden/results.json is a golden change
 and needs a CHANGES.md entry that says why. Regenerate the file from the
-current code with `PYTHONPATH=src python tests/test_golden.py`.
+current code with `PYTHONPATH=src python tests/test_golden.py`. It keeps
+each value that still matches, and prints each field that moves: its path,
+old -> new and the relative change.
 """
 
 import contextlib
@@ -83,6 +85,33 @@ def assert_matches(got, want, path="$"):
             f"{path}: {got!r} != {want!r}")
 
 
+def settle(old, new, path="$"):
+    """(value, moves): new, with each leaf that matches old as the golden
+    test compares them kept at old, and the (path, old, new) of each leaf
+    that does not. A subtree whose keys or length changed is one move."""
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        parts = {key: settle(old[key], new[key], f"{path}.{key}") for key in old}
+        return ({key: v for key, (v, _) in parts.items()},
+                [m for _, ms in parts.values() for m in ms])
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        parts = [settle(o, n, f"{path}[{i}]")
+                 for i, (o, n) in enumerate(zip(old, new))]
+        return [v for v, _ in parts], [m for _, ms in parts for m in ms]
+    try:
+        assert_matches(new, old, path)
+    except AssertionError:
+        return new, [(path, old, new)]
+    return old, []
+
+
+def describe(path, old, new) -> str:
+    """One line of a move, with the relative change of a nonzero number."""
+    line = f"{path}: {old!r} -> {new!r}"
+    if {type(old), type(new)} <= {int, float} and old != 0:
+        line += f" (relative {(new - old) / abs(old):+.2e})"
+    return line
+
+
 @pytest.mark.parametrize("name", list(RUNS))
 def test_results_match_golden(name, tmp_path):
     want = json.loads(GOLDEN.read_text())[name]
@@ -99,7 +128,24 @@ def test_comparison_is_exact_for_counts_and_close_for_floats():
             assert_matches({**want, **bad}, want)
 
 
+def test_settle_keeps_matching_leaves_and_names_the_moves():
+    old = {"a": {"x": 1.0, "n": 3, "s": "v"}, "b": [0.5, 2.0], "c": [1]}
+    new = {"a": {"x": 1.5, "n": 3, "s": "w"}, "b": [0.5 + 1e-16, 2.0],
+           "c": [1, 2]}
+    value, moved = settle(old, new)
+    assert value == {"a": {"x": 1.5, "n": 3, "s": "w"}, "b": [0.5, 2.0],
+                     "c": [1, 2]}
+    assert moved == [("$.a.x", 1.0, 1.5), ("$.a.s", "v", "w"),
+                     ("$.c", [1], [1, 2])]
+    assert settle(new, new) == (new, [])
+    assert describe("$.a.x", 2.0, 1.5) == "$.a.x: 2.0 -> 1.5 (relative -2.50e-01)"
+    assert describe("$.a.s", "v", "w") == "$.a.s: 'v' -> 'w'"
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         golden = {name: run(name, pathlib.Path(tmp)) for name in RUNS}
+    golden, moved = settle(json.loads(GOLDEN.read_text()), golden)
+    for move in moved:
+        print(describe(*move))
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")

@@ -233,9 +233,9 @@ class TestWordTree:
             composed.append(len(f1[0]))  # rows, alone or in a stack
             return compose_rows(f1, f2)
 
-        def counting_fit(fields, boundary, *args):
-            fits.append(len(boundary))  # one per nested cap fitted
-            return cap_images(fields, boundary, *args)
+        def counting_fit(fields, centers, thetas):
+            fits.append(len(centers))  # one per nested cap mapped
+            return cap_images(fields, centers, thetas)
 
         monkeypatch.setattr(mobius, "compose_rows", counting_rows)
         monkeypatch.setattr(group, "cap_images", counting_fit)
@@ -445,6 +445,29 @@ class TestCriticalExponent:
             assert horizon(G, depth) == np.inf
             fit = group.critical_exponent(G, depth)
             assert fit.estimate == 0.0 and fit.diagnostics["horizon"] == np.inf
+
+    def test_nested_cap_pressure_zeros_are_the_exponent(self):
+        # delta_k solves S_{k+1}(s) = S_k(s), with S_k(s) the sum over the
+        # level-k nested caps of their chordal diameter 2 sin(theta) to the
+        # s, by bisection in log-sum-exp form. The reference file's
+        # exponent, from benchmark/delta.py, is 0.198793847
+        G = reference_schottky()
+        logd = [np.log(2.0 * np.sin(G.word_tree.nested_caps(k)[1]))
+                for k in range(3, 10)]
+
+        def log_sum(x):
+            top = x.max()
+            return top + np.log(np.exp(x - top).sum())
+
+        for k in range(3, 9):
+            lo, hi = 0.0, 1.0
+            for _ in range(60):
+                s = 0.5 * (lo + hi)
+                if log_sum(s * logd[k - 2]) > log_sum(s * logd[k - 3]):
+                    lo = s
+                else:
+                    hi = s
+            assert abs(lo - 0.198793847) <= 1e-9, k
 
     def test_schottky_in_range(self):
         G = reference_schottky()

@@ -10,7 +10,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from kleinlab import cli, geom, limitset, lipgraph, mobius
-from kleinlab.caps import SphericalCap, boundary_probes, cap_images, cap_to_euclidean_ball
+from kleinlab.caps import SphericalCap, cap_images, cap_to_euclidean_ball
 from kleinlab.files import load_group_file
 from kleinlab.geom import angle_from_chord, embed_rows, uniform_sphere
 from kleinlab.group import make_cyclic
@@ -28,8 +28,8 @@ from kleinlab.lipgraph import (
     strip_region,
 )
 
-from util import (BLOCK_EDGES, brute_sq, dome_entry_radius, reference_schottky,
-                  scalar_boundary_points)
+from util import (BLOCK_EDGES, boundary_frame, brute_sq, dome_entry_radius,
+                  reference_schottky, scalar_boundary_points)
 
 RNG = np.random.default_rng(31415)
 GROUPS = pathlib.Path(__file__).resolve().parents[1] / "groups"
@@ -148,20 +148,11 @@ def brute_heights(U, centers, thetas):
                     centers[win] * on[:, None], np.where(on, cos[win], 0.0), dk)
 
 
-def seed_arrays(fam):
-    """(centers, thetas, boundary probes) of the family's seed caps, the
-    probes one cap at a time."""
-    centers, thetas = fam.seed_caps.centers, fam.seed_caps.thetas
-    return (centers, thetas,
-            np.stack([boundary_probes(c[None], th[None])[0]
-                      for c, th in zip(centers, thetas)]))
-
-
-def word_images(word, probes, centers, thetas):
+def word_images(word, centers, thetas):
     """cap_images of the given seed caps, each under the one word's map."""
     fields = tuple(np.repeat(f, len(centers), axis=0)
                    for f in mobius.stack_fields([word.map]))
-    return cap_images(fields, probes, centers, thetas)
+    return cap_images(fields, centers, thetas)
 
 
 def brute_factored_heights(fam, U):
@@ -171,8 +162,8 @@ def brute_factored_heights(fam, U):
 
     The membership and entry radius use the evaluator's formulas on every
     (row, seed). Each word's image caps are fitted here, in one word_images
-    call on the boundary probes of the seeds some preimage lies in."""
-    centers, thetas, probes = seed_arrays(fam)
+    call on the seeds some preimage lies in."""
+    centers, thetas = fam.seed_caps.centers, fam.seed_caps.thetas
     ref = brute_heights(U, centers, thetas)
     f = np.where(ref.covered, ref.f, np.inf)
     theta, center, cos, dk = ref.theta, ref.center, ref.cos, ref.d
@@ -185,7 +176,7 @@ def brute_factored_heights(fam, U):
             need = np.unique(s[inside])
             img_c, img_th = np.zeros((S, U.shape[1])), np.zeros(S)
             img_c[need], img_th[need], _, _ = word_images(
-                word, probes[need], centers[need], thetas[need])
+                word, centers[need], thetas[need])
             img_cos = np.cos(img_th[s])
             d = np.einsum("ij,ij->i", U[r], img_c[s]) / img_cos
             hit = inside & (d >= 1.0)
@@ -204,7 +195,7 @@ def brute_factored_heights(fam, U):
 def mapped_seed_centers(fam, per_word, rng):
     """Centers of per_word random seed caps mapped by every word of every
     level: rows at the center of an image cap of each word."""
-    centers = seed_arrays(fam)[0]
+    centers = fam.seed_caps.centers
     return np.vstack([
         mobius.sphere_action_rows(word.map,
                                   centers[rng.choice(len(centers), per_word)])
@@ -237,7 +228,7 @@ class TestDomeEntry:
             th = RNG.uniform(0.05, 1.2)
             cap = SphericalCap(center=c, theta=th)
             phi = RNG.uniform(0, th)
-            frame = cap.boundary_frame()
+            frame = boundary_frame(cap)
             u = np.cos(phi) * c + np.sin(phi) * frame[0]
             t = dome_entry_radius(cap, u)
             assert t is not None
@@ -272,7 +263,7 @@ class TestBaseCaps:
             cap = base_caps(x[None, :], eps0, cloud)[0]
             assert 0 < cap.theta < np.pi / 2
             # oracle: chord between the center and a boundary point
-            bd = cap.boundary_points()[0]
+            bd = scalar_boundary_points(cap)[0]
             assert np.linalg.norm(bd - x) == pytest.approx(
                 eps0 * np.sqrt(2.0), rel=1e-12
             )
@@ -419,13 +410,11 @@ class TestFamily:
                        2.0 / np.sqrt(1.0 + hi * hi))  # to infinity
             assert ratio == pytest.approx(diam / dist, rel=1e-6)
 
-    def test_batched_seed_probes_and_shapes_match_the_per_seed_path(self):
-        # the probe stacks and the seed shape ratios of the build, bit for
-        # bit against one cap and one kd-tree query at a time
+    def test_batched_seed_shapes_match_the_per_seed_path(self):
+        # the seed shape ratios of the build, bit for bit against one cap
+        # and one kd-tree query at a time
         G, cloud, caps = quarter_schottky_caps()
         fam = DomeFamily(G, cloud, caps, max_len=1, audit=0)
-        probes = np.stack([scalar_boundary_points(c) for c in caps])
-        assert fam._seed_probes.tobytes() == probes.tobytes()
         tree, res = cKDTree(cloud.points), cloud.resolution
         ratios = []
         for cap in caps:
@@ -443,14 +432,14 @@ class TestFamily:
         # bit against a one-row word_images fit of the same (word, seed)
         G, cloud, region, fam = small_schottky_family(max_len=3)
         fam.heights(mapped_seed_centers(fam, 4, np.random.default_rng(21)))
-        centers, thetas, probes = seed_arrays(fam)
+        centers, thetas = fam.seed_caps.centers, fam.seed_caps.thetas
         S = len(fam.seed_caps)
         checked = 0
         for lv in fam._levels:
             for key, c, th in zip(lv.keys, lv.img_centers, lv.img_thetas):
                 w, s = divmod(int(key), S)
-                nu, t, _, _ = word_images(lv.words[w], probes[[s]],
-                                          centers[[s]], thetas[[s]])
+                nu, t, _, _ = word_images(lv.words[w], centers[[s]],
+                                          thetas[[s]])
                 assert nu[0].tobytes() == c.tobytes() and t[0] == th
                 checked += 1
         assert checked > 300
@@ -580,7 +569,7 @@ class TestHeightIndex:
         for d in (1, 2, 3):  # on and inside image caps of every level
             for word in G.word_tree.level(d)[::3]:
                 cap = fam.seed_caps[int(rng.integers(len(fam.seed_caps)))]
-                pts = np.vstack([cap.boundary_points(), cap.center])
+                pts = np.vstack([scalar_boundary_points(cap), cap.center])
                 rows.append(mobius.sphere_action_rows(word.map, pts))
         U = np.vstack(rows)
         ref = brute_factored_heights(fam, U)
@@ -752,7 +741,7 @@ class TestLipschitz:
         th = 0.5
         cap = SphericalCap(center=np.array([0.0, 0.0, 1.0]), theta=th)
         phis = np.linspace(0.0, 0.8 * th, 400)
-        frame = cap.boundary_frame()
+        frame = boundary_frame(cap)
         U = (
             np.cos(phis)[:, None] * cap.center
             + np.sin(phis)[:, None] * frame[0]
@@ -930,15 +919,15 @@ class TestGradient:
         else:
             G, cloud, region, fam = small_schottky_family(max_len=2, stride=6)
             brute = lambda U: brute_factored_heights(fam, U)
-            centers, thetas, probes = seed_arrays(fam)
+            centers, thetas = fam.seed_caps.centers, fam.seed_caps.thetas
             inner = np.array([np.cos(c.theta / 2) * c.center + np.sin(c.theta / 2)
-                              * c.boundary_frame()[0] for c in fam.seed_caps])
+                              * boundary_frame(c)[0] for c in fam.seed_caps])
             U = uniform_sphere(rng, 2, 1000)
             rows = [U[region.contains(U)][:200]]
             for word in G.word_tree.level(1):
                 # inside the word's largest image caps (theta ~ 0.01): the
                 # differences of u . c resolve only caps well above 1e-4
-                th = word_images(word, probes, centers, thetas)[1]
+                th = word_images(word, centers, thetas)[1]
                 rows.append(mobius.sphere_action_rows(
                     word.map, inner[np.argsort(th)[-10:]]))
             U = np.vstack(rows)

@@ -151,12 +151,19 @@ def brute_sq(Q, P):
     return s
 
 
-def scalar_boundary_points(cap: SphericalCap) -> np.ndarray:
-    """The boundary probes of one cap by the one-cap path: the QR of
-    [c | I], then the frame directions and the negated first one."""
+def boundary_frame(cap: SphericalCap) -> np.ndarray:
+    """Orthonormal basis of the complement of a cap's center, (m-1, m): the
+    last m-1 columns of the QR of [c | I]."""
     m = cap.center.size
     Q, _ = np.linalg.qr(np.concatenate([cap.center[:, None], np.eye(m)], axis=1))
-    frame = Q[:, 1:m].T
+    return Q[:, 1:m].T
+
+
+def scalar_boundary_points(cap: SphericalCap) -> np.ndarray:
+    """n+1 points on the boundary of one cap: angle theta from the center
+    toward the boundary_frame directions and the negated first one. They
+    span the boundary's hyperplane in any n."""
+    frame = boundary_frame(cap)
     dirs = np.vstack([frame, -frame[0]])
     pts = np.cos(cap.theta) * cap.center + np.sin(cap.theta) * dirs
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
@@ -166,7 +173,7 @@ def rim_points(cap: SphericalCap, rng, count: int) -> np.ndarray:
     """count random points on the boundary subsphere of a cap, in any n:
     angle theta from the center toward random unit directions of the
     center's complement."""
-    dirs = rng.standard_normal((count, cap.center.size - 1)) @ cap.boundary_frame()
+    dirs = rng.standard_normal((count, cap.center.size - 1)) @ boundary_frame(cap)
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     return np.cos(cap.theta) * cap.center + np.sin(cap.theta) * dirs
 
