@@ -118,7 +118,8 @@ def cap_images(fields, centers: np.ndarray,
     pole inside the ball) flips the side. The ball (P, R) is the cap of
     center v/|v|, v = sign(R) (2P, s - 2), and angular radius
     atan2(2|R|, sign(R) s), s = 1 + |P|^2 - R^2. Every step is elementwise
-    or one matmul per row, so a row gets the same bits in any stack.
+    or one matmul per row, so a row gets the same bits in any stack; a lone
+    row's one-map matmul in sphere_action_stack gives it those bits too.
     Returns (centers, thetas, valid, mapped source centers), with valid
     false where the image reaches a hemisphere or is not finite.
     """
@@ -142,11 +143,7 @@ def cap_images(fields, centers: np.ndarray,
         nu = v / np.linalg.norm(v, axis=1, keepdims=True)
         theta = np.arctan2(2.0 * Rn, side * s)
     valid = (theta > 0.0) & (theta < CAP_MAX_ANGLE)
-    # a lone map would take sphere_action_stack's one-map matmul
-    two = len(thetas) == 1
-    mapped = mobius.sphere_action_stack(
-        tuple(np.repeat(f, 2, axis=0) for f in fields) if two else fields,
-        np.repeat(centers, 2, axis=0) if two else centers)[:len(thetas)]
+    mapped = mobius.sphere_action_stack(fields, centers)
     tiny = theta < TINY_THETA
     nu[tiny] = mapped[tiny]
     return nu, theta, valid, mapped

@@ -66,12 +66,13 @@ def cloud_complement(L: LimitSetCloud) -> BoundaryIndicator:
     member otherwise, as the upper distance of limitset.dist_rows(U, L)
     would decide: a row is indeterminate exactly when some sample p in its
     sweep window has sqrt(sum((u - p)^2)) <= band. The sweep's screen,
-    built once here, passes on only the rows in an axis cell next to a
-    sample's, a superset of those within the band, so the flags are those
-    of the whole sweep; the other rows cost one gather each. The rows it
+    built once here, passes on only the rows that lie, on every coordinate
+    axis, in a cell next to a sample's, a superset of those within the
+    band, so the flags are those of the whole sweep; the other rows cost a
+    few gathers each, wherever the block was drawn from. The rows it
     passes go through the sweep geom.ROW_BLOCK at a time, so a block that
-    nearly all passes, as one drawn next to an end of the sweep axis does,
-    holds the sweep's work arrays for ROW_BLOCK rows, not for the block.
+    nearly all passes, as one with a wide band does, holds the sweep's
+    work arrays for ROW_BLOCK rows, not for the block.
     """
     band = L.resolution or 0.0
     near = L.sweep.screen(band)
@@ -100,10 +101,13 @@ def boundary_shift_rows(x: BallPoint, Z: np.ndarray) -> np.ndarray:
     measure forward to the harmonic measure seen from x. The affine part
     ((2 + 2 z.x) x + (1 - |x|^2) z) / (1 + 2 z.x + |x|^2) is formed one
     coordinate column at a time, with no N x (n+1) temporaries; each entry
-    takes the same operations in the same order, so the same bits.
+    takes the same operations in the same order, so the same bits. At the
+    centre the isometry is the identity, and Z itself is returned.
     """
     Z = np.atleast_2d(Z)
     xv = x.vec
+    if not xv.any():
+        return Z
     x2 = float(xv @ xv)
     dots = Z @ xv
     denom = 1.0 + 2.0 * dots + x2

@@ -210,34 +210,60 @@ class Sweep:
 
     def screen(self, r: float):
         """near(X): True for every row of X with an entry within chordal
-        distance r, and for some rows without one; one gather a row.
+        distance r, and for some rows without one; a few gathers a row.
 
-        The axis is cut into cells at least twice the window half-width w
-        wide, at most min(2^16, 4M + 16) of them, and each entry marks its
-        own cell and both neighbours. A row within w of an entry along the
-        axis lies in a cell next to the entry's, so pairs(X[near(X)], r)
-        yields every pair that pairs(X, r) yields within distance r.
+        Each coordinate axis is cut into cells at least twice the window
+        half-width w wide, at most min(2^16, 4M + 16) of them, and each
+        entry marks its own cell and both neighbours on every axis. A row
+        within r of an entry is within w of it along every axis, so it lies
+        in a cell next to one of the entry's on each, and pairs(X[near(X)], r)
+        yields every pair that pairs(X, r) yields within distance r. The
+        axes are tested in turn, each on the rows that passed the ones
+        before: the other axes first, those whose marked cells reach least
+        first, and the sweep axis last, so a row next to an end of the sweep
+        axis but far from every entry across it stops early.
         """
         w = r * (1.0 + _WINDOW_SLACK) + self._pad
-        x = self.points[:, self.axis]
-        span = float(x.max()) - self._x0 if len(x) else 0.0
-        width = max(2.0 * w, span / min(2 ** 16, 4 * len(x) + 16))
-        last = int(span / width) + 2  # cells 2 .. last hold the entries
+        cells = [_AxisCells(x, w) for x in self.points.T]
+        a0, *rest = sorted(self._across, key=lambda a: cells[a].reach) + [self.axis]
 
-        def cells(v):
-            # every row beyond the cells next to the entries' goes to the
-            # unmarked end cells 0 and last + 2
-            c = v - self._x0
-            c /= width
-            np.clip(c, -2.0, last, out=c)
-            return np.floor(c, out=c).astype(np.intp) + 2
+        def near(X):
+            rows = np.flatnonzero(cells[a0].marked_at(X[:, a0]))
+            for a in rest:
+                rows = rows[cells[a].marked_at(X[rows, a])]
+            out = np.zeros(len(X), dtype=bool)
+            out[rows] = True
+            return out
 
-        marked = np.zeros(last + 3, dtype=bool)
-        own = cells(x)
+        return near
+
+
+class _AxisCells:
+    """The cells of one coordinate axis, at least 2w wide and at most
+    min(2^16, 4M + 16) of them, that hold or neighbour an entry."""
+
+    def __init__(self, x: np.ndarray, w: float):
+        self.x0 = float(x.min()) if len(x) else 0.0
+        span = float(x.max()) - self.x0 if len(x) else 0.0
+        self.width = max(2.0 * w, span / min(2 ** 16, 4 * len(x) + 16))
+        self.last = int(span / self.width) + 2  # cells 2 .. last hold the entries
+        self.marked = np.zeros(self.last + 3, dtype=bool)
+        own = self.cells(x)
         for step in (-1, 0, 1):
-            marked[own + step] = True
+            self.marked[own + step] = True
+        self.reach = np.count_nonzero(self.marked) * self.width
+
+    def cells(self, v: np.ndarray) -> np.ndarray:
+        # every row beyond the cells next to the entries' goes to the
+        # unmarked end cells 0 and last + 2
+        c = v - self.x0
+        c /= self.width
+        np.clip(c, -2.0, self.last, out=c)
+        return np.floor(c, out=c).astype(np.intp) + 2
+
+    def marked_at(self, v: np.ndarray) -> np.ndarray:
         # mode="clip" keeps the cast of a NaN row inside the array
-        return lambda X: marked.take(cells(X[:, self.axis]), mode="clip")
+        return self.marked.take(self.cells(v), mode="clip")
 
 
 # Most points in a leaf of a PointIndex, as in a kd-tree.
@@ -650,13 +676,15 @@ def write_csv(out, header: list[str] | None, rows: np.ndarray) -> None:
     of csv.writer, appended to out, a text file opened with newline="".
     Blocks of rows written one after another give the bytes of one write of
     their stack. The rows become Python floats geom.ROW_BLOCK at a time,
-    which bounds their memory."""
+    which bounds their memory, and each block is one % format, whose %r of
+    a float is its repr."""
     if header is not None:
         out.write(",".join(header) + "\r\n")
+    line = ",".join(["%r"] * rows.shape[1]) + "\r\n"
     step = geom.ROW_BLOCK
     for i in range(0, len(rows), step):
-        out.write("".join(",".join(map(repr, row)) + "\r\n"
-                          for row in rows[i:i + step].tolist()))
+        block = rows[i:i + step]
+        out.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 class PendingFile:

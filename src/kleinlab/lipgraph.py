@@ -306,7 +306,7 @@ class _WordLevel:
     centers: np.ndarray
     support_cos: np.ndarray  # cos of the support angles
     offset: int  # family key of the level's first cap
-    # fitted image caps, sorted by key word index * seed count + seed index
+    # image caps computed so far, sorted by key word index * seed count + seed index
     keys: np.ndarray
     img_centers: np.ndarray
     img_thetas: np.ndarray
@@ -321,17 +321,17 @@ class DomeFamily:
     in (level, word, seed) order with the seed caps first. Caps come from
     two sources:
 
-    - fitted at build: the seed caps, and for a cyclic group (which has no
-      nested caps) every image cap, in one _CapIndex; a row meets such a
-      cap when d = (u . c) / cos(theta) >= 1;
-    - fitted lazily: the image caps of a schottky group, level by level.
+    - built with the family: the seed caps, and for a cyclic group (which
+      has no nested caps) every image cap, in one _CapIndex; a row meets
+      such a cap when d = (u . c) / cos(theta) >= 1;
+    - computed lazily: the image caps of a schottky group, level by level.
       A row meets gamma(C) when it lies in the inflated nested support of
-      gamma, its preimage gamma^-1 u lies in C, and d >= 1 on the fitted
-      image cap. A word's support lies in its parent's, so a row is tested
-      only against the children (WordLevel.child_rows) of the words whose
-      supports it met one level up. Caps are fitted when a query or the
-      build audit first touches them, all of a level's new caps in one
-      cap_images call, and kept per level.
+      gamma, its preimage gamma^-1 u lies in C, and d >= 1 on the image
+      cap. A word's support lies in its parent's, so a row is tested only
+      against the children (WordLevel.child_rows) of the words whose
+      supports it met one level up. Image caps are computed when a query
+      or the build audit first touches them, all of a level's new caps in
+      one cap_images call, and kept per level.
 
     A row takes the smallest entry radius t = d - sqrt(d^2 - 1) over every
     cap it meets from both sources, in one _row_minima call; ties go to the
@@ -342,13 +342,13 @@ class DomeFamily:
     confirmed ones, with the same totals in any split of the rows.
 
     The family shape bound (diameter over distance-to-limit-set within
-    (0, 1/2]) is measured by _check_shapes on every cap fitted at build:
-    the seeds, the build-fitted image caps, and for schottky groups an
-    audit sample of the image caps drawn with a fixed seed. Every cap is
-    measured from its fitted center and radius alone. Violations are
-    counted, not raised, so the shape block of a family does not depend on
-    which queries ran. Any fitted cap that reaches a hemisphere raises
-    ShrinkEpsilon.
+    (0, 1/2]) is measured by _check_shapes on every cap built with the
+    family: the seeds, a cyclic group's image caps, and for schottky groups
+    an audit sample of the image caps drawn with a fixed seed. Every cap is
+    measured from its closed-form center and radius (caps.cap_images)
+    alone. Violations are counted, not raised, so the shape block of a
+    family does not depend on which queries ran. Any image cap that reaches
+    a hemisphere raises ShrinkEpsilon.
     """
 
     def __init__(self, G: GroupPresentation, cloud: LimitSetCloud,
@@ -405,7 +405,7 @@ class DomeFamily:
         return nu, th
 
     def _check_shapes(self, centers: np.ndarray, thetas: np.ndarray):
-        """Shape bound on fitted caps (centers, thetas), from one
+        """Shape bound on the caps (centers, thetas), from one
         nearest-sample query of their centers.
 
         The diameter is chord(2 theta). The distance is the certified lower
@@ -465,7 +465,7 @@ class DomeFamily:
                     record: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """(centers, thetas) of the image caps of words w under seeds s.
 
-        Caps not fitted before are fitted together, in one _seed_images
+        Caps not computed before are computed together, in one _seed_images
         call, and kept for later queries; with record, the new caps are
         shape-checked together.
         """
@@ -537,15 +537,17 @@ class DomeFamily:
         f, first = _row_minima(N, rows, t, key)
         win = np.flatnonzero(key == first[rows])
         r, grad_sq = rows[win], np.zeros(N)
-        grad_sq[r] = dome_gradient_sq(U[r], *self._fitted(key[win]), d[win], t[win])
+        grad_sq[r] = dome_gradient_sq(U[r], *self._caps_by_key(key[win]),
+                                      d[win], t[win])
         covered = np.isfinite(f)
         f[~covered] = np.nan
         return f, covered, grad_sq
 
-    def _fitted(self, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(centers, cos theta) of fitted caps by family key."""
+    def _caps_by_key(self, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(centers, cos theta) of the caps of the family keys, every one
+        built with the family or computed already."""
         level = np.searchsorted([lv.offset for lv in self._levels], key,
-                                side="right") - 1  # -1: fitted at build
+                                side="right") - 1  # -1: built with the family
         built = np.where(level < 0, key, 0)  # the level caps are set below
         centers, cos = self._centers[built], self._cos[built]
         for j, lv in enumerate(self._levels):
@@ -565,7 +567,7 @@ class DomeFamily:
         """(row, d, key) of the rows of U meeting a cap of level lv, from
         the (row, word) pairs i, w with the row in the word's support."""
         Y = sphere_action_stack(tuple(f[w] for f in lv.inv_fields), U[i])
-        # for a group with nested caps the build-fitted caps are the seeds
+        # for a group with nested caps the caps built with the family are the seeds
         j, s = self._confirmed(Y, *self._index.pairs(Y), self._centers, self._cos)
         i, w = i[j], w[j]
         centers, thetas = self._image_caps(lv, w, s)

@@ -312,6 +312,28 @@ class TestBatchedImages:
             for a, b in zip(one, whole):
                 assert a[0].tobytes() == b[i].tobytes()
 
+    @pytest.mark.parametrize("source", [*range(1, 9), "random3", "random4"])
+    def test_lone_row_has_the_bits_of_the_stack(self, source):
+        # a one-row call against its row in the whole stack, for up to 120
+        # rows of each level of nested caps and for random caps and maps in
+        # S^2 and S^3, with every output: centers, thetas, validity and the
+        # mapped source centers
+        rng = np.random.default_rng(str(source).encode()[-1])
+        if isinstance(source, int):
+            fields, centers, thetas = nested_sources(reference_schottky(), source)
+        else:
+            m = int(source[-1])
+            centers = geom.uniform_sphere(rng, m - 1, 120)
+            thetas = rng.uniform(1e-9, 1.5, 120)
+            fields = mobius.stack_fields(
+                [random_mobius(rng, m - 1) for _ in range(120)])
+        whole = caps.cap_images(fields, centers, thetas)
+        for i in rng.permutation(len(thetas))[:120]:
+            one = caps.cap_images(tuple(f[i:i + 1] for f in fields),
+                                  centers[i:i + 1], thetas[i:i + 1])
+            for a, b in zip(one, whole):
+                assert a[0].tobytes() == b[i].tobytes()
+
     def test_fallback_rows_in_a_mixed_stack(self):
         # caps below TINY_THETA are centred on their mapped source centers,
         # the mapped centers of every row are sphere_action_stack's, and the
