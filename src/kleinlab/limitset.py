@@ -224,13 +224,13 @@ class Sweep:
         axis but far from every entry across it stops early.
         """
         w = r * (1.0 + _WINDOW_SLACK) + self._pad
-        cells = [_AxisCells(x, w) for x in self.points.T]
-        a0, *rest = sorted(self._across, key=lambda a: cells[a].reach) + [self.axis]
+        axes = [_AxisCells(x, w) for x in self.points.T]
+        a0, *rest = sorted(self._across, key=lambda a: axes[a].reach) + [self.axis]
 
         def near(X):
-            rows = np.flatnonzero(cells[a0].marked_at(X[:, a0]))
+            rows = np.flatnonzero(axes[a0].marked_at(X[:, a0]))
             for a in rest:
-                rows = rows[cells[a].marked_at(X[rows, a])]
+                rows = rows[axes[a].marked_at(X[rows, a])]
             out = np.zeros(len(X), dtype=bool)
             out[rows] = True
             return out

@@ -318,7 +318,7 @@ class TestBatchedImages:
         # rows of each level of nested caps and for random caps and maps in
         # S^2 and S^3, with every output: centers, thetas, validity and the
         # mapped source centers
-        rng = np.random.default_rng(str(source).encode()[-1])
+        rng = np.random.default_rng(list(str(source).encode()))
         if isinstance(source, int):
             fields, centers, thetas = nested_sources(reference_schottky(), source)
         else:
