@@ -6,6 +6,15 @@ defining-cap center under a full-length reduced word and lies in the
 corresponding nested cap, so every true limit point is within the largest
 nested-cap diameter (the resolution) of some sample. Distance queries return
 a (lower, upper) interval that downstream bounds propagate worst-case.
+
+The box count reads exact values from pruned searches. greedy_net_counts
+builds the nets of all its scales in one pass over the samples; each ball's
+candidates come from a sweep window that holds every sample within the
+largest of its radii, so every net equals the one a pass per scale gives.
+PointIndex.diameter compares only the kd-tree leaf pairs whose box bound
+exceeds the best pair so far; rounding is monotone, so no pair it skips
+computes a larger distance than the bound, and the result has the bits of
+the all-pairs maximum.
 """
 
 from __future__ import annotations
@@ -54,6 +63,20 @@ def _sq_dist(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return s
 
 
+def _sq_dist_cols(P, Q) -> np.ndarray:
+    """sum((p - q)^2) from the coordinate columns P[k] and Q[k], broadcast
+    against each other and summed left to right, as by _sq_dist."""
+    s = None
+    for p, q in zip(P, Q):
+        d = p - q
+        d *= d
+        if s is None:
+            s = d
+        else:
+            s += d
+    return s
+
+
 def pair_blocks(P: np.ndarray):
     """(a, s) blocks of about _CHUNK pairs, s[r, c] the squared distance of
     rows a + r and a + c of P, every pair i < j in one block; columns are
@@ -62,12 +85,7 @@ def pair_blocks(P: np.ndarray):
     m = C.shape[1]
     step = max(1, _CHUNK // max(m, 1))
     for a in range(0, m - 1, step):
-        d = C[:, a:a + step, None] - C[:, None, a:]
-        d *= d
-        s = d[0]
-        for t in d[1:]:
-            s += t
-        yield a, s
+        yield a, _sq_dist_cols(C[:, a:a + step, None], C[:, None, a:])
 
 
 def _sq_dist_at(P: np.ndarray, p, Q: np.ndarray, q) -> np.ndarray:
@@ -356,6 +374,51 @@ class PointIndex:
         d = np.sqrt(d2)
         return (d[:, 0], idx[:, 0]) if k == 1 else (d, idx)
 
+    def diameter(self) -> float:
+        """Largest distance between two points (0.0 below two): the square
+        root of the largest sum((p - q)^2), summed as _sq_dist sums it.
+
+        It starts from a real pair, the farthest point from the farthest
+        point from row 0 of points. It then compares only the leaf pairs
+        whose bound exceeds the best value so far, highest bound first, a
+        block of leaf pairs at a time. The bound of leaves I and J sums,
+        left to right, the squares of g = max(hi_J - lo_I, hi_I - lo_J) on
+        each axis of their boxes. Every pair's |p - q| on an axis is at most
+        g, and rounding is monotone, so no pair's computed value exceeds the
+        computed bound: the result has the bits of the all-pairs maximum.
+        A bound is held for every pair of leaves, so this is meant for a
+        few thousand points.
+        """
+        P = self._sorted
+        if len(P) < 2:
+            return 0.0
+        far = self.points[np.argmax(_sq_dist(self.points, self.points[0]))]
+        best = float(np.max(_sq_dist(self.points, far)))
+        s = self._starts[-1]
+        n = np.diff(s)
+        # every leaf's points, padded to the largest leaf with its first
+        # one, one coordinate column at a time
+        t = np.arange(n.max())
+        leaves = P.T[:, s[:-1, None] + np.where(t < n[:, None], t, 0)]
+        lo, hi = self._boxes[-1]
+        I, J = np.triu_indices(len(n))
+        bound = np.zeros(I.size)
+        for a, b in zip(lo, hi):
+            g = np.maximum(b[J] - a[I], b[I] - a[J])
+            bound += g * g
+        keep = np.flatnonzero(bound > best)
+        keep = keep[np.argsort(-bound[keep], kind="stable")]
+        I, J, bound = I[keep], J[keep], bound[keep]
+        # a quarter of _CHUNK pairs at a time holds two arrays of 128 kB
+        step = max(1, _CHUNK // 4 // t.size ** 2)
+        for k in range(0, I.size, step):
+            if bound[k] <= best:
+                break  # and so are all after it
+            p = slice(k, k + step)
+            best = max(best, float(_sq_dist_cols(leaves[:, I[p], :, None],
+                                                 leaves[:, J[p], None, :]).max()))
+        return float(np.sqrt(best))
+
     def _compare(self, Q, r, leaf, d2, idx, bound=None):
         """Fold the points of the leaves into the rows r (nondecreasing),
         those within bound only."""
@@ -411,9 +474,9 @@ class LimitSetCloud:
     resolution is the certified covering radius (None when the sampling
     carries no certificate); warnings records degeneracies such as elementary
     groups with fewer than three limit points. Fixed-radius queries go
-    through the sweep, the samples sorted along one axis; nearest queries go
-    through a PointIndex, a kd-tree of the samples. Both are built on first
-    use.
+    through the sweep, the samples sorted along one axis; nearest queries and
+    the diameter go through a PointIndex, a kd-tree of the samples. Both are
+    built on first use.
     """
 
     n: int
@@ -446,11 +509,11 @@ class LimitSetCloud:
 
     def diameter(self) -> float:
         """Largest chordal distance between two samples (0.0 below two), exact
-        over the pairs of every (size // 4000 + 1)-th sample past 4000."""
-        sub = self.points
+        over the pairs of every (size // 4000 + 1)-th sample past 4000, from
+        PointIndex.diameter."""
         if self.size > 4000:
-            sub = self.points[:: self.size // 4000 + 1]
-        return float(np.sqrt(max((s.max() for _, s in pair_blocks(sub)), default=0.0)))
+            return PointIndex(self.points[:: self.size // 4000 + 1]).diameter()
+        return self.index.diameter()
 
 
 def dist_rows(U: np.ndarray, L: LimitSetCloud) -> tuple[np.ndarray, np.ndarray]:
@@ -563,28 +626,59 @@ def _sample_cyclic(G: GroupPresentation, depth: int) -> LimitSetCloud:
 # box-counting dimension
 # ---------------------------------------------------------------------------
 
-def greedy_net_count(L: LimitSetCloud, scale: float) -> int:
-    """Size of the greedy chordal net at the given scale (deterministic).
+def greedy_net_counts(L: LimitSetCloud, scales) -> list[int]:
+    """Sizes of the greedy chordal nets at each of the scales (>= 0, in any
+    order, repeats allowed), deterministic.
 
-    The samples are visited in order; each one not yet covered opens a ball
-    that covers every sample p with sum((p - q)^2) <= scale^2.
+    At each scale the samples are visited in order; each one not yet covered
+    opens a ball that covers every sample p with sum((p - q)^2) <= scale^2.
+    One pass over the samples serves up to 64 scales: each sample carries a
+    bitmask of the scales at which it is covered, and opens a ball at every
+    other one. Its squared distances are summed once, over its sweep window
+    at the coarsest of those scales. The counts are exact: the window at r
+    holds every sample within r, and the windows grow with r, so that one
+    window holds every sample of each of the balls; each distance, with the
+    bits of _sq_dist, is compared with each scale^2 as a pass per scale
+    compares it.
     """
+    scales = np.asarray(scales, dtype=float).ravel()
     sw = L.sweep
-    lo, hi = (x.tolist() for x in sw.window(sw.points, scale))
-    r2 = scale * scale
-    # by sorted position; a bytearray reads faster one item at a time
-    covered = bytearray(L.size)
-    cover = np.frombuffer(covered, dtype=bool)
-    count = 0
     rank = np.empty(L.size, dtype=np.intp)
     rank[sw.ids] = np.arange(L.size)
-    for s in rank.tolist():
-        if covered[s]:
-            continue
-        count += 1
-        a, b = lo[s], hi[s]
-        cover[a:b] |= _sq_dist(sw.points[a:b], sw.points[s]) <= r2
-    return count
+    rank = rank.tolist()
+    counts = []
+    for g in range(0, scales.size, 64):
+        # bit k of a mask is the k-th smallest scale of the group
+        order = np.argsort(scales[g:g + 64], kind="stable")
+        group = scales[g:g + 64][order]
+        r2 = group * group
+        bits = len(group)
+        full = (1 << bits) - 1
+        # within[t]: the scales k >= t, those whose r^2 is at least a d^2
+        # with t = searchsorted(r2, d^2)
+        within = np.array([full >> t << t for t in range(bits + 1)],
+                          dtype=np.uint64)
+        lo = np.empty((bits, L.size), dtype=np.int32)  # half the bytes of intp
+        hi = np.empty_like(lo)
+        for k, r in enumerate(group):
+            lo[k], hi[k] = sw.window(sw.points, r)
+        covered = np.zeros(L.size, dtype=np.uint64)
+        opened = []
+        for s in rank:
+            new = full & ~covered.item(s)
+            if not new:
+                continue
+            opened.append(new)
+            k = new.bit_length() - 1  # the coarsest
+            a, b = lo.item(k, s), hi.item(k, s)
+            d2 = _sq_dist(sw.points[a:b], sw.points[s])
+            covered[a:b] |= within[r2.searchsorted(d2)] & new
+        opened = np.array(opened, dtype=np.uint64)
+        tally = np.empty(bits, dtype=np.intp)
+        tally[order] = [np.count_nonzero(opened >> np.uint64(k) & np.uint64(1))
+                        for k in range(bits)]
+        counts += tally.tolist()
+    return counts
 
 
 def default_scale_grid(L: LimitSetCloud) -> np.ndarray:
@@ -611,7 +705,7 @@ def box_dimension(L: LimitSetCloud) -> FitResult:
     if L.size < 2:
         raise ValueError("need at least two distinct points")
     scales = default_scale_grid(L)
-    counts = np.array([greedy_net_count(L, s) for s in scales], dtype=float)
+    counts = np.array(greedy_net_counts(L, scales), dtype=float)
     slope, se = _slope_fit(np.log(1.0 / scales), np.log(counts))
     return FitResult(
         estimate=slope,

@@ -16,7 +16,7 @@ from kleinlab.limitset import (
     default_scale_grid,
     dist_rows,
     distortion_rows,
-    greedy_net_count,
+    greedy_net_counts,
     sample_limit_set,
     sullivan_lambda0,
 )
@@ -164,6 +164,58 @@ class TestDiameter:
             cloud = LimitSetCloud(n=2, points=pts, depth=1, resolution=None)
             assert cloud.diameter() == blocked_brute_diameter(pts)
 
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_uniform_clouds_match_brute_force_bitwise(self, m):
+        # no leaf pair of a uniform cloud is far below the diameter, so few
+        # are pruned
+        pts = geom.uniform_sphere(np.random.default_rng([m, 3000]), m - 1, 3000)
+        cloud = LimitSetCloud(n=m - 1, points=pts, depth=1, resolution=None)
+        assert cloud.diameter() == blocked_brute_diameter(pts)
+
+    def test_equal_rows_have_diameter_zero(self):
+        u = geom.uniform_sphere(np.random.default_rng(4), 2, 1)
+        for size in (2, 17, 500):
+            cloud = LimitSetCloud(n=2, points=np.repeat(u, size, axis=0),
+                                  depth=1, resolution=None)
+            assert cloud.diameter() == 0.0
+
+    def test_two_rows_give_their_distance(self):
+        pts = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        assert LimitSetCloud(n=2, points=pts, depth=1,
+                             resolution=None).diameter() == 2.0
+        for m in (3, 4):
+            pts = geom.uniform_sphere(np.random.default_rng(m), m - 1, 2)
+            cloud = LimitSetCloud(n=m - 1, points=pts, depth=1, resolution=None)
+            assert cloud.diameter() == float(np.sqrt(np.sum((pts[0] - pts[1]) ** 2)))
+
+    def test_a_pair_an_ulp_longer_than_the_start_is_found(self):
+        # from X the farthest row is Y, at distance 2; A and B lie 2 + 2^-51
+        # apart. Sixteen copies of each row make every leaf a single row,
+        # so the bound of the leaves of A and B is their distance itself
+        X, Y, A = np.eye(3)[0], -np.eye(3)[0], np.eye(3)[2]
+        B = -(1.0 + 2.0 ** -51) * A
+        pts = np.repeat(np.array([X, Y, A, B]), 16, axis=0)
+        cloud = LimitSetCloud(n=2, points=pts, depth=1, resolution=None)
+        assert cloud.diameter() == blocked_brute_diameter(pts) > 2.0
+        assert np.sort(cloud.index._starts[-1]).tolist() == [0, 16, 32, 48, 64]
+
+    def test_reference_diameter_computes_few_of_the_pairs(self, monkeypatch):
+        # the depth-7 cloud has 2916 * 2915 / 2 = 4,250,070 pairs
+        cloud = sample_limit_set(reference_schottky(), 7)
+        computed = []
+
+        def counted(f):
+            def g(*args):
+                out = f(*args)
+                computed.append(out.size)
+                return out
+            return g
+
+        for name in ("_sq_dist", "_sq_dist_cols"):
+            monkeypatch.setattr(limitset, name, counted(getattr(limitset, name)))
+        assert cloud.diameter() == blocked_brute_diameter(cloud.points)
+        assert 0 < sum(computed) < 4_250_070 / 4
+
 
 class TestPairBlocks:
     @pytest.mark.parametrize("size", [0, 1, 2, 3, *BLOCK_EDGES])
@@ -194,7 +246,7 @@ def kdtree_net_count(points, scale):
 
 
 def assert_nets_match(cloud, scales):
-    counts = [greedy_net_count(cloud, s) for s in scales]
+    counts = greedy_net_counts(cloud, scales)
     assert counts == [kdtree_net_count(cloud.points, s) for s in scales]
 
 
@@ -228,9 +280,31 @@ class TestSweep:
                         [1.0, 0.5, 0.0]])
         cloud = LimitSetCloud(n=2, points=pts, depth=1, resolution=None)
         assert cloud.sweep.axis == 0
-        assert greedy_net_count(cloud, 0.5) == 2
-        assert greedy_net_count(cloud, np.nextafter(0.5, 0.0)) == 4
+        assert greedy_net_counts(cloud, [0.5]) == [2]
+        assert greedy_net_counts(cloud, [np.nextafter(0.5, 0.0)]) == [4]
         assert_nets_match(cloud, [0.5, np.nextafter(0.5, 0.0)])
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_one_call_matches_kdtree_at_any_scales(self, m):
+        # unsorted, repeated, zero and sub-ulp scales, more than one pass's
+        # 64, on a cloud with repeated rows and rows a few ulps apart
+        rng = np.random.default_rng([m, 64])
+        pts = geom.uniform_sphere(rng, m - 1, 300)
+        pts = np.vstack([pts, pts[:80], pts[80:160] * (1 + 1e-15),
+                         pts[160:200] * (1 - 3e-16)])
+        cloud = LimitSetCloud(n=m - 1, points=pts[rng.permutation(len(pts))],
+                              depth=1, resolution=None)
+        scales = [0.3, 0.0, 1e-15, 0.3,
+                  *rng.permutation(np.geomspace(2.0, 1e-4, 66)), 1e-15, 0.0]
+        assert len(scales) > 64
+        assert_nets_match(cloud, scales)
+
+    def test_many_scales_at_once_are_one_scale_at_a_time(self):
+        cloud = sample_limit_set(reference_schottky(), 6)
+        scales = [*default_scale_grid(cloud), *np.geomspace(1.0, 1e-6, 50), 0.0]
+        assert greedy_net_counts(cloud, scales) == [
+            greedy_net_counts(cloud, [s])[0] for s in scales]
+        assert greedy_net_counts(cloud, []) == []
 
     def test_chunked_pairs_are_the_unchunked_pairs(self):
         # enough rows for several chunks of whole windows: together they are
