@@ -15,7 +15,7 @@ import numpy as np
 from .caps import SphericalCap
 from .cusp import CuspEnd
 from .group import GroupPresentation, TAG_CUSTOM, make_cyclic, make_schottky
-from .mobius import MobiusMap
+from .mobius import MobiusMap, fixed_points_on_sphere, inverse, sphere_action_rows
 
 FORMAT_VERSION = 1
 
@@ -116,7 +116,22 @@ def mobius_from_record(rec: dict, path: str) -> MobiusMap:
     M = A.reshape(n, n)
     if np.max(np.abs(M.T @ M - np.eye(n))) > 1e-8:
         raise ValidationError(f"{path}.A", "matrix is not orthogonal at 1e-8")
-    return MobiusMap(n, int(rec["eps"]), a, r, M, b)
+    g = MobiusMap(n, int(rec["eps"]), a, r, M, b)
+    # g and its inverse take the points +-e_i of S^n to finite points: no
+    # field is so large that the stereographic chart overflows
+    P = np.vstack([np.eye(n + 1), -np.eye(n + 1)])
+    _check_finite(lambda: [sphere_action_rows(h, P) for h in (g, inverse(g))],
+                  path)
+    return g
+
+
+def _check_finite(rows, path: str):
+    """rows() computes rows from the record at path, quietly: one that
+    overflowed to a non-finite entry makes the record invalid."""
+    with np.errstate(all="ignore"):
+        ok = all(np.all(np.isfinite(v)) for v in rows())
+    if not ok:
+        raise ValidationError(path, "overflows on S^n: an entry is too large")
 
 
 def cap_from_record(rec: dict, dimension: int, path: str) -> SphericalCap:
@@ -203,6 +218,9 @@ def parse_group_document(doc: dict) -> GroupDefinition:
         if kind == "cyclic":
             if len(gens) != 1:
                 raise ValidationError("$.generators", "cyclic files take one generator")
+            # the limit set every command samples
+            _check_finite(lambda: fixed_points_on_sphere(gens[0]),
+                          "$.generators[0]")
             G = make_cyclic(gens[0])
         else:
             try:

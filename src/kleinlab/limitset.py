@@ -27,9 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from . import geom, mobius
-from .geom import ExtPoint, chord_from_angle, embed_ext, embed_rows
+from .geom import chord_from_angle, embed_rows
 from .group import FitResult, GroupPresentation, TAG_CYCLIC, TAG_SCHOTTKY, _slope_fit
-from .mobius import sphere_action_rows
 
 
 class UncertifiedDistance(RuntimeError):
@@ -578,38 +577,8 @@ def _sample_schottky(G: GroupPresentation, depth: int) -> LimitSetCloud:
     )
 
 
-def _fixed_points_on_sphere(g: mobius.MobiusMap) -> list[np.ndarray]:
-    kind = mobius.classify(g)
-    if kind == "identity":
-        return []
-    north = np.zeros(g.n + 1)
-    north[-1] = 1.0
-    if g.eps == 0:
-        if abs(g.r - 1.0) > 1e-12:
-            x = np.linalg.solve(np.eye(g.n) - g.r * g.A, g.b)
-            return [embed_ext(ExtPoint.finite(x)), north]
-        if kind == "parabolic":
-            return [north]
-        return []  # elliptic isometries of R^n have no sphere limit points
-    if kind == "elliptic":
-        return []
-    pts = []
-    for h in (g, mobius.inverse(g)):
-        u = np.eye(g.n + 1)[:1]
-        for _ in range(2000):
-            nxt = sphere_action_rows(h, u)
-            if np.linalg.norm(nxt - u) < 1e-15:
-                u = nxt
-                break
-            u = nxt
-        pts.append(u[0])
-    if kind == "parabolic" or np.linalg.norm(pts[0] - pts[1]) < 1e-9:
-        return [pts[0]]
-    return pts
-
-
 def _sample_cyclic(G: GroupPresentation, depth: int) -> LimitSetCloud:
-    pts = _fixed_points_on_sphere(G.generators[0])
+    pts = mobius.fixed_points_on_sphere(G.generators[0])
     warnings = ()
     if len(pts) < 3:
         warnings = (f"elementary group with {len(pts)} limit points",)

@@ -523,3 +523,37 @@ def classify(g: MobiusMap) -> str:
         "displacement growth fits no dynamical type cleanly; "
         f"powers-of-two displacements end {ds[-4:].tolist()}"
     )
+
+
+def fixed_points_on_sphere(g: MobiusMap) -> list[np.ndarray]:
+    """The limit set of the cyclic group <g>: the fixed points of a
+    loxodromic or parabolic g as unit rows of S^n, none for the identity or
+    an elliptic g. Inverting maps find them by iterating g and its inverse
+    from e_1."""
+    kind = classify(g)
+    if kind == "identity":
+        return []
+    north = np.zeros(g.n + 1)
+    north[-1] = 1.0
+    if g.eps == 0:
+        if abs(g.r - 1.0) > 1e-12:
+            x = np.linalg.solve(np.eye(g.n) - g.r * g.A, g.b)
+            return [embed_rows(x[None, :])[0], north]
+        if kind == "parabolic":
+            return [north]
+        return []  # elliptic isometries of R^n have no sphere limit points
+    if kind == "elliptic":
+        return []
+    pts = []
+    for h in (g, inverse(g)):
+        u = np.eye(g.n + 1)[:1]
+        for _ in range(2000):
+            nxt = sphere_action_rows(h, u)
+            if np.linalg.norm(nxt - u) < 1e-15:
+                u = nxt
+                break
+            u = nxt
+        pts.append(u[0])
+    if kind == "parabolic" or np.linalg.norm(pts[0] - pts[1]) < 1e-9:
+        return [pts[0]]
+    return pts

@@ -1,5 +1,6 @@
 """Group-definition schema, report rendering, and the command-line surface."""
 
+import gc
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -596,7 +598,8 @@ class TestCommands:
     @pytest.mark.parametrize("command", ["limitset", "graph"])
     def test_ambiguous_classification_exits_3_with_message(self, command,
                                                            monkeypatch, capsys):
-        # cyclic sampling classifies the generator to find its fixed points
+        # reading a cyclic file classifies the generator to find its fixed
+        # points
         def ambiguous(g):
             raise mobius.AmbiguousClassification("sphere iteration does not settle")
 
@@ -705,6 +708,34 @@ class TestCommands:
         assert code == 2 and results["valid"] is False
         assert results["error"].startswith(f"{field}: ")
 
+    @pytest.mark.parametrize("source, field, value", [
+        (LOXODROMIC, "b", [1e308, 0.0]),
+        (PARABOLIC, "b", [1e308, 0.0]),
+        (LOXODROMIC, "r", 1.0 + 2e-12),
+    ], ids=["loxodromic-b-1e308", "translation-1e308", "fixed-point-1e161"])
+    @pytest.mark.parametrize("command", list(_OPTIONAL_FLAGS))
+    def test_generator_that_overflows_exits_2_and_writes_nothing(
+            self, command, source, field, value, tmp_path, capsys):
+        # b[0] = 1e308 once gave exit 0, certified: true and the CSV row
+        # nan,-0.0,nan; a fixed point at 5e161 (r = 1 + 2e-12, b[0] = 1e150)
+        # overflows when it is embedded on S^2
+        doc = json.loads(pathlib.Path(source).read_text())
+        doc["generators"][0][field] = value
+        if field == "r":
+            doc["generators"][0]["b"] = [1e150, 0.0]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, "--file", str(path), "--json"]
+        if "--out" in _OPTIONAL_FLAGS[command]:
+            argv += ["--out", str(tmp_path / "out.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and quietly
+            code = cli.main(argv)
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert code == 2 and results["valid"] is False
+        assert results["error"].startswith("$.generators[0]: overflows")
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
     @pytest.mark.parametrize("command, flag", [
         (command, flag) for command, flags in _OPTIONAL_FLAGS.items()
         for flag in _FLAG_VALUES if flag not in flags])
@@ -748,14 +779,18 @@ assert not loaded and "numpy.ma" not in sys.modules, loaded
 """
 
 
-def test_no_command_loads_scipy_or_numpy_ma():
-    # in a fresh interpreter, since pytest itself has imported SciPy
+def _fresh_python(*args, text=True) -> subprocess.CompletedProcess:
+    """python *args in a fresh interpreter that imports this kleinlab."""
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_RUN, SCHOTTKY, LOXODROMIC, PARABOLIC],
-        env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=text, timeout=300)
+
+
+def test_no_command_loads_scipy_or_numpy_ma():
+    # in a fresh interpreter, since pytest itself has imported SciPy
+    proc = _fresh_python("-c", _NO_SCIPY_RUN, SCHOTTKY, LOXODROMIC, PARABOLIC)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -779,11 +814,60 @@ print(json.dumps([m for m in sys.modules if m.startswith("kleinlab.")]))
 ])
 def test_each_command_imports_only_the_modules_it_runs(argv, unused):
     # in a fresh interpreter, since pytest has imported every module
-    src = pathlib.Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", _MODULES_RUN, json.dumps(argv)],
-                          env=env, capture_output=True, text=True, timeout=300)
+    proc = _fresh_python("-c", _MODULES_RUN, json.dumps(argv))
     assert proc.returncode == 0, proc.stderr
     loaded = {m.split(".")[1] for m in json.loads(proc.stdout)}
     assert "files" in loaded and not loaded & unused, loaded
+
+
+# every command on the reference file, with small flags
+_EXIT_PATH_RUNS = [
+    ["validate"],
+    ["limitset", "--depth", "4", "--out", "cloud.csv"],
+    ["dimension", "--depth", "4"],
+    ["graph", "--depth", "4", "--epsilon0", "0.25", "--samples", "2000",
+     "--out", "graph.csv"],
+    ["harmonic", "--depth", "4", "--samples", "4000"],
+    ["diagnose", "--depth", "4"],
+]
+
+
+@pytest.mark.parametrize("argv", _EXIT_PATH_RUNS, ids=lambda a: a[0])
+def test_process_entry_point_matches_main(argv, tmp_path, capsys):
+    # python -m kleinlab.cli goes through cli.run, which freezes the heap
+    # after main; the report's results and the CSV keep their bits
+    argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+    argv += ["--file", SCHOTTKY, "--json"]
+    out = pathlib.Path(argv[argv.index("--out") + 1]) if "--out" in argv \
+        else None
+    proc = _fresh_python("-m", "kleinlab.cli", *argv, text=False)
+    assert proc.returncode == 0, proc.stderr
+    runs = [(json.loads(proc.stdout)["results"], out and out.read_bytes())]
+    if out:
+        out.unlink()
+    assert cli.main(argv) == 0
+    runs.append((json.loads(capsys.readouterr().out)["results"],
+                 out and out.read_bytes()))
+    assert runs[0] == runs[1]
+
+
+_FREEZE_RUN = """
+import atexit, contextlib, gc, io, sys
+from kleinlab import cli
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(sys.argv[1:])
+sys.exit(code)
+"""
+
+
+def test_run_leaves_the_heap_frozen_for_shutdown():
+    proc = _fresh_python("-c", _FREEZE_RUN, "validate", "--file", SCHOTTKY)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "frozen True\n"
+
+
+def test_main_leaves_the_freeze_count_as_it_was(capsys):
+    before = gc.get_freeze_count()
+    assert cli.main(["validate", "--file", SCHOTTKY]) == 0
+    assert gc.get_freeze_count() == before
