@@ -28,6 +28,7 @@ from .geom import (
     DimensionMismatch,
     ExtPoint,
     distance_from_gauge_ratio,
+    embed_ext,
     embed_rows,
     unembed_rows,
 )
@@ -538,7 +539,7 @@ def fixed_points_on_sphere(g: MobiusMap) -> list[np.ndarray]:
     if g.eps == 0:
         if abs(g.r - 1.0) > 1e-12:
             x = np.linalg.solve(np.eye(g.n) - g.r * g.A, g.b)
-            return [embed_rows(x[None, :])[0], north]
+            return [embed_ext(ExtPoint.finite(x)), north]
         if kind == "parabolic":
             return [north]
         return []  # elliptic isometries of R^n have no sphere limit points
